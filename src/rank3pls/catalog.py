@@ -10,11 +10,13 @@ Three construction routes:
   * file: bundled generator files for the two covers that are not derivable
     from the matrix layer.
 
-Groups are cached per name; every build is deterministic for a fixed seed.
+Groups are cached per (name, seed); every build is deterministic for a fixed
+seed.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from importlib import resources
@@ -27,12 +29,6 @@ from .matsemi import (GroupSpec, Mat, SemilinearElem, gens_group, gens_sl,
 from .omega import OmegaSpace, build_omega, induce_action
 from .permcore import (PermGroup, compose, identity, perm_from_images,
                        read_group_file, DEFAULT_SEED)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
@@ -64,12 +60,12 @@ def _kernel_size(spec: GroupSpec) -> int:
                           "y_sl_phidiag", "y_sigmal"):
             return y
         # SL-shapes: scalars lambda I with lambda in <w^r>, lambda^n = 1
-        return _gcd(n, y)
+        return math.gcd(n, y)
     y = (q**2 - 1) // r
     if spec.shape in ("z_su", "gammau"):
         return y
     # SU cap Y: lambda^{gcd(3, q+1)} = 1 within <w^r>
-    return _gcd(_gcd(3, q + 1), y)
+    return math.gcd(math.gcd(3, q + 1), y)
 
 
 def induced_order(spec: GroupSpec) -> int:
@@ -154,7 +150,7 @@ SPORADIC_METAS = {
 
 ALL_BUILTINS = {**OMEGA_BUILTINS, **SPORADIC_METAS}
 
-_CACHE: dict[str, Builtin] = {}
+_CACHE: dict[tuple[str, int], Builtin] = {}
 
 
 def builtin_names() -> list[str]:
@@ -162,8 +158,8 @@ def builtin_names() -> list[str]:
 
 
 def get_builtin(name: str, seed: int = DEFAULT_SEED) -> Builtin:
-    if name in _CACHE:
-        return _CACHE[name]
+    if (name, seed) in _CACHE:
+        return _CACHE[name, seed]
     if name not in ALL_BUILTINS:
         raise KeyError(f"unknown builtin group {name!r}; "
                        f"known: {', '.join(builtin_names())}")
@@ -179,7 +175,7 @@ def get_builtin(name: str, seed: int = DEFAULT_SEED) -> Builtin:
         raise AssertionError(f"{name}: built degree/order "
                              f"{G.degree}/{G.order}, expected "
                              f"{meta.degree}/{meta.order}")
-    _CACHE[name] = built
+    _CACHE[name, seed] = built
     return built
 
 

@@ -23,7 +23,8 @@ from .incidence import (IncidenceStructure, components, fingerprint, is_proper,
                         validate_pls)
 from .omega import build_omega
 from .permcore import DEFAULT_SEED, write_group_file
-from .pipeline import negative_controls, report_json, reproduce_table, run_pipeline
+from .pipeline import (devillers_enumerate, negative_controls, report_json,
+                       reproduce_table)
 
 FAMILY_BUILDERS = {
     "agstar": (families.ag_star, ("n", "q")),
@@ -35,19 +36,15 @@ FAMILY_BUILDERS = {
 }
 
 
-def _family_args(args):
-    builder, names = FAMILY_BUILDERS[args.kind]
-    vals = []
-    for nm in names:
-        v = getattr(args, nm)
-        if v is None:
-            raise SystemExit(2, f"--{nm} is required for --kind {args.kind}")
-        vals.append(v)
-    return builder, vals
-
-
 def cmd_family(args) -> int:
-    builder, vals = _family_args(args)
+    builder, names = FAMILY_BUILDERS[args.kind]
+    missing = [nm for nm in names if getattr(args, nm) is None]
+    if missing:
+        # a usage error, reported the way argparse would: one line, exit 2
+        print(f"error: --{missing[0]} is required for --kind {args.kind}",
+              file=sys.stderr)
+        return 2
+    vals = [getattr(args, nm) for nm in names]
     D = builder(*vals)
     if isinstance(D, families.CountOnly):
         print(f"{args.kind}{tuple(vals)}: count-only; "
@@ -116,11 +113,7 @@ def cmd_pipeline(args) -> int:
         print(f"{b.meta.name} is a slow case; pass --slow to run it",
               file=sys.stderr)
         return 1
-    res = run_pipeline(b.meta.name, slow=args.slow) if args.group.startswith("builtin:") \
-        else None
-    if res is None:
-        from .pipeline import devillers_enumerate
-        res = devillers_enumerate(b.group, name=b.meta.name, slow=args.slow)
+    res = devillers_enumerate(b.group, name=b.meta.name, slow=args.slow)
     for e in res.entries:
         print(" ", e.summary())
     sig = res.line_signature(connected=None)

@@ -1,19 +1,22 @@
 """The six partial-linear-space families and their parameter arithmetic.
 
 Each constructor enumerates its line set as the orbit of a base line under
-the defining group (BFS with canonical sorted-line hashing) and checks the
-enumerated count against the closed-form count, which is computed
-independently in expected_counts.  Non-PLS parameter sets construct fine on
-purpose; the validator reports their multiplicity.
+the defining group (permcore.line_orbit, one (L, k) int32 array of sorted
+lines) and checks the enumerated count against the closed-form count, which
+is computed independently in expected_counts.  Non-PLS parameter sets
+construct fine on purpose; the validator reports their multiplicity.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gfield import SubfieldView, factorize, field_make
-from .incidence import IncidenceStructure
+from .incidence import IncidenceStructure, pair_counts, relabel
 from .matsemi import Mat, gens_sl, gens_su3, linear, scalar
 from .omega import OmegaSpace, build_omega, induce_action
 from .permcore import PermGroup, line_orbit
@@ -61,8 +64,8 @@ def lsub_params(q: int, q0: int, r: int) -> tuple[int, int]:
     kr = k * r
     t = None
     for cand in range(1, kr + 1):
-        d = _gcd(cand, q - 1)  # <w^cand> = <w^d>
-        if _lcm(d, r) == kr:
+        d = math.gcd(cand, q - 1)  # <w^cand> = <w^d>
+        if math.lcm(d, r) == kr:
             t = cand
             break
     formula = k * _pi_part(r, k)
@@ -86,8 +89,8 @@ def expected_counts(family: str, n: int = 0, q: int = 0, q0: int = 0,
     if family == "lsub":
         k, t = lsub_params(q, q0, r)
         lhat = r * q * (q**n - 1) * (q**(n - 1) - 1) // (q0 * (q0**2 - 1) * (q - 1))
-        lines = lhat // _gcd(2 * r, t) if n == 2 else lhat
-        mult = k // _gcd(2, k) if n == 2 else k
+        lines = lhat // math.gcd(2 * r, t) if n == 2 else lhat
+        mult = k // math.gcd(2, k) if n == 2 else k
         return {"points": r * (q**n - 1) // (q - 1), "lines": lines,
                 "line_size": q0 + 1, "multiplicity": mult}
     if family == "dlsub":
@@ -175,7 +178,6 @@ def _raw_vector_space(n, q):
         seen |= cell
         sigma.append(sorted(cell))
     space.sigma = sorted(sigma)
-    import numpy as np
     space.cell_of = np.empty(len(points), dtype=np.int32)
     for ci, cell in enumerate(space.sigma):
         for pt in cell:
@@ -261,7 +263,7 @@ def _det_restricted_gens(space: OmegaSpace, t: int):
                                        + [1] * (space.n - 1)))]
     perms = induce_action(space, gens)
     if len(space) <= 600:
-        tt = _gcd(t, q - 1)
+        tt = math.gcd(t, q - 1)
         kernel = sum(1 for i in range((q - 1) // r)
                      if (r * n * i) % tt == 0)
         expected = sl_order(n, q) * (q - 1) // tt // kernel
@@ -313,9 +315,9 @@ def lsub(n: int, q: int, q0: int, r: int) -> IncidenceStructure:
 def dlsub(q: int, q0: int, r: int, j: int) -> IncidenceStructure:
     """Doubled subfield structure (Omega, L cup w^j L) in dimension 2.
 
-    w^j L is computed by applying diag(w^j, 1) to every line of L.  The
-    result is a partial linear space iff k = 2, r is even and j != r_2;
-    other parameter sets build fine and are flagged by validate_pls.
+    w^j L is the image of L under diag(w^j, 1).  The result is a partial
+    linear space iff k = 2, r is even and j != r_2; other parameter sets
+    build fine and are flagged by validate_pls.
     """
     k, t = lsub_params(q, q0, r)
     if not 0 < j < t:
@@ -324,11 +326,11 @@ def dlsub(q: int, q0: int, r: int, j: int) -> IncidenceStructure:
     space = build_omega("linear", 2, q, r)
     F = space.field
     conj = induce_action(space, [linear(Mat.diag(F, [F.exp[j % (F.q - 1)], 1]))])[0]
-    shifted = [tuple(sorted(int(conj[p]) for p in line)) for line in base.lines]
-    both = list(base.lines) + [l for l in shifted if l not in set(base.lines)]
+    both = np.concatenate([base.lines, relabel(base, conj).lines])
+    union = np.unique(both, axis=0)
     params = FamilyParams("dlsub", 2, q, q0, r, j=j, k=k, t=t)
-    D = IncidenceStructure(len(space), both, params.as_dict())
-    D.params["disjoint_union"] = len(set(base.lines) & set(shifted)) == 0
+    D = IncidenceStructure(len(space), union, params.as_dict())
+    D.params["disjoint_union"] = len(union) == len(both)
     return D
 
 
@@ -360,7 +362,7 @@ def usub(q: int, q0: int, r: int | None = None, full: bool | None = None,
     space = build_omega("unitary", 3, q, r)
     F = space.field
     view = SubfieldView(F, _subfield_degree(F, q0))
-    wexp = (r * (q + 1)) // _gcd(q + 1, 2)
+    wexp = (r * (q + 1)) // math.gcd(q + 1, 2)
     base_pts = {space.index_of((1, 0, 0))}
     for lam0 in range(q0):
         lam = F.mul(F.exp[wexp % (F.q - 1)], view.embed(lam0)) if lam0 else 0
@@ -406,27 +408,15 @@ def agu_star(q: int) -> IncidenceStructure:
 def _count_only(space, params, exp, base, gens, sample_size, seed):
     rng = random.Random(seed or 0xC0)
     # a random walk over the generators suffices for sampling lines
-    lines = {base}
-    cur = list(base)
-    arrs = gens
-    for _ in range(sample_size):
-        g = arrs[rng.randrange(len(arrs))]
-        cur = sorted(int(g[p]) for p in cur)
-        lines.add(tuple(cur))
-    sample = sorted(lines)
+    walk = np.empty((sample_size + 1, len(base)), dtype=np.int32)
+    walk[0] = base
+    for step in range(1, sample_size + 1):
+        walk[step] = gens[rng.randrange(len(gens))][walk[step - 1]]
+    sample = np.unique(np.sort(walk, axis=1), axis=0)
     # local PLS check: no point pair on two sampled lines
-    import numpy as np
-    n = len(space)
-    keys = []
-    for line in sample:
-        m = len(line)
-        for i in range(m):
-            for jdx in range(i + 1, m):
-                keys.append(line[i] * n + line[jdx])
-    _, counts = np.unique(np.array(keys, dtype=np.int64), return_counts=True)
-    if counts.size and counts.max() > 1:
+    if pair_counts(sample, len(space))[1].max() > 1:
         raise AssertionError("sampled lines violate the PLS property")
-    return CountOnly(space, params, exp, base, sample)
+    return CountOnly(space, params, exp, base, list(map(tuple, sample.tolist())))
 
 
 def _power_degree(q: int, q0: int) -> int:
@@ -436,13 +426,3 @@ def _power_degree(q: int, q0: int) -> int:
         t *= q0
         b += 1
     return b if t == q else 0
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _lcm(a, b):
-    return a * b // _gcd(a, b)

@@ -1,67 +1,81 @@
 """Incidence structures and their verification predicates.
 
-Lines are stored as strictly sorted tuples of point indices; duplicates are
-rejected at ingestion (a duplicate from a constructor is a bug, not data).
-The partial-linear-space check counts lines through every point pair
-exactly, vectorized over packed pair keys.
+A line set is one (L, k) int32 array: every row strictly increasing, the rows
+in lexicographic order, no row repeated, and all lines of one size k.
+Ingestion checks all of it for every input, orbit output included (a
+violation from a constructor is a bug, not data).  The predicates work on the
+whole array; the point pairs on the lines are packed into int64 keys
+a * num_points + b with a < b.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 
+def _reject(lines: np.ndarray, bad: np.ndarray, what: str):
+    """Raise ValueError naming the first line flagged in the mask `bad`."""
+    idx = np.flatnonzero(bad)
+    if idx.size:
+        raise ValueError(f"line {tuple(lines[idx[0]].tolist())} {what}")
+
+
+def _line_array(lines, num_points: int) -> np.ndarray:
+    try:
+        arr = np.asarray(lines)
+    except ValueError:
+        raise ValueError("all lines must have the same size") from None
+    if len(arr) == 0:
+        return np.empty((0, 0), dtype=np.int32)
+    if arr.ndim != 2 or arr.dtype.kind not in "iu":
+        raise ValueError("lines must be equal-size sequences of point indices")
+    if arr.shape[1] < 2:
+        raise ValueError(f"line {tuple(arr[0].tolist())} has fewer than 2 points")
+    _reject(arr, (np.diff(arr, axis=1) <= 0).any(axis=1), "is not strictly sorted")
+    _reject(arr, (arr[:, 0] < 0) | (arr[:, -1] >= num_points), "out of range")
+    arr = arr[np.lexsort(arr.T[::-1])].astype(np.int32, copy=False)
+    _reject(arr[1:], (arr[1:] == arr[:-1]).all(axis=1), "is a duplicate")
+    arr.flags.writeable = False
+    return arr
+
+
+def pair_counts(lines: np.ndarray, num_points: int):
+    """(keys, counts): the collinear point pairs a < b as increasing int64
+    keys a * num_points + b, and the number of lines through each pair."""
+    i, j = np.triu_indices(lines.shape[1], 1)
+    keys = (lines[:, i].astype(np.int64) * num_points + lines[:, j]).ravel()
+    # asking for the counts keeps np.unique on its sorting path, which is
+    # many times faster on these keys than its hashing path
+    return np.unique(keys, return_counts=True)
+
+
 class IncidenceStructure:
 
     def __init__(self, num_points: int, lines, params: dict | None = None):
         self.num_points = num_points
-        seen = set()
-        norm = []
-        for line in lines:
-            t = tuple(int(x) for x in line)
-            if list(t) != sorted(set(t)):
-                raise ValueError(f"line {t} is not strictly sorted")
-            if len(t) < 2:
-                raise ValueError(f"line {t} has fewer than 2 points")
-            if t[-1] >= num_points or t[0] < 0:
-                raise ValueError(f"line {t} out of range")
-            if t in seen:
-                raise ValueError(f"duplicate line {t}")
-            seen.add(t)
-            norm.append(t)
-        norm.sort()
-        self.lines = norm
+        self.lines = _line_array(lines, num_points)
         self.params = dict(params or {})
 
     @property
     def num_lines(self) -> int:
         return len(self.lines)
 
+    @property
+    def line_size(self) -> int | None:
+        return self.lines.shape[1] if self.num_lines else None
+
     def line_sizes(self) -> set[int]:
-        return {len(l) for l in self.lines}
+        return {self.line_size} if self.num_lines else set()
 
     def line_set(self) -> frozenset:
-        return frozenset(self.lines)
+        return frozenset(map(tuple, self.lines.tolist()))
 
     def point_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_points, dtype=np.int64)
-        for line in self.lines:
-            for p in line:
-                deg[p] += 1
-        return deg
-
-    def _pair_keys(self) -> np.ndarray:
-        n = self.num_points
-        keys = []
-        for line in self.lines:
-            m = len(line)
-            for i in range(m):
-                for j in range(i + 1, m):
-                    keys.append(line[i] * n + line[j])
-        return np.array(keys, dtype=np.int64)
+        return np.bincount(self.lines.ravel(), minlength=self.num_points)
 
     def __repr__(self):
         return (f"IncidenceStructure({self.num_points} points, "
@@ -70,11 +84,10 @@ class IncidenceStructure:
     # -- serialization --------------------------------------------------------
 
     def to_json(self) -> str:
-        sizes = self.line_sizes()
         return json.dumps({
             "points": self.num_points,
-            "line_size": max(sizes) if len(sizes) == 1 else sorted(sizes),
-            "lines": [list(l) for l in self.lines],
+            "line_size": self.line_size,
+            "lines": self.lines.tolist(),
             "params": self.params,
         })
 
@@ -84,21 +97,18 @@ class IncidenceStructure:
         return cls(data["points"], data["lines"], data.get("params"))
 
     def to_csv(self) -> str:
-        out = [f"# points={self.num_points}"]
-        for line in self.lines:
-            out.append(",".join(str(p) for p in line))
-        return "\n".join(out) + "\n"
+        out = io.StringIO()
+        out.write(f"# points={self.num_points}\n")
+        np.savetxt(out, self.lines, fmt="%d", delimiter=",")
+        return out.getvalue()
 
     def to_dot(self) -> str:
         """Collinearity graph for small instances."""
         if self.num_points > 200:
             raise ValueError("DOT export is limited to 200 points")
-        edges = set()
-        for line in self.lines:
-            for i in range(len(line)):
-                for j in range(i + 1, len(line)):
-                    edges.add((line[i], line[j]))
-        body = "\n".join(f"  {a} -- {b};" for a, b in sorted(edges))
+        keys, _ = pair_counts(self.lines, self.num_points)
+        a, b = np.divmod(keys, self.num_points)
+        body = "\n".join(map("  {} -- {};".format, a.tolist(), b.tolist()))
         return "graph collinearity {\n" + body + "\n}\n"
 
 
@@ -114,24 +124,21 @@ class PLSReport:
 
 def validate_pls(D: IncidenceStructure) -> PLSReport:
     """Exact multiplicity over all point pairs via a pair -> count table."""
-    sizes = D.line_sizes()
-    size_const = len(sizes) == 1
     deg = D.point_degrees()
     deg_const = bool((deg == deg[0]).all()) if D.num_points else True
-    if not D.lines:
+    if not D.num_lines:
         return PLSReport(True, 0, True, deg_const, None, 0)
-    keys = D._pair_keys()
-    _, counts = np.unique(keys, return_counts=True)
+    _, counts = pair_counts(D.lines, D.num_points)
     mult = int(counts.max())
-    return PLSReport(mult <= 1, mult, size_const, deg_const,
-                     (max(sizes) if size_const else None), len(counts))
+    return PLSReport(mult <= 1, mult, True, deg_const, D.line_size, len(counts))
 
 
 def multiplicity_bruteforce(D: IncidenceStructure) -> int:
     """Independent per-pair scan; quadratic, for structures <= ~500 points."""
+    lines = D.lines.tolist()
     best = 0
     for i in range(D.num_points):
-        through = [set(l) for l in D.lines if i in l]
+        through = [set(l) for l in lines if i in l]
         for j in range(i + 1, D.num_points):
             c = sum(1 for s in through if j in s)
             best = max(best, c)
@@ -144,31 +151,37 @@ def is_proper(D: IncidenceStructure) -> bool:
     rep = validate_pls(D)
     if not rep.is_pls:
         raise ValueError("properness is defined for partial linear spaces")
-    if min(D.line_sizes(), default=0) < 3:
+    if (D.line_size or 0) < 3:
         return False
     all_pairs = D.num_points * (D.num_points - 1) // 2
     return rep.collinear_pairs < all_pairs
 
 
 def components(D: IncidenceStructure) -> list[list[int]]:
-    parent = np.arange(D.num_points, dtype=np.int64)
+    """Connected components as sorted point lists, ordered by (size, points).
 
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = int(parent[root])
-        while parent[x] != root:
-            parent[x], x = root, int(parent[x])
-        return root
-
-    for line in D.lines:
-        r0 = find(line[0])
-        for p in line[1:]:
-            parent[find(p)] = r0
-    buckets: dict[int, list[int]] = {}
-    for x in range(D.num_points):
-        buckets.setdefault(find(x), []).append(x)
-    return sorted(buckets.values(), key=lambda c: (len(c), c))
+    Union-find by root hooking: each round hooks every root on a line that
+    spans several roots onto the smallest of them, then compresses every
+    point fully onto its root, until no line spans two roots.  A root is
+    only ever hooked onto a smaller point, so each component ends rooted at
+    its smallest point.
+    """
+    parent = np.arange(D.num_points)
+    roots = D.lines
+    while roots.size:
+        low = roots.min(axis=1, keepdims=True)
+        split = (roots != low).any(axis=1)
+        if not split.any():
+            break
+        roots = roots[split]
+        np.minimum.at(parent, roots, np.broadcast_to(low[split], roots.shape))
+        while not np.array_equal(parent[parent], parent):
+            parent = parent[parent]
+        roots = parent[roots]
+    order = np.argsort(parent, kind="stable")
+    cuts = np.flatnonzero(np.diff(parent[order])) + 1
+    comps = [c.tolist() for c in np.split(order, cuts)] if D.num_points else []
+    return sorted(comps, key=lambda c: (len(c), c))
 
 
 def is_connected(D: IncidenceStructure) -> bool:
@@ -179,34 +192,26 @@ def fingerprint(D: IncidenceStructure) -> tuple:
     """Isomorphism-invariant summary: equal structures (same labelling or
     relabelled) have equal fingerprints."""
     n = D.num_points
-    deg = D.point_degrees()
-    partners = [set() for _ in range(n)]
-    for line in D.lines:
-        for i in range(len(line)):
-            for j in range(i + 1, len(line)):
-                partners[line[i]].add(line[j])
-                partners[line[j]].add(line[i])
-    concurrence = tuple(sorted(len(s) for s in partners))
+    keys, _ = pair_counts(D.lines, n)
+    concurrence = np.bincount(np.concatenate(np.divmod(keys, n)), minlength=n)
     comp_sizes = tuple(sorted(len(c) for c in components(D)))
-    sizes = tuple(sorted(D.line_sizes()))
-    return (n, D.num_lines, sizes, tuple(sorted(deg.tolist())),
-            concurrence, comp_sizes)
+    return (n, D.num_lines, tuple(sorted(D.line_sizes())),
+            tuple(np.sort(D.point_degrees()).tolist()),
+            tuple(np.sort(concurrence).tolist()), comp_sizes)
 
 
 def preserved_by(D: IncidenceStructure, gens) -> bool:
-    """True iff each generator maps the line set onto itself."""
-    lines = D.line_set()
+    """True iff each generator (a permutation of the points) maps the line
+    set onto itself."""
     for g in gens:
         if len(g) != D.num_points:
             raise ValueError("generator degree does not match the point count")
-        for line in D.lines:
-            if tuple(sorted(int(g[p]) for p in line)) not in lines:
-                return False
+        if not np.array_equal(relabel(D, g).lines, D.lines):
+            return False
     return True
 
 
 def relabel(D: IncidenceStructure, perm) -> IncidenceStructure:
+    """The image of D under the point permutation perm."""
     return IncidenceStructure(
-        D.num_points,
-        [tuple(sorted(int(perm[p]) for p in line)) for line in D.lines],
-        D.params)
+        D.num_points, np.sort(np.asarray(perm)[D.lines], axis=1), D.params)

@@ -12,6 +12,7 @@ entries are packed field integers (see gfield).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .gfield import Field, SubfieldView, field_make
@@ -416,18 +417,18 @@ def group_matrix_order(spec: GroupSpec) -> int:
             "sl": sl,
             "gl": sl * (q - 1),
             "gammal": sl * (q - 1) * a,
-            "y_sl": sl * ((q - 1) // r) // _gcd(n, (q - 1) // r),
-            "z_sl": sl * (q - 1) // _gcd(n, q - 1),
+            "y_sl": sl * ((q - 1) // r) // math.gcd(n, (q - 1) // r),
+            "z_sl": sl * (q - 1) // math.gcd(n, q - 1),
             "sl_phi": sl * a,
             # image of D phi is ((w, phi)); its order is a(p-1) since
             # (w,phi)^{am} has det-exponent (p^{am}-1)/(p-1) = 0 mod q-1
             # exactly when (p-1) | m
             "sl_diag_phi": sl * a * (p - 1),
-            "z_sl_phi": sl * (q - 1) // _gcd(n, q - 1) * a,
+            "z_sl_phi": sl * (q - 1) // math.gcd(n, q - 1) * a,
             # (phi diag(1,w))^2 = diag(1, w^{p+1}) lies in Y SL_2 for the
             # catalogued (q, r) = (9, 2), giving index 2 over Y SL_2
-            "y_sl_phidiag": sl * ((q - 1) // r) // _gcd(n, (q - 1) // r) * 2,
-            "y_sigmal": sl * ((q - 1) // r) // _gcd(n, (q - 1) // r) * a,
+            "y_sl_phidiag": sl * ((q - 1) // r) // math.gcd(n, (q - 1) // r) * 2,
+            "y_sigmal": sl * ((q - 1) // r) // math.gcd(n, (q - 1) // r) * a,
         }
         return sizes[spec.shape]
     q0 = field_make(F.p, F.a // 2).q
@@ -435,14 +436,8 @@ def group_matrix_order(spec: GroupSpec) -> int:
     if spec.shape == "su":
         return su
     if spec.shape == "z_su":
-        return (q0**2 - 1) * su // _gcd(3, q0 + 1)
+        return (q0**2 - 1) * su // math.gcd(3, q0 + 1)
     if spec.shape == "gammau":
         # |Z GU_3(q)| = (q^2-1) |GU_3(q)| / (q+1) = (q^2-1) |SU_3(q)|
         return (q0**2 - 1) * su * F.a
     raise ValueError(spec.shape)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

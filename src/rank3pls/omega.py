@@ -12,6 +12,7 @@ whole cell of alpha at indices [0, r).
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -250,11 +251,11 @@ def classify_action(n: int, q: int, r: int, G: PermGroup, spec: GroupSpec,
     (p, a), = fac.items()
     flags = {"semiprimitive": True}
     if spec.kind == "linear":
-        flags["innately_transitive"] = ((q - 1) // _gcd(n, q - 1)) % r == 0
+        flags["innately_transitive"] = ((q - 1) // math.gcd(n, q - 1)) % r == 0
         if (n, r) != (2, 2):
             arith = (is_prime(r) and (q - 1) % r == 0
                      and is_primitive_prime_divisor(r, p, r - 1)
-                     and _gcd(r - 1, spec.j) == 1)
+                     and math.gcd(r - 1, spec.j) == 1)
             # for n = 2 and r odd the case split behind the classification
             # additionally forces Z SL_2(q) <= G (the point stabilizer is too
             # small otherwise); shapes without the full scalar group fail
@@ -267,16 +268,16 @@ def classify_action(n: int, q: int, r: int, G: PermGroup, spec: GroupSpec,
             F = space.field if space is not None else field_make(p, a)
             from .matsemi import gens_group
             dets = [g.mat.det() for g in gens_group(spec)]
-            stride = _gcd(2 * r, q - 1)  # <w^{2r}> = <w^stride>
+            stride = math.gcd(2 * r, q - 1)  # <w^{2r}> = <w^stride>
             arith = any(F.log[d] % stride for d in dets)
         flags["rank3"] = flags.get("rank3", arith)
     else:
-        flags["innately_transitive"] = ((q**2 - 1) // _gcd(3, q + 1)) % r == 0
+        flags["innately_transitive"] = ((q**2 - 1) // math.gcd(3, q + 1)) % r == 0
         contains_zsu = spec.shape in ("z_su", "gammau")
         arith = (contains_zsu and r % 2 == 1 and is_prime(r)
                  and (q - 1) % r == 0
                  and is_primitive_prime_divisor(r, p, r - 1)
-                 and _gcd(r - 1, spec.j) == 1)
+                 and math.gcd(r - 1, spec.j) == 1)
         flags["rank3"] = arith
     # quasiprimitive: innately transitive and G meets Z/Y trivially
     qp = flags["innately_transitive"]
@@ -301,9 +302,3 @@ def classify_action(n: int, q: int, r: int, G: PermGroup, spec: GroupSpec,
                 f"rank-3 arithmetic flag {flags['rank3']} disagrees with "
                 f"computed rank for {spec}")
     return flags
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

@@ -15,6 +15,7 @@ orbit-stabilizer counting.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -72,14 +73,8 @@ def perm_order(g: np.ndarray) -> int:
             seen[j] = True
             j = int(g[j])
             length += 1
-        order = order * length // _gcd(order, length)
+        order = math.lcm(order, length)
     return order
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class _Level:
@@ -222,24 +217,14 @@ class PermGroup:
         if not self.gens:
             self._order = 1
             return
-        first = None
-        for b in self.base_hint:
-            if any(g[b] != b for g in self.gens):
-                first = b
-                break
+        first = next((b for b in self.base_hint
+                      if any(g[b] != b for g in self.gens)), None)
         if first is None:
-            g0 = self.gens[0]
-            first = self._first_moved_any()
+            first = self._first_moved(self.gens[0])
         self._levels.append(_Level(self.degree, first))
         for g in self.gens:
             # every input generator is a strong generator for its prefix
-            m = 0
-            while m < len(self._levels) and g[self._levels[m].point] == self._levels[m].point:
-                m += 1
-            if m == len(self._levels):
-                self._levels.append(_Level(self.degree, self._first_moved(g)))
-            for j in range(m + 1):
-                self._levels[j].add_gen(g)
+            self._insert_strong_gen(g)
         if self.expected_order is not None and self.degree >= 256:
             self._randomized_schreier_sims()
             self._order = self._chain_order()
@@ -253,13 +238,6 @@ class PermGroup:
             raise ValueError(
                 f"{self!r}: degree {self.degree} needs expected_order for the "
                 f"randomized Schreier-Sims certificate")
-
-    def _first_moved_any(self) -> int:
-        for g in self.gens:
-            diff = np.nonzero(g != np.arange(self.degree, dtype=np.int32))[0]
-            if diff.size:
-                return int(diff[0])
-        raise AssertionError("no non-identity generator")
 
     def _deterministic_schreier_sims(self):
         i = len(self._levels) - 1
@@ -438,33 +416,14 @@ class PermGroup:
 
     def minimal_block(self, beta: int, gamma: int) -> frozenset:
         """Smallest block of imprimitivity containing {beta, gamma} for this
-        group acting on the orbit of beta (Atkinson's algorithm)."""
+        group acting on the orbit of beta."""
         if beta == gamma:
             raise ValueError("minimal_block needs two distinct points")
-        parent = np.arange(self.degree, dtype=np.int32)
-
-        def find(x):
-            root = x
-            while parent[root] != root:
-                root = int(parent[root])
-            while parent[x] != root:
-                parent[x], x = root, int(parent[x])
-            return root
-
-        stack = [(beta, gamma)]
-        while stack:
-            a, b = stack.pop()
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                continue
-            parent[rb] = ra
-            for g in self.gens:
-                stack.append((int(g[a]), int(g[b])))
-        rb = find(beta)
-        return frozenset(int(x) for x in range(self.degree) if find(x) == rb)
+        return self.block_join(beta, (gamma,))
 
     def block_join(self, beta: int, points) -> frozenset:
-        """The smallest block containing beta and all of points."""
+        """The smallest block containing beta and all of points (Atkinson's
+        algorithm: a union-find closed under the generators)."""
         parent = np.arange(self.degree, dtype=np.int32)
 
         def find(x):
@@ -763,42 +722,49 @@ class _Shaker:
 def line_orbit(gens, line, max_lines: int | None = None):
     """Orbit of a point set under <gens>, with per-generator image maps.
 
-    Lines are sorted tuples.  Returns (lines, limg): lines in BFS order,
-    limg[k] an int32 array mapping line index -> image index under gens[k].
-    Image rows are computed vectorized one BFS layer at a time.
+    Returns (lines, limg): lines is an (L, k) int32 array of row-sorted point
+    sets in BFS order, row 0 the sorted base line; limg[k] is an int32 array
+    mapping line index -> image index under gens[k].  Each BFS layer maps the
+    frontier through every generator, sorts the image rows and looks their
+    np.void row keys up in the sorted keys of the lines seen so far.  New
+    lines are numbered in order of first appearance, generator by generator.
+    An orbit of more than max_lines lines raises RuntimeError.
     """
-    line0 = tuple(sorted(int(x) for x in line))
-    idx = {line0: 0}
-    rows = [line0]
-    layer = [0]
-    edges: list[dict[int, int]] = [dict() for _ in gens]
-    while layer:
-        block = np.array([rows[i] for i in layer], dtype=np.int32)
-        nxt = []
-        for k, g in enumerate(gens):
-            imgs = np.sort(g[block], axis=1)
-            ek = edges[k]
-            for row_i, src in enumerate(layer):
-                t = tuple(int(v) for v in imgs[row_i])
-                j = idx.get(t)
-                if j is None:
-                    j = len(rows)
-                    idx[t] = j
-                    rows.append(t)
-                    nxt.append(j)
-                    if max_lines is not None and j >= max_lines:
-                        raise RuntimeError("line orbit exceeded max_lines")
-                ek[src] = j
-        layer = nxt
-    n = len(rows)
-    limg = []
-    for k in range(len(gens)):
-        arr = np.empty(n, dtype=np.int32)
-        ek = edges[k]
-        for i in range(n):
-            arr[i] = ek[i]
-        limg.append(arr)
-    return rows, limg
+    frontier = np.sort(np.asarray(line, dtype=np.int32))[None, :]
+    row_key = np.dtype((np.void, frontier.itemsize * frontier.shape[1]))
+
+    def keys(rows):
+        return np.ascontiguousarray(rows).view(row_key).ravel()
+
+    seen_keys = keys(frontier)                  # sorted
+    seen_ids = np.zeros(1, dtype=np.int32)      # line index of each seen key
+    layers = [frontier]
+    maps: list[list[np.ndarray]] = [[] for _ in gens]
+    total = 1
+    while len(frontier) and len(gens):
+        imgs = np.concatenate([np.sort(g[frontier], axis=1) for g in gens])
+        img_keys = keys(imgs)
+        pos = np.searchsorted(seen_keys, img_keys)
+        known = seen_keys[np.minimum(pos, len(seen_keys) - 1)] == img_keys
+        fresh, first, inv = np.unique(img_keys[~known], return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        fresh_ids = np.empty(len(fresh), dtype=np.int32)
+        fresh_ids[order] = np.arange(total, total + len(fresh), dtype=np.int32)
+        ids = np.empty(len(imgs), dtype=np.int32)
+        ids[known] = seen_ids[pos[known]]
+        ids[~known] = fresh_ids[inv]
+        for k, part in enumerate(np.split(ids, len(gens))):
+            maps[k].append(part)
+        total += len(fresh)
+        if max_lines is not None and total > max_lines:
+            raise RuntimeError("line orbit exceeded max_lines")
+        at = np.searchsorted(seen_keys, fresh)
+        seen_keys = np.insert(seen_keys, at, fresh)
+        seen_ids = np.insert(seen_ids, at, fresh_ids)
+        frontier = imgs[~known][first[order]]
+        layers.append(frontier)
+    return np.concatenate(layers), [np.concatenate(m) for m in maps]
 
 
 def flag_transitive_on_line(G: PermGroup, line, precomputed=None) -> bool:

@@ -22,7 +22,8 @@ import numpy as np
 from . import families
 from .catalog import get_builtin
 from .gfield import SubfieldView, factorize
-from .incidence import IncidenceStructure, components, is_proper, validate_pls
+from .incidence import (IncidenceStructure, components, is_proper, relabel,
+                        validate_pls)
 from .matsemi import Mat, linear
 from .omega import OmegaSpace, induce_action
 from .permcore import PermGroup, flag_transitive_on_line, line_orbit
@@ -44,10 +45,10 @@ class PipelineEntry:
                "filtered": self.filtered, "structure_ref": None}
         if self.structure is not None:
             out["lines"] = self.structure.num_lines
-            out["line_size"] = len(self.structure.lines[0])
+            out["line_size"] = self.structure.line_size
             out["connected"] = self.connected
             out["structure_ref"] = (f"{self.structure.num_lines}x"
-                                    f"{len(self.structure.lines[0])}"
+                                    f"{self.structure.line_size}"
                                     f"{'' if self.connected else ':disconnected'}")
         if self.label:
             out["label"] = self.label
@@ -59,7 +60,7 @@ class PipelineResult:
     name: str
     degree: int
     rank: int
-    sigma: list
+    sigma: np.ndarray          # (cells, cell size), rows sorted
     entries: list[PipelineEntry] = field(default_factory=list)
 
     def structures(self, connected: bool | None = None) -> list[IncidenceStructure]:
@@ -84,7 +85,7 @@ class PipelineResult:
     def line_signature(self, connected: bool | None = True):
         """Multiset of (number of lines, line size) over distinct emitted
         structures."""
-        sig = sorted((d.num_lines, len(d.lines[0]))
+        sig = sorted((d.num_lines, d.line_size)
                      for d in self.distinct_structures(connected))
         return tuple(sig)
 
@@ -94,23 +95,15 @@ class PipelineResult:
                 "results": [e.summary() for e in self.entries]}
 
 
-def sigma_partition(G: PermGroup) -> list:
-    """The unique nontrivial G-block system, asserted unique."""
+def sigma_partition(G: PermGroup) -> np.ndarray:
+    """The unique nontrivial G-block system, asserted unique: a (cells, cell
+    size) array of sorted cells in lexicographic order."""
     blocks = G.all_blocks_through(0)
     if len(blocks) != 1:
         raise ValueError(f"{G!r}: expected a unique nontrivial block system, "
                          f"found {len(blocks)} blocks through 0")
-    cell0 = tuple(sorted(blocks[0]))
-    cells = {cell0}
-    queue = [cell0]
-    while queue:
-        cur = queue.pop()
-        for g in G.gens:
-            img = tuple(sorted(int(g[x]) for x in cur))
-            if img not in cells:
-                cells.add(img)
-                queue.append(img)
-    return sorted(cells)
+    cells, _ = line_orbit(G.gens, sorted(blocks[0]))
+    return np.unique(cells, axis=0)
 
 
 MAX_LINE_ORBIT = 2_000_000  # defensive cap for non-slow runs
@@ -126,16 +119,14 @@ def devillers_enumerate(G: PermGroup, name: str = "", slow: bool = False,
         raise ValueError(f"pipeline needs rank 3, got rank {rank}")
     sigma = sigma_partition(G)
     cell_of = np.empty(G.degree, dtype=np.int32)
-    for ci, cell in enumerate(sigma):
-        for p in cell:
-            cell_of[p] = ci
+    cell_of[sigma] = np.arange(len(sigma), dtype=np.int32)[:, None]
     result = PipelineResult(name or G.name, G.degree, rank, sigma)
     Ga = G.stabilizer(0)
     if len(Ga.gens) > 8:
         Ga = PermGroup(G.degree, Ga.reduced_gens(), expected_order=Ga.order,
                        seed=Ga.seed, name=Ga.name)
     orbits = [sorted(o) for o in Ga.orbits() if len(o) > 1]
-    cell0 = set(sigma[cell_of[0]])
+    cell0 = set(sigma[cell_of[0]].tolist())
     for orb in orbits:
         in_cell = orb[0] in cell0
         kind = "cell" if in_cell else "far"
@@ -382,9 +373,7 @@ def run_pipeline(builtin_name: str, slow: bool = False) -> PipelineResult:
 def _conjugate_lines(space: OmegaSpace, D: IncidenceStructure, wexp: int):
     F = space.field
     mat = Mat.diag(F, [F.exp[wexp % (F.q - 1)]] + [1] * (space.n - 1))
-    perm = induce_action(space, [linear(mat)])[0]
-    return frozenset(tuple(sorted(int(perm[p]) for p in line))
-                     for line in D.lines)
+    return relabel(D, induce_action(space, [linear(mat)])[0]).lines
 
 
 def reproduce_table(table_id: int, max_degree: int = 300,
@@ -406,19 +395,19 @@ def reproduce_table(table_id: int, max_degree: int = 300,
                 rows.append({"row": label, "status": "skipped (degree)"})
                 continue
             D = _FAMILY_BUILDERS[fam](*args)
-            fam_lines = D.line_set()
             row_ok = True
             detail = {}
             for g in groups:
                 b = get_builtin(g)
                 res = run_pipeline(g, slow=slow)
-                emitted = [d.line_set() for d in res.structures(connected=True)]
-                direct = fam_lines in emitted
+                # line arrays are canonical, so array equality is set equality
+                emitted = [d.lines for d in res.structures(connected=True)]
+                direct = any(np.array_equal(D.lines, ls) for ls in emitted)
                 mirrored = None
                 if wexp is not None and b.space is not None:
                     conj = _conjugate_lines(b.space, D, wexp)
-                    others = [ls for ls in emitted if ls != fam_lines]
-                    mirrored = conj in others if others else False
+                    mirrored = any(np.array_equal(conj, ls) for ls in emitted
+                                   if not np.array_equal(D.lines, ls))
                 ok = direct and (mirrored is not False or wexp is None)
                 row_ok &= ok
                 detail[g] = {"direct": direct, "mirrored": mirrored,

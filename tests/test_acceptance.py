@@ -52,7 +52,7 @@ def test_criterion_02_delta24_singer_split():
     D = fam.delta(2, 4)
     space = build_omega("linear", 2, 4, 3)
     s = induce_action(space, [singer_cycle(2, field_make(2, 2))])[0]
-    lines = set(D.lines)
+    lines = set(D.line_set())
     orbit_sizes = []
     while lines:
         line = lines.pop()

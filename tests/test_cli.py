@@ -54,6 +54,12 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def test_missing_family_parameter_is_a_usage_error(capsys):
+    assert main(["family", "build", "--kind", "delta", "--q", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --n is required for --kind delta\n"
+
+
 def test_pipeline_report_deterministic(tmp_path, capsys):
     r1 = tmp_path / "r1.json"
     r2 = tmp_path / "r2.json"

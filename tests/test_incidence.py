@@ -1,5 +1,7 @@
 """Incidence-structure model and verification predicates."""
 
+import dataclasses
+import json
 import random
 
 import numpy as np
@@ -23,6 +25,28 @@ def test_ingestion_rules():
         IncidenceStructure(4, [(0, 1), (0, 1)])
     with pytest.raises(ValueError):
         IncidenceStructure(3, [(0, 5)])
+
+
+def test_mixed_line_sizes_rejected():
+    with pytest.raises(ValueError):
+        IncidenceStructure(5, [(0, 1), (1, 2, 3)])
+    with pytest.raises(ValueError):
+        IncidenceStructure.from_json('{"points": 5, "lines": [[0, 1, 2], [3, 4]]}')
+
+
+def test_components_on_a_shuffled_path():
+    n = 20_000
+    label = np.random.default_rng(5).permutation(n)
+    path = np.sort(np.stack([label[:-1], label[1:]], axis=1), axis=1)
+    comps = components(IncidenceStructure(n, path))
+    assert len(comps) == 1 and comps[0] == list(range(n))
+
+
+def test_predicate_outputs_are_plain_json():
+    D = fam.dlsub(9, 3, 2, 1)
+    text = json.dumps([dataclasses.asdict(validate_pls(D)), fingerprint(D),
+                       components(D), sorted(D.line_sizes())])
+    assert json.loads(text)[0]["line_size"] == 4
 
 
 def test_validate_pls_examples():
@@ -117,7 +141,7 @@ def test_family_invariance_under_table2_groups():
 def test_serialization_roundtrip(tmp_path):
     D = fam.delta(2, 4)
     D2 = IncidenceStructure.from_json(D.to_json())
-    assert D2.lines == D.lines and D2.num_points == D.num_points
+    assert np.array_equal(D2.lines, D.lines) and D2.num_points == D.num_points
     csv = D.to_csv()
     assert csv.count("\n") == D.num_lines + 1
     dot = D.to_dot()

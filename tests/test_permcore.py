@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from rank3pls.catalog import get_builtin
@@ -193,7 +194,49 @@ def test_line_orbit_image_maps():
     for k, g in enumerate(G.gens):
         for i, line in enumerate(lines):
             img = tuple(sorted(int(g[p]) for p in line))
-            assert lines[limg[k][i]] == img
+            assert tuple(lines[limg[k][i]].tolist()) == img
+
+
+def _tuple_line_orbit(gens, line):
+    """Plain layer-wise BFS over sorted tuples: the orbit rows in order of
+    discovery (generator by generator) and the per-generator image maps."""
+    rows = [tuple(sorted(line))]
+    index = {rows[0]: 0}
+    maps = [{} for _ in gens]
+    layer = [0]
+    while layer:
+        nxt = []
+        for k, g in enumerate(gens):
+            for i in layer:
+                img = tuple(sorted(int(g[p]) for p in rows[i]))
+                if img not in index:
+                    index[img] = len(rows)
+                    rows.append(img)
+                    nxt.append(index[img])
+                maps[k][i] = index[img]
+        layer = nxt
+    return rows, maps
+
+
+def test_line_orbit_matches_tuple_bfs():
+    from rank3pls import families as fam
+    G = get_builtin("GammaU3_4").group
+    # USub(4,2,3) is one line orbit, so any of its lines serves as the base;
+    # it is passed unsorted to check that row 0 is the sorted base line
+    base = fam.usub(4, 2, 3).lines[5].tolist()
+    lines, limg = line_orbit(G.gens, base[::-1])
+    rows, maps = _tuple_line_orbit(G.gens, base)
+    assert lines.shape == (6240, 3) and lines.dtype == np.int32
+    assert list(map(tuple, lines.tolist())) == rows
+    for k in range(len(G.gens)):
+        assert limg[k].tolist() == [maps[k][i] for i in range(len(rows))]
+
+
+def test_catalog_cache_keys_on_seed():
+    a = get_builtin("GammaL2_4", seed=11)
+    b = get_builtin("GammaL2_4", seed=12)
+    assert (a.group.seed, b.group.seed) == (11, 12)
+    assert get_builtin("GammaL2_4", seed=11) is a
 
 
 def test_group_file_roundtrip(tmp_path):
