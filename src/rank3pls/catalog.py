@@ -190,7 +190,10 @@ def _build_omega_group(meta: BuiltinMeta, seed: int) -> Builtin:
 
 def projective_action(F, n, gens, expected_order=None, seed=DEFAULT_SEED,
                       name="proj"):
-    """Action of (semi)linear generators on the 1-spaces of F^n."""
+    """Action of (semi)linear generators on the 1-spaces of F^n.
+
+    Point 0 leads the base, so the stabilizer of 0 is read off the group's
+    own chain."""
     from .omega import _projective_reps
     reps = _projective_reps(F, n)
     index = {v: i for i, v in enumerate(reps)}
@@ -209,7 +212,7 @@ def projective_action(F, n, gens, expected_order=None, seed=DEFAULT_SEED,
             img[i] = index[normalize(g.apply(v))]
         perms.append(img)
     return PermGroup(len(reps), perms, expected_order=expected_order,
-                     seed=seed, name=name)
+                     base_hint=[0], seed=seed, name=name)
 
 
 def _accept_rank3(parent: PermGroup, meta: BuiltinMeta):

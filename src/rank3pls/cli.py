@@ -155,7 +155,7 @@ def cmd_verify(args) -> int:
     print(f"{args.path}: {D.num_points} points, {D.num_lines} lines, "
           f"multiplicity {rep.multiplicity}, "
           f"{'PLS' if rep.is_pls else 'NOT a PLS'}, "
-          f"{'proper' if rep.is_pls and is_proper(D) else 'not proper'}, "
+          f"{'proper' if rep.is_pls and is_proper(D, rep) else 'not proper'}, "
           f"{len(comps)} component(s)")
     print(f"fingerprint: {fingerprint(D)}")
     return 0 if rep.is_pls else 1

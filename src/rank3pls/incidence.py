@@ -145,10 +145,12 @@ def multiplicity_bruteforce(D: IncidenceStructure) -> int:
     return best
 
 
-def is_proper(D: IncidenceStructure) -> bool:
+def is_proper(D: IncidenceStructure, rep: PLSReport | None = None) -> bool:
     """Neither a linear space nor a graph: line size >= 3 and some point
-    pair lies on no line."""
-    rep = validate_pls(D)
+    pair lies on no line.  `rep`, when given, must be validate_pls(D); it
+    is used instead of validating D again."""
+    if rep is None:
+        rep = validate_pls(D)
     if not rep.is_pls:
         raise ValueError("properness is defined for partial linear spaces")
     if (D.line_size or 0) < 3:

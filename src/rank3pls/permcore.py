@@ -11,6 +11,12 @@ reaches a caller-supplied expected order; the computed order can never exceed
 the true order, so matching it certifies completeness.  Every large group in
 the catalogue has an arithmetically known order or one derived from
 orbit-stabilizer counting.
+
+A chain is built once per group.  The stabilizer of a point x in the first
+basic orbit (every point, for a transitive group) is the chain below the
+first base point b conjugated by the transversal rep taking b to x, so it
+runs no Schreier-Sims; only a point outside that orbit gets a chain rebuilt
+with x first.
 """
 
 from __future__ import annotations
@@ -121,6 +127,18 @@ class _Level:
             u = compose(self.gens[k], u)
             x = int(self.inv_gens[k][x])
         return u
+
+    def conjugate(self, u: np.ndarray, u_inv: np.ndarray) -> "_Level":
+        """This level of the chain of u^-1 G u: point, orbit and Schreier tree
+        moved by u, generators g -> u^-1 g u."""
+        lv = _Level.__new__(_Level)
+        lv.point = int(u[self.point])
+        lv.gens = [u[g[u_inv]] for g in self.gens]
+        lv.inv_gens = [u[g[u_inv]] for g in self.inv_gens]
+        lv.orbit = u[self.orbit].tolist()
+        lv.sv = np.empty_like(self.sv)
+        lv.sv[u] = self.sv
+        return lv
 
     def trace_back(self, g: np.ndarray):
         """g * u^{-1} for the transversal rep u with base^u = base^g, i.e. an
@@ -240,34 +258,45 @@ class PermGroup:
                 f"randomized Schreier-Sims certificate")
 
     def _deterministic_schreier_sims(self):
+        # Per level, for this pass only: the transversal reps, filled along
+        # the orbit (Schreier-tree order, so a point's parent is filled before
+        # it), and the (orbit point, generator index) pairs whose Schreier
+        # generator already lies in the chain below.  Schreier trees and
+        # generator lists only grow and members stay members, so skipping an
+        # accepted pair finds the same first non-member as re-sifting it.
+        reps: dict[int, dict[int, np.ndarray]] = {}
+        accepted: dict[int, set[tuple[int, int]]] = {}
+
+        def rep(lv: _Level, memo: dict[int, np.ndarray], y: int) -> np.ndarray:
+            while y not in memo:
+                z = lv.orbit[len(memo)]
+                k = int(lv.sv[z])
+                memo[z] = (identity(self.degree) if k == -2 else
+                           compose(memo[int(lv.inv_gens[k][z])], lv.gens[k]))
+            return memo[y]
+
         i = len(self._levels) - 1
         while i >= 0:
             lv = self._levels[i]
+            memo = reps.setdefault(i, {})
+            done = accepted.setdefault(i, set())
             inserted_at = None
             xi = 0
-            while xi < len(lv.orbit):
+            while inserted_at is None and xi < len(lv.orbit):
                 x = lv.orbit[xi]
-                u = lv.rep_to(x, self.degree)
-                si = 0
-                while si < len(lv.gens):
-                    s = lv.gens[si]
-                    y = int(s[x])
-                    v = lv.rep_to(y, self.degree)
-                    schreier = compose(compose(u, s), inverse(v))
-                    if not is_identity(schreier):
-                        residue, _lvl = self._sift(schreier, i + 1)
+                for si, s in enumerate(lv.gens):
+                    if (x, si) in done:
+                        continue
+                    us = compose(rep(lv, memo, x), s)
+                    v = rep(lv, memo, int(s[x]))
+                    if not (us == v).all():
+                        residue, _lvl = self._sift(compose(us, inverse(v)), i + 1)
                         if residue is not None:
-                            m = self._insert_strong_gen(residue)
-                            inserted_at = m
+                            inserted_at = self._insert_strong_gen(residue)
                             break
-                    si += 1
-                if inserted_at is not None:
-                    break
+                    done.add((x, si))
                 xi += 1
-            if inserted_at is not None:
-                i = inserted_at
-            else:
-                i -= 1
+            i = i - 1 if inserted_at is None else inserted_at
 
     def _randomized_schreier_sims(self):
         rng = random.Random(self.seed)
@@ -354,29 +383,44 @@ class PermGroup:
         return g
 
     def stabilizer(self, x: int) -> "PermGroup":
-        """The point stabilizer G_x, with order |G| / |x^G|."""
+        """The point stabilizer G_x, with order |G| / |x^G|.
+
+        When x lies in the first basic orbit (always, for a transitive group),
+        G_x = u^-1 G_b u for the transversal rep u with b^u = x, b the first
+        base point, so the chain of G_x is this chain below b conjugated by u
+        (shared as is when x = b) and no Schreier-Sims runs.  Otherwise the
+        chain is rebuilt with x as first base point and G_x read off it.
+        """
+        order = self.order
+        lv0 = self._levels[0] if self._levels else None
+        if lv0 is not None and lv0.sv[x] != -1:
+            sub_order = order // len(lv0.orbit)
+            if x == lv0.point:
+                levels = self._levels[1:]
+            else:
+                u = lv0.rep_to(x, self.degree)
+                u_inv = inverse(u)
+                levels = [lv.conjugate(u, u_inv) for lv in self._levels[1:]]
+            if math.prod(len(lv.orbit) for lv in levels) != sub_order:
+                raise AssertionError(f"{self!r}: stabilizer chain order mismatch")
+            gens = {g.tobytes(): g for g in levels[0].gens} if levels else {}
+            stab = PermGroup(self.degree, list(gens.values()), expected_order=sub_order,
+                             base_hint=[lv.point for lv in levels],
+                             seed=self.seed, name=f"{self.name}_{x}")
+            stab._levels = levels
+            stab._order = sub_order
+            return stab
         orb = self.orbit(x)
-        sub_order = self.order // len(orb)
+        sub_order = order // len(orb)
         if len(orb) == 1:
             return PermGroup(self.degree, self.gens, expected_order=sub_order,
                              seed=self.seed, name=f"{self.name}_{x}")
-        if self._levels and self._levels[0].point == x:
-            chain = self._levels
-        else:
-            rebased = PermGroup(self.degree, self.gens, expected_order=self.order,
-                                base_hint=[x] + self.base_hint, seed=self.seed,
-                                name=f"{self.name}|rebase{x}")
-            rebased.order
-            chain = rebased._levels
-        gens = [g for g in chain[0].gens if g[x] == x]
-        for lv in chain[1:]:
-            for g in lv.gens:
-                gens.append(g)
-        # dedupe by id/bytes
-        uniq = {}
-        for g in gens:
-            uniq[g.tobytes()] = g
-        return PermGroup(self.degree, list(uniq.values()), expected_order=sub_order,
+        rebased = PermGroup(self.degree, self.gens, expected_order=order,
+                            base_hint=[x] + self.base_hint, seed=self.seed,
+                            name=f"{self.name}|rebase{x}")
+        chain = rebased._chain()
+        gens = {g.tobytes(): g for lv in chain[1:] for g in lv.gens}
+        return PermGroup(self.degree, list(gens.values()), expected_order=sub_order,
                          base_hint=[lv.point for lv in chain[1:]],
                          seed=self.seed, name=f"{self.name}_{x}")
 

@@ -156,7 +156,7 @@ def devillers_enumerate(G: PermGroup, name: str = "", slow: bool = False,
                                        {"group": result.name,
                                         "block_size": len(block)})
                 rep = validate_pls(D)
-                if not rep.is_pls or not is_proper(D):
+                if not rep.is_pls or not is_proper(D, rep):
                     raise AssertionError(
                         f"{result.name}: emitted structure fails PLS/properness")
                 entry.structure = D
@@ -358,16 +358,15 @@ _FAMILY_BUILDERS = {
     "agustar": families.agu_star,
 }
 
-_PIPE_CACHE: dict[str, PipelineResult] = {}
+_PIPE_CACHE: dict[tuple[str, bool], PipelineResult] = {}
 
 
 def run_pipeline(builtin_name: str, slow: bool = False) -> PipelineResult:
-    if builtin_name in _PIPE_CACHE:
-        return _PIPE_CACHE[builtin_name]
-    b = get_builtin(builtin_name)
-    res = devillers_enumerate(b.group, name=builtin_name, slow=slow)
-    _PIPE_CACHE[builtin_name] = res
-    return res
+    key = (builtin_name, slow)
+    if key not in _PIPE_CACHE:
+        b = get_builtin(builtin_name)
+        _PIPE_CACHE[key] = devillers_enumerate(b.group, name=builtin_name, slow=slow)
+    return _PIPE_CACHE[key]
 
 
 def _conjugate_lines(space: OmegaSpace, D: IncidenceStructure, wexp: int):

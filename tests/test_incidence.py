@@ -149,3 +149,17 @@ def test_serialization_roundtrip(tmp_path):
     big = IncidenceStructure(201, [(i, i + 1) for i in range(0, 200, 2)])
     with pytest.raises(ValueError):
         big.to_dot()
+
+
+def test_is_proper_takes_the_report():
+    # every family instance is proper; the graph K7 and the Fano plane are
+    # the improper partial linear spaces
+    k7 = IncidenceStructure(7, [(i, j) for i in range(7) for j in range(i + 1, 7)])
+    fano = IncidenceStructure(7, [(0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5),
+                                  (1, 4, 6), (2, 3, 6), (2, 4, 5)])
+    for D, proper in ((fam.ag_star(2, 4), True), (fam.lsub(2, 9, 3, 2), True),
+                      (k7, False), (fano, False)):
+        assert is_proper(D, validate_pls(D)) == is_proper(D) == proper
+    bad = fam.dlsub(9, 3, 2, 2)
+    with pytest.raises(ValueError):
+        is_proper(bad, validate_pls(bad))

@@ -254,3 +254,43 @@ def test_random_element_uniform_support():
     rng = random.Random(0)
     seen = {tuple(G.random_element(rng)) for _ in range(400)}
     assert len(seen) == 24
+
+
+def test_deep_schreier_tree_dihedral_3000():
+    """D_3000 on 3000 points: the first Schreier tree is about 1500 deep,
+    which the deterministic pass must handle without recursion."""
+    n = 3000
+    a = np.arange(n, dtype=np.int32)
+    G = PermGroup(n, [np.roll(a, -1), n - 1 - a])
+    assert G.order == 2 * n
+    S = G.stabilizer(5)
+    assert S.order == 2
+    rng = random.Random(5)
+    elements = [G.random_element(rng) for _ in range(4)]
+    elements += [identity(n), ((10 - a) % n).astype(np.int32),  # fixes 5
+                 ((12 - a) % n).astype(np.int32)]               # fixes 6
+    for g in elements:
+        assert S.contains(g) == (g[5] == 5)
+
+
+def test_stabilizer_reads_the_parent_chain(monkeypatch):
+    """G_x for x in the first basic orbit runs no Schreier-Sims; its chain is
+    a complete chain of the stabilizer."""
+    G = get_builtin("GammaL2_4").group
+    G.order
+
+    def no_build(self):
+        raise AssertionError(f"Schreier-Sims ran for {self!r}")
+
+    monkeypatch.setattr(PermGroup, "_build_bsgs", no_build)
+    rng = random.Random(2)
+    for x in range(G.degree):
+        S = G.stabilizer(x)
+        assert S._levels is not None and "|rebase" not in S.name
+        assert S.order == G.order // G.degree
+        assert all(g[x] == x for g in S.gens)
+        assert all(g[x] == x for g in (S.random_element(rng) for _ in range(5)))
+        for g in (G.random_element(rng) for _ in range(5)):
+            assert S.contains(g) == (g[x] == x)
+    b = G.base[0]
+    assert G.stabilizer(b)._levels == G._levels[1:]

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from rank3pls import families as fam
+from rank3pls import pipeline
 from rank3pls.catalog import get_builtin
 from rank3pls.incidence import fingerprint
 from rank3pls.permcore import PermGroup
@@ -174,3 +175,12 @@ def test_gammau3_16_blocks():
     assert rep.ok
     assert sorted((k, len(v)) for k, v in rep.matched.items()) == [
         ("B1", 4096), ("B2", 16), ("B3", 5), ("B4", 80), ("B7", 4)]
+
+
+def test_run_pipeline_cache_keys_on_slow(monkeypatch):
+    """A slow result is not handed to a later capped call."""
+    monkeypatch.setattr(pipeline, "_PIPE_CACHE", {})
+    monkeypatch.setattr(pipeline, "MAX_LINE_ORBIT", 10)
+    assert run_pipeline("GammaL2_4", slow=True).line_signature() == ((15, 4), (30, 3))
+    with pytest.raises(RuntimeError, match="max_lines"):
+        run_pipeline("GammaL2_4")
