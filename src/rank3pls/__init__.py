@@ -1,6 +1,6 @@
 """Rank-3 imprimitive group actions and the partial linear spaces they classify."""
 
-from .gfield import (Field, FieldElem, SubfieldView, coset_index, field_make,
+from .gfield import (Field, SubfieldView, coset_index, field_make,
                      is_primitive_prime_divisor, trace_to_subfield)
 from .incidence import (IncidenceStructure, fingerprint, is_connected,
                         is_proper, preserved_by, validate_pls)
@@ -10,7 +10,7 @@ from .permcore import PermGroup, flag_transitive_on_line
 __version__ = "0.1.0"
 
 __all__ = [
-    "Field", "FieldElem", "SubfieldView", "coset_index", "field_make",
+    "Field", "SubfieldView", "coset_index", "field_make",
     "is_primitive_prime_divisor", "trace_to_subfield",
     "IncidenceStructure", "fingerprint", "is_connected", "is_proper",
     "preserved_by", "validate_pls",

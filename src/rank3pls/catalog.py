@@ -26,7 +26,8 @@ import numpy as np
 from .gfield import field_make
 from .matsemi import (GroupSpec, Mat, SemilinearElem, gens_group, gens_sl,
                       group_matrix_order, linear)
-from .omega import OmegaSpace, build_omega, induce_action
+from .omega import (CanonicalPoints, OmegaSpace, _projective_reps, build_omega,
+                    induce_action)
 from .permcore import (PermGroup, compose, identity, perm_from_images,
                        read_group_file, DEFAULT_SEED)
 
@@ -194,24 +195,9 @@ def projective_action(F, n, gens, expected_order=None, seed=DEFAULT_SEED,
 
     Point 0 leads the base, so the stabilizer of 0 is read off the group's
     own chain."""
-    from .omega import _projective_reps
-    reps = _projective_reps(F, n)
-    index = {v: i for i, v in enumerate(reps)}
-
-    def normalize(v):
-        c = next(x for x in v if x != 0)
-        if c == 1:
-            return tuple(v)
-        ci = F.inv(c)
-        return tuple(F.mul(ci, x) for x in v)
-
-    perms = []
-    for g in gens:
-        img = np.empty(len(reps), dtype=np.int32)
-        for i, v in enumerate(reps):
-            img[i] = index[normalize(g.apply(v))]
-        perms.append(img)
-    return PermGroup(len(reps), perms, expected_order=expected_order,
+    points = CanonicalPoints(F, 1, _projective_reps(F, n))
+    perms = [points.image(g) for g in gens]
+    return PermGroup(len(points), perms, expected_order=expected_order,
                      base_hint=[0], seed=seed, name=name)
 
 
@@ -340,11 +326,9 @@ def _double_by_centralizer(G, R, image, reps, H, seed: int) -> PermGroup:
 
 
 def _build_file_group(meta: BuiltinMeta, seed: int) -> Builtin:
-    fname = f"{meta.name}.grp"
-    with resources.files("rank3pls.data").joinpath(fname).open() as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
-    degree = int(raw[0])
-    gens = [perm_from_images([int(t) for t in ln.split()]) for ln in raw[1:]]
+    data = resources.files("rank3pls.data").joinpath(f"{meta.name}.grp")
+    with resources.as_file(data) as path:
+        degree, gens = read_group_file(path)
     G = PermGroup(degree, gens, expected_order=meta.order, seed=seed,
                   name=meta.name)
     return Builtin(meta, G)

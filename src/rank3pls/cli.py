@@ -218,7 +218,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, FileNotFoundError, AssertionError,
+            RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

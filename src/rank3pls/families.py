@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfield import SubfieldView, factorize, field_make
+from .gfield import SubfieldView, factorize
 from .incidence import IncidenceStructure, pair_counts, relabel
 from .matsemi import Mat, gens_sl, gens_su3, linear, scalar
-from .omega import OmegaSpace, build_omega, induce_action
+from .omega import OmegaSpace, build_omega, induce_action, omega_space
 from .permcore import PermGroup, line_orbit
 
 FULL_ENUMERATION_LIMIT = 10**7
@@ -132,58 +132,11 @@ class CountOnly:
 
 
 def _linear_space(n, q, r):
-    # AG*(2,3) = Delta(2,3) lives outside the rank-3 construction range;
-    # the point set is still plain F_q^n - 0
-    try:
-        return build_omega("linear", n, q, r)
-    except ValueError:
-        if (n, q) == (2, 3) and r == 2:
-            return _raw_vector_space(n, q)
-        raise
-
-
-def _raw_vector_space(n, q):
-    (p, a), = factorize(q).items()
-    F = field_make(p, a)
-    space = OmegaSpace.__new__(OmegaSpace)
-    points = []
-    for idx in range(1, q**n):
-        v = []
-        k = idx
-        for _ in range(n):
-            v.append(k % q)
-            k //= q
-        points.append(tuple(v))
-    log = F.log
-    points.sort(key=lambda v: tuple(-1 if x == 0 else log[x] for x in reversed(v)))
-    space.kind = "linear"
-    space.n, space.q, space.r = n, q, q - 1
-    space.field = F
-    space.points = points
-    space.index = {v: i for i, v in enumerate(points)}
-    # sigma cells are the <w> orbits (r = q - 1)
-    sigma = []
-    seen = set()
-    for i, v in enumerate(points):
-        if i in seen:
-            continue
-        cell = {i}
-        w = v
-        while True:
-            w = tuple(F.mul(F.omega, x) for x in w)
-            jdx = space.index[w]
-            if jdx in cell:
-                break
-            cell.add(jdx)
-        seen |= cell
-        sigma.append(sorted(cell))
-    space.sigma = sorted(sigma)
-    space.cell_of = np.empty(len(points), dtype=np.int32)
-    for ci, cell in enumerate(space.sigma):
-        for pt in cell:
-            space.cell_of[pt] = ci
-    space.form = None
-    return space
+    # AG*(2,3) = Delta(2,3) lives outside the range build_omega admits; the
+    # construction still gives its point set F_3^2 - 0
+    if (n, q, r) == (2, 3, 2):
+        return omega_space("linear", n, q, r)
+    return build_omega("linear", n, q, r)
 
 
 def _affine_base_line(space: OmegaSpace):

@@ -240,9 +240,6 @@ class Field:
     def coeffs(self, x: int) -> tuple[int, ...]:
         return tuple((x // pw) % self.p for pw in self._pow_p)
 
-    def elem(self, x: int) -> "FieldElem":
-        return FieldElem(self, x)
-
     def elements(self):
         return range(self.q)
 
@@ -260,76 +257,6 @@ class Field:
 def field_make(p: int, a: int) -> Field:
     """The deterministic GF(p^a); repeated calls return the same object."""
     return Field(p, a)
-
-
-class FieldElem:
-    """Operator-friendly wrapper around a packed field element."""
-
-    __slots__ = ("field", "val")
-
-    def __init__(self, field: Field, val: int):
-        self.field = field
-        self.val = val
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElem):
-            if other.field is not self.field:
-                raise ValueError("elements of different fields")
-            return other.val
-        if isinstance(other, int):
-            # small integers mean repeated sums of 1
-            F = self.field
-            v = 0
-            one = 1
-            for _ in range(other % F.p):
-                v = F.add(v, one)
-            return v
-        return NotImplemented
-
-    def __add__(self, other):
-        return FieldElem(self.field, self.field.add(self.val, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElem(self.field, self.field.sub(self.val, self._coerce(other)))
-
-    def __mul__(self, other):
-        return FieldElem(self.field, self.field.mul(self.val, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElem(self.field, self.field.neg(self.val))
-
-    def __pow__(self, e: int):
-        return FieldElem(self.field, self.field.pow(self.val, e))
-
-    def inverse(self):
-        return FieldElem(self.field, self.field.inv(self.val))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElem):
-            return self.field is other.field and self.val == other.val
-        if other == 0:
-            return self.val == 0
-        if other == 1:
-            return self.val == 1
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.a, self.val))
-
-    def __repr__(self):
-        F = self.field
-        if self.val == 0:
-            return "0"
-        d = F.log[self.val]
-        if d == 0:
-            return "1"
-        if d == 1:
-            return "w"
-        return f"w^{d}"
 
 
 class SubfieldView:

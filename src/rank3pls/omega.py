@@ -7,12 +7,19 @@ sorting canonical vectors by their discrete-log coordinate tuples, compared
 from the last coordinate to the first with zeros ordered first; this places
 alpha = <w^r> e_1 (linear) and alpha = <w^r> e (unitary) at index 0 and the
 whole cell of alpha at indices [0, r).
+
+Points are held as one (N, n) int64 array of packed field elements, and a
+semilinear element acts on all of them at once (semilinear_image): the
+Frobenius and the matrix product are gathers on the field's exp/log tables.
+The same kernel gives the projective action (r = 1) and the action on
+nonzero vectors (r = q - 1).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -21,37 +28,137 @@ from .matsemi import GroupSpec, UnitaryForm, scalar
 from .permcore import PermGroup, perm_order
 
 
-class OmegaSpace:
+class _Tables:
+    """A field's exp/log tables as arrays; log[0] = -1.  Every operation maps
+    0 to 0."""
+
+    def __init__(self, F: Field):
+        self.p = F.p
+        self.q1 = F.q - 1
+        self.exp = np.array(F.exp, dtype=np.int64)
+        self.log = np.array(F.log, dtype=np.int64)
+        self.digits = [F.p**i for i in range(F.a)]
+
+    def scale(self, x, d):
+        """x * w^d elementwise; d is an exponent or an array of them."""
+        return np.where(x == 0, 0, self.exp[(self.log[x] + d) % self.q1])
+
+    def mul(self, x, y):
+        return np.where(y == 0, 0, self.scale(x, self.log[y]))
+
+    def power(self, x, e: int):
+        return np.where(x == 0, 0, self.exp[(self.log[x] * e) % self.q1])
+
+    def sum(self, terms, shape):
+        """Field sum of equal-shape arrays: XOR for p = 2, else digit-wise
+        addition mod p."""
+        if not terms:
+            return np.zeros(shape, dtype=np.int64)
+        if self.p == 2:
+            return reduce(np.bitwise_xor, terms)
+        p = self.p
+        return sum((sum(t // pw % p for t in terms) % p) * pw for pw in self.digits)
+
+
+@lru_cache(maxsize=None)
+def _tables(F: Field) -> _Tables:
+    return _Tables(F)
+
+
+def semilinear_image(g, V: np.ndarray) -> np.ndarray:
+    """Rows of V, an (N, n) array of packed elements of g's field, mapped by
+    the semilinear element g: v -> (v^{phi^k}) M."""
+    T = _tables(g.field)
+    if g.frob:
+        V = T.power(V, g.field.p ** g.frob)
+    rows = g.mat.rows
+    n = len(rows)
+    return np.stack([T.sum([T.scale(V[:, i], T.log[rows[i][j]]) for i in range(n)
+                            if rows[i][j]], len(V)) for j in range(n)], axis=1)
+
+
+def _canonical(F: Field, r: int, V: np.ndarray) -> np.ndarray:
+    """Scale each row of V by the unique element of <w^r> putting its first
+    nonzero coordinate into {w^i : 0 <= i < r}."""
+    T = _tables(F)
+    first = V[np.arange(len(V)), (V != 0).argmax(axis=1)]
+    if not first.all():
+        raise ValueError("zero vector has no Omega point")
+    d = T.log[first]
+    shift = d - d % r
+    return T.scale(V, -shift[:, None]) if shift.any() else V
+
+
+def _nonzero_vectors(q: int, n: int) -> np.ndarray:
+    """All nonzero vectors of GF(q)^n; row k - 1 holds the base-q digits of k."""
+    return np.arange(1, q**n)[:, None] // q ** np.arange(n) % q
+
+
+class CanonicalPoints:
+    """The <w^r>-orbits of a set of nonzero vectors over F, one canonical row
+    each: row i of vectors is point i.  r = 1 gives projective points and
+    r = q - 1 the vectors themselves.  A point is found by its key
+    sum v_j q^j in a sorted array of the keys."""
+
+    def __init__(self, field: Field, r: int, vectors: np.ndarray):
+        self.field = field
+        self.r = r
+        self.vectors = vectors
+        self._place = field.q ** np.arange(vectors.shape[1], dtype=np.int64)
+        keys = vectors @ self._place
+        self._order = np.argsort(keys)
+        self._keys = keys[self._order]
+
+    def __len__(self):
+        return len(self.vectors)
+
+    def locate(self, V: np.ndarray) -> np.ndarray:
+        """Point index of each row of V, or -1 where the row's orbit is not a
+        point."""
+        keys = _canonical(self.field, self.r, V) @ self._place
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        return np.where(self._keys[pos] == keys, self._order[pos], -1)
+
+    def image(self, g) -> np.ndarray:
+        """The permutation of the points induced by the semilinear element g."""
+        if g.field != self.field:
+            raise ValueError(f"generator {g!r} is over {g.field}, not {self.field}")
+        W = semilinear_image(g, self.vectors)
+        if not W.any(axis=1).all():
+            raise ValueError(f"generator {g!r} does not act bijectively on Omega")
+        img = self.locate(W)
+        if (img < 0).any():
+            raise ValueError(f"generator {g!r} does not permute Omega")
+        return img.astype(np.int32)
+
+
+class OmegaSpace(CanonicalPoints):
     """Indexed point set of Construction-style <w^r>-cosets with partition Sigma."""
 
     def __init__(self, kind: str, n: int, q: int, r: int, field: Field,
-                 points, sigma, form: UnitaryForm | None = None):
+                 vectors: np.ndarray, cells: np.ndarray,
+                 form: UnitaryForm | None = None):
+        # field is the matrix field: GF(q) linear, GF(q^2) unitary
+        super().__init__(field, r, vectors)
         self.kind = kind
         self.n = n
         self.q = q
-        self.r = r
-        self.field = field  # the matrix field: GF(q) linear, GF(q^2) unitary
-        self.points = points
-        self.index = {v: i for i, v in enumerate(points)}
-        self.sigma = sigma
+        self.points = list(map(tuple, vectors.tolist()))
+        self.index = {v: i for i, v in enumerate(self.points)}
+        self.sigma = cells.tolist()
         self.form = form
-        self.cell_of = np.empty(len(points), dtype=np.int32)
-        for ci, cell in enumerate(sigma):
-            for pt in cell:
-                self.cell_of[pt] = ci
-
-    def __len__(self):
-        return len(self.points)
+        self.cell_of = np.empty(len(vectors), dtype=np.int32)
+        self.cell_of[cells] = np.arange(len(cells), dtype=np.int32)[:, None]
 
     def canonicalize(self, v) -> tuple:
-        return _canonical(self.field, self.r, v)
+        row = _canonical(self.field, self.r, np.array([v], dtype=np.int64))[0]
+        return tuple(row.tolist())
 
     def index_of(self, v) -> int:
-        return self.index[self.canonicalize(v)]
-
-    def sort_key(self, v) -> tuple:
-        log = self.field.log
-        return tuple(-1 if x == 0 else log[x] for x in reversed(v))
+        i = int(self.locate(np.array([v], dtype=np.int64))[0])
+        if i < 0:
+            raise KeyError(f"{tuple(v)} is not a point of Omega")
+        return i
 
     def to_json(self) -> str:
         return json.dumps({
@@ -69,27 +176,14 @@ def build_omega(kind: str, n: int, q: int, r: int) -> OmegaSpace:
 
     Spaces are immutable after construction and cached per (kind, n, q, r).
     """
-    key = (kind, n, q, r)
-    if key in _SPACE_CACHE:
-        return _SPACE_CACHE[key]
-    space = _build_omega_uncached(kind, n, q, r)
-    _SPACE_CACHE[key] = space
-    return space
-
-
-def _build_omega_uncached(kind: str, n: int, q: int, r: int) -> OmegaSpace:
     fac = factorize(q)
     if len(fac) != 1:
         raise ValueError(f"q = {q} is not a prime power")
-    (p, a), = fac.items()
     if kind == "linear":
         if n < 2 or q < 3 or (n, q) == (2, 3):
             raise ValueError(f"linear Omega needs n >= 2, q >= 3, (n,q) != (2,3)")
         if r <= 1 or (q - 1) % r:
             raise ValueError(f"r = {r} must satisfy 1 < r | q - 1 = {q - 1}")
-        F = field_make(p, a)
-        reps = _projective_reps(F, n)
-        form = None
     elif kind == "unitary":
         if n != 3:
             raise ValueError("unitary Omega is 3-dimensional")
@@ -99,79 +193,78 @@ def _build_omega_uncached(kind: str, n: int, q: int, r: int) -> OmegaSpace:
             raise ValueError(
                 f"r = {r} must divide q - 1 = {q - 1}; the rank-3 catalogue "
                 f"has no unitary cases with r | q + 1")
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return omega_space(kind, n, q, r)
+
+
+def omega_space(kind: str, n: int, q: int, r: int) -> OmegaSpace:
+    """The construction behind build_omega, without its range checks; cached
+    per (kind, n, q, r)."""
+    key = (kind, n, q, r)
+    if key not in _SPACE_CACHE:
+        _SPACE_CACHE[key] = _build_omega_uncached(kind, n, q, r)
+    return _SPACE_CACHE[key]
+
+
+def _build_omega_uncached(kind: str, n: int, q: int, r: int) -> OmegaSpace:
+    (p, a), = factorize(q).items()
+    if kind == "linear":
+        F = field_make(p, a)
+        form = None
+        reps = _projective_reps(F, n)
+    else:
         F = field_make(p, 2 * a)
         form = UnitaryForm(F)
         reps = _isotropic_reps(F, form)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    points = []
-    cells = []
-    for u in reps:
-        cell = []
-        for i in range(r):
-            s = F.exp[i]
-            cell.append(_canonical(F, r, tuple(F.mul(s, x) for x in u)))
-        if len(set(cell)) != r:
-            raise AssertionError("cell members collide")
-        points.extend(cell)
-        cells.append(cell)
-    log = F.log
-    points.sort(key=lambda v: tuple(-1 if x == 0 else log[x] for x in reversed(v)))
-    index = {v: i for i, v in enumerate(points)}
-    sigma = [sorted(index[v] for v in cell) for cell in cells]
-    sigma.sort()
-    space = OmegaSpace(kind, n, q, r, F, points, sigma, form)
+    T = _tables(F)
+    # the cell of rep u is {w^i u : 0 <= i < r}, rows u*r .. u*r + r - 1
+    vecs = _canonical(F, r, T.scale(reps[:, None, :], np.arange(r)[:, None])
+                      .reshape(-1, reps.shape[1]))
+    order = np.lexsort(T.log[vecs].T)  # last coordinate first, zeros first
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    cells = np.sort(rank.reshape(-1, r), axis=1)
+    space = OmegaSpace(kind, n, q, r, F, vecs[order],
+                       cells[np.argsort(cells[:, 0])], form)
+    if (np.diff(space._keys) == 0).any():
+        raise AssertionError("cell members collide")
     expected = r * ((q**n - 1) // (q - 1)) if kind == "linear" else r * (q**3 + 1)
     if len(space) != expected:
         raise AssertionError(f"|Omega| = {len(space)}, expected {expected}")
     return space
 
 
-def _canonical(F: Field, r: int, v) -> tuple:
-    """Scale v by the unique element of <w^r> putting the first nonzero
-    coordinate into {w^i : 0 <= i < r}."""
-    c = next((x for x in v if x != 0), 0)
-    if c == 0:
-        raise ValueError("zero vector has no Omega point")
-    d = F.log[c]
-    shift = d - (d % r)
-    if shift == 0:
-        return tuple(v)
-    s = F.exp[(-shift) % (F.q - 1)]
-    return tuple(F.mul(s, x) for x in v)
+def _projective_reps(F: Field, n: int) -> np.ndarray:
+    """One vector per 1-space, first nonzero coordinate equal to 1, ordered
+    by the position of that 1 and then by the digits of the tail."""
+    V = _nonzero_vectors(F.q, n)
+    pivot = (V != 0).argmax(axis=1)
+    keep = V[np.arange(len(V)), pivot] == 1
+    return V[keep][np.argsort(pivot[keep], kind="stable")]
 
 
-def _projective_reps(F: Field, n: int):
-    """One vector per 1-space, first nonzero coordinate equal to 1."""
-    reps = []
-    for pivot in range(n):
-        tail = n - pivot - 1
-        for idx in range(F.q**tail):
-            rest = []
-            k = idx
-            for _ in range(tail):
-                rest.append(k % F.q)
-                k //= F.q
-            reps.append(tuple([0] * pivot + [1] + rest))
-    return reps
-
-
-def _isotropic_reps(F: Field, form: UnitaryForm):
-    """One vector per isotropic 1-space: <e> and <b e + c x + f>."""
+def _isotropic_reps(F: Field, form: UnitaryForm) -> np.ndarray:
+    """One vector per isotropic 1-space: <e>, then <b e + c x + f> for c in
+    increasing order and, for each c, the b with Tr(b) = -c^{q+1} in
+    increasing order."""
     q = form.q
-    by_trace: dict[int, list[int]] = {}
-    for b in range(F.q):
-        by_trace.setdefault(F.add(b, F.pow(b, q)), []).append(b)
-    reps = [(1, 0, 0)]
-    for c in range(F.q):
-        t = F.neg(F.pow(c, q + 1)) if c else 0
-        for b in by_trace.get(t, ()):
-            reps.append((b, c, 1))
-    if len(reps) != q**3 + 1:
+    T = _tables(F)
+    els = np.arange(F.q)
+    trace = T.sum([els, T.power(els, q)], F.q)
+    norm = T.mul(T.power(els, q + 1), F.neg(1))   # -c^{q+1}
+    by_trace = np.argsort(trace, kind="stable")
+    lo, hi = (np.searchsorted(trace[by_trace], norm, side) for side in ("left", "right"))
+    if not (hi - lo == q).all():
         raise AssertionError("isotropic point count mismatch")
-    for v in reps:
-        if not form.is_isotropic(v):
-            raise AssertionError("non-isotropic representative")
+    b = by_trace[lo[:, None] + np.arange(q)].ravel()
+    c = np.repeat(els, q)
+    reps = np.concatenate([[[1, 0, 0]], np.stack([b, c, np.ones_like(b)], axis=1)])
+    # (v, v) = v_e v_f^q + v_x v_x^q + v_f v_e^q
+    conj = T.power(reps, q)
+    if T.sum([T.mul(reps[:, 0], conj[:, 2]), T.mul(reps[:, 1], conj[:, 1]),
+              T.mul(reps[:, 2], conj[:, 0])], len(reps)).any():
+        raise AssertionError("non-isotropic representative")
     return reps
 
 
@@ -181,19 +274,14 @@ def induce_action(space: OmegaSpace, gens) -> list[np.ndarray]:
     Raises if a generator fails to permute Omega or to preserve Sigma.
     """
     n = len(space)
+    ends = np.array([(c[0], c[-1]) for c in space.sigma])
     perms = []
     for g in gens:
-        img = np.empty(n, dtype=np.int32)
-        for i, v in enumerate(space.points):
-            try:
-                img[i] = space.index_of(g.apply(v))
-            except KeyError:
-                raise ValueError(f"generator {g!r} does not permute Omega")
+        img = space.image(g)
         if len(np.unique(img)) != n:
             raise ValueError(f"generator {g!r} does not act bijectively on Omega")
-        cells = space.cell_of
-        if not (cells[img[[c[0] for c in space.sigma]]]
-                == cells[img[[c[-1] for c in space.sigma]]]).all():
+        cells = space.cell_of[img[ends]]
+        if not (cells[:, 0] == cells[:, 1]).all():
             raise ValueError(f"generator {g!r} does not preserve Sigma")
         perms.append(img)
     return perms
@@ -211,26 +299,14 @@ def induced_kernel_facts(space: OmegaSpace) -> tuple[bool, int]:
 
 
 def vector_action(F: Field, n: int, gens,
-                  expected_order: int | None = None) -> tuple[PermGroup, dict]:
+                  expected_order: int | None = None) -> tuple[PermGroup, np.ndarray]:
     """Permutation action of semilinear elements on all q^n - 1 nonzero
-    vectors; used for order self-checks of matrix generator sets."""
-    vecs = []
-    for idx in range(1, F.q**n):
-        v = []
-        k = idx
-        for _ in range(n):
-            v.append(k % F.q)
-            k //= F.q
-        vecs.append(tuple(v))
-    index = {v: i for i, v in enumerate(vecs)}
-    perms = []
-    for g in gens:
-        img = np.empty(len(vecs), dtype=np.int32)
-        for i, v in enumerate(vecs):
-            img[i] = index[g.apply(v)]
-        perms.append(img)
-    return PermGroup(len(vecs), perms, name="vector-action",
-                     expected_order=expected_order), index
+    vectors, with the (q^n - 1, n) array whose row i is point i; used for
+    order self-checks of matrix generator sets."""
+    vecs = CanonicalPoints(F, F.q - 1, _nonzero_vectors(F.q, n))
+    return PermGroup(len(vecs), [vecs.image(g) for g in gens],
+                     name="vector-action",
+                     expected_order=expected_order), vecs.vectors
 
 
 # -- the semiprimitive / innately transitive / quasiprimitive / rank-3 flags --

@@ -865,6 +865,10 @@ def write_group_file(path, degree: int, gens):
 def read_group_file(path):
     with open(path) as fh:
         raw = [ln.strip() for ln in fh if ln.strip()]
+    if not raw:
+        raise ValueError(f"{path}: empty group file")
+    if not raw[0].isdigit():
+        raise ValueError(f"{path}: the first line must be the degree, got {raw[0]!r}")
     degree = int(raw[0])
     gens = []
     for ln in raw[1:]:

@@ -90,3 +90,29 @@ def test_tables_command(capsys):
     out = capsys.readouterr().out
     assert "PSL3_2_deg14: PASS" in out
     assert "negative | M11_deg22: PASS" in out
+
+
+@pytest.mark.parametrize("text", [
+    "",                                # empty file
+    "4\n1 2 3 0\n1 0\n",              # short generator line
+    "4\n1 1 2 3\n",                   # not a permutation
+    "four\n1 2 3 0\n",                # degree line is not an integer
+    "4001\n" + " ".join(map(str, range(1, 4001))) + " 0\n",  # no order given
+])
+def test_bad_group_file_is_one_line_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.grp"
+    path.write_text(text)
+    assert main(["pipeline", "run", "--group", f"file:{path}"]) != 0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_library_assertion_is_one_line_error(tmp_path, capsys, monkeypatch):
+    import rank3pls.cli as cli
+
+    def broken(*args, **kwargs):
+        raise AssertionError("order check failed")
+
+    monkeypatch.setattr(cli, "devillers_enumerate", broken)
+    assert main(["pipeline", "run", "--group", "builtin:GammaL2_4"]) == 1
+    assert capsys.readouterr().err == "error: order check failed\n"

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
-from rank3pls.catalog import NEGATIVE_CONTROLS, OMEGA_BUILTINS, get_builtin
-from rank3pls.matsemi import GroupSpec, gens_group, scalar
+from rank3pls.catalog import (NEGATIVE_CONTROLS, OMEGA_BUILTINS, get_builtin,
+                              projective_action)
+from rank3pls.gfield import field_make
+from rank3pls.matsemi import (GroupSpec, Mat, SemilinearElem, gens_group,
+                              gens_sl, linear, scalar)
 from rank3pls.omega import (build_omega, classify_action, induce_action,
-                            induced_kernel_facts)
+                            induced_kernel_facts, vector_action)
 from rank3pls.permcore import PermGroup, perm_order
 
 
@@ -78,10 +81,84 @@ def test_phi_fixes_subfield_points():
 
 def test_induce_action_rejects_non_permuting():
     sp = build_omega("unitary", 3, 4, 3)
-    from rank3pls.matsemi import Mat, linear
     bad = linear(Mat(sp.field, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))  # not unitary
     with pytest.raises(ValueError):
         induce_action(sp, [bad])
+
+
+def test_induce_action_rejects_non_bijective():
+    sp = build_omega("linear", 2, 4, 3)
+    singular = linear(Mat(sp.field, [[1, 1], [1, 1]]))
+    with pytest.raises(ValueError, match="bijectively"):
+        induce_action(sp, [singular])
+
+
+def test_induce_action_rejects_sigma_breaking(monkeypatch):
+    """Every semilinear map preserves Sigma, so the check is driven by an
+    image that swaps two points of different cells."""
+    sp = build_omega("linear", 2, 4, 3)
+    swap = np.arange(len(sp), dtype=np.int32)
+    a, b = sp.sigma[0][0], sp.sigma[1][0]
+    swap[[a, b]] = b, a
+    monkeypatch.setattr(sp, "image", lambda g: swap)
+    with pytest.raises(ValueError, match="Sigma"):
+        induce_action(sp, [scalar(sp.field, 1, 2)])
+
+
+def _scalar_canonical(F, r, v):
+    """The per-vector canonical form: scale by the element of <w^r> that puts
+    the first nonzero coordinate into {w^i : 0 <= i < r}."""
+    d = F.log[next(x for x in v if x != 0)]
+    s = F.exp[(d % r - d) % (F.q - 1)]
+    return tuple(F.mul(s, x) for x in v)
+
+
+def _scalar_induce(sp, g):
+    index = {v: i for i, v in enumerate(sp.points)}
+    return np.array([index[_scalar_canonical(sp.field, sp.r, g.apply(v))]
+                     for v in sp.points], dtype=np.int32)
+
+
+@pytest.mark.parametrize("name", [
+    *[n for n, m in OMEGA_BUILTINS.items() if not m.slow],
+    pytest.param("GammaU3_16", marks=pytest.mark.slow)])
+def test_induce_action_matches_scalar_reference(name):
+    spec = OMEGA_BUILTINS[name].spec
+    sp = build_omega(spec.kind, spec.n, spec.q, spec.r)
+    gens = gens_group(spec)
+    for g, perm in zip(gens, induce_action(sp, gens)):
+        assert perm.dtype == np.int32
+        assert np.array_equal(perm, _scalar_induce(sp, g)), (name, g)
+
+
+def test_projective_and_vector_actions_match_scalar_loops():
+    """PGammaL3(8) on 73 projective points against the per-vector normalize
+    loop, and SL3(4) on the 63 nonzero vectors of GF(4)^3."""
+    F = field_make(2, 3)
+    gens = gens_sl(3, F) + [linear(Mat.diag(F, [F.omega, 1, 1])),
+                            SemilinearElem(1, Mat.identity(F, 3))]
+    reps = []
+    for pivot in range(3):
+        for idx in range(F.q ** (2 - pivot)):
+            reps.append(tuple([0] * pivot + [1] + [idx % F.q, idx // F.q][:2 - pivot]))
+    index = {v: i for i, v in enumerate(reps)}
+
+    def normalize(v):
+        c = next(x for x in v if x != 0)
+        return tuple(F.mul(F.inv(c), x) for x in v)
+
+    G = projective_action(F, 3, gens, expected_order=49448448)
+    for g, perm in zip(gens, G.gens):
+        assert perm.tolist() == [index[normalize(g.apply(v))] for v in reps]
+
+    F4 = field_make(2, 2)
+    vecs = [(k % 4, k // 4 % 4, k // 16) for k in range(1, 64)]
+    vindex = {v: i for i, v in enumerate(vecs)}
+    gens4 = gens_sl(3, F4)
+    G4, rows = vector_action(F4, 3, gens4)
+    assert rows.tolist() == [list(v) for v in vecs]
+    for g, perm in zip(gens4, G4.gens):
+        assert perm.tolist() == [vindex[g.apply(v)] for v in vecs]
 
 
 def test_suborbit_shape_across_catalogue():

@@ -57,3 +57,17 @@ def test_intransitive_stabilizers_match_sympy():
     rng = random.Random(8)
     for x in (0, 1, 4, 6, 7):
         _check_stabilizer(G, SG, x, rng)
+
+
+@pytest.mark.parametrize("name", DESK_BUILTINS)
+def test_builtin_minimal_blocks_match_sympy(name):
+    """G.minimal_block(0, x) is the block of 0 in sympy's minimal block
+    system for {0, x}, for x the next point of the Sigma cell of 0 and for
+    x = degree - 1."""
+    G = get_builtin(name).group
+    SG = _sympy_group(G)
+    cell, = G.all_blocks_through(0)
+    for x in (sorted(cell)[1], G.degree - 1):
+        labels = SG.minimal_block([0, x])
+        want = frozenset(i for i, c in enumerate(labels) if c == labels[0])
+        assert G.minimal_block(0, x) == want, (name, x)
