@@ -140,7 +140,7 @@ def cmd_tables(args) -> int:
             failed += 0 if row["pass"] else 1
             print(f"table {tid} | {row['row']}: {mark}")
     if args.id is None or args.id == 3:
-        for row in negative_controls(max_degree=args.max_degree):
+        for row in negative_controls():
             mark = "PASS" if row["pass"] else "FAIL"
             failed += 0 if row["pass"] else 1
             print(f"negative | {row['row']}: {mark} ({row['structures']} structures)")

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .permcore import classes, merge
+
 
 def _reject(lines: np.ndarray, bad: np.ndarray, what: str):
     """Raise ValueError naming the first line flagged in the mask `bad`."""
@@ -160,30 +162,12 @@ def is_proper(D: IncidenceStructure, rep: PLSReport | None = None) -> bool:
 
 
 def components(D: IncidenceStructure) -> list[list[int]]:
-    """Connected components as sorted point lists, ordered by (size, points).
-
-    Union-find by root hooking: each round hooks every root on a line that
-    spans several roots onto the smallest of them, then compresses every
-    point fully onto its root, until no line spans two roots.  A root is
-    only ever hooked onto a smaller point, so each component ends rooted at
-    its smallest point.
-    """
-    parent = np.arange(D.num_points)
-    roots = D.lines
-    while roots.size:
-        low = roots.min(axis=1, keepdims=True)
-        split = (roots != low).any(axis=1)
-        if not split.any():
-            break
-        roots = roots[split]
-        np.minimum.at(parent, roots, np.broadcast_to(low[split], roots.shape))
-        while not np.array_equal(parent[parent], parent):
-            parent = parent[parent]
-        roots = parent[roots]
-    order = np.argsort(parent, kind="stable")
-    cuts = np.flatnonzero(np.diff(parent[order])) + 1
-    comps = [c.tolist() for c in np.split(order, cuts)] if D.num_points else []
-    return sorted(comps, key=lambda c: (len(c), c))
+    """Connected components as sorted point lists, ordered by (size, points):
+    one merge of every point of a line with the line's first point."""
+    rest = D.lines[:, 1:]
+    labels = merge(np.arange(D.num_points), rest,
+                   np.broadcast_to(D.lines[:, :1], rest.shape))
+    return sorted(classes(labels), key=lambda c: (len(c), c))
 
 
 def is_connected(D: IncidenceStructure) -> bool:

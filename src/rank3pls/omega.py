@@ -144,7 +144,6 @@ class OmegaSpace(CanonicalPoints):
         self.n = n
         self.q = q
         self.points = list(map(tuple, vectors.tolist()))
-        self.index = {v: i for i, v in enumerate(self.points)}
         self.sigma = cells.tolist()
         self.form = form
         self.cell_of = np.empty(len(vectors), dtype=np.int32)

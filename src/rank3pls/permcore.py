@@ -17,6 +17,14 @@ basic orbit (every point, for a transitive group) is the chain below the
 first base point b conjugated by the transversal rep taking b to x, so it
 runs no Schreier-Sims; only a point outside that orbit gets a chain rebuilt
 with x first.
+
+`merge` is the one union-find: a partition is an array of class roots, each
+class rooted at its least point.  Orbits, Atkinson's block closure, flag
+orbits and the components of an incidence structure are all merges.  Two
+BFS loops stay, because they need what a partition does not keep: the
+Schreier tree of `_Level.extend_orbit` (BFS order and `sv`, which the
+transversal reps are read from) and `line_orbit` (lines numbered in order of
+discovery, with the per-generator image maps).
 """
 
 from __future__ import annotations
@@ -81,6 +89,39 @@ def perm_order(g: np.ndarray) -> int:
             length += 1
         order = math.lcm(order, length)
     return order
+
+
+def merge(parent: np.ndarray, a, b) -> np.ndarray:
+    """Join the classes of a[i] and b[i] for every i.
+
+    parent is a fully compressed forest: parent[x] is the root of x's class,
+    and each class is rooted at its least point (identity(n) is the discrete
+    partition).  Each round hooks the larger root of every pair still split
+    onto the smaller one, then jumps pointers until every point sits on its
+    root.  Returns a new array of the same kind; parent is left untouched.
+    """
+    parent = parent.copy()
+    ra, rb = parent[a], parent[b]
+    while True:
+        split = ra != rb
+        if not split.any():
+            return parent
+        ra, rb = ra[split], rb[split]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        jumped = parent[parent]
+        while not np.array_equal(jumped, parent):
+            parent, jumped = jumped, jumped[jumped]
+        ra, rb = parent[ra], parent[rb]
+
+
+def classes(labels: np.ndarray) -> list[list[int]]:
+    """The classes of a merged partition as ascending point lists, in order
+    of their least points."""
+    if not len(labels):
+        return []
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return [c.tolist() for c in np.split(order, cuts)]
 
 
 class _Level:
@@ -342,35 +383,26 @@ class PermGroup:
         residue, _ = self._sift(g.astype(np.int32), 0)
         return residue is None
 
+    def _gen_array(self) -> np.ndarray:
+        """The generators as one (m, degree) array."""
+        return np.asarray(self.gens, dtype=np.int32).reshape(len(self.gens), self.degree)
+
+    def orbit_labels(self) -> np.ndarray:
+        """The least point of each point's orbit: one merge of every x with
+        its images g[x]."""
+        x = identity(self.degree)
+        return merge(x, np.tile(x, len(self.gens)), self._gen_array().ravel())
+
     def orbit(self, x: int) -> list[int]:
-        seen = np.zeros(self.degree, dtype=bool)
-        seen[x] = True
-        out = [x]
-        frontier = np.array([x], dtype=np.int32)
-        while frontier.size:
-            parts = []
-            for g in self.gens:
-                img = g[frontier]
-                fresh = np.unique(img[~seen[img]])
-                if fresh.size:
-                    seen[fresh] = True
-                    out.extend(int(v) for v in fresh)
-                    parts.append(fresh)
-            frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
-        return out
+        """The orbit of x, ascending."""
+        labels = self.orbit_labels()
+        return np.flatnonzero(labels == labels[x]).tolist()
 
     def orbits(self) -> list[list[int]]:
-        seen = np.zeros(self.degree, dtype=bool)
-        out = []
-        for x in range(self.degree):
-            if not seen[x]:
-                orb = self.orbit(x)
-                seen[orb] = True
-                out.append(sorted(orb))
-        return out
+        return classes(self.orbit_labels())
 
     def is_transitive(self) -> bool:
-        return len(self.orbit(0)) == self.degree
+        return not self.orbit_labels().any()
 
     def random_element(self, rng: random.Random) -> np.ndarray:
         if not self.gens:
@@ -467,28 +499,23 @@ class PermGroup:
 
     def block_join(self, beta: int, points) -> frozenset:
         """The smallest block containing beta and all of points (Atkinson's
-        algorithm: a union-find closed under the generators)."""
-        parent = np.arange(self.degree, dtype=np.int32)
+        algorithm as a congruence closure).
 
-        def find(x):
-            root = x
-            while parent[root] != root:
-                root = int(parent[root])
-            while parent[x] != root:
-                parent[x], x = root, int(parent[x])
-            return root
-
-        stack = [(beta, int(p)) for p in points if int(p) != beta]
-        while stack:
-            a, b = stack.pop()
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                continue
-            parent[rb] = ra
-            for g in self.gens:
-                stack.append((int(g[a]), int(g[b])))
-        rb = find(beta)
-        return frozenset(int(x) for x in range(self.degree) if find(x) == rb)
+        A partition is a block system exactly when g[x] ~ g[root(x)] for
+        every point x and generator g.  Starting from the one class beta +
+        points, each round merges those pairs for the points whose root
+        moved in the previous round, until no root moves.
+        """
+        gens = self._gen_array()
+        start = identity(self.degree)
+        pts = np.fromiter(points, dtype=np.int32)
+        parent = merge(start, np.full(len(pts), beta, dtype=np.int32), pts)
+        moved = np.flatnonzero(parent != start)
+        while moved.size:
+            nxt = merge(parent, gens[:, moved].ravel(), gens[:, parent[moved]].ravel())
+            moved = np.flatnonzero(nxt != parent)
+            parent = nxt
+        return frozenset(np.flatnonzero(parent == parent[beta]).tolist())
 
     def verify_block(self, block) -> bool:
         """Generators map the block to disjoint-or-equal images across one
@@ -520,21 +547,14 @@ class PermGroup:
         one representative per G_beta-orbit suffices; the block set is the
         join-closure of those minimal blocks.
         """
-        carrier = set(self.orbit(beta))
+        carrier = np.array(self.orbit(beta))
         n = len(carrier)
         if n <= 2:
             return []
-        stab = self.stabilizer(beta)
-        reps = []
-        seen = {beta}
-        for x in sorted(carrier):
-            if x in seen:
-                continue
-            orb = stab.orbit(x)
-            seen.update(orb)
-            reps.append(x)
+        # the least point of each G_beta-orbit on the carrier but {beta}
+        roots = self.stabilizer(beta).orbit_labels()[carrier] == carrier
         minimal = set()
-        for gamma in reps:
+        for gamma in carrier[roots & (carrier != beta)].tolist():
             blk = self.minimal_block(beta, gamma)
             if 1 < len(blk) < n:
                 minimal.add(blk)
@@ -814,45 +834,25 @@ def line_orbit(gens, line, max_lines: int | None = None):
 def flag_transitive_on_line(G: PermGroup, line, precomputed=None) -> bool:
     """Whether the setwise stabilizer of `line` in G is transitive on it.
 
-    Tested without computing the stabilizer: the orbit of the flag
-    (line[0], line) is expanded and we report whether it reaches every flag
-    on `line`.  Success exits early; failure exhausts the orbit, which is
-    bounded by |line-orbit| * |line|.  `precomputed` may carry a
+    Tested without computing the stabilizer, on the flags of the line orbit:
+    flag l * k + c is point c of row l.  A generator g maps it to flag
+    limg[l] * k + (the rank of g[lines[l, c]] in its image row), and
+    merging every flag with its image under each generator gives the flag
+    orbits.  The stabilizer of row 0, the base line, is transitive on it
+    exactly when flags 0..k-1 share one root.  `precomputed` may carry a
     (lines, limg) pair from line_orbit on the same line set.
     """
-    line0 = tuple(sorted(int(x) for x in line))
+    line0 = np.sort(np.asarray(line, dtype=np.int32))
     if len(line0) == 1:
         return True
     lines, limg = precomputed if precomputed is not None else line_orbit(G.gens, line0)
-    nl = len(lines)
-    # flag key = point * nl + line_id; the base line has id 0
-    want = {int(p) * nl for p in line0[1:]}
-    start = int(line0[0]) * nl
-    visited = {start}
-    pts = np.array([line0[0]], dtype=np.int64)
-    lids = np.array([0], dtype=np.int64)
-    while pts.size:
-        parts_p = []
-        parts_l = []
-        for k, g in enumerate(G.gens):
-            ip = g[pts].astype(np.int64)
-            il = limg[k][lids].astype(np.int64)
-            keys = ip * nl + il
-            fresh = [i for i, key in enumerate(keys.tolist()) if key not in visited]
-            if fresh:
-                kk = keys[fresh].tolist()
-                visited.update(kk)
-                want.difference_update(kk)
-                parts_p.append(ip[fresh])
-                parts_l.append(il[fresh])
-        if not want:
-            return True
-        if parts_p:
-            pts = np.concatenate(parts_p)
-            lids = np.concatenate(parts_l)
-        else:
-            break
-    return not want
+    nl, k = lines.shape
+    flags = np.arange(nl * k).reshape(nl, k)
+    labels = flags.ravel()
+    for g, li in zip(G.gens, limg):
+        rank = np.argsort(np.argsort(g[lines], axis=1), axis=1)
+        labels = merge(labels, flags, li[:, None] * k + rank)
+    return not labels[:k].any()
 
 
 def write_group_file(path, degree: int, gens):

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import families
-from .catalog import get_builtin
+from .catalog import ALL_BUILTINS, get_builtin
 from .gfield import SubfieldView, factorize
 from .incidence import (IncidenceStructure, components, is_proper, relabel,
                         validate_pls)
@@ -109,6 +110,16 @@ def sigma_partition(G: PermGroup) -> np.ndarray:
 MAX_LINE_ORBIT = 2_000_000  # defensive cap for non-slow runs
 
 
+def _point_stabilizer(G: PermGroup) -> PermGroup:
+    """G_0, regenerated by a few random subproducts when its chain gives it
+    more than 8 generators."""
+    Ga = G.stabilizer(0)
+    if len(Ga.gens) > 8:
+        Ga = PermGroup(G.degree, Ga.reduced_gens(), expected_order=Ga.order,
+                       seed=Ga.seed, name=Ga.name)
+    return Ga
+
+
 def devillers_enumerate(G: PermGroup, name: str = "", slow: bool = False,
                         include_sigma_orbit: bool = True) -> PipelineResult:
     """Run the block -> line pipeline on a rank-3 imprimitive group."""
@@ -121,10 +132,7 @@ def devillers_enumerate(G: PermGroup, name: str = "", slow: bool = False,
     cell_of = np.empty(G.degree, dtype=np.int32)
     cell_of[sigma] = np.arange(len(sigma), dtype=np.int32)[:, None]
     result = PipelineResult(name or G.name, G.degree, rank, sigma)
-    Ga = G.stabilizer(0)
-    if len(Ga.gens) > 8:
-        Ga = PermGroup(G.degree, Ga.reduced_gens(), expected_order=Ga.order,
-                       seed=Ga.seed, name=Ga.name)
+    Ga = _point_stabilizer(G)
     orbits = [sorted(o) for o in Ga.orbits() if len(o) > 1]
     cell0 = set(sigma[cell_of[0]].tolist())
     for orb in orbits:
@@ -293,10 +301,7 @@ def classify_blocks(builtin_name: str) -> BlockReport:
         expected = expected_blocks_unitary(space)
         beta_vec = (0, 0, 1)
     beta = space.index_of(beta_vec)
-    Ga = G.stabilizer(0)
-    if len(Ga.gens) > 8:
-        Ga = PermGroup(G.degree, Ga.reduced_gens(), expected_order=Ga.order,
-                       seed=Ga.seed, name=Ga.name)
+    Ga = _point_stabilizer(G)
     carrier = len(Ga.orbit(beta))
     computed = [frozenset(blk) for blk in Ga.all_blocks_through(beta)]
     expected_nontrivial = {k: v for k, v in expected.items()
@@ -375,10 +380,46 @@ def _conjugate_lines(space: OmegaSpace, D: IncidenceStructure, wexp: int):
     return relabel(D, induce_action(space, [linear(mat)])[0]).lines
 
 
+def _table2_row(fam: str, args: tuple, groups: list, wexp, slow: bool) -> dict:
+    D = _FAMILY_BUILDERS[fam](*args)
+    row_ok = True
+    detail = {}
+    for g in groups:
+        b = get_builtin(g)
+        res = run_pipeline(g, slow=slow)
+        # line arrays are canonical, so array equality is set equality
+        emitted = [d.lines for d in res.structures(connected=True)]
+        direct = any(np.array_equal(D.lines, ls) for ls in emitted)
+        mirrored = None
+        if wexp is not None and b.space is not None:
+            conj = _conjugate_lines(b.space, D, wexp)
+            mirrored = any(np.array_equal(conj, ls) for ls in emitted
+                           if not np.array_equal(D.lines, ls))
+        ok = direct and (mirrored is not False or wexp is None)
+        row_ok &= ok
+        detail[g] = {"direct": direct, "mirrored": mirrored,
+                     "emitted": len(emitted)}
+    return {"pass": row_ok, "groups": detail}
+
+
+def _table3_row(name: str, expect: tuple, slow: bool) -> dict:
+    sig = run_pipeline(name, slow=slow).line_signature(connected=True)
+    return {"pass": sig == tuple(sorted(expect)), "expected": sorted(expect),
+            "got": list(sig)}
+
+
+def _block_row(name: str) -> dict:
+    rep = classify_blocks(name)
+    return {"pass": rep.ok,
+            "blocks": sorted((k, len(v)) for k, v in rep.matched.items()),
+            "computed_sizes": sorted(len(b) for b in rep.computed)}
+
+
 def reproduce_table(table_id: int, max_degree: int = 300,
                     slow: bool = False) -> list[dict]:
     """Machine-checked row-by-row table comparison; one dict per row with a
-    pass flag."""
+    pass flag.  Without slow, a row whose groups exceed max_degree is
+    skipped before any of them is built."""
     rows = []
     if table_id == 2:
         # row 9 (USub(16,4,5)) is count-only: formula evaluation plus sampled
@@ -388,56 +429,25 @@ def reproduce_table(table_id: int, max_degree: int = 300,
         rows.append({"row": "USub(16,4,5)", "pass":
                      count_only.expected == exp and len(count_only.sample_lines) > 0,
                      "count_only": True, "lines_by_formula": exp["lines"]})
-        for label, (fam, args), groups, wexp in TABLE2_ROWS:
-            builders = [get_builtin(g) for g in groups]
-            if any(b.meta.degree > max_degree and not slow for b in builders):
-                rows.append({"row": label, "status": "skipped (degree)"})
-                continue
-            D = _FAMILY_BUILDERS[fam](*args)
-            row_ok = True
-            detail = {}
-            for g in groups:
-                b = get_builtin(g)
-                res = run_pipeline(g, slow=slow)
-                # line arrays are canonical, so array equality is set equality
-                emitted = [d.lines for d in res.structures(connected=True)]
-                direct = any(np.array_equal(D.lines, ls) for ls in emitted)
-                mirrored = None
-                if wexp is not None and b.space is not None:
-                    conj = _conjugate_lines(b.space, D, wexp)
-                    mirrored = any(np.array_equal(conj, ls) for ls in emitted
-                                   if not np.array_equal(D.lines, ls))
-                ok = direct and (mirrored is not False or wexp is None)
-                row_ok &= ok
-                detail[g] = {"direct": direct, "mirrored": mirrored,
-                             "emitted": len(emitted)}
-            rows.append({"row": label, "pass": row_ok, "groups": detail})
+        cases = [(label, groups, partial(_table2_row, fam, args, groups, wexp, slow))
+                 for label, (fam, args), groups, wexp in TABLE2_ROWS]
     elif table_id == 3:
-        for name, expect in TABLE3_ROWS:
-            b = get_builtin(name)
-            if b.meta.degree > max_degree and not slow:
-                rows.append({"row": name, "status": "skipped (degree)"})
-                continue
-            res = run_pipeline(name, slow=slow)
-            sig = res.line_signature(connected=True)
-            rows.append({"row": name, "pass": sig == tuple(sorted(expect)),
-                         "expected": sorted(expect), "got": list(sig)})
+        cases = [(name, [name], partial(_table3_row, name, expect, slow))
+                 for name, expect in TABLE3_ROWS]
     elif table_id in (4, 5, 6):
-        for name in TABLE45_CASES[table_id]:
-            b = get_builtin(name)
-            if b.meta.degree > max_degree and not slow:
-                rows.append({"row": name, "status": "skipped (degree)"})
-                continue
-            rep = classify_blocks(name)
-            rows.append({"row": name, "pass": rep.ok,
-                         "blocks": sorted((k, len(v)) for k, v in rep.matched.items()),
-                         "computed_sizes": sorted(len(b) for b in rep.computed)})
+        cases = [(name, [name], partial(_block_row, name))
+                 for name in TABLE45_CASES[table_id]]
     else:
         raise ValueError("table_id must be one of 2, 3, 4, 5, 6")
+    for label, groups, row in cases:
+        if not slow and any(ALL_BUILTINS[g].degree > max_degree for g in groups):
+            rows.append({"row": label, "status": "skipped (degree)"})
+        else:
+            rows.append({"row": label, **row()})
     return rows
 
 
-def negative_controls(max_degree: int = 300) -> list[dict]:
+def negative_controls() -> list[dict]:
     """Groups that must yield zero proper partial linear spaces."""
     rows = []
     for name in NEGATIVE_BUILTINS:
