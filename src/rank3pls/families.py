@@ -19,7 +19,7 @@ from .gfield import SubfieldView, factorize
 from .incidence import IncidenceStructure, pair_counts, relabel
 from .matsemi import Mat, gens_sl, gens_su3, linear, scalar
 from .omega import OmegaSpace, build_omega, induce_action, omega_space
-from .permcore import PermGroup, line_orbit
+from .permcore import PermGroup, line_orbit, sorted_rows
 
 FULL_ENUMERATION_LIMIT = 10**7
 
@@ -280,7 +280,8 @@ def dlsub(q: int, q0: int, r: int, j: int) -> IncidenceStructure:
     F = space.field
     conj = induce_action(space, [linear(Mat.diag(F, [F.exp[j % (F.q - 1)], 1]))])[0]
     both = np.concatenate([base.lines, relabel(base, conj).lines])
-    union = np.unique(both, axis=0)
+    rows, repeat = sorted_rows(both, len(space))
+    union = rows[~repeat]
     params = FamilyParams("dlsub", 2, q, q0, r, j=j, k=k, t=t)
     D = IncidenceStructure(len(space), union, params.as_dict())
     D.params["disjoint_union"] = len(union) == len(both)
@@ -365,7 +366,8 @@ def _count_only(space, params, exp, base, gens, sample_size, seed):
     walk[0] = base
     for step in range(1, sample_size + 1):
         walk[step] = gens[rng.randrange(len(gens))][walk[step - 1]]
-    sample = np.unique(np.sort(walk, axis=1), axis=0)
+    rows, repeat = sorted_rows(np.sort(walk, axis=1), len(space))
+    sample = rows[~repeat]
     # local PLS check: no point pair on two sampled lines
     if pair_counts(sample, len(space))[1].max() > 1:
         raise AssertionError("sampled lines violate the PLS property")

@@ -3,7 +3,13 @@
 A line set is one (L, k) int32 array: every row strictly increasing, the rows
 in lexicographic order, no row repeated, and all lines of one size k.
 Ingestion checks all of it for every input, orbit output included (a
-violation from a constructor is a bug, not data).  The predicates work on the
+violation from a constructor is a bug, not data), in this order: equal sizes,
+at least 2 points, strictly sorted rows, points in range, no duplicate.  The
+rows are put in order by sorting one key per row, `permcore.row_keys`: the
+row's lexicographic rank among the k-subsets of the points as an int64 when
+C(num_points, k) < 2**63, and the row's big-endian int32 bytes as one np.void
+otherwise, where a rank could overflow (7-point lines on 2044 points, say);
+a duplicate is a key equal to the one before it.  The predicates work on the
 whole array; the point pairs on the lines are packed into int64 keys
 a * num_points + b with a < b.
 """
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .permcore import classes, merge
+from .permcore import classes, merge, sorted_rows
 
 
 def _reject(lines: np.ndarray, bad: np.ndarray, what: str):
@@ -39,8 +45,8 @@ def _line_array(lines, num_points: int) -> np.ndarray:
         raise ValueError(f"line {tuple(arr[0].tolist())} has fewer than 2 points")
     _reject(arr, (np.diff(arr, axis=1) <= 0).any(axis=1), "is not strictly sorted")
     _reject(arr, (arr[:, 0] < 0) | (arr[:, -1] >= num_points), "out of range")
-    arr = arr[np.lexsort(arr.T[::-1])].astype(np.int32, copy=False)
-    _reject(arr[1:], (arr[1:] == arr[:-1]).all(axis=1), "is a duplicate")
+    arr, repeat = sorted_rows(arr.astype(np.int32, copy=False), num_points)
+    _reject(arr, repeat, "is a duplicate")
     arr.flags.writeable = False
     return arr
 

@@ -25,10 +25,15 @@ BFS loops stay, because they need what a partition does not keep: the
 Schreier tree of `_Level.extend_orbit` (BFS order and `sv`, which the
 transversal reps are read from) and `line_orbit` (lines numbered in order of
 discovery, with the per-generator image maps).
+
+Sets of sorted point sets (lines, cells, samples) are sorted, deduplicated
+and searched through one key per row, `row_keys`: the row's lexicographic
+rank as an int64 when every rank fits, its big-endian bytes otherwise.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 
@@ -783,50 +788,114 @@ class _Shaker:
 # -- line and flag orbits ------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=64)
+def _rank_table(n: int, k: int) -> np.ndarray | None:
+    """The (k, n) int64 table T with T[i, x] = C(n-1-i, k-i) - C(n-1-x, k-i)
+    over the reachable range i <= x <= n-k+i, so that the lexicographic rank
+    of a k-subset x_0 < ... < x_(k-1) of range(n) is sum_i T[i, x_i].  None
+    when C(n, k) >= 2**63, where some rank would not fit in an int64.
+
+    With y_j = n-1-x_(k-1-j), the complemented and reversed row, that sum is
+    C(n, k) - 1 - sum_j C(y_j, j+1), the colex rank of y (Knuth, TAOCP 4A,
+    7.2.1.3) counted down from the top.  Column j of the binomials,
+    C(y, j+1) = sum_(t<y) C(t, j), is an exclusive cumulative sum of column
+    j-1 with its unreachable entries zeroed, so no partial sum overflows.
+    """
+    if math.comb(n, k) >= 2**63:
+        return None
+    y = np.arange(n)
+    col = np.ones(n, dtype=np.int64)            # C(y, 0)
+    binom = np.empty((k, n), dtype=np.int64)    # binom[i, x] = C(n-1-x, k-i)
+    for j in range(k):
+        col = np.concatenate(([0], np.cumsum(col[:-1])))
+        col[y > n - k + j] = 0
+        binom[k - 1 - j] = col[::-1]
+    table = binom[np.arange(k), np.arange(k), None] - binom
+    table.flags.writeable = False
+    return table
+
+
+def row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """One key per row of an (m, k) array of strictly increasing rows of
+    points in range(n), injective and increasing in lexicographic row order.
+
+    When C(n, k) < 2**63 the key is the int64 lexicographic rank of the row
+    among the k-subsets of range(n) (see _rank_table).  Otherwise it is the
+    row viewed as one np.void scalar over big-endian int32, whose byte order
+    is the lexicographic order of non-negative rows.  Either way one sort or
+    searchsorted on the keys serves.
+    """
+    k = rows.shape[1]
+    table = _rank_table(n, k)
+    if table is None:
+        be = np.ascontiguousarray(rows, dtype=">i4")
+        return be.view(np.dtype((np.void, 4 * k))).ravel()
+    key = np.zeros(len(rows), dtype=np.int64)
+    for i in range(k):
+        key += table[i][rows[:, i]]
+    return key
+
+
+def sorted_rows(rows: np.ndarray, n: int):
+    """(rows, repeat) for strictly increasing rows of points in range(n):
+    the rows in lexicographic order, and a mask of the sorted rows equal to
+    the row before them."""
+    keys = row_keys(rows, n)
+    order = np.argsort(keys)
+    keys = keys[order]
+    repeat = np.zeros(len(keys), dtype=bool)
+    repeat[1:] = keys[1:] == keys[:-1]
+    return rows[order], repeat
+
+
 def line_orbit(gens, line, max_lines: int | None = None):
     """Orbit of a point set under <gens>, with per-generator image maps.
 
     Returns (lines, limg): lines is an (L, k) int32 array of row-sorted point
     sets in BFS order, row 0 the sorted base line; limg[k] is an int32 array
     mapping line index -> image index under gens[k].  Each BFS layer maps the
-    frontier through every generator, sorts the image rows and looks their
-    np.void row keys up in the sorted keys of the lines seen so far.  New
-    lines are numbered in order of first appearance, generator by generator.
-    An orbit of more than max_lines lines raises RuntimeError.
+    frontier through every generator and sorts the image rows.  It then takes
+    one np.unique of their row_keys (an int64 rank when C(n, k) < 2**63, a
+    big-endian np.void row view otherwise, e.g. 7-point lines on 2044
+    points) and looks the sorted unique keys up in the sorted keys of the
+    lines seen so far with one searchsorted.  New lines are numbered in
+    order of first appearance, generator by generator.  An orbit of more
+    than max_lines lines raises RuntimeError; a line with a repeated point
+    or a point outside range(n) raises ValueError.
     """
     frontier = np.sort(np.asarray(line, dtype=np.int32))[None, :]
-    row_key = np.dtype((np.void, frontier.itemsize * frontier.shape[1]))
-
-    def keys(rows):
-        return np.ascontiguousarray(rows).view(row_key).ravel()
-
-    seen_keys = keys(frontier)                  # sorted
+    if not len(gens):
+        return frontier, []
+    n = len(gens[0])
+    base = frontier[0]
+    if (np.diff(base) <= 0).any() or ((base < 0) | (base >= n)).any():
+        raise ValueError(f"line {tuple(base.tolist())} is not a set of "
+                         f"points in range({n})")
+    seen_keys = row_keys(frontier, n)           # sorted
     seen_ids = np.zeros(1, dtype=np.int32)      # line index of each seen key
     layers = [frontier]
     maps: list[list[np.ndarray]] = [[] for _ in gens]
     total = 1
-    while len(frontier) and len(gens):
+    while len(frontier):
         imgs = np.concatenate([np.sort(g[frontier], axis=1) for g in gens])
-        img_keys = keys(imgs)
-        pos = np.searchsorted(seen_keys, img_keys)
-        known = seen_keys[np.minimum(pos, len(seen_keys) - 1)] == img_keys
-        fresh, first, inv = np.unique(img_keys[~known], return_index=True,
-                                      return_inverse=True)
-        order = np.argsort(first)
-        fresh_ids = np.empty(len(fresh), dtype=np.int32)
-        fresh_ids[order] = np.arange(total, total + len(fresh), dtype=np.int32)
-        ids = np.empty(len(imgs), dtype=np.int32)
-        ids[known] = seen_ids[pos[known]]
-        ids[~known] = fresh_ids[inv]
-        for k, part in enumerate(np.split(ids, len(gens))):
+        keys, first, inv = np.unique(row_keys(imgs, n), return_index=True,
+                                     return_inverse=True)
+        pos = np.searchsorted(seen_keys, keys)
+        known = seen_keys[np.minimum(pos, len(seen_keys) - 1)] == keys
+        fresh = np.flatnonzero(~known)
+        fresh = fresh[np.argsort(first[fresh])]  # in order of first appearance
+        key_ids = np.empty(len(keys), dtype=np.int32)
+        key_ids[known] = seen_ids[pos[known]]
+        key_ids[fresh] = np.arange(total, total + len(fresh), dtype=np.int32)
+        for k, part in enumerate(np.split(key_ids[inv], len(gens))):
             maps[k].append(part)
         total += len(fresh)
         if max_lines is not None and total > max_lines:
             raise RuntimeError("line orbit exceeded max_lines")
-        at = np.searchsorted(seen_keys, fresh)
-        seen_keys = np.insert(seen_keys, at, fresh)
-        seen_ids = np.insert(seen_ids, at, fresh_ids)
-        frontier = imgs[~known][first[order]]
+        new = ~known
+        seen_keys = np.insert(seen_keys, pos[new], keys[new])
+        seen_ids = np.insert(seen_ids, pos[new], key_ids[new])
+        frontier = imgs[first[fresh]]
         layers.append(frontier)
     return np.concatenate(layers), [np.concatenate(m) for m in maps]
 

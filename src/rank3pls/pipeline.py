@@ -27,7 +27,8 @@ from .incidence import (IncidenceStructure, components, is_proper, relabel,
                         validate_pls)
 from .matsemi import Mat, linear
 from .omega import OmegaSpace, induce_action
-from .permcore import PermGroup, flag_transitive_on_line, line_orbit
+from .permcore import (PermGroup, flag_transitive_on_line, line_orbit,
+                       sorted_rows)
 
 
 @dataclass
@@ -104,7 +105,7 @@ def sigma_partition(G: PermGroup) -> np.ndarray:
         raise ValueError(f"{G!r}: expected a unique nontrivial block system, "
                          f"found {len(blocks)} blocks through 0")
     cells, _ = line_orbit(G.gens, sorted(blocks[0]))
-    return np.unique(cells, axis=0)
+    return sorted_rows(cells, G.degree)[0]
 
 
 MAX_LINE_ORBIT = 2_000_000  # defensive cap for non-slow runs

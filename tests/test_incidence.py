@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rank3pls.catalog import get_builtin
 from rank3pls.incidence import (IncidenceStructure, components, fingerprint,
                                 is_connected, is_proper, multiplicity_bruteforce,
                                 preserved_by, relabel, validate_pls)
+from rank3pls.permcore import row_keys
 
 
 def test_ingestion_rules():
@@ -25,6 +27,24 @@ def test_ingestion_rules():
         IncidenceStructure(4, [(0, 1), (0, 1)])
     with pytest.raises(ValueError):
         IncidenceStructure(3, [(0, 5)])
+
+
+@pytest.mark.parametrize("n, k, kind", [(12, 3, "i"), (200, 40, "V")])
+def test_ingestion_on_both_key_kinds(n, k, kind):
+    """C(12, 3) ranks fit in an int64, C(200, 40) do not: both kinds of row
+    key order the lines and find the first duplicate, and every rejection
+    keeps its order and message."""
+    a, b, c = (tuple(range(s, s + k)) for s in (0, 1, n - k))
+    assert row_keys(np.array([a]), n).dtype.kind == kind
+    D = IncidenceStructure(n, [c, a, b])
+    assert D.lines.dtype == np.int32 and D.lines.tolist() == [list(a), list(b), list(c)]
+    with pytest.raises(ValueError, match=re.escape(f"line {b} is a duplicate")):
+        IncidenceStructure(n, [c, b, c, a, b])
+    with pytest.raises(ValueError, match=re.escape(f"line {b[::-1]} is not strictly sorted")):
+        IncidenceStructure(n, [c, c, b[::-1], a[::-1]])
+    far = b[:-1] + (n,)
+    with pytest.raises(ValueError, match=re.escape(f"line {far} out of range")):
+        IncidenceStructure(n, [a, far, far])
 
 
 def test_mixed_line_sizes_rejected():

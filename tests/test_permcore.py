@@ -1,5 +1,7 @@
 """Permutation kernel: BSGS, orbits, blocks, cosets, flags, files."""
 
+import itertools
+import math
 import random
 
 import numpy as np
@@ -8,7 +10,9 @@ import pytest
 from rank3pls.catalog import get_builtin
 from rank3pls.permcore import (PermGroup, compose, flag_transitive_on_line,
                                identity, inverse, line_orbit, perm_from_images,
-                               perm_order, read_group_file, write_group_file)
+                               perm_order, read_group_file, row_keys,
+                               write_group_file)
+from tests_block_oracle import bfs_orbit
 
 
 def s4():
@@ -178,19 +182,6 @@ def test_normal_subgroup_of_index():
         G.normal_subgroup_of_index(5)
 
 
-def _bfs_orbit(gens, x):
-    """The orbit of x by a plain breadth-first search."""
-    seen = {x}
-    queue = [x]
-    for y in queue:
-        for g in gens:
-            z = int(g[y])
-            if z not in seen:
-                seen.add(z)
-                queue.append(z)
-    return seen
-
-
 def test_flag_transitivity_vs_setwise_oracle():
     """The orbit-based test agrees with the explicit backtracking setwise
     stabilizer on lines of catalogued groups of degree <= 200."""
@@ -210,7 +201,7 @@ def test_flag_transitivity_vs_setwise_oracle():
     for G, line in cases:
         fast = flag_transitive_on_line(G, line)
         stab = G.setwise_stabilizer(line)
-        oracle = _bfs_orbit(stab.gens, line[0]) >= set(line)
+        oracle = bfs_orbit(stab.gens, line[0]) >= set(line)
         assert fast == oracle, (G.name, line)
 
 
@@ -252,10 +243,77 @@ def test_line_orbit_matches_tuple_bfs():
     base = fam.usub(4, 2, 3).lines[5].tolist()
     lines, limg = line_orbit(G.gens, base[::-1])
     rows, maps = _tuple_line_orbit(G.gens, base)
+    assert row_keys(lines, G.degree).dtype == np.int64   # the rank keys
     assert lines.shape == (6240, 3) and lines.dtype == np.int32
     assert list(map(tuple, lines.tolist())) == rows
     for k in range(len(G.gens)):
         assert limg[k].tolist() == [maps[k][i] for i in range(len(rows))]
+
+
+def test_line_orbit_void_keys_match_tuple_bfs():
+    """C(3000, 7) >= 2**63, so the orbit is found on np.void row keys: the
+    line (0,1,2,3,5,8,13) under x -> x + 1 and x -> 7x (7 has order 20 mod
+    3000) has 60,000 images, in the same order as a tuple BFS finds them."""
+    n = 3000
+    x = np.arange(n, dtype=np.int32)
+    gens = [(x + 1) % n, (7 * x) % n]
+    base = (0, 1, 2, 3, 5, 8, 13)
+    lines, limg = line_orbit(gens, base)
+    rows, maps = _tuple_line_orbit(gens, base)
+    assert row_keys(lines, n).dtype.kind == "V"
+    assert lines.shape == (60_000, 7)
+    assert list(map(tuple, lines.tolist())) == rows
+    for k in range(len(gens)):
+        assert limg[k].tolist() == [maps[k][i] for i in range(len(rows))]
+
+
+def test_line_orbit_rejects_what_is_not_a_point_set():
+    gens = [np.roll(np.arange(6, dtype=np.int32), 1)]
+    for bad in [(0, 0, 1), (0, 1, 6), (-1, 2, 3)]:
+        with pytest.raises(ValueError, match="not a set of points"):
+            line_orbit(gens, bad)
+
+
+def _lex_rank(row, n):
+    """How many k-subsets of range(n) precede `row` lexicographically."""
+    k = len(row)
+    rank, prev = 0, -1
+    for i, x in enumerate(row):
+        rank += sum(math.comb(n - 1 - v, k - 1 - i) for v in range(prev + 1, x))
+        prev = x
+    return rank
+
+
+def _assert_strictly_increasing(keys):
+    assert (np.argsort(keys, kind="stable") == np.arange(len(keys))).all()
+    assert (keys[1:] != keys[:-1]).all()
+
+
+def test_row_keys_rank_every_subset_in_order():
+    for n, k in [(9, 4), (7, 1), (6, 6), (10, 2)]:
+        rows = np.array(list(itertools.combinations(range(n), k)), dtype=np.int32)
+        assert row_keys(rows, n).tolist() == list(range(math.comb(n, k)))
+
+
+@pytest.mark.parametrize("k", [7, 12])
+def test_row_keys_on_both_sides_of_the_int64_boundary(k):
+    """Keys strictly increase in lexicographic row order for the largest n
+    with C(n, k) < 2**63 (int64 ranks) and the next n (np.void rows)."""
+    n_int = next(n for n in itertools.count(k) if math.comb(n + 1, k) >= 2**63)
+    rng = np.random.default_rng(k)
+    for n in (n_int, n_int + 1):
+        picks = {tuple(sorted(rng.choice(n, k, replace=False).tolist()))
+                 for _ in range(3000)}
+        rows = np.array(sorted(picks | {tuple(range(k)),
+                                        tuple(range(n - k, n))}), dtype=np.int32)
+        keys = row_keys(rows, n)
+        _assert_strictly_increasing(keys)
+        if n == n_int:
+            assert keys.dtype == np.int64
+            assert keys[0] == 0 and keys[-1] == math.comb(n, k) - 1
+            assert keys[:40].tolist() == [_lex_rank(r, n) for r in rows[:40].tolist()]
+        else:
+            assert keys.dtype.kind == "V"
 
 
 def test_catalog_cache_keys_on_seed():

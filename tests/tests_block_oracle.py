@@ -1,9 +1,24 @@
-"""Independent exhaustive block-search oracle for small orbits.
+"""Independent oracles: an exhaustive block search for small orbits and a
+plain breadth-first orbit.
 
 Kept separate from the library on purpose: a fresh union-find, minimal
-blocks for every point of the carrier (no stabilizer-orbit shortcut), and a
-fixpoint join closure.
+blocks for every point of the carrier (no stabilizer-orbit shortcut), a
+fixpoint join closure, and an orbit that does not go through
+`permcore.merge`.
 """
+
+
+def bfs_orbit(gens, x):
+    """The orbit of x by a plain breadth-first search."""
+    seen = {x}
+    queue = [x]
+    for y in queue:
+        for g in gens:
+            z = int(g[y])
+            if z not in seen:
+                seen.add(z)
+                queue.append(z)
+    return seen
 
 
 def _minimal(H, beta, pts):
