@@ -12,6 +12,11 @@ otherwise, where a rank could overflow (7-point lines on 2044 points, say);
 a duplicate is a key equal to the one before it.  The predicates work on the
 whole array; the point pairs on the lines are packed into int64 keys
 a * num_points + b with a < b.
+
+A structure's lines and point count are read-only, so its pair table
+(pair_counts of its lines) and its components are built once, the first time
+a predicate needs them, and kept: validate_pls, is_proper, components,
+fingerprint and to_dot all read the same table, sorted once.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,20 +59,49 @@ def _line_array(lines, num_points: int) -> np.ndarray:
 
 def pair_counts(lines: np.ndarray, num_points: int):
     """(keys, counts): the collinear point pairs a < b as increasing int64
-    keys a * num_points + b, and the number of lines through each pair."""
+    keys a * num_points + b, and the number of lines through each pair.
+
+    The freshly built keys are sorted in place with numpy's default
+    (unstable) sort, and each count is the length of a run of equal keys."""
     i, j = np.triu_indices(lines.shape[1], 1)
     keys = (lines[:, i].astype(np.int64) * num_points + lines[:, j]).ravel()
-    # asking for the counts keeps np.unique on its sorting path, which is
-    # many times faster on these keys than its hashing path
-    return np.unique(keys, return_counts=True)
+    keys.sort()
+    start = np.empty(len(keys), dtype=bool)
+    start[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=start[1:])
+    starts = np.flatnonzero(start)
+    return keys[starts], np.diff(starts, append=len(keys))
 
 
 class IncidenceStructure:
 
     def __init__(self, num_points: int, lines, params: dict | None = None):
-        self.num_points = num_points
-        self.lines = _line_array(lines, num_points)
+        self._num_points = num_points
+        self._lines = _line_array(lines, num_points)
         self.params = dict(params or {})
+
+    @property
+    def num_points(self) -> int:
+        return self._num_points
+
+    @property
+    def lines(self) -> np.ndarray:
+        return self._lines
+
+    @cached_property
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """pair_counts of the lines, read-only."""
+        keys, counts = pair_counts(self.lines, self.num_points)
+        keys.flags.writeable = counts.flags.writeable = False
+        return keys, counts
+
+    @cached_property
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        """The components as components() returns them, as tuples."""
+        rest = self.lines[:, 1:]
+        labels = merge(np.arange(self.num_points), rest,
+                       np.broadcast_to(self.lines[:, :1], rest.shape))
+        return tuple(sorted(map(tuple, classes(labels)), key=lambda c: (len(c), c)))
 
     @property
     def num_lines(self) -> int:
@@ -114,8 +149,7 @@ class IncidenceStructure:
         """Collinearity graph for small instances."""
         if self.num_points > 200:
             raise ValueError("DOT export is limited to 200 points")
-        keys, _ = pair_counts(self.lines, self.num_points)
-        a, b = np.divmod(keys, self.num_points)
+        a, b = np.divmod(self._pairs[0], self.num_points)
         body = "\n".join(map("  {} -- {};".format, a.tolist(), b.tolist()))
         return "graph collinearity {\n" + body + "\n}\n"
 
@@ -136,7 +170,7 @@ def validate_pls(D: IncidenceStructure) -> PLSReport:
     deg_const = bool((deg == deg[0]).all()) if D.num_points else True
     if not D.num_lines:
         return PLSReport(True, 0, True, deg_const, None, 0)
-    _, counts = pair_counts(D.lines, D.num_points)
+    counts = D._pairs[1]
     mult = int(counts.max())
     return PLSReport(mult <= 1, mult, True, deg_const, D.line_size, len(counts))
 
@@ -156,7 +190,8 @@ def multiplicity_bruteforce(D: IncidenceStructure) -> int:
 def is_proper(D: IncidenceStructure, rep: PLSReport | None = None) -> bool:
     """Neither a linear space nor a graph: line size >= 3 and some point
     pair lies on no line.  `rep`, when given, must be validate_pls(D); it
-    is used instead of validating D again."""
+    is used instead of validating D again.  Either way D's pair table is
+    built at most once, so passing `rep` saves only the report."""
     if rep is None:
         rep = validate_pls(D)
     if not rep.is_pls:
@@ -169,11 +204,9 @@ def is_proper(D: IncidenceStructure, rep: PLSReport | None = None) -> bool:
 
 def components(D: IncidenceStructure) -> list[list[int]]:
     """Connected components as sorted point lists, ordered by (size, points):
-    one merge of every point of a line with the line's first point."""
-    rest = D.lines[:, 1:]
-    labels = merge(np.arange(D.num_points), rest,
-                   np.broadcast_to(D.lines[:, :1], rest.shape))
-    return sorted(classes(labels), key=lambda c: (len(c), c))
+    one merge of every point of a line with the line's first point, made
+    once per structure."""
+    return [list(c) for c in D._components]
 
 
 def is_connected(D: IncidenceStructure) -> bool:
@@ -184,9 +217,8 @@ def fingerprint(D: IncidenceStructure) -> tuple:
     """Isomorphism-invariant summary: equal structures (same labelling or
     relabelled) have equal fingerprints."""
     n = D.num_points
-    keys, _ = pair_counts(D.lines, n)
-    concurrence = np.bincount(np.concatenate(np.divmod(keys, n)), minlength=n)
-    comp_sizes = tuple(sorted(len(c) for c in components(D)))
+    concurrence = np.bincount(np.concatenate(np.divmod(D._pairs[0], n)), minlength=n)
+    comp_sizes = tuple(sorted(len(c) for c in D._components))
     return (n, D.num_lines, tuple(sorted(D.line_sizes())),
             tuple(np.sort(D.point_degrees()).tolist()),
             tuple(np.sort(concurrence).tolist()), comp_sizes)

@@ -848,20 +848,33 @@ def sorted_rows(rows: np.ndarray, n: int):
     return rows[order], repeat
 
 
+def _merge_at(old: np.ndarray, kept: np.ndarray, at: np.ndarray,
+              values: np.ndarray) -> np.ndarray:
+    """old with values inserted: values go to the slots `at`, old to the
+    slots marked in `kept`, each in its own order."""
+    out = np.empty(len(kept), dtype=old.dtype)
+    out[at] = values
+    out[kept] = old
+    return out
+
+
 def line_orbit(gens, line, max_lines: int | None = None):
     """Orbit of a point set under <gens>, with per-generator image maps.
 
     Returns (lines, limg): lines is an (L, k) int32 array of row-sorted point
     sets in BFS order, row 0 the sorted base line; limg[k] is an int32 array
     mapping line index -> image index under gens[k].  Each BFS layer maps the
-    frontier through every generator and sorts the image rows.  It then takes
-    one np.unique of their row_keys (an int64 rank when C(n, k) < 2**63, a
-    big-endian np.void row view otherwise, e.g. 7-point lines on 2044
-    points) and looks the sorted unique keys up in the sorted keys of the
-    lines seen so far with one searchsorted.  New lines are numbered in
-    order of first appearance, generator by generator.  An orbit of more
-    than max_lines lines raises RuntimeError; a line with a repeated point
-    or a point outside range(n) raises ValueError.
+    frontier through every generator and sorts the image rows.  It then
+    sorts their row_keys (an int64 rank when C(n, k) < 2**63, a big-endian
+    np.void row view otherwise, e.g. 7-point lines on 2044 points) once, with
+    numpy's default unstable argsort, and looks each run of equal keys up in
+    the sorted keys of the lines seen so far with one searchsorted.  A run's
+    first appearance is its least image index (np.minimum.reduceat over the
+    run), so new lines are numbered in order of first appearance, generator
+    by generator, whatever order the sort leaves ties in.  The new keys,
+    already in order, are merged into the seen keys in one linear pass.  An
+    orbit of more than max_lines lines raises RuntimeError; a line with a
+    repeated point or a point outside range(n) raises ValueError.
     """
     frontier = np.sort(np.asarray(line, dtype=np.int32))[None, :]
     if not len(gens):
@@ -878,8 +891,17 @@ def line_orbit(gens, line, max_lines: int | None = None):
     total = 1
     while len(frontier):
         imgs = np.concatenate([np.sort(g[frontier], axis=1) for g in gens])
-        keys, first, inv = np.unique(row_keys(imgs, n), return_index=True,
-                                     return_inverse=True)
+        keys = row_keys(imgs, n)
+        order = np.argsort(keys)
+        keys = keys[order]
+        start = np.empty(len(order), dtype=bool)
+        start[0] = True
+        start[1:] = keys[1:] != keys[:-1]   # np.not_equal has no np.void loop
+        runs = np.flatnonzero(start)
+        keys = keys[runs]
+        first = np.minimum.reduceat(order, runs)
+        inv = np.empty(len(order), dtype=np.intp)
+        inv[order] = np.cumsum(start) - 1
         pos = np.searchsorted(seen_keys, keys)
         known = seen_keys[np.minimum(pos, len(seen_keys) - 1)] == keys
         fresh = np.flatnonzero(~known)
@@ -893,8 +915,11 @@ def line_orbit(gens, line, max_lines: int | None = None):
         if max_lines is not None and total > max_lines:
             raise RuntimeError("line orbit exceeded max_lines")
         new = ~known
-        seen_keys = np.insert(seen_keys, pos[new], keys[new])
-        seen_ids = np.insert(seen_ids, pos[new], key_ids[new])
+        at = pos[new] + np.arange(len(fresh))   # pos[new] is non-decreasing
+        kept = np.ones(len(seen_keys) + len(fresh), dtype=bool)
+        kept[at] = False
+        seen_keys = _merge_at(seen_keys, kept, at, keys[new])
+        seen_ids = _merge_at(seen_ids, kept, at, key_ids[new])
         frontier = imgs[first[fresh]]
         layers.append(frontier)
     return np.concatenate(layers), [np.concatenate(m) for m in maps]

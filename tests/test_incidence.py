@@ -1,6 +1,7 @@
 """Incidence-structure model and verification predicates."""
 
 import dataclasses
+import itertools
 import json
 import random
 import re
@@ -12,7 +13,7 @@ from rank3pls import families as fam
 from rank3pls.catalog import get_builtin
 from rank3pls.incidence import (IncidenceStructure, components, fingerprint,
                                 is_connected, is_proper, multiplicity_bruteforce,
-                                preserved_by, relabel, validate_pls)
+                                pair_counts, preserved_by, relabel, validate_pls)
 from rank3pls.permcore import row_keys
 
 
@@ -183,3 +184,52 @@ def test_is_proper_takes_the_report():
     bad = fam.dlsub(9, 3, 2, 2)
     with pytest.raises(ValueError):
         is_proper(bad, validate_pls(bad))
+
+
+def _random_line_sets(seed):
+    """Small random line sets, the empty set and a single line included."""
+    rng = random.Random(seed)
+    for size in (0, 1, *(rng.randrange(2, 16) for _ in range(4))):
+        n = rng.randrange(3, 13)
+        k = rng.randrange(2, min(n, 5) + 1)
+        pool = list(itertools.combinations(range(n), k))
+        yield n, rng.sample(pool, min(size, len(pool)))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pair_table_once_per_structure(seed):
+    """The cached pair table agrees with np.unique and the brute-force
+    multiplicity; the predicates answer the same in any call order and on a
+    fresh copy; relabel builds its own table; points and lines are
+    read-only."""
+    preds = {"fingerprint": fingerprint, "validate_pls": validate_pls,
+             "components": components}
+    for n, lines in _random_line_sets(seed):
+        D = IncidenceStructure(n, lines)
+        keys = np.array([a * n + b for l in lines
+                         for a, b in itertools.combinations(l, 2)], dtype=np.int64)
+        got, want = pair_counts(D.lines, n), np.unique(keys, return_counts=True)
+        for g, w in zip(got, want):
+            assert g.tolist() == w.tolist()
+        assert validate_pls(D).multiplicity == multiplicity_bruteforce(D)
+        expected = {name: f(IncidenceStructure(n, lines)) for name, f in preds.items()}
+        for order in itertools.permutations(preds):
+            E = IncidenceStructure(n, lines)
+            for name in order + order:
+                assert preds[name](E) == expected[name], (order, name)
+        perm = list(range(n))
+        random.Random(seed).shuffle(perm)
+        fingerprint(D)
+        R = relabel(D, perm)
+        fresh = IncidenceStructure(n, R.lines)
+        assert R.to_dot() == fresh.to_dot()
+        assert components(R) == components(fresh)
+        assert validate_pls(R) == validate_pls(D)
+        with pytest.raises(AttributeError):
+            D.num_points = n + 1
+        with pytest.raises(AttributeError):
+            D.lines = R.lines
+        if not lines:
+            continue
+        with pytest.raises(ValueError):
+            D.lines[0] = R.lines[0]

@@ -267,6 +267,29 @@ def test_line_orbit_void_keys_match_tuple_bfs():
         assert limg[k].tolist() == [maps[k][i] for i in range(len(rows))]
 
 
+@pytest.mark.parametrize("kind", ["i", "V"])
+def test_line_orbit_ties_number_lines_by_first_appearance(kind):
+    """With generators [g, g, identity, g^-1, h], many frontier lines map to
+    one image within a layer; lines and image maps still equal a tuple
+    BFS's, on both kinds of row key."""
+    if kind == "i":
+        G = get_builtin("GammaU3_4").group
+        from rank3pls import families as fam
+        n, gens, base = G.degree, G.gens, fam.usub(4, 2, 3).lines[5].tolist()
+    else:
+        n = 3000
+        x = np.arange(n, dtype=np.int32)
+        gens, base = [(x + 1) % n, (7 * x) % n], (0, 1, 2, 3, 5, 8, 13)
+    g, *rest = gens
+    gens = [g, g, identity(n), inverse(g), *rest]
+    lines, limg = line_orbit(gens, base)
+    rows, maps = _tuple_line_orbit(gens, base)
+    assert row_keys(lines, n).dtype.kind == kind
+    assert list(map(tuple, lines.tolist())) == rows
+    for k in range(len(gens)):
+        assert limg[k].tolist() == [maps[k][i] for i in range(len(rows))]
+
+
 def test_line_orbit_rejects_what_is_not_a_point_set():
     gens = [np.roll(np.arange(6, dtype=np.int32), 1)]
     for bad in [(0, 0, 1), (0, 1, 6), (-1, 2, 3)]:
