@@ -12,6 +12,16 @@ the true order, so matching it certifies completeness.  Every large group in
 the catalogue has an arithmetically known order or one derived from
 orbit-stabilizer counting.
 
+The deterministic pass sifts a level's Schreier generators in batches of
+about _BATCH_ENTRIES array entries (Seress, Permutation Group Algorithms,
+4.1-4.2).  For the pass only, each level keeps its transversal as a table of
+inverse reps, one row per orbit point, with a point -> row map; a batch is
+built by flat gathers, and each level below costs it one gather, where
+`_Level.trace_back` composes once per Schreier-tree edge.  g u^-1 is the
+same array either way, and the first non-member of a batch, in the pair
+order of a one-at-a-time loop, is the one inserted, so the base, orbits,
+Schreier vectors and strong generators are exactly those of that loop.
+
 A chain is built once per group.  The stabilizer of a point x in the first
 basic orbit (every point, for a transitive group) is the chain below the
 first base point b conjugated by the transversal rep taking b to x, so it
@@ -41,6 +51,7 @@ import numpy as np
 
 DETERMINISTIC_DEGREE = 4000
 DEFAULT_SEED = 0x52334C53  # "R3LS"
+_BATCH_ENTRIES = 1 << 16  # array entries per batch of the deterministic pass
 
 
 def identity(degree: int) -> np.ndarray:
@@ -199,6 +210,92 @@ class _Level:
         return g
 
 
+class _InverseReps:
+    """The inverse transversal reps of one level, as one table: row p is
+    u^-1 for the rep u with base^u = orbit[p], the same word rep_to builds,
+    and pos maps a point to its place in the orbit (-1 outside it)."""
+
+    __slots__ = ("points", "pos", "rows")
+
+    def __init__(self, degree: int):
+        self.points = np.empty(0, dtype=np.intp)
+        self.pos = np.full(degree, -1, dtype=np.intp)
+        self.rows = np.empty((0, degree), dtype=np.int32)
+
+    def extend(self, lv: _Level):
+        """Add the rows of the points lv's orbit has gained.
+
+        A point z reached by generator k from its Schreier-tree parent y has
+        u_z^-1 = k^-1 u_y^-1.  Parents come earlier in the orbit, so rows
+        are filled in runs whose parents are all filled already.
+        """
+        done, total = len(self.points), len(lv.orbit)
+        if done == total:
+            return
+        n = len(self.pos)
+        new = np.array(lv.orbit[done:], dtype=np.intp)
+        self.points = np.concatenate([self.points, new])
+        self.pos[new] = np.arange(done, total)
+        rows = np.empty((total, n), dtype=np.int32)
+        rows[:done] = self.rows
+        self.rows = rows
+        if not done:
+            rows[0] = identity(n)
+            done = 1
+        pts = self.points[done:]
+        ks = lv.sv[pts]
+        inv_gens = np.asarray(lv.inv_gens)
+        parents = self.pos[inv_gens[ks, pts]]
+        flat = rows.reshape(-1)
+        run = max(1, _BATCH_ENTRIES // n)
+        a = done
+        while a < total:
+            end = min(total, a + run)
+            late = np.flatnonzero(parents[a + 1 - done:end - done] >= a)
+            b = a + 1 + int(late[0]) if late.size else end
+            r = slice(a - done, b - done)
+            rows[a:b] = flat[parents[r, None] * n + inv_gens[ks[r]]]
+            a = b
+
+
+def _sift_schreier_batch(lv: _Level, table: _InverseReps, xs: np.ndarray,
+                         ss: np.ndarray, below) -> tuple[int, np.ndarray | None]:
+    """Sift the Schreier generators u_x s u_(x^s)^-1 of the pairs
+    (lv.orbit[xs[r]], lv.gens[ss[r]]) through the levels `below`, a list of
+    (_Level, _InverseReps) from the next level down.
+
+    Returns (first, residue): first is the row of the first non-member and
+    residue its sift residue, or (len(xs), None) when every row is a member.
+    One gather per level replaces g by g u^-1 for the rep u with
+    base^u = base^g; the same array trace_back reaches edge by edge.  A row
+    whose base image falls outside the orbit stops with its current value,
+    and the rows after it are dropped, since they cannot come first.
+    """
+    n = len(table.pos)
+    flat = table.rows.reshape(-1)
+    xrows, which = np.unique(xs, return_inverse=True)
+    fwd = np.empty((len(xrows), n), dtype=np.int32)
+    np.put_along_axis(fwd, table.rows[xrows], identity(n)[None, :], axis=1)
+    gens = np.asarray(lv.gens)
+    g = gens.reshape(-1)[ss[:, None] * n + fwd[which]]             # u_x s
+    to = table.pos[gens[ss, table.points[xs]]]
+    g = flat[to[:, None] * n + g]                                   # u_(x^s)^-1
+    first, residue = len(xs), None
+    for lvj, tj in below:
+        p = tj.pos[g[:, lvj.point]]
+        out = np.flatnonzero(p < 0)
+        if out.size:
+            first = int(out[0])
+            residue = g[first].copy()
+            g, p = g[:first], p[:first]
+        g = tj.rows.reshape(-1)[p[:, None] * n + g]
+    moved = np.flatnonzero((g != identity(n)).any(axis=1))
+    if moved.size:
+        first = int(moved[0])
+        residue = g[first].copy()
+    return first, residue
+
+
 class PermGroup:
     """Permutation group of fixed degree given by generators.
 
@@ -304,44 +401,42 @@ class PermGroup:
                 f"randomized Schreier-Sims certificate")
 
     def _deterministic_schreier_sims(self):
-        # Per level, for this pass only: the transversal reps, filled along
-        # the orbit (Schreier-tree order, so a point's parent is filled before
-        # it), and the (orbit point, generator index) pairs whose Schreier
-        # generator already lies in the chain below.  Schreier trees and
-        # generator lists only grow and members stay members, so skipping an
-        # accepted pair finds the same first non-member as re-sifting it.
-        reps: dict[int, dict[int, np.ndarray]] = {}
-        accepted: dict[int, set[tuple[int, int]]] = {}
-
-        def rep(lv: _Level, memo: dict[int, np.ndarray], y: int) -> np.ndarray:
-            while y not in memo:
-                z = lv.orbit[len(memo)]
-                k = int(lv.sv[z])
-                memo[z] = (identity(self.degree) if k == -2 else
-                           compose(memo[int(lv.inv_gens[k][z])], lv.gens[k]))
-            return memo[y]
-
+        # Level i is scanned over its (orbit point x, generator s) pairs, x
+        # in orbit order, then s in generator order, skipping the pairs whose
+        # Schreier generator u_x s u_(x^s)^-1 is already accepted.  Schreier
+        # trees and generator lists only grow and members stay members, so
+        # skipping an accepted pair finds the same first non-member as
+        # re-sifting it.  The pairs go through _sift_schreier_batch in
+        # batches of about _BATCH_ENTRIES entries: its first non-member is
+        # inserted and the pairs before it are accepted, exactly as a
+        # pair-by-pair loop would, so the chain does not depend on the batch
+        # size.  The inverse transversal tables live for this pass only.
+        n = self.degree
+        tables: list[_InverseReps] = []
+        accepted: list[np.ndarray] = []     # per level, an (orbit, gens) grid
+        batch = max(1, _BATCH_ENTRIES // n)
         i = len(self._levels) - 1
         while i >= 0:
+            while len(tables) < len(self._levels):
+                tables.append(_InverseReps(n))
+                accepted.append(np.zeros((0, 0), dtype=bool))
+            for lv, table in zip(self._levels[i:], tables[i:]):
+                table.extend(lv)
             lv = self._levels[i]
-            memo = reps.setdefault(i, {})
-            done = accepted.setdefault(i, set())
+            done = np.zeros((len(lv.orbit), len(lv.gens)), dtype=bool)
+            old = accepted[i]
+            done[:old.shape[0], :old.shape[1]] = old
+            accepted[i] = done
+            xs, ss = np.nonzero(~done)
+            below = list(zip(self._levels[i + 1:], tables[i + 1:]))
             inserted_at = None
-            xi = 0
-            while inserted_at is None and xi < len(lv.orbit):
-                x = lv.orbit[xi]
-                for si, s in enumerate(lv.gens):
-                    if (x, si) in done:
-                        continue
-                    us = compose(rep(lv, memo, x), s)
-                    v = rep(lv, memo, int(s[x]))
-                    if not (us == v).all():
-                        residue, _lvl = self._sift(compose(us, inverse(v)), i + 1)
-                        if residue is not None:
-                            inserted_at = self._insert_strong_gen(residue)
-                            break
-                    done.add((x, si))
-                xi += 1
+            for a in range(0, len(xs), batch):
+                bx, bs = xs[a:a + batch], ss[a:a + batch]
+                first, residue = _sift_schreier_batch(lv, tables[i], bx, bs, below)
+                done[bx[:first], bs[:first]] = True
+                if residue is not None:
+                    inserted_at = self._insert_strong_gen(residue)
+                    break
             i = i - 1 if inserted_at is None else inserted_at
 
     def _randomized_schreier_sims(self):
@@ -591,11 +686,13 @@ class PermGroup:
 
         Greedily minimizes base-point images over sub along sub's stabilizer
         chain; since a base leaves no residual freedom, the minimizing element
-        of the coset is unique and its full image array is the key.
+        of the coset is unique and its full image array is the key.  Points
+        off the orbit read as the degree, above every image, so one argmin
+        finds the orbit point of least image (unique, g being a permutation).
         """
         chain = sub._chain()
         for lv in chain:
-            best, src = min((int(g[x]), x) for x in lv.orbit)
+            src = int(np.argmin(np.where(lv.sv == -1, self.degree, g)))
             if src != lv.point:
                 g = compose(lv.rep_to(src, self.degree), g)
         return g.tobytes()
