@@ -359,13 +359,21 @@ def agu_star(q: int) -> IncidenceStructure:
     return D
 
 
+def _random_walk(gens, base, steps: int, rng: random.Random) -> np.ndarray:
+    """(steps + 1, k) int32: base, then each row's image under a generator
+    drawn by rng.  Walked on int lists; they are freed before the caller
+    allocates anything that outlives it."""
+    images = [g.tolist() for g in gens]
+    walk = [list(base)]
+    for _ in range(steps):
+        g = images[rng.randrange(len(images))]
+        walk.append([g[x] for x in walk[-1]])
+    return np.array(walk, dtype=np.int32)
+
+
 def _count_only(space, params, exp, base, gens, sample_size, seed):
-    rng = random.Random(seed or 0xC0)
     # a random walk over the generators suffices for sampling lines
-    walk = np.empty((sample_size + 1, len(base)), dtype=np.int32)
-    walk[0] = base
-    for step in range(1, sample_size + 1):
-        walk[step] = gens[rng.randrange(len(gens))][walk[step - 1]]
+    walk = _random_walk(gens, base, sample_size, random.Random(seed or 0xC0))
     rows, repeat = sorted_rows(np.sort(walk, axis=1), len(space))
     sample = rows[~repeat]
     # local PLS check: no point pair on two sampled lines

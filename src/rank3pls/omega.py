@@ -277,7 +277,9 @@ def induce_action(space: OmegaSpace, gens) -> list[np.ndarray]:
     perms = []
     for g in gens:
         img = space.image(g)
-        if len(np.unique(img)) != n:
+        hit = np.zeros(n, dtype=bool)
+        hit[img] = True
+        if not hit.all():
             raise ValueError(f"generator {g!r} does not act bijectively on Omega")
         cells = space.cell_of[img[ends]]
         if not (cells[:, 0] == cells[:, 1]).all():

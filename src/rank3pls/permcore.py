@@ -29,9 +29,10 @@ runs no Schreier-Sims; only a point outside that orbit gets a chain rebuilt
 with x first.
 
 `merge` is the one union-find: a partition is an array of class roots, each
-class rooted at its least point.  Orbits, Atkinson's block closure, flag
-orbits and the components of an incidence structure are all merges.  Two
-BFS loops stay, because they need what a partition does not keep: the
+class rooted at its least point.  Orbits, the block lattice (a block through
+beta is the beta-class of the orbit partition of an overgroup of G_beta),
+flag orbits and the components of an incidence structure are all merges.
+Two BFS loops stay, because they need what a partition does not keep: the
 Schreier tree of `_Level.extend_orbit` (BFS order and `sv`, which the
 transversal reps are read from) and `line_orbit` (lines numbered in order of
 discovery, with the per-generator image maps).
@@ -168,8 +169,9 @@ class _Level:
                 img = g[frontier]
                 fresh = img[sv[img] == -1]
                 if fresh.size:
-                    fresh = np.unique(fresh)
-                    fresh = fresh[sv[fresh] == -1]
+                    # ascending and distinct: the orbit order chains keep
+                    fresh = np.sort(fresh)
+                    fresh = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
                     sv[fresh] = k
                     self.orbit.extend(int(x) for x in fresh)
                     parts.append(fresh)
@@ -208,6 +210,17 @@ class _Level:
             g = compose(g, self.inv_gens[k])
             x = int(g[self.point])
         return g
+
+
+def _join_rows(rows: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Partitions joined row by row, in one merge: row i of rows, an (m, n)
+    array of class roots, merged with x ~ images[i, j * n + x] for every x
+    and j.  The rows are stacked at offsets i * n, so each stays apart."""
+    m, n = rows.shape
+    off = np.arange(0, m * n, n, dtype=np.int32)[:, None]
+    points = np.tile(identity(n), images.shape[1] // n)
+    parent = merge((rows + off).ravel(), (points + off).ravel(), (images + off).ravel())
+    return parent.reshape(m, n) - off
 
 
 class _InverseReps:
@@ -589,6 +602,24 @@ class PermGroup:
         return len(self.stabilizer(0).orbits())
 
     # -- blocks of imprimitivity ----------------------------------------------
+    #
+    # The blocks through beta are the orbits beta^H of the overgroups
+    # G_beta <= H <= G, one block per overgroup (Dixon & Mortimer,
+    # Permutation Groups, Thm 1.5A).  A block is held as the orbit partition
+    # of its H, a row of class roots.  The smallest block containing beta and
+    # gamma is beta^<G_beta, u> for any u with beta^u = gamma: its row is
+    # G_beta's orbit labels merged with x ~ x^u for every x.  The join of two
+    # blocks is beta's class in the join of their rows.  Either is one merge,
+    # with no closure rounds, and _join_rows makes one merge of a batch.
+
+    def _tree_at(self, beta: int) -> _Level:
+        """A Schreier tree rooted at beta over the group's generators: its
+        orbit is beta's orbit and its rep_to(gamma) takes beta to gamma."""
+        tree = _Level(self.degree, beta)
+        tree.gens = list(self.gens)
+        tree.inv_gens = [inverse(g) for g in self.gens]
+        tree.extend_orbit()
+        return tree
 
     def minimal_block(self, beta: int, gamma: int) -> frozenset:
         """Smallest block of imprimitivity containing {beta, gamma} for this
@@ -598,24 +629,21 @@ class PermGroup:
         return self.block_join(beta, (gamma,))
 
     def block_join(self, beta: int, points) -> frozenset:
-        """The smallest block containing beta and all of points (Atkinson's
-        algorithm as a congruence closure).
-
-        A partition is a block system exactly when g[x] ~ g[root(x)] for
-        every point x and generator g.  Starting from the one class beta +
-        points, each round merges those pairs for the points whose root
-        moved in the previous round, until no root moves.
-        """
-        gens = self._gen_array()
-        start = identity(self.degree)
+        """The smallest block containing beta and all of points: the orbit
+        of beta under <G_beta, u_p for each p>, with beta^(u_p) = p.  Any
+        two choices of u_p differ by G_beta on either side, so one p per
+        G_beta-orbit serves.  Raises ValueError for a point outside the
+        orbit of beta."""
+        tree = self._tree_at(beta)
         pts = np.fromiter(points, dtype=np.int32)
-        parent = merge(start, np.full(len(pts), beta, dtype=np.int32), pts)
-        moved = np.flatnonzero(parent != start)
-        while moved.size:
-            nxt = merge(parent, gens[:, moved].ravel(), gens[:, parent[moved]].ravel())
-            moved = np.flatnonzero(nxt != parent)
-            parent = nxt
-        return frozenset(np.flatnonzero(parent == parent[beta]).tolist())
+        off = pts[tree.sv[pts] == -1]
+        if off.size:
+            raise ValueError(f"point {int(off[0])} is not in the orbit of {beta}")
+        labels = self.stabilizer(beta).orbit_labels()
+        reps = [tree.rep_to(x, self.degree) for x in sorted(set(labels[pts].tolist()))]
+        images = np.asarray(reps, dtype=np.int32).reshape(1, -1)
+        row = _join_rows(labels[None, :], images)[0]
+        return frozenset(np.flatnonzero(row == row[beta]).tolist())
 
     def verify_block(self, block) -> bool:
         """Generators map the block to disjoint-or-equal images across one
@@ -643,40 +671,59 @@ class PermGroup:
         group transitive on the orbit of beta.
 
         Any block through beta is a union of orbits of the point stabilizer
-        G_beta, and minimal_block(beta, -) is constant on those orbits, so
-        one representative per G_beta-orbit suffices; the block set is the
-        join-closure of those minimal blocks.
+        G_beta and the join of the minimal blocks it contains, and
+        minimal_block(beta, -) is constant on those orbits.  So the minimal
+        blocks from one point per G_beta-orbit are joined to the blocks of
+        the last layer until a layer finds no new block.  Rows go through
+        _join_rows in batches of max(1, _BATCH_ENTRIES // degree).
         """
-        carrier = np.array(self.orbit(beta))
-        n = len(carrier)
+        tree = self._tree_at(beta)
+        n = len(tree.orbit)
         if n <= 2:
             return []
-        # the least point of each G_beta-orbit on the carrier but {beta}
-        roots = self.stabilizer(beta).orbit_labels()[carrier] == carrier
-        minimal = set()
-        for gamma in carrier[roots & (carrier != beta)].tolist():
-            blk = self.minimal_block(beta, gamma)
-            if 1 < len(blk) < n:
-                minimal.add(blk)
-        blocks = set(minimal)
-        frontier = list(minimal)
+        deg = self.degree
+        batch = max(1, _BATCH_ENTRIES // deg)
+        labels = self.stabilizer(beta).orbit_labels()
+        # the least point of each G_beta-orbit on the orbit of beta but {beta}
+        roots = np.flatnonzero((labels == identity(deg)) & (tree.sv != -1))
+        roots = roots[roots != beta].tolist()
+
+        blocks: set[frozenset] = set()
+
+        def fresh_blocks(rows):
+            """(block, row) for the rows whose beta-class is a new block
+            other than {beta} and the whole orbit; adds it to blocks."""
+            out = []
+            for row in rows:
+                blk = frozenset(np.flatnonzero(row == row[beta]).tolist())
+                if 1 < len(blk) < n and blk not in blocks:
+                    blocks.add(blk)
+                    out.append((blk, row))
+            return out
+
+        minimal = []
+        for a in range(0, len(roots), batch):
+            reps = np.asarray([tree.rep_to(x, deg) for x in roots[a:a + batch]])
+            rows = _join_rows(np.broadcast_to(labels, reps.shape), reps)
+            minimal += fresh_blocks(rows)
+        min_rows = np.asarray([row for _, row in minimal])
+        frontier = minimal
         while frontier:
             if len(blocks) > cap:
                 raise RuntimeError(f"block lattice exceeded cap {cap}")
+            pairs = np.array([(i, j) for i, (b1, _) in enumerate(frontier)
+                              for j, (b2, _) in enumerate(minimal) if not b2 <= b1],
+                             dtype=np.intp).reshape(-1, 2)
+            front_rows = np.asarray([row for _, row in frontier])
             nxt = []
-            for b1 in frontier:
-                for b2 in minimal:
-                    if b2 <= b1:
-                        continue
-                    joined = self.block_join(beta, b1 | b2)
-                    if len(joined) < n and joined not in blocks:
-                        blocks.add(joined)
-                        nxt.append(joined)
+            for a in range(0, len(pairs), batch):
+                i, j = pairs[a:a + batch].T
+                nxt += fresh_blocks(_join_rows(front_rows[i], min_rows[j]))
             frontier = nxt
         out = sorted(blocks, key=lambda b: (len(b), sorted(b)))
         for b in out:
             if n % len(b) != 0 or not self.verify_block(b):
-                raise AssertionError(f"non-block of size {len(b)} escaped closure")
+                raise AssertionError(f"non-block of size {len(b)} escaped the lattice")
         return out
 
     # -- coset action ------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Family constructors versus the closed-form counts and paper identities."""
 
+import random
+
+import numpy as np
 import pytest
 
 from rank3pls import families as fam
@@ -168,6 +171,13 @@ def test_count_only_mode():
     assert C.expected["lines"] == 20976640
     assert len(C.sample_lines) > 1000
     assert all(len(l) == 5 for l in C.sample_lines)
+    # the sample is the seeded walk replayed with array gathers
+    rng = random.Random(0xC0)
+    gens = fam._zsu_gens(C.space)
+    walk = [np.array(C.base_line)]
+    for _ in range(10000):
+        walk.append(gens[rng.randrange(len(gens))][walk[-1]])
+    assert C.sample_lines == sorted(set(map(tuple, np.sort(walk, axis=1).tolist())))
 
 
 def test_agu_star_8_builds_but_is_not_rank3():

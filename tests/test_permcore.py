@@ -3,10 +3,12 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from rank3pls import permcore
 from rank3pls.catalog import get_builtin
 from rank3pls.permcore import (PermGroup, compose, flag_transitive_on_line,
                                identity, inverse, line_orbit, perm_from_images,
@@ -152,6 +154,56 @@ def test_cyclic_blocks_known_answers():
                                            [0, 2, 4, 6, 8, 10]]
     # the closure from {0, 1} runs one round per point, about 3000 rounds
     assert _cyclic(3000).minimal_block(0, 1) == frozenset(range(3000))
+
+
+def _elementary_abelian(k):
+    """C_2^k acting regularly on 2^k points, x -> x xor 2^i."""
+    x = np.arange(1 << k, dtype=np.int32)
+    return PermGroup(1 << k, [x ^ (1 << i) for i in range(k)], name=f"2^{k}")
+
+
+def test_lattice_with_three_join_layers(monkeypatch):
+    """In C_2^4 acting regularly every minimal block has 2 points, so the
+    blocks of 4 and 8 points come from the first two join layers, and a
+    third layer finds nothing new.  Both lattices equal the exhaustive
+    search."""
+    from tests_block_oracle import exhaustive_blocks
+    G = _elementary_abelian(4)
+    assert {len(G.minimal_block(0, g)) for g in range(1, 16)} == {2}
+    merges = []
+    join = permcore._join_rows
+    monkeypatch.setattr(permcore, "_join_rows",
+                        lambda *args: merges.append(1) or join(*args))
+    blocks = G.all_blocks_through(0)
+    assert len(merges) == 4     # the minimal blocks, then three layers
+    assert Counter(len(b) for b in blocks) == {2: 15, 4: 35, 8: 15}
+    assert set(blocks) == exhaustive_blocks(G, 0, range(16))
+    C24 = _cyclic(24)
+    assert set(C24.all_blocks_through(0)) == exhaustive_blocks(C24, 0, range(24))
+
+
+def test_block_lattice_does_not_depend_on_batch_size(monkeypatch):
+    bu = get_builtin("GammaU3_4")
+    Ga = bu.group.stabilizer(0)
+    cases = [(Ga, bu.space.index_of((0, 0, 1))), (_elementary_abelian(5), 0),
+             (get_builtin("3S6_deg18").group.stabilizer(0), 1)]
+    want = [H.all_blocks_through(beta) for H, beta in cases]
+    for rows in (1, 2, 7):
+        got = []
+        for H, beta in cases:
+            monkeypatch.setattr(permcore, "_BATCH_ENTRIES", rows * H.degree)
+            got.append(H.all_blocks_through(beta))
+        assert got == want
+
+
+def test_block_join_rejects_points_off_the_orbit():
+    G = PermGroup(6, [[1, 2, 0, 4, 5, 3]])    # (0 1 2)(3 4 5)
+    with pytest.raises(ValueError, match="not in the orbit of 0"):
+        G.block_join(0, [3])
+    with pytest.raises(ValueError, match="not in the orbit of 0"):
+        G.minimal_block(0, 4)
+    assert G.block_join(0, [1]) == frozenset({0, 1, 2})
+    assert G.block_join(3, []) == frozenset({3})
 
 
 def test_coset_action_contract():

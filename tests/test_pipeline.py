@@ -1,6 +1,10 @@
 """Pipeline behavior, flag-transitivity exactness, table reproduction."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -184,3 +188,18 @@ def test_run_pipeline_cache_keys_on_slow(monkeypatch):
     assert run_pipeline("GammaL2_4", slow=True).line_signature() == ((15, 4), (30, 3))
     with pytest.raises(RuntimeError, match="max_lines"):
         run_pipeline("GammaL2_4")
+
+
+def test_pipeline_and_count_only_leave_numpy_ma_unloaded():
+    """Plain np.unique imports numpy.ma on first use, tens of ms per
+    process; a pipeline run and a count-only family build never call it."""
+    code = ("import sys\n"
+            "from rank3pls import families, pipeline\n"
+            "pipeline.run_pipeline('PSL3_2_deg14')\n"
+            "families.usub(16, 4)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
