@@ -178,11 +178,14 @@ class _Level:
             frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
 
     def rep_to(self, point: int, degree: int) -> np.ndarray:
-        """A word u in the level generators with base^u = point."""
+        """A word u in the level generators with base^u = point; ValueError
+        for a point outside the orbit."""
         u = identity(degree)
         x = point
         while x != self.point:
             k = int(self.sv[x])
+            if k < 0:
+                raise ValueError(f"point {point} is not in the orbit of {self.point}")
             u = compose(self.gens[k], u)
             x = int(self.inv_gens[k][x])
         return u
@@ -612,7 +615,7 @@ class PermGroup:
     # blocks is beta's class in the join of their rows.  Either is one merge,
     # with no closure rounds, and _join_rows makes one merge of a batch.
 
-    def _tree_at(self, beta: int) -> _Level:
+    def schreier_tree(self, beta: int) -> _Level:
         """A Schreier tree rooted at beta over the group's generators: its
         orbit is beta's orbit and its rep_to(gamma) takes beta to gamma."""
         tree = _Level(self.degree, beta)
@@ -634,7 +637,7 @@ class PermGroup:
         two choices of u_p differ by G_beta on either side, so one p per
         G_beta-orbit serves.  Raises ValueError for a point outside the
         orbit of beta."""
-        tree = self._tree_at(beta)
+        tree = self.schreier_tree(beta)
         pts = np.fromiter(points, dtype=np.int32)
         off = pts[tree.sv[pts] == -1]
         if off.size:
@@ -677,7 +680,7 @@ class PermGroup:
         the last layer until a layer finds no new block.  Rows go through
         _join_rows in batches of max(1, _BATCH_ENTRIES // degree).
         """
-        tree = self._tree_at(beta)
+        tree = self.schreier_tree(beta)
         n = len(tree.orbit)
         if n <= 2:
             return []
@@ -1002,7 +1005,7 @@ def _merge_at(old: np.ndarray, kept: np.ndarray, at: np.ndarray,
     return out
 
 
-def line_orbit(gens, line, max_lines: int | None = None):
+def line_orbit(gens, line):
     """Orbit of a point set under <gens>, with per-generator image maps.
 
     Returns (lines, limg): lines is an (L, k) int32 array of row-sorted point
@@ -1016,9 +1019,9 @@ def line_orbit(gens, line, max_lines: int | None = None):
     first appearance is its least image index (np.minimum.reduceat over the
     run), so new lines are numbered in order of first appearance, generator
     by generator, whatever order the sort leaves ties in.  The new keys,
-    already in order, are merged into the seen keys in one linear pass.  An
-    orbit of more than max_lines lines raises RuntimeError; a line with a
-    repeated point or a point outside range(n) raises ValueError.
+    already in order, are merged into the seen keys in one linear pass.  A
+    line with a repeated point or a point outside range(n) raises
+    ValueError.
     """
     frontier = np.sort(np.asarray(line, dtype=np.int32))[None, :]
     if not len(gens):
@@ -1056,8 +1059,6 @@ def line_orbit(gens, line, max_lines: int | None = None):
         for k, part in enumerate(np.split(key_ids[inv], len(gens))):
             maps[k].append(part)
         total += len(fresh)
-        if max_lines is not None and total > max_lines:
-            raise RuntimeError("line orbit exceeded max_lines")
         new = ~known
         at = pos[new] + np.arange(len(fresh))   # pos[new] is non-decreasing
         kept = np.ones(len(seen_keys) + len(fresh), dtype=bool)

@@ -2,8 +2,12 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +208,31 @@ def test_block_join_rejects_points_off_the_orbit():
         G.minimal_block(0, 4)
     assert G.block_join(0, [1]) == frozenset({0, 1, 2})
     assert G.block_join(3, []) == frozenset({3})
+
+
+def test_rep_to_rejects_points_off_the_orbit():
+    """A tree walk from a point outside the orbit would read sv = -1 as a
+    generator index and never reach the root; run in a subprocess so that
+    a walk that does not return fails the test instead of hanging it."""
+    code = ("import numpy as np\n"
+            "from rank3pls.permcore import _Level\n"
+            "tree = _Level(6, 0)\n"
+            "tree.add_gen(np.array([1, 2, 0, 4, 5, 3], dtype=np.int32))\n"
+            "assert tree.rep_to(2, 6)[0] == 2\n"
+            "for x in (3, 4, 5):\n"
+            "    try:\n"
+            "        tree.rep_to(x, 6)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    src = str(Path(permcore.__file__).resolve().parents[1])
+    try:
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=30, env={**os.environ, "PYTHONPATH": src})
+    except subprocess.TimeoutExpired:
+        pytest.fail("rep_to did not return for a point off the orbit")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [f"point {x} is not in the orbit of 0"
+                                       for x in (3, 4, 5)]
 
 
 def test_coset_action_contract():

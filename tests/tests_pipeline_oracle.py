@@ -1,0 +1,62 @@
+"""Reference pipeline: every candidate line decided, validated and counted on
+its whole line orbit.
+
+For each block through the least point of each suborbit it runs
+line_orbit, flag_transitive_on_line on the orbit, and for a flag-transitive
+line an IncidenceStructure with validate_pls, is_proper, components and
+fingerprint.  devillers_enumerate reads all of this off the lines through
+alpha; the tests compare the two.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from rank3pls.incidence import (IncidenceStructure, PLSReport, components,
+                                fingerprint, is_proper, validate_pls)
+from rank3pls.permcore import PermGroup, flag_transitive_on_line, line_orbit
+from rank3pls.pipeline import PipelineEntry, _point_stabilizer, sigma_partition
+
+
+@dataclass
+class ReferenceEntry:
+    entry: PipelineEntry           # its structure is the full IncidenceStructure
+    report: PLSReport | None = None
+    components: list | None = None
+    fingerprint: tuple | None = None
+
+
+def reference_enumerate(G: PermGroup, name: str = "") -> list[ReferenceEntry]:
+    sigma = sigma_partition(G)
+    cell_of = np.empty(G.degree, dtype=np.int32)
+    cell_of[sigma] = np.arange(len(sigma), dtype=np.int32)[:, None]
+    cell0 = set(sigma[cell_of[0]].tolist())
+    Ga = _point_stabilizer(G)
+    out = []
+    for orb in Ga.orbits():
+        if len(orb) <= 2:
+            continue
+        in_cell = orb[0] in cell0
+        for block in Ga.all_blocks_through(orb[0]):
+            line = tuple(sorted(set(block) | {0}))
+            entry = PipelineEntry("cell" if in_cell else "far",
+                                  tuple(sorted(block)), False)
+            ref = ReferenceEntry(entry)
+            out.append(ref)
+            if not in_cell and np.bincount(cell_of[list(line)]).max() >= 2:
+                entry.filtered = True
+                continue
+            lines, limg = line_orbit(G.gens, line)
+            entry.flag_transitive = flag_transitive_on_line(
+                G, line, precomputed=(lines, limg))
+            if not entry.flag_transitive:
+                continue
+            D = IncidenceStructure(G.degree, lines,
+                                   {"group": name or G.name, "block_size": len(block)})
+            ref.report = validate_pls(D)
+            assert ref.report.is_pls and is_proper(D, ref.report)
+            ref.components = components(D)
+            ref.fingerprint = fingerprint(D)
+            entry.structure = D
+            entry.connected = len(ref.components) == 1
+    return out
