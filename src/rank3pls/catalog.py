@@ -311,10 +311,13 @@ def _double_by_centralizer(G, R, image, reps, H, seed: int) -> PermGroup:
             break
     if x is None:
         raise RuntimeError("no coset representative found for the doubling")
-    key_to_idx = {G.coset_rep_key(rep, R): i for i, rep in enumerate(reps)}
-    z = np.empty(len(reps), dtype=np.int32)
-    for i, rep in enumerate(reps):
-        z[i] = key_to_idx[G.coset_rep_key(compose(x, rep), R)]
+    # coset i has key keys[i], and R x rep_i is coset z[i]
+    canon = R.coset_canon()
+    keys, moved = canon(reps)[1], canon(reps[:, x])[1]
+    order = np.argsort(keys)
+    z = order[np.searchsorted(keys, moved, sorter=order)].astype(np.int32)
+    if not (keys[z] == moved).all():
+        raise AssertionError("doubling element does not map cosets to cosets")
     for g in image.gens:
         if not (compose(z, g) == compose(g, z)).all():
             raise AssertionError("doubling element does not centralize")

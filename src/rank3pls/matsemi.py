@@ -244,10 +244,6 @@ def su3_order(q: int) -> int:
     return q**3 * (q**3 + 1) * (q**2 - 1)
 
 
-def gu3_order(q: int) -> int:
-    return su3_order(q) * (q + 1)
-
-
 def gens_su3(F2: Field) -> list[SemilinearElem]:
     """Generators of SU_3(q) on GF(q^2)^3 with the antidiagonal form:
 

@@ -34,8 +34,11 @@ beta is the beta-class of the orbit partition of an overgroup of G_beta),
 flag orbits and the components of an incidence structure are all merges.
 Two BFS loops stay, because they need what a partition does not keep: the
 Schreier tree of `_Level.extend_orbit` (BFS order and `sv`, which the
-transversal reps are read from) and `line_orbit` (lines numbered in order of
-discovery, with the per-generator image maps).
+transversal reps are read from) and `_row_orbit`, the orbit of one row of
+points with rows numbered in FIFO order and per-generator image maps.  Line
+orbits (`line_orbit`), coset actions (`coset_action`, on canonical coset
+elements) and block checks (`verify_block`, on the images of a block) are
+all `_row_orbit`, each with its own canonical form of a row.
 
 Sets of sorted point sets (lines, cells, samples) are sorted, deduplicated
 and searched through one key per row, `row_keys`: the row's lexicographic
@@ -649,25 +652,14 @@ class PermGroup:
         return frozenset(np.flatnonzero(row == row[beta]).tolist())
 
     def verify_block(self, block) -> bool:
-        """Generators map the block to disjoint-or-equal images across one
-        full orbit of the block."""
-        block = frozenset(int(x) for x in block)
-        size = len(block)
-        seen = {block}
-        covered = set(block)
-        queue = [tuple(sorted(block))]
-        while queue:
-            cur = queue.pop()
-            for g in self.gens:
-                img = frozenset(int(g[x]) for x in cur)
-                if img in seen:
-                    continue
-                if img & covered:
-                    return False
-                seen.add(img)
-                covered |= img
-                queue.append(tuple(sorted(img)))
-        return all(len(b) == size for b in seen)
+        """Whether the distinct images of the block are pairwise disjoint,
+        i.e. no point lies on two rows of its line_orbit.  More than
+        degree // |block| distinct rows must share a point, so the orbit is
+        cut once it holds that many."""
+        block = sorted({int(x) for x in block})
+        rows, _ = line_orbit(self.gens, block,
+                             max_rows=self.degree // len(block))
+        return bool(np.bincount(rows.ravel()).max() <= 1)
 
     def all_blocks_through(self, beta: int, cap: int = 10000) -> list[frozenset]:
         """Every nontrivial block of imprimitivity containing beta, for this
@@ -731,60 +723,50 @@ class PermGroup:
 
     # -- coset action ------------------------------------------------------------
 
-    def coset_rep_key(self, g: np.ndarray, sub: "PermGroup") -> bytes:
-        """Canonical key of the right coset (sub)g.
+    def coset_canon(self):
+        """Canonical right cosets of this group: a function taking an
+        (m, degree) array of elements h to (the canonical element of each
+        coset (self)h, its big-endian bytes as a sortable key).  Level by
+        level down the chain, one argmin and one gather turn h into u h for
+        the transversal rep u taking the base point to the orbit point of
+        least image under h.  A base leaves no freedom, so this greedy
+        minimum of the base images is one element of the coset, whatever
+        the reps."""
+        n = self.degree
+        levels = []
+        for lv in self._chain():
+            table = _InverseReps(n)
+            table.extend(lv)
+            fwd = np.empty_like(table.rows)
+            np.put_along_axis(fwd, table.rows, identity(n)[None, :], axis=1)
+            levels.append((table.points, fwd))
 
-        Greedily minimizes base-point images over sub along sub's stabilizer
-        chain; since a base leaves no residual freedom, the minimizing element
-        of the coset is unique and its full image array is the key.  Points
-        off the orbit read as the degree, above every image, so one argmin
-        finds the orbit point of least image (unique, g being a permutation).
-        """
-        chain = sub._chain()
-        for lv in chain:
-            src = int(np.argmin(np.where(lv.sv == -1, self.degree, g)))
-            if src != lv.point:
-                g = compose(lv.rep_to(src, self.degree), g)
-        return g.tobytes()
+        def canon(h: np.ndarray):
+            for points, fwd in levels:
+                h = np.take_along_axis(h, fwd[np.argmin(h[:, points], axis=1)], axis=1)
+            be = np.ascontiguousarray(h, dtype=">i4")
+            return h, be.view(np.dtype((np.void, 4 * n))).ravel()
+
+        return canon
 
     def coset_action(self, sub: "PermGroup", expected_order: int | None = None):
         """Right-multiplication action on right cosets of sub.
 
-        Returns (image group on [0, |G:sub|), coset representatives).  Coset
-        identity is decided by canonical minimal base images under sub's
-        chain, which is equivalent to a membership sift of x * rep^{-1}.
-        expected_order, when given, is the order of the action image (|G|
-        for a faithful action) and certifies its BSGS.
+        Returns (image group on [0, |G:sub|), reps): the cosets are the
+        _row_orbit of the identity under sub.coset_canon, numbered in FIFO
+        order (by layer, then source coset, then generator), and row i of
+        the array reps is the canonical element of coset i.  expected_order,
+        when given, is the order of the action image (|G| for a faithful
+        action) and certifies its BSGS.
         """
         for g in sub.gens:
             if not self.contains(g):
                 raise ValueError("not a subgroup: generator fails membership sift")
         index = self.order // sub.order
-        e = identity(self.degree)
-        keys = {self.coset_rep_key(e, sub): 0}
-        reps = [e]
-        edges: dict[tuple[int, int], int] = {}
-        head = 0
-        while head < len(reps):
-            for k, s in enumerate(self.gens):
-                h = compose(reps[head], s)
-                key = self.coset_rep_key(h, sub)
-                j = keys.get(key)
-                if j is None:
-                    j = len(reps)
-                    keys[key] = j
-                    reps.append(h)
-                edges[(head, k)] = j
-            head += 1
+        reps, new_gens = _row_orbit(self.gens, identity(self.degree), sub.coset_canon())
         if len(reps) != index:
             raise AssertionError(
                 f"coset enumeration found {len(reps)} cosets, index is {index}")
-        new_gens = []
-        for k in range(len(self.gens)):
-            img = np.empty(index, dtype=np.int32)
-            for i in range(index):
-                img[i] = edges[(i, k)]
-            new_gens.append(img)
         image = PermGroup(index, new_gens, seed=self.seed,
                           expected_order=expected_order,
                           name=f"{self.name}/cosets")
@@ -1005,40 +987,29 @@ def _merge_at(old: np.ndarray, kept: np.ndarray, at: np.ndarray,
     return out
 
 
-def line_orbit(gens, line):
-    """Orbit of a point set under <gens>, with per-generator image maps.
+def _row_orbit(gens, row, canon, max_rows=None):
+    """Orbit of one row under <gens>, with per-generator image maps.
 
-    Returns (lines, limg): lines is an (L, k) int32 array of row-sorted point
-    sets in BFS order, row 0 the sorted base line; limg[k] is an int32 array
-    mapping line index -> image index under gens[k].  Each BFS layer maps the
-    frontier through every generator and sorts the image rows.  It then
-    sorts their row_keys (an int64 rank when C(n, k) < 2**63, a big-endian
-    np.void row view otherwise, e.g. 7-point lines on 2044 points) once, with
-    numpy's default unstable argsort, and looks each run of equal keys up in
-    the sorted keys of the lines seen so far with one searchsorted.  A run's
-    first appearance is its least image index (np.minimum.reduceat over the
-    run), so new lines are numbered in order of first appearance, generator
-    by generator, whatever order the sort leaves ties in.  The new keys,
-    already in order, are merged into the seen keys in one linear pass.  A
-    line with a repeated point or a point outside range(n) raises
-    ValueError.
+    canon maps an (m, w) array of image rows to (canonical rows, one
+    sortable key per row).  Returns (rows, maps): the canonical rows in FIFO
+    order (by BFS layer, then by source row, then by generator), row 0
+    canon of `row`, and maps[k] taking row index -> image index under
+    gens[k].  Each layer stacks the frontier's images source-major and
+    sorts their keys once (default unstable argsort); runs of equal keys
+    are looked up in the sorted seen keys with one searchsorted, and a run
+    is numbered by its least image index, so ties sort in any order.  The
+    new keys are merged into the seen keys in one linear pass.  The search
+    stops after the first layer that passes max_rows rows: rows is then a
+    FIFO prefix of the orbit, and maps cover the rows before that layer.
     """
-    frontier = np.sort(np.asarray(line, dtype=np.int32))[None, :]
-    if not len(gens):
-        return frontier, []
-    n = len(gens[0])
-    base = frontier[0]
-    if (np.diff(base) <= 0).any() or ((base < 0) | (base >= n)).any():
-        raise ValueError(f"line {tuple(base.tolist())} is not a set of "
-                         f"points in range({n})")
-    seen_keys = row_keys(frontier, n)           # sorted
-    seen_ids = np.zeros(1, dtype=np.int32)      # line index of each seen key
+    frontier, seen_keys = canon(np.asarray(row)[None, :])   # one key: sorted
+    seen_ids = np.zeros(1, dtype=np.int32)      # row index of each seen key
     layers = [frontier]
     maps: list[list[np.ndarray]] = [[] for _ in gens]
     total = 1
-    while len(frontier):
-        imgs = np.concatenate([np.sort(g[frontier], axis=1) for g in gens])
-        keys = row_keys(imgs, n)
+    while len(gens) and len(frontier) and (max_rows is None or total <= max_rows):
+        imgs = np.stack([g[frontier] for g in gens], axis=1)
+        imgs, keys = canon(imgs.reshape(-1, frontier.shape[1]))
         order = np.argsort(keys)
         keys = keys[order]
         start = np.empty(len(order), dtype=bool)
@@ -1056,7 +1027,7 @@ def line_orbit(gens, line):
         key_ids = np.empty(len(keys), dtype=np.int32)
         key_ids[known] = seen_ids[pos[known]]
         key_ids[fresh] = np.arange(total, total + len(fresh), dtype=np.int32)
-        for k, part in enumerate(np.split(key_ids[inv], len(gens))):
+        for k, part in enumerate(key_ids[inv].reshape(-1, len(gens)).T):
             maps[k].append(part)
         total += len(fresh)
         new = ~known
@@ -1068,6 +1039,31 @@ def line_orbit(gens, line):
         frontier = imgs[first[fresh]]
         layers.append(frontier)
     return np.concatenate(layers), [np.concatenate(m) for m in maps]
+
+
+def line_orbit(gens, line, *, max_rows=None):
+    """Orbit of a point set under <gens>, with per-generator image maps.
+
+    Returns (lines, limg): lines is an (L, k) int32 array of row-sorted
+    point sets in FIFO order (by BFS layer, then by source line, then by
+    generator), row 0 the sorted base line; limg[k] is an int32 array
+    mapping line index -> image index under gens[k].  It is _row_orbit on
+    sorted rows keyed by row_keys; max_rows cuts the orbit as there.  A line
+    with a repeated point or a point outside range(n) raises ValueError.
+    """
+    base = np.sort(np.asarray(line, dtype=np.int32))
+    if not len(gens):
+        return base[None, :], []
+    n = len(gens[0])
+    if (np.diff(base) <= 0).any() or ((base < 0) | (base >= n)).any():
+        raise ValueError(f"line {tuple(base.tolist())} is not a set of "
+                         f"points in range({n})")
+
+    def canon(rows):
+        rows = np.sort(rows, axis=1)
+        return rows, row_keys(rows, n)
+
+    return _row_orbit(gens, base, canon, max_rows)
 
 
 def flag_transitive_on_line(G: PermGroup, line, precomputed=None) -> bool:

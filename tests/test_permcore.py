@@ -296,16 +296,17 @@ def test_line_orbit_image_maps():
 
 
 def _tuple_line_orbit(gens, line):
-    """Plain layer-wise BFS over sorted tuples: the orbit rows in order of
-    discovery (generator by generator) and the per-generator image maps."""
+    """Plain layer-wise BFS over sorted tuples: the orbit rows in FIFO order
+    of discovery (source row by source row, then generator by generator) and
+    the per-generator image maps."""
     rows = [tuple(sorted(line))]
     index = {rows[0]: 0}
     maps = [{} for _ in gens]
     layer = [0]
     while layer:
         nxt = []
-        for k, g in enumerate(gens):
-            for i in layer:
+        for i in layer:
+            for k, g in enumerate(gens):
                 img = tuple(sorted(int(g[p]) for p in rows[i]))
                 if img not in index:
                     index[img] = len(rows)
