@@ -3,10 +3,14 @@
 Three construction routes:
   * omega: matrix/semilinear generators induced on the coset point set, with
     the induced order asserted arithmetically (matrix order / kernel size);
-  * coset: plinth built projectively, point stabilizer taken, an index-r
-    subgroup located (normal when the quotient allows it, otherwise by
-    seeded random search with downstream verification), then the coset
-    action;
+  * coset: the plinth G built from its generators, the point stabilizer
+    G_0 taken, and the index-r subgroup R of G_0 read from the bundled file
+    data/<row>.sub.grp and verified (R <= G_0, |G_0 : R| = r, then the
+    action of G on the cosets of R has order |G|, rank 3 and one block
+    system through 0, of cells of size r) before the coset action is
+    returned; the C2x rows double their base row's action by a centralizing
+    involution.  No load searches for a subgroup;
+    tools/gen_sporadic_data.py regenerates the files;
   * file: bundled generator files for the two covers that are not derivable
     from the matrix layer.
 
@@ -17,7 +21,6 @@ seed.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from importlib import resources
 
@@ -27,7 +30,7 @@ from .gfield import field_make
 from .matsemi import (GroupSpec, Mat, SemilinearElem, gens_group, gens_sl,
                       group_matrix_order, linear)
 from .omega import (CanonicalPoints, OmegaSpace, _projective_reps, build_omega,
-                    induce_action)
+                    induce_action, vector_action)
 from .permcore import (PermGroup, compose, identity, perm_from_images,
                        read_group_file, DEFAULT_SEED)
 
@@ -126,14 +129,6 @@ NEGATIVE_CONTROLS = [
 ]
 
 
-_SPORADIC_SEEDS = {
-    "PSL3_3_deg39": 1003,
-    "PSL3_5_deg155": 1005,
-    "PSL5_2_deg248": 1052,
-    "PGL3_4_deg126": 1034,
-    "PGammaL3_8_deg2044": 1038,
-}
-
 SPORADIC_METAS = {
     "PSL3_2_deg14": BuiltinMeta("PSL3_2_deg14", 14, 168, 7, 2, "qp", "coset"),
     "C2xPSL3_2_deg14": BuiltinMeta("C2xPSL3_2_deg14", 14, 336, 7, 2, "it", "coset"),
@@ -152,6 +147,7 @@ SPORADIC_METAS = {
 ALL_BUILTINS = {**OMEGA_BUILTINS, **SPORADIC_METAS}
 
 _CACHE: dict[tuple[str, int], Builtin] = {}
+_DATA = resources.files("rank3pls.data")
 
 
 def builtin_names() -> list[str]:
@@ -201,116 +197,80 @@ def projective_action(F, n, gens, expected_order=None, seed=DEFAULT_SEED,
                      base_hint=[0], seed=seed, name=name)
 
 
-def _accept_rank3(parent: PermGroup, meta: BuiltinMeta):
-    """Downstream verification for a candidate point stabilizer: the coset
-    action must be transitive of rank 3 with |Sigma| cells of size r."""
-
-    def accept(R: PermGroup):
-        image, _reps = parent.coset_action(R, expected_order=meta.order)
-        try:
-            if image.order != meta.order or image.rank() != 3:
-                return None
-        except (AssertionError, ValueError):
-            return None
-        blocks = image.all_blocks_through(0)
-        if len(blocks) != 1 or len(next(iter(blocks))) != meta.r:
-            return None
-        return image
-
-    return accept
-
-
 def _build_coset_group(meta: BuiltinMeta, seed: int) -> Builtin:
-    name = meta.name
-    if name in ("PSL3_2_deg14", "C2xPSL3_2_deg14"):
-        from .omega import vector_action
+    base = ALL_BUILTINS[meta.name.removeprefix("C2x")]
+    G = _plinth(base.name, seed)
+    H = G.stabilizer(0)
+    R = PermGroup(*_read_data(f"{base.name}.sub.grp"), seed=H.seed)
+    try:
+        image, reps = _verified_coset_action(G, H, R, base)
+    except AssertionError as exc:
+        raise AssertionError(
+            f"{meta.name}: bundled subgroup {base.name}.sub.grp: {exc}") from None
+    if meta.name != base.name:
+        image = _double_by_centralizer(R, image, reps, H, seed)
+    return Builtin(meta, image)
+
+
+def _verified_coset_action(G, H, R, base: BuiltinMeta):
+    """(image, reps) of G on the cosets of R, once R is checked to be an
+    index-r subgroup of H = G_0 whose action is rank 3 of order |G| with one
+    block system through 0, of cells of size r; AssertionError otherwise."""
+    if not all(H.contains(g) for g in R.gens):
+        raise AssertionError("a generator lies outside G_0")
+    if R.order * base.r != H.order:
+        raise AssertionError(f"index {H.order // R.order} in G_0, expected {base.r}")
+    image, reps = G.coset_action(R, expected_order=base.order)
+    rank = image.rank()
+    sizes = [len(b) for b in image.all_blocks_through(0)]
+    if rank != 3 or sizes != [base.r]:
+        raise AssertionError(f"the coset action has rank {rank} and blocks "
+                             f"of sizes {sizes} through 0")
+    return image, reps
+
+
+# the projective plinths: name -> (p, a, n, group), acting on PG(n-1, p^a)
+_PROJECTIVE_PLINTHS = {
+    "PSL3_3_deg39": (3, 1, 3, "PSL"),
+    "PSL3_5_deg155": (5, 1, 3, "PSL"),
+    "PSL5_2_deg248": (2, 1, 5, "PSL"),
+    "PGL3_4_deg126": (2, 2, 3, "PGL"),
+    "PGammaL3_8_deg2044": (2, 3, 3, "PGammaL"),
+}
+
+
+def _plinth(name: str, seed: int) -> PermGroup:
+    """The plinth G of a coset row, with point 0 leading its base: PSL(3,2)
+    on the 7 nonzero vectors of GF(2)^3, M11 by its classical generators on
+    11 points, or a projective group."""
+    order = ALL_BUILTINS[name].order
+    if name == "PSL3_2_deg14":
         F = field_make(2, 1)
-        G7, _ = vector_action(F, 3, gens_sl(3, F), expected_order=168)
-        H = G7.stabilizer(0)
-        R = H.normal_subgroup_of_index(2)
-        image, reps = G7.coset_action(R, expected_order=168)
-        if name == "C2xPSL3_2_deg14":
-            image = _double_by_centralizer(G7, R, image, reps, H, seed)
-        return Builtin(meta, image)
-    if name in ("M11_deg22", "C2xM11_deg22"):
-        m11 = _m11_on_11(seed)
-        H = m11.stabilizer(0)
-        R = H.normal_subgroup_of_index(2)
-        image, reps = m11.coset_action(R, expected_order=7920)
-        if name == "C2xM11_deg22":
-            image = _double_by_centralizer(m11, R, image, reps, H, seed)
-        return Builtin(meta, image)
-    # the remaining rows need a non-normal index-r subgroup of the point
-    # stabilizer, found by seeded search and verified by the coset action
-    plinth, H = _sporadic_plinth(name, seed)
-    rng = random.Random(_SPORADIC_SEEDS[name])
-    accept = _accept_rank3(plinth, meta)
-    holder = {}
-
-    def accept_keep(R):
-        image = accept(R)
-        if image is None:
-            return False
-        holder["image"] = image
-        return True
-
-    H.subgroup_of_index(meta.r, rng=rng, accept=accept_keep)
-    return Builtin(meta, holder["image"])
+        return vector_action(F, 3, gens_sl(3, F), expected_order=order)[0]
+    if name == "M11_deg22":
+        a = perm_from_images([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0])
+        b = np.arange(11, dtype=np.int32)
+        for cyc in [(2, 6, 10, 7), (3, 9, 4, 5)]:
+            for i in range(len(cyc)):
+                b[cyc[i]] = cyc[(i + 1) % len(cyc)]
+        return PermGroup(11, [a, b], expected_order=order, seed=seed, name="M11")
+    p, a, n, group = _PROJECTIVE_PLINTHS[name]
+    F = field_make(p, a)
+    gens = gens_sl(n, F)
+    if group != "PSL":
+        gens.append(linear(Mat.diag(F, [F.omega] + [1] * (n - 1))))
+    if group == "PGammaL":
+        gens.append(SemilinearElem(1, Mat.identity(F, n)))
+    return projective_action(F, n, gens, expected_order=order, seed=seed,
+                             name=f"{group}{n}({F.q})@{(F.q**n - 1) // (F.q - 1)}")
 
 
-def _sporadic_plinth(name: str, seed: int):
-    """(G, point stabilizer H) for the projective sporadic rows."""
-    if name == "PSL3_3_deg39":
-        F = field_make(3, 1)
-        G = projective_action(F, 3, gens_sl(3, F), expected_order=5616,
-                              seed=seed, name="PSL3(3)@13")
-    elif name == "PSL3_5_deg155":
-        F = field_make(5, 1)
-        G = projective_action(F, 3, gens_sl(3, F), expected_order=372000,
-                              seed=seed, name="PSL3(5)@31")
-    elif name == "PSL5_2_deg248":
-        F = field_make(2, 1)
-        G = projective_action(F, 5, gens_sl(5, F), expected_order=9999360,
-                              seed=seed, name="PSL5(2)@31")
-    elif name == "PGL3_4_deg126":
-        F = field_make(2, 2)
-        gens = gens_sl(3, F) + [linear(Mat.diag(F, [F.omega, 1, 1]))]
-        G = projective_action(F, 3, gens, expected_order=60480,
-                              seed=seed, name="PGL3(4)@21")
-    elif name == "PGammaL3_8_deg2044":
-        F = field_make(2, 3)
-        gens = gens_sl(3, F) + [linear(Mat.diag(F, [F.omega, 1, 1])),
-                                SemilinearElem(1, Mat.identity(F, 3))]
-        G = projective_action(F, 3, gens, expected_order=49448448,
-                              seed=seed, name="PGammaL3(8)@73")
-    else:
-        raise KeyError(name)
-    return G, G.stabilizer(0)
-
-
-def _m11_on_11(seed: int) -> PermGroup:
-    """M11 by its classical generators on 11 points."""
-    a = perm_from_images([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0])
-    b = np.arange(11, dtype=np.int32)
-    for cyc in [(2, 6, 10, 7), (3, 9, 4, 5)]:
-        for i in range(len(cyc)):
-            b[cyc[i]] = cyc[(i + 1) % len(cyc)]
-    return PermGroup(11, [a, b], expected_order=7920, seed=seed, name="M11")
-
-
-def _double_by_centralizer(G, R, image, reps, H, seed: int) -> PermGroup:
+def _double_by_centralizer(R, image, reps, H, seed: int) -> PermGroup:
     """C2 x G on the coset space: adjoin the centralizing involution
     R h -> R x h for x in N_G(R) minus R (here x in H minus R with R normal
-    in H)."""
-    rng = random.Random(seed ^ 0xD0B1E)
-    x = None
-    for _ in range(64):
-        cand = H.random_element(rng)
-        if not R.contains(cand):
-            x = cand
-            break
-    if x is None:
-        raise RuntimeError("no coset representative found for the doubling")
+    of index 2 in H, so the coset R x, and with it the involution, does not
+    depend on which x is taken)."""
+    x = next(g for g in H.gens if not R.contains(g))
     # coset i has key keys[i], and R x rep_i is coset z[i]
     canon = R.coset_canon()
     keys, moved = canon(reps)[1], canon(reps[:, x])[1]
@@ -328,12 +288,15 @@ def _double_by_centralizer(G, R, image, reps, H, seed: int) -> PermGroup:
                      name=f"C2x{image.name}")
 
 
+def _read_data(filename: str):
+    """(degree, generators) of a bundled group file in rank3pls/data."""
+    with resources.as_file(_DATA.joinpath(filename)) as path:
+        return read_group_file(path)
+
+
 def _build_file_group(meta: BuiltinMeta, seed: int) -> Builtin:
-    data = resources.files("rank3pls.data").joinpath(f"{meta.name}.grp")
-    with resources.as_file(data) as path:
-        degree, gens = read_group_file(path)
-    G = PermGroup(degree, gens, expected_order=meta.order, seed=seed,
-                  name=meta.name)
+    G = PermGroup(*_read_data(f"{meta.name}.grp"), expected_order=meta.order,
+                  seed=seed, name=meta.name)
     return Builtin(meta, G)
 
 

@@ -794,8 +794,10 @@ class PermGroup:
 
         Built as the normal closure of commutators of generator pairs and
         r-th powers of a growing sample of elements; works whenever the
-        quotient witnessing the index is abelian of exponent r (all the
-        catalogued uses have quotient C_2).
+        quotient witnessing the index is abelian of exponent r.  Called by
+        tools/gen_sporadic_data.py, which writes the index-2 subgroups of
+        the PSL3_2_deg14 and M11_deg22 rows to the catalogue's data, and by
+        the tests; no catalogue load calls it.
         """
         rng = rng or random.Random(self.seed ^ 0xC0117)
         seeds = []
@@ -824,9 +826,11 @@ class PermGroup:
                           accept=None, attempts: int = 2000) -> "PermGroup":
         """Search for an index-r subgroup by sampling small generating sets.
 
-        Used for catalogue rows whose point stabilizer is not normal in the
-        block stabilizer; accept() runs the caller's downstream verification
-        and the first subgroup of the right order passing it is returned.
+        accept() runs the caller's downstream verification and the first
+        subgroup of the right order passing it is returned.  Called by
+        tools/gen_sporadic_data.py, which writes the non-normal index-r
+        subgroups of five coset rows to the catalogue's data; no catalogue
+        load calls it.
         """
         if self.order % r:
             raise ValueError(f"index {r} does not divide the group order")

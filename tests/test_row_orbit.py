@@ -49,7 +49,7 @@ def _psl32_index2():
 
 
 def _m11_index2():
-    G = catalog._m11_on_11(permcore.DEFAULT_SEED)
+    G = catalog._plinth("M11_deg22", permcore.DEFAULT_SEED)
     return G, G.stabilizer(0).normal_subgroup_of_index(2)
 
 
@@ -80,6 +80,17 @@ def test_coset_route_generator_bytes():
             digest.update(g.tobytes())
     assert digest.hexdigest() == (
         "e4d3ffdf5612f15dc52f5a190870212dc0152ce4712417f9e0fe2f41b9b25a57")
+
+
+@pytest.mark.slow
+def test_pgammal38_generator_bytes():
+    """One sha256 over the generator bytes of PGammaL3_8_deg2044, the
+    degree-2044 coset row, recorded before its subgroup came from data."""
+    digest = hashlib.sha256()
+    for g in get_builtin("PGammaL3_8_deg2044").group.gens:
+        digest.update(g.tobytes())
+    assert digest.hexdigest() == (
+        "4b46103bfa8f2cb597fa613311afe73bb10856e30962bb85f6635b3f4b72e54e")
 
 
 def _non_blocks(H, beta, carrier, blocks):

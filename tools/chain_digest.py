@@ -7,8 +7,9 @@ Schreier-Sims build (`PermGroup._build_bsgs`) in it is hashed in call order:
 the degree, then per level the base point, the orbit in its BFS order, the
 Schreier vector `sv` and the level's strong generators in order.  The
 PGammaL3_8 generator bytes come last.  Two commits that print the same
-digest built byte-identical chains, so every seeded random element,
-subgroup search and `group --out` file downstream of them agrees.  The line
+digest built byte-identical chains, so every seeded random element and
+`group --out` file downstream of them agrees.  The coset rows read their
+subgroups from bundled data, so no subgroup search runs in it.  The line
 also gives the number of chains the tables built and the number in all.
 
 Usage, from the repository root: python3 tools/chain_digest.py

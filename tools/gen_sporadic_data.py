@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled sporadic group files.
+"""Regenerate the bundled group files in src/rank3pls/data.
 
 3S6_deg18.grp
     The triple cover 3.Sym(6) of degree 18: preimage in GammaL_3(4), acting
@@ -17,20 +17,38 @@
     modulo signs generates the full group of order 190080 because the cover
     is nonsplit.
 
-Both outputs are verified (order, transitivity, rank 3, cell structure)
-before writing.  Usage: python tools/gen_sporadic_data.py [outdir]
+<row>.sub.grp, one per coset row of the catalogue (the C2x rows read their
+base row's file)
+    The index-r subgroup R of the point stabilizer G_0 of the row's plinth G
+    (`catalog._plinth`); the row's action is G on the cosets of R.
+    PSL3_2_deg14 and M11_deg22: R is the normal subgroup of index 2 of G_0,
+    built by `PermGroup.normal_subgroup_of_index` as a normal closure.  The
+    other five rows: R is the first subgroup that the seeded random search
+    `PermGroup.subgroup_of_index` finds, under the row's seed in
+    SEARCH_SEEDS, that passes the check the catalogue runs at load
+    (`catalog._verified_coset_action`).
+
+Every output is verified before writing: the covers by order, transitivity,
+rank 3 and cell structure, each R by the catalogue's load check.
+
+Usage: python tools/gen_sporadic_data.py [outdir]
+writes every file of FILES to outdir, by default src/rank3pls/data.
 """
 
 import itertools
+import random
 import sys
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from rank3pls import catalog
 from rank3pls.gfield import field_make
 from rank3pls.matsemi import Mat, SemilinearElem, gens_sl, linear
 from rank3pls.omega import build_omega, induce_action
-from rank3pls.permcore import PermGroup, perm_from_images, write_group_file
+from rank3pls.permcore import (DEFAULT_SEED, PermGroup, perm_from_images,
+                               write_group_file)
 
 
 def gen_3s6():
@@ -226,16 +244,71 @@ def gen_2m12():
     return 24, G.gens
 
 
+# ---- index-r subgroups of the coset rows ------------------------------------
+
+# seeds of the random streams that find the non-normal subgroups
+SEARCH_SEEDS = {
+    "PSL3_3_deg39": 1003,
+    "PSL3_5_deg155": 1005,
+    "PSL5_2_deg248": 1052,
+    "PGL3_4_deg126": 1034,
+    "PGammaL3_8_deg2044": 1038,
+}
+
+
+def _coset_row(name):
+    """(row meta, plinth G, G_0)."""
+    G = catalog._plinth(name, DEFAULT_SEED)
+    return catalog.ALL_BUILTINS[name], G, G.stabilizer(0)
+
+
+def gen_normal_sub(name):
+    """R = the normal subgroup of index 2 of G_0."""
+    meta, G, H = _coset_row(name)
+    R = H.normal_subgroup_of_index(meta.r)
+    catalog._verified_coset_action(G, H, R, meta)
+    return R.degree, R.gens
+
+
+def gen_searched_sub(name):
+    """R = the first index-r subgroup of G_0 from the seeded search that
+    passes the catalogue's load check."""
+    meta, G, H = _coset_row(name)
+
+    def accept(R):
+        try:
+            catalog._verified_coset_action(G, H, R, meta)
+        except (AssertionError, ValueError):
+            return False
+        return True
+
+    R = H.subgroup_of_index(meta.r, rng=random.Random(SEARCH_SEEDS[name]),
+                            accept=accept)
+    return R.degree, R.gens
+
+
+FILES = {
+    "3S6_deg18.grp": gen_3s6,
+    "2M12_deg24.grp": gen_2m12,
+    "PSL3_2_deg14.sub.grp": partial(gen_normal_sub, "PSL3_2_deg14"),
+    "M11_deg22.sub.grp": partial(gen_normal_sub, "M11_deg22"),
+    **{f"{name}.sub.grp": partial(gen_searched_sub, name) for name in SEARCH_SEEDS},
+}
+
+
+def write(filename, outdir):
+    """Regenerate one file of FILES into outdir."""
+    deg, gens = FILES[filename]()
+    write_group_file(Path(outdir) / filename, deg, gens)
+    return len(gens)
+
+
 def main():
     outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else \
         Path(__file__).resolve().parent.parent / "src" / "rank3pls" / "data"
     outdir.mkdir(parents=True, exist_ok=True)
-    deg, gens = gen_3s6()
-    write_group_file(outdir / "3S6_deg18.grp", deg, gens)
-    print(f"wrote 3S6_deg18.grp ({len(gens)} generators)")
-    deg, gens = gen_2m12()
-    write_group_file(outdir / "2M12_deg24.grp", deg, gens)
-    print(f"wrote 2M12_deg24.grp ({len(gens)} generators)")
+    for filename in FILES:
+        print(f"wrote {filename} ({write(filename, outdir)} generators)")
 
 
 if __name__ == "__main__":
