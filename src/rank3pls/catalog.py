@@ -246,7 +246,8 @@ def _plinth(name: str, seed: int) -> PermGroup:
     order = ALL_BUILTINS[name].order
     if name == "PSL3_2_deg14":
         F = field_make(2, 1)
-        return vector_action(F, 3, gens_sl(3, F), expected_order=order)[0]
+        return vector_action(F, 3, gens_sl(3, F), expected_order=order,
+                             seed=seed)[0]
     if name == "M11_deg22":
         a = perm_from_images([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0])
         b = np.arange(11, dtype=np.int32)

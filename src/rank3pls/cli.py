@@ -14,6 +14,7 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -26,18 +27,11 @@ from .permcore import DEFAULT_SEED, write_group_file
 from .pipeline import (devillers_enumerate, negative_controls, report_json,
                        reproduce_table)
 
-FAMILY_BUILDERS = {
-    "agstar": (families.ag_star, ("n", "q")),
-    "delta": (families.delta, ("n", "q")),
-    "lsub": (families.lsub, ("n", "q", "q0", "r")),
-    "dlsub": (families.dlsub, ("q", "q0", "r", "j")),
-    "usub": (families.usub, ("q", "q0")),
-    "agustar": (families.agu_star, ("q",)),
-}
-
-
 def cmd_family(args) -> int:
-    builder, names = FAMILY_BUILDERS[args.kind]
+    builder = families.CONSTRUCTORS[args.kind]
+    # the constructor's parameters without defaults are the required options
+    names = [nm for nm, prm in inspect.signature(builder).parameters.items()
+             if prm.default is prm.empty]
     missing = [nm for nm in names if getattr(args, nm) is None]
     if missing:
         # a usage error, reported the way argparse would: one line, exit 2
@@ -56,7 +50,9 @@ def cmd_family(args) -> int:
                            "expected": D.expected}, fh)
         return 0
     rep = validate_pls(D)
-    exp = families.expected_counts(args.kind, *_expected_args(args))
+    count_args = inspect.signature(families.expected_counts).parameters
+    exp = families.expected_counts(**{k: v for k, v in D.params.items()
+                                      if k in count_args})
     ok = (rep.is_pls == (exp["multiplicity"] <= 1)
           and rep.multiplicity == exp["multiplicity"]
           and D.num_lines == exp["lines"])
@@ -70,18 +66,6 @@ def cmd_family(args) -> int:
             fh.write(D.to_csv() if path.endswith(".csv") else D.to_json())
         print(f"wrote {path}")
     return 0 if ok else 1
-
-
-def _expected_args(args):
-    if args.kind in ("agstar", "delta"):
-        return (args.n, args.q)
-    if args.kind == "lsub":
-        return (args.n, args.q, args.q0, args.r)
-    if args.kind == "dlsub":
-        return (2, args.q, args.q0, args.r, args.j)
-    if args.kind == "usub":
-        return (3, args.q, args.q0, (args.q - 1) // (args.q0 - 1))
-    return (3, args.q)
 
 
 def cmd_omega(args) -> int:
@@ -171,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("family", help="build and check a family instance")
     fsub = f.add_subparsers(dest="action", required=True)
     fb = fsub.add_parser("build")
-    fb.add_argument("--kind", required=True, choices=sorted(FAMILY_BUILDERS))
+    fb.add_argument("--kind", required=True, choices=sorted(families.CONSTRUCTORS))
     for nm in ("n", "q", "q0", "r", "j"):
         fb.add_argument(f"--{nm}", type=int)
     fb.add_argument("--out")

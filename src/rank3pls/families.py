@@ -1,10 +1,16 @@
 """The six partial-linear-space families and their parameter arithmetic.
 
-Each constructor enumerates its line set as the orbit of a base line under
-the defining group (permcore.line_orbit, one (L, k) int32 array of sorted
-lines) and checks the enumerated count against the closed-form count, which
-is computed independently in expected_counts.  Non-PLS parameter sets
-construct fine on purpose; the validator reports their multiplicity.
+Each family is declared once, here.  A constructor finds its base line with
+one OmegaSpace.points_of call and hands it, with the generators of its
+defining group, to one orbit builder (_orbit_structure): the line orbit
+(permcore.line_orbit, one (L, k) int32 array of sorted lines) becomes an
+IncidenceStructure whose line count is checked against the closed-form
+count, computed independently in expected_counts.  DLSub is the union of an
+LSub structure and its image, and USub above FULL_ENUMERATION_LIMIT lines
+is counted and sampled instead (CountOnly).  CONSTRUCTORS maps each family
+kind to its constructor; the command line and the table reproduction build
+through it.  Non-PLS parameter sets construct fine on purpose; the
+validator reports their multiplicity.
 """
 
 from __future__ import annotations
@@ -17,11 +23,12 @@ import numpy as np
 
 from .gfield import SubfieldView, factorize
 from .incidence import IncidenceStructure, pair_counts, relabel
-from .matsemi import Mat, gens_sl, gens_su3, linear, scalar
+from .matsemi import GroupSpec, Mat, gens_group, gens_sl, linear
 from .omega import OmegaSpace, build_omega, induce_action, omega_space
 from .permcore import PermGroup, line_orbit, sorted_rows
 
-FULL_ENUMERATION_LIMIT = 10**7
+FULL_ENUMERATION_LIMIT = 10**7  # lines; above it usub counts and samples
+SAMPLE_SIZE = 10000  # steps of a count-only result's random walk
 
 
 @dataclass(frozen=True)
@@ -128,6 +135,29 @@ class CountOnly:
                 f"{self.expected['lines']} lines by formula)")
 
 
+# -- one orbit builder ----------------------------------------------------------
+
+
+def _group_gens(space: OmegaSpace, shape: str):
+    """The catalogue generators of the given shape ("gl" or "z_su"), induced
+    on the space."""
+    spec = GroupSpec(space.kind, space.n, space.q, space.r, shape)
+    return induce_action(space, gens_group(spec))
+
+
+def _orbit_structure(space: OmegaSpace, gens, base, params: FamilyParams,
+                     exp: dict) -> IncidenceStructure:
+    """The line orbit of base under gens as a structure on the space, its
+    line count checked against the closed-form count exp."""
+    lines, _ = line_orbit(gens, base)
+    D = IncidenceStructure(len(space), lines, params.as_dict())
+    if D.num_lines != exp["lines"]:
+        args = ", ".join(f"{k}={v}" for k, v in D.params.items() if k != "family")
+        raise AssertionError(f"{params.family}({args}): {D.num_lines} lines, "
+                             f"formula {exp['lines']}")
+    return D
+
+
 # -- linear families -----------------------------------------------------------
 
 
@@ -139,17 +169,10 @@ def _linear_space(n, q, r):
     return build_omega("linear", n, q, r)
 
 
-def _affine_base_line(space: OmegaSpace):
-    F = space.field
-    n = space.n
-    e1 = tuple([1] + [0] * (n - 1))
-    e2 = tuple([0, 1] + [0] * (n - 2))
-    pts = set()
-    for lam in range(F.q):
-        v = tuple(F.add(F.mul(lam, a), F.mul(F.sub(1, lam), b))
-                  for a, b in zip(e1, e2))
-        pts.add(space.index_of(v))
-    return tuple(sorted(pts))
+def _plane_vectors(space: OmegaSpace, pairs):
+    """The vectors a e1 + b e2 of the space for the (a, b) in pairs."""
+    pad = [0] * (space.n - 2)
+    return [[a, b] + pad for a, b in pairs]
 
 
 def ag_star(n: int, q: int) -> IncidenceStructure:
@@ -157,16 +180,13 @@ def ag_star(n: int, q: int) -> IncidenceStructure:
     if n < 2 or q < 3:
         raise ValueError("AG* needs n >= 2 and q >= 3")
     space = _linear_space(n, q, q - 1)
-    gens = _gl_gens(space)
-    base = _affine_base_line(space)
-    lines, _ = line_orbit(gens, base)
+    F = space.field
+    # the line through e1 and e2: lam e1 + (1 - lam) e2
+    base = space.points_of(_plane_vectors(
+        space, [(lam, F.sub(1, lam)) for lam in range(F.q)]))
     exp = expected_counts("agstar", n, q)
-    D = IncidenceStructure(len(space), lines,
-                           FamilyParams("agstar", n, q).as_dict())
-    if D.num_lines != exp["lines"]:
-        raise AssertionError(f"AG*({n},{q}): {D.num_lines} lines, "
-                             f"formula {exp['lines']}")
-    return D
+    return _orbit_structure(space, _group_gens(space, "gl"), base,
+                            FamilyParams("agstar", n, q), exp)
 
 
 def delta(n: int, q: int) -> IncidenceStructure:
@@ -175,28 +195,11 @@ def delta(n: int, q: int) -> IncidenceStructure:
         raise ValueError("Delta needs n >= 2 and q >= 3")
     space = _linear_space(n, q, q - 1)
     F = space.field
-    gens = _gl_gens(space)
-    e1 = tuple([1] + [0] * (n - 1))
-    e2 = tuple([0, 1] + [0] * (n - 2))
-    m = tuple(F.neg(F.add(a, b)) for a, b in zip(e1, e2))
-    base = tuple(sorted({space.index_of(e1), space.index_of(e2),
-                         space.index_of(m)}))
-    lines, _ = line_orbit(gens, base)
+    base = space.points_of(_plane_vectors(
+        space, [(1, 0), (0, 1), (F.neg(1), F.neg(1))]))
     exp = expected_counts("delta", n, q)
-    D = IncidenceStructure(len(space), lines,
-                           FamilyParams("delta", n, q).as_dict())
-    if D.num_lines != exp["lines"]:
-        raise AssertionError(f"Delta({n},{q}): {D.num_lines} lines, "
-                             f"formula {exp['lines']}")
-    return D
-
-
-def _gl_gens(space: OmegaSpace):
-    F = space.field
-    gens = gens_sl(space.n, F)
-    if F.q > 2:
-        gens = gens + [linear(Mat.diag(F, [F.omega] + [1] * (space.n - 1)))]
-    return induce_action(space, gens)
+    return _orbit_structure(space, _group_gens(space, "gl"), base,
+                            FamilyParams("delta", n, q), exp)
 
 
 def _det_restricted_gens(space: OmegaSpace, t: int):
@@ -225,25 +228,11 @@ def _det_restricted_gens(space: OmegaSpace, t: int):
     return perms
 
 
-def _lsub_base_line(space: OmegaSpace, q0: int):
-    F = space.field
-    view = SubfieldView(F, _subfield_degree(F, q0))
-    n = space.n
-    e1 = tuple([1] + [0] * (n - 1))
-    e2 = tuple([0, 1] + [0] * (n - 2))
-    pts = {space.index_of(e1)}
-    for lam0 in range(q0):
-        lam = view.embed(lam0)
-        v = tuple(F.add(F.mul(lam, a), b) for a, b in zip(e1, e2))
-        pts.add(space.index_of(v))
-    return tuple(sorted(pts))
-
-
-def _subfield_degree(F, q0: int) -> int:
+def _subfield(F, q0: int) -> SubfieldView:
     fac = factorize(q0)
     if set(fac) != {F.p}:
         raise ValueError(f"q0 = {q0} is not a power of p = {F.p}")
-    return fac[F.p]
+    return SubfieldView(F, fac[F.p])
 
 
 def lsub(n: int, q: int, q0: int, r: int) -> IncidenceStructure:
@@ -253,16 +242,13 @@ def lsub(n: int, q: int, q0: int, r: int) -> IncidenceStructure:
         raise ValueError("LSub needs r > 1")
     k, t = lsub_params(q, q0, r)
     space = build_omega("linear", n, q, r)
-    gens = _det_restricted_gens(space, t)
-    base = _lsub_base_line(space, q0)
-    lines, _ = line_orbit(gens, base)
+    embed = _subfield(space.field, q0).embed
+    # L_{e1,e2}: e1 and lam e1 + e2 for lam in the subfield
+    base = space.points_of(_plane_vectors(
+        space, [(1, 0)] + [(embed(lam0), 1) for lam0 in range(q0)]))
     exp = expected_counts("lsub", n, q, q0, r)
-    params = FamilyParams("lsub", n, q, q0, r, k=k, t=t)
-    D = IncidenceStructure(len(space), lines, params.as_dict())
-    if D.num_lines != exp["lines"]:
-        raise AssertionError(f"LSub({n},{q},{q0},{r}): {D.num_lines} lines, "
-                             f"formula {exp['lines']}")
-    return D
+    return _orbit_structure(space, _det_restricted_gens(space, t), base,
+                            FamilyParams("lsub", n, q, q0, r, k=k, t=t), exp)
 
 
 def dlsub(q: int, q0: int, r: int, j: int) -> IncidenceStructure:
@@ -291,18 +277,11 @@ def dlsub(q: int, q0: int, r: int, j: int) -> IncidenceStructure:
 # -- unitary families -----------------------------------------------------------
 
 
-def _zsu_gens(space: OmegaSpace):
-    F = space.field
-    gens = gens_su3(F) + [scalar(F, F.omega, 3)]
-    return induce_action(space, gens)
-
-
-def usub(q: int, q0: int, r: int | None = None, full: bool | None = None,
-         sample_size: int = 10000, seed: int = 0):
+def usub(q: int, q0: int, r: int | None = None, seed: int = 0):
     """Unitary subfield structure USub(q, q0, r) with r = (q-1)/(q0-1) odd.
 
-    Returns an IncidenceStructure, or a CountOnly summary when the line set
-    exceeds the enumeration limit and full is not explicitly requested.
+    Returns an IncidenceStructure, or a CountOnly summary of SAMPLE_SIZE
+    walk steps when the line set exceeds FULL_ENUMERATION_LIMIT.
     """
     b = _power_degree(q, q0)
     if b < 2:
@@ -315,24 +294,16 @@ def usub(q: int, q0: int, r: int | None = None, full: bool | None = None,
     r = r_def
     space = build_omega("unitary", 3, q, r)
     F = space.field
-    view = SubfieldView(F, _subfield_degree(F, q0))
-    wexp = (r * (q + 1)) // math.gcd(q + 1, 2)
-    base_pts = {space.index_of((1, 0, 0))}
-    for lam0 in range(q0):
-        lam = F.mul(F.exp[wexp % (F.q - 1)], view.embed(lam0)) if lam0 else 0
-        base_pts.add(space.index_of((lam, 0, 1)))
-    base = tuple(sorted(base_pts))
+    embed = _subfield(F, q0).embed
+    w = F.exp[(r * (q + 1)) // math.gcd(q + 1, 2) % (F.q - 1)]
+    base = space.points_of([(1, 0, 0)] + [(F.mul(w, embed(lam0)), 0, 1)
+                                          for lam0 in range(q0)])
     exp = expected_counts("usub", 3, q, q0, r)
     params = FamilyParams("usub", 3, q, q0, r)
-    gens = _zsu_gens(space)
-    if exp["lines"] > FULL_ENUMERATION_LIMIT and not full:
-        return _count_only(space, params, exp, base, gens, sample_size, seed)
-    lines, _ = line_orbit(gens, base)
-    D = IncidenceStructure(len(space), lines, params.as_dict())
-    if D.num_lines != exp["lines"]:
-        raise AssertionError(f"USub({q},{q0},{r}): {D.num_lines} lines, "
-                             f"formula {exp['lines']}")
-    return D
+    gens = _group_gens(space, "z_su")
+    if exp["lines"] > FULL_ENUMERATION_LIMIT:
+        return _count_only(space, params, exp, base, gens, seed)
+    return _orbit_structure(space, gens, base, params, exp)
 
 
 def agu_star(q: int) -> IncidenceStructure:
@@ -342,21 +313,12 @@ def agu_star(q: int) -> IncidenceStructure:
     r = q - 1
     space = build_omega("unitary", 3, q, r)
     F = space.field
-    view = SubfieldView(F, _subfield_degree(F, q))
-    base_pts = set()
-    for lam0 in range(q):
-        lam = view.embed(lam0)
-        base_pts.add(space.index_of((lam, 0, F.sub(1, lam))))
-    base = tuple(sorted(base_pts))
-    gens = _zsu_gens(space)
-    lines, _ = line_orbit(gens, base)
+    embed = _subfield(F, q).embed
+    base = space.points_of([(lam, 0, F.sub(1, lam))
+                            for lam in map(embed, range(q))])
     exp = expected_counts("agustar", 3, q)
-    D = IncidenceStructure(len(space), lines,
-                           FamilyParams("agustar", 3, q, r=r).as_dict())
-    if D.num_lines != exp["lines"]:
-        raise AssertionError(f"AGU*({q}): {D.num_lines} lines, "
-                             f"formula {exp['lines']}")
-    return D
+    return _orbit_structure(space, _group_gens(space, "z_su"), base,
+                            FamilyParams("agustar", 3, q, r=r), exp)
 
 
 def _random_walk(gens, base, steps: int, rng: random.Random) -> np.ndarray:
@@ -371,9 +333,9 @@ def _random_walk(gens, base, steps: int, rng: random.Random) -> np.ndarray:
     return np.array(walk, dtype=np.int32)
 
 
-def _count_only(space, params, exp, base, gens, sample_size, seed):
+def _count_only(space, params, exp, base, gens, seed):
     # a random walk over the generators suffices for sampling lines
-    walk = _random_walk(gens, base, sample_size, random.Random(seed or 0xC0))
+    walk = _random_walk(gens, base, SAMPLE_SIZE, random.Random(seed or 0xC0))
     rows, repeat = sorted_rows(np.sort(walk, axis=1), len(space))
     sample = rows[~repeat]
     # local PLS check: no point pair on two sampled lines
@@ -389,3 +351,9 @@ def _power_degree(q: int, q0: int) -> int:
         t *= q0
         b += 1
     return b if t == q else 0
+
+
+# the constructor of each family kind; the CLI reads a kind's required
+# arguments from its signature
+CONSTRUCTORS = {"agstar": ag_star, "delta": delta, "lsub": lsub,
+                "dlsub": dlsub, "usub": usub, "agustar": agu_star}

@@ -25,7 +25,7 @@ import numpy as np
 
 from .gfield import Field, field_make, factorize, is_prime, is_primitive_prime_divisor
 from .matsemi import GroupSpec, UnitaryForm, scalar
-from .permcore import PermGroup, perm_order
+from .permcore import DEFAULT_SEED, PermGroup, perm_order
 
 
 class _Tables:
@@ -153,11 +153,19 @@ class OmegaSpace(CanonicalPoints):
         row = _canonical(self.field, self.r, np.array([v], dtype=np.int64))[0]
         return tuple(row.tolist())
 
+    def points_of(self, vectors) -> tuple[int, ...]:
+        """The sorted distinct points of the given vectors (a sequence of
+        rows, or an (N, n) array), found by one locate call.  Raises
+        KeyError naming the first vector whose orbit is not a point."""
+        V = np.asarray(vectors, dtype=np.int64).reshape(-1, self.n)
+        idx = self.locate(V)
+        if (idx < 0).any():
+            v = V[int(np.argmax(idx < 0))]
+            raise KeyError(f"{tuple(v.tolist())} is not a point of Omega")
+        return tuple(sorted(set(idx.tolist())))
+
     def index_of(self, v) -> int:
-        i = int(self.locate(np.array([v], dtype=np.int64))[0])
-        if i < 0:
-            raise KeyError(f"{tuple(v)} is not a point of Omega")
-        return i
+        return self.points_of([v])[0]
 
     def to_json(self) -> str:
         return json.dumps({
@@ -299,15 +307,15 @@ def induced_kernel_facts(space: OmegaSpace) -> tuple[bool, int]:
     return bool((perm_wr == np.arange(len(space))).all()), perm_order(perm_w)
 
 
-def vector_action(F: Field, n: int, gens,
-                  expected_order: int | None = None) -> tuple[PermGroup, np.ndarray]:
+def vector_action(F: Field, n: int, gens, expected_order: int | None = None,
+                  seed: int = DEFAULT_SEED) -> tuple[PermGroup, np.ndarray]:
     """Permutation action of semilinear elements on all q^n - 1 nonzero
     vectors, with the (q^n - 1, n) array whose row i is point i; used for
-    order self-checks of matrix generator sets."""
+    order self-checks of matrix generator sets and for PSL(3,2)'s plinth."""
     vecs = CanonicalPoints(F, F.q - 1, _nonzero_vectors(F.q, n))
     return PermGroup(len(vecs), [vecs.image(g) for g in gens],
-                     name="vector-action",
-                     expected_order=expected_order), vecs.vectors
+                     name="vector-action", expected_order=expected_order,
+                     seed=seed), vecs.vectors
 
 
 # -- the semiprimitive / innately transitive / quasiprimitive / rank-3 flags --

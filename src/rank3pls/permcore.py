@@ -575,32 +575,6 @@ class PermGroup:
                          base_hint=[lv.point for lv in chain[1:]],
                          seed=self.seed, name=f"{self.name}_{x}")
 
-    def reduced_gens(self, rng: random.Random | None = None, tries: int = 30):
-        """A small generating set with the same order (random subproducts)."""
-        if not self.gens:
-            return []
-        rng = rng or random.Random(self.seed ^ 0x9E3779B9)
-        order = self.order
-        for k in (2, 3, 4):
-            for _ in range(tries):
-                cand = []
-                for _ in range(k):
-                    g = identity(self.degree)
-                    for h in self.gens:
-                        if rng.random() < 0.5:
-                            g = compose(g, h)
-                    if not is_identity(g):
-                        cand.append(g)
-                if not cand:
-                    continue
-                try:
-                    if PermGroup(self.degree, cand, expected_order=order,
-                                 seed=self.seed).order == order:
-                        return cand
-                except AssertionError:
-                    continue
-        return list(self.gens)
-
     def rank(self) -> int:
         """Number of suborbits of a transitive group (orbits of G_x)."""
         if not self.is_transitive():

@@ -217,18 +217,8 @@ def sigma_partition(G: PermGroup) -> np.ndarray:
 MAX_LINE_ORBIT = 2_000_000  # lines per structure, a cap for non-slow runs
 
 
-def _point_stabilizer(G: PermGroup) -> PermGroup:
-    """G_0, regenerated by a few random subproducts when its chain gives it
-    more than 8 generators."""
-    Ga = G.stabilizer(0)
-    if len(Ga.gens) > 8:
-        Ga = PermGroup(G.degree, Ga.reduced_gens(), expected_order=Ga.order,
-                       seed=Ga.seed, name=Ga.name)
-    return Ga
-
-
-def devillers_enumerate(G: PermGroup, name: str = "", slow: bool = False,
-                        include_sigma_orbit: bool = True) -> PipelineResult:
+def devillers_enumerate(G: PermGroup, name: str = "",
+                        slow: bool = False) -> PipelineResult:
     """Run the block -> line pipeline on a rank-3 imprimitive group.
 
     Each block B through beta = min(Delta) that passes the cell filter is
@@ -253,14 +243,14 @@ def devillers_enumerate(G: PermGroup, name: str = "", slow: bool = False,
     cell_of = np.empty(n, dtype=np.int32)
     cell_of[sigma] = np.arange(len(sigma), dtype=np.int32)[:, None]
     result = PipelineResult(name or G.name, n, rank, sigma)
-    Ga = _point_stabilizer(G)
+    Ga = G.stabilizer(0)
     labels = Ga.orbit_labels()
     at0 = G.schreier_tree(0)
     cell0 = set(sigma[cell_of[0]].tolist())
     for orb in classes(labels):
         in_cell = orb[0] in cell0
         kind = "cell" if in_cell else "far"
-        if len(orb) <= 2 or (in_cell and not include_sigma_orbit):
+        if len(orb) <= 2:
             continue
         beta = orb[0]
         in_delta = labels == beta
@@ -319,44 +309,42 @@ def expected_blocks_linear(space: OmegaSpace) -> dict[str, frozenset]:
     """Vector formulas for blocks through beta = <w^r> e_2."""
     F = space.field
     n, q, r = space.n, space.q, space.r
-    e = lambda v: space.index_of(v)
     pad = [0] * (n - 2)
 
-    def vec(a, b):
-        return tuple([a, b] + pad)
+    def block(pairs):
+        # the points of the vectors a e_1 + b e_2
+        return frozenset(space.points_of([[a, b] + pad for a, b in pairs]))
 
     out = {}
-    out["B1"] = frozenset(e(vec(0, F.exp[i])) for i in range(r))
-    out["B2"] = frozenset(e(vec(lam, 1)) for lam in range(q))
+    out["B1"] = block((0, F.exp[i]) for i in range(r))
+    out["B2"] = block((lam, 1) for lam in range(q))
     if n >= 3:
-        out["B3"] = frozenset(e(vec(a, b)) for a in range(q)
-                              for b in range(1, q))
+        out["B3"] = block((a, b) for a in range(q) for b in range(1, q))
     if (q, r) == (3, 2):
         two = F.neg(1)
-        out["B4"] = frozenset([e(vec(0, 1)), e(vec(two, two))])
-        out["B5"] = frozenset([e(vec(0, 1)), e(vec(1, two))])
+        out["B4"] = block([(0, 1), (two, two)])
+        out["B5"] = block([(0, 1), (1, two)])
     elif (q, r) == (4, 3):
-        out["B4"] = frozenset([e(vec(0, 1)), e(vec(1, 1))])
-        out["B5"] = frozenset(e(vec(F.add(1, lam), lam)) for lam in range(1, 4))
+        out["B4"] = block([(0, 1), (1, 1)])
+        out["B5"] = block((F.add(1, lam), lam) for lam in range(1, 4))
     elif (q, r) == (16, 5):
         emb = _emb(space, 4)
-        out["B6"] = frozenset(e(vec(emb(l0), 1)) for l0 in range(4))
+        out["B6"] = block((emb(l0), 1) for l0 in range(4))
     elif (q, r) == (81, 5) and n == 2:
         emb = _emb(space, 9)
         w5 = F.exp[5]
-        out["B7_1"] = frozenset(e(vec(emb(l0), 1)) for l0 in range(9))
-        out["B7_2"] = frozenset(e(vec(F.mul(w5, emb(l0)), 1)) for l0 in range(9))
+        out["B7_1"] = block((emb(l0), 1) for l0 in range(9))
+        out["B7_2"] = block((F.mul(w5, emb(l0)), 1) for l0 in range(9))
     elif (q, r) == (25, 3) and n == 2:
         emb = _emb(space, 5)
         w3 = F.exp[3]
-        out["B8_1"] = frozenset(e(vec(emb(l0), 1)) for l0 in range(5))
-        out["B8_2"] = frozenset(e(vec(F.mul(w3, emb(l0)), 1)) for l0 in range(5))
+        out["B8_1"] = block((emb(l0), 1) for l0 in range(5))
+        out["B8_2"] = block((F.mul(w3, emb(l0)), 1) for l0 in range(5))
     elif (q, r) == (9, 2) and n == 2:
         emb = _emb(space, 3)
         for i in range(4):
             wi = F.exp[i] if i else 1
-            out[f"B9_{i}"] = frozenset(e(vec(F.mul(wi, emb(l0)), 1))
-                                       for l0 in range(3))
+            out[f"B9_{i}"] = block((F.mul(wi, emb(l0)), 1) for l0 in range(3))
     return out
 
 
@@ -364,24 +352,27 @@ def expected_blocks_unitary(space: OmegaSpace) -> dict[str, frozenset]:
     """Vector formulas for blocks through beta = <w^r> f."""
     F = space.field
     q, r = space.q, space.r
-    e = lambda v: space.index_of(v)
-    trace = lambda b: F.add(b, F.pow(b, q))
+    block = lambda vecs: frozenset(space.points_of(list(vecs)))
+    # the b of each trace b + b^q
+    by_trace = {}
+    for b in range(F.q):
+        by_trace.setdefault(F.add(b, F.pow(b, q)), []).append(b)
+    kernel = by_trace[0]
     out = {}
-    out["B1"] = frozenset(e((b, c, 1)) for c in range(F.q) for b in range(F.q)
-                          if F.add(trace(b), F.pow(c, q + 1) if c else 0) == 0)
-    kernel = [b for b in range(F.q) if trace(b) == 0]
-    out["B2"] = frozenset(e((b, 0, 1)) for b in kernel)
-    out["B3"] = frozenset(e((0, 0, F.exp[i])) for i in range(r))
-    out["B4"] = frozenset(e((F.mul(F.exp[i], b), 0, F.exp[i]))
-                          for b in kernel for i in range(r))
+    # Tr(b) + c^(q+1) = 0
+    out["B1"] = block((b, c, 1) for c in range(F.q)
+                      for b in by_trace.get(F.neg(F.pow(c, q + 1) if c else 0), ()))
+    out["B2"] = block((b, 0, 1) for b in kernel)
+    out["B3"] = block((0, 0, F.exp[i]) for i in range(r))
+    out["B4"] = block((F.mul(F.exp[i], b), 0, F.exp[i])
+                      for b in kernel for i in range(r))
     if (q, r) == (4, 3):
         embq = _emb(space, q)
-        out["B5"] = frozenset(e((F.sub(1, embq(l0)), 0, embq(l0)))
-                              for l0 in range(1, 4))
-        out["B6"] = frozenset([e((0, 0, 1)), e((1, 0, 1))])
+        out["B5"] = block((F.sub(1, embq(l0)), 0, embq(l0)) for l0 in range(1, 4))
+        out["B6"] = block([(0, 0, 1), (1, 0, 1)])
     elif (q, r) == (16, 5):
         emb = _emb(space, 4)
-        out["B7"] = frozenset(e((emb(l0), 0, 1)) for l0 in range(4))
+        out["B7"] = block((emb(l0), 0, 1) for l0 in range(4))
     return out
 
 
@@ -425,7 +416,7 @@ def classify_blocks(builtin_name: str) -> BlockReport:
         expected = expected_blocks_unitary(space)
         beta_vec = (0, 0, 1)
     beta = space.index_of(beta_vec)
-    Ga = _point_stabilizer(G)
+    Ga = G.stabilizer(0)
     carrier = len(Ga.orbit(beta))
     computed = [frozenset(blk) for blk in Ga.all_blocks_through(beta)]
     expected_nontrivial = {k: v for k, v in expected.items()
@@ -478,15 +469,6 @@ TABLE45_CASES = {
     6: ["GammaU3_4", "GammaU3_16"],
 }
 
-_FAMILY_BUILDERS = {
-    "agstar": families.ag_star,
-    "delta": families.delta,
-    "lsub": families.lsub,
-    "dlsub": families.dlsub,
-    "usub": families.usub,
-    "agustar": families.agu_star,
-}
-
 _PIPE_CACHE: dict[tuple[str, bool], PipelineResult] = {}
 
 
@@ -505,7 +487,7 @@ def _conjugate_lines(space: OmegaSpace, D: IncidenceStructure, wexp: int):
 
 
 def _table2_row(fam: str, args: tuple, groups: list, wexp, slow: bool) -> dict:
-    D = _FAMILY_BUILDERS[fam](*args)
+    D = families.CONSTRUCTORS[fam](*args)
     row_ok = True
     detail = {}
     for g in groups:

@@ -116,3 +116,24 @@ def test_library_assertion_is_one_line_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "devillers_enumerate", broken)
     assert main(["pipeline", "run", "--group", "builtin:GammaL2_4"]) == 1
     assert capsys.readouterr().err == "error: order check failed\n"
+
+
+@pytest.mark.parametrize("kind, first", [("agstar", "n"), ("delta", "n"),
+                                         ("lsub", "n"), ("dlsub", "q"),
+                                         ("usub", "q"), ("agustar", "q")])
+def test_family_options_come_from_the_constructor(kind, first, capsys):
+    assert main(["family", "build", "--kind", kind]) == 2
+    assert capsys.readouterr().err == f"error: --{first} is required for --kind {kind}\n"
+
+
+def test_family_vector_off_omega_is_one_line_error(capsys, monkeypatch):
+    """A base vector that is not a point (here (w, 0, 1), not isotropic)
+    ends the build with the KeyError naming it, and exit 1."""
+    from rank3pls.gfield import SubfieldView
+
+    monkeypatch.setattr(SubfieldView, "embed",
+                        lambda self, x: self.big.omega if x else 0)
+    assert main(["family", "build", "--kind", "usub", "--q", "4", "--q0", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is not a point of Omega" in err

@@ -22,6 +22,8 @@ def _tool():
 
 
 @pytest.mark.parametrize("filename", [
+    "3S6_deg18.grp",
+    "2M12_deg24.grp",
     "PSL3_2_deg14.sub.grp",
     "M11_deg22.sub.grp",
     "PSL3_3_deg39.sub.grp",
@@ -34,6 +36,12 @@ def test_tool_regenerates_bundled_subgroup(filename, tmp_path):
     _tool().write(filename, tmp_path)
     assert (tmp_path / filename).read_bytes() == \
         catalog._DATA.joinpath(filename).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["PSL3_2_deg14", "C2xPSL3_2_deg14", "M11_deg22"])
+def test_seed_reaches_the_plinth(name, monkeypatch):
+    monkeypatch.setattr(catalog, "_CACHE", {})
+    assert catalog.get_builtin(name, 11).group.seed == 11
 
 
 def test_no_default_build_searches(monkeypatch):

@@ -7,6 +7,8 @@ import pytest
 
 from rank3pls import families as fam
 from rank3pls.incidence import is_connected, is_proper, validate_pls
+from rank3pls.matsemi import GroupSpec, gens_group
+from rank3pls.omega import induce_action
 
 
 def test_lsub_params():
@@ -173,7 +175,7 @@ def test_count_only_mode():
     assert all(len(l) == 5 for l in C.sample_lines)
     # the sample is the seeded walk replayed with array gathers
     rng = random.Random(0xC0)
-    gens = fam._zsu_gens(C.space)
+    gens = induce_action(C.space, gens_group(GroupSpec("unitary", 3, 16, 5, "z_su")))
     walk = [np.array(C.base_line)]
     for _ in range(10000):
         walk.append(gens[rng.randrange(len(gens))][walk[-1]])
@@ -199,3 +201,25 @@ def test_agu_star_8_structure():
     assert D.num_lines == 8**2 * (8**3 + 1) * 7
     rep = validate_pls(D)
     assert rep.is_pls
+
+
+@pytest.mark.parametrize("build, args", [(fam.ag_star, (2, 4)), (fam.delta, (2, 4)),
+                                         (fam.lsub, (2, 16, 4, 5)),
+                                         (fam.usub, (4, 2)), (fam.agu_star, (4,))])
+def test_orbit_constructor_rejects_a_wrong_line_count(build, args, monkeypatch):
+    real = fam.expected_counts
+
+    def one_more(family, *rest):
+        out = real(family, *rest)
+        return {**out, "lines": out["lines"] + 1}
+
+    monkeypatch.setattr(fam, "expected_counts", one_more)
+    with pytest.raises(AssertionError, match="lines, formula"):
+        build(*args)
+
+
+def test_constructor_table_covers_every_kind():
+    assert sorted(fam.CONSTRUCTORS) == ["agstar", "agustar", "delta", "dlsub",
+                                        "lsub", "usub"]
+    for kind, build in fam.CONSTRUCTORS.items():
+        assert callable(build) and build.__module__ == fam.__name__

@@ -1,5 +1,7 @@
 """Coset point sets, induced actions, classification flags."""
 
+import random
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,35 @@ def test_space_json_export():
     data = json.loads(sp.to_json())
     assert data["kind"] == "linear" and len(data["points"]) == 15
     assert sorted(map(tuple, data["sigma"]))[0] == (0, 1, 2)
+
+
+def test_points_of_one_lookup_sorted_and_distinct():
+    sp = build_omega("unitary", 3, 4, 3)
+    w = sp.field.omega
+    # (0, 0, w^3) is the point of (0, 0, 1): w^r scales within a point
+    pts = sp.points_of([(0, 0, 1), (1, 0, 0), (0, 0, sp.field.pow(w, 3))])
+    assert pts == (0, sp.index_of((0, 0, 1)))
+    assert sp.index_of((0, 0, 1)) == 3
+
+
+def test_points_of_and_index_of_name_a_non_point():
+    sp = build_omega("unitary", 3, 4, 3)
+    with pytest.raises(KeyError, match=r"\(1, 1, 1\) is not a point"):
+        sp.points_of([(1, 0, 0), (1, 1, 1)])
+    with pytest.raises(KeyError, match=r"\(1, 1, 1\) is not a point"):
+        sp.index_of((1, 1, 1))
+
+
+@pytest.mark.parametrize("args", [("linear", 3, 4, 3), ("unitary", 3, 4, 3),
+                                  ("linear", 2, 9, 2)])
+def test_points_of_matches_a_dict_lookup(args):
+    """Scaled point vectors, found by one locate call and, one at a time, in
+    a dict from canonical vector to point."""
+    sp = build_omega(*args)
+    F = sp.field
+    index = {v: i for i, v in enumerate(sp.points)}
+    rng = random.Random(7)
+    vecs = [tuple(F.mul(s, x) for x in sp.points[rng.randrange(len(sp))])
+            for s in (rng.randrange(1, F.q) for _ in range(40))]
+    assert sp.points_of(vecs) == tuple(sorted({index[sp.canonicalize(v)]
+                                               for v in vecs}))

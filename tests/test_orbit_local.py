@@ -11,9 +11,8 @@ from rank3pls import families, pipeline
 from rank3pls.catalog import ALL_BUILTINS, get_builtin
 from rank3pls.incidence import components, fingerprint, validate_pls
 from rank3pls.permcore import PermGroup, flag_transitive_on_line, inverse
-from rank3pls.pipeline import (_point_stabilizer, devillers_enumerate,
-                               flag_transitive_at_alpha, reproduce_table,
-                               run_pipeline)
+from rank3pls.pipeline import (devillers_enumerate, flag_transitive_at_alpha,
+                               reproduce_table, run_pipeline)
 from tests_pipeline_oracle import reference_enumerate
 
 DESK = sorted(nm for nm, meta in ALL_BUILTINS.items() if meta.degree <= 300)
@@ -117,7 +116,7 @@ def test_decision_matches_flag_test_on_every_block(name):
     """The cell filter skipped: every block through the least point of every
     suborbit, filtered or not."""
     G = get_builtin(name).group
-    Ga = _point_stabilizer(G)
+    Ga = G.stabilizer(0)
     labels = Ga.orbit_labels()
     at0 = G.schreier_tree(0)
     tested = 0

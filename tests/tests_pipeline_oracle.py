@@ -15,7 +15,7 @@ import numpy as np
 from rank3pls.incidence import (IncidenceStructure, PLSReport, components,
                                 fingerprint, is_proper, validate_pls)
 from rank3pls.permcore import PermGroup, flag_transitive_on_line, line_orbit
-from rank3pls.pipeline import PipelineEntry, _point_stabilizer, sigma_partition
+from rank3pls.pipeline import PipelineEntry, sigma_partition
 
 
 @dataclass
@@ -31,7 +31,7 @@ def reference_enumerate(G: PermGroup, name: str = "") -> list[ReferenceEntry]:
     cell_of = np.empty(G.degree, dtype=np.int32)
     cell_of[sigma] = np.arange(len(sigma), dtype=np.int32)[:, None]
     cell0 = set(sigma[cell_of[0]].tolist())
-    Ga = _point_stabilizer(G)
+    Ga = G.stabilizer(0)
     out = []
     for orb in Ga.orbits():
         if len(orb) <= 2:

@@ -47,8 +47,36 @@ from rank3pls import catalog
 from rank3pls.gfield import field_make
 from rank3pls.matsemi import Mat, SemilinearElem, gens_sl, linear
 from rank3pls.omega import build_omega, induce_action
-from rank3pls.permcore import (DEFAULT_SEED, PermGroup, perm_from_images,
+from rank3pls.permcore import (DEFAULT_SEED, PermGroup, compose, identity,
+                               is_identity, perm_from_images,
                                write_group_file)
+
+
+def reduced_gens(G: PermGroup, rng: random.Random | None = None, tries: int = 30):
+    """A small generating set of G with the same order (random subproducts)."""
+    if not G.gens:
+        return []
+    rng = rng or random.Random(G.seed ^ 0x9E3779B9)
+    order = G.order
+    for k in (2, 3, 4):
+        for _ in range(tries):
+            cand = []
+            for _ in range(k):
+                g = identity(G.degree)
+                for h in G.gens:
+                    if rng.random() < 0.5:
+                        g = compose(g, h)
+                if not is_identity(g):
+                    cand.append(g)
+            if not cand:
+                continue
+            try:
+                if PermGroup(G.degree, cand, expected_order=order,
+                             seed=G.seed).order == order:
+                    return cand
+            except AssertionError:
+                continue
+    return list(G.gens)
 
 
 def gen_3s6():
@@ -77,7 +105,7 @@ def gen_3s6():
         img = [pos[int(g[p])] for p in pts]
         small_gens.append(perm_from_images(img))
     G = PermGroup(18, small_gens, name="3S6@18")
-    G = PermGroup(18, G.reduced_gens(), expected_order=2160, name="3S6@18")
+    G = PermGroup(18, reduced_gens(G), expected_order=2160, name="3S6@18")
     assert G.order == 2160 and G.is_transitive() and G.rank() == 3
     st = G.stabilizer(0)
     assert sorted(len(o) for o in st.orbits()) == [1, 2, 15]

@@ -8,22 +8,54 @@ of degree <= 300 (in name order) the `pipeline run` outputs:
 `report_json`, the `summary()` of each entry and the line signature up to
 fingerprint.  With --slow, `PGammaL3_8_deg2044` is added to the builtins
 (run with slow=True) and the tables are run again with slow=True, every
-row included.  Two commits that print the same line give the same tables,
-reports and signatures.  The line also gives the number of table rows and
-of builtins hashed.
+row included.  Last come the `family build` runs of FAMILY_RUNS (one
+instance per kind, the count-only USub(16,4) and a usage error): the
+arguments, exit code, stdout, stderr and `--out` JSON of each.  Two commits
+that print the same line give the same tables, reports, signatures and
+family outputs.  The line also gives the number of table rows, of builtins
+and of family runs hashed.
 
 Usage, from the repository root: python3 tools/output_digest.py [--slow]
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rank3pls import catalog, pipeline  # noqa: E402
+from rank3pls.cli import main as cli_main  # noqa: E402
+
+FAMILY_RUNS = [
+    ["--kind", "agstar", "--n", "2", "--q", "4"],
+    ["--kind", "delta", "--n", "3", "--q", "3"],
+    ["--kind", "lsub", "--n", "2", "--q", "16", "--q0", "4", "--r", "5"],
+    ["--kind", "dlsub", "--q", "9", "--q0", "3", "--r", "2", "--j", "1"],
+    ["--kind", "usub", "--q", "4", "--q0", "2"],
+    ["--kind", "agustar", "--q", "4"],
+    ["--kind", "usub", "--q", "16", "--q0", "4"],   # count-only
+    ["--kind", "lsub", "--n", "2", "--q", "16", "--q0", "4"],  # usage error
+]
+
+
+def family_run(args, tmp: Path) -> dict:
+    """Exit code, stdout, stderr and --out file of one `family build`, with
+    the temporary directory's name taken out of the output."""
+    out = tmp / "family.json"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main(["family", "build", *args, "--out", str(out)])
+    text = out.read_text() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return {"args": args, "exit": code, "json": text,
+            "stdout": stdout.getvalue().replace(str(tmp), "<tmp>"),
+            "stderr": stderr.getvalue()}
 
 
 def main() -> None:
@@ -56,7 +88,11 @@ def main() -> None:
         for e in res.entries:
             add(repr(e.summary()))
         add(res.line_signature(connected=None))
-    print(f"{digest.hexdigest()}  rows={rows} builtins={len(names)}")
+    with tempfile.TemporaryDirectory() as tmp:
+        for args in FAMILY_RUNS:
+            add(family_run(args, Path(tmp)))
+    print(f"{digest.hexdigest()}  rows={rows} builtins={len(names)} "
+          f"families={len(FAMILY_RUNS)}")
 
 
 if __name__ == "__main__":
