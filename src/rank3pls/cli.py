@@ -204,7 +204,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (ValueError, KeyError, FileNotFoundError, AssertionError,
             RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes included
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {msg}", file=sys.stderr)
         return 1
 
 

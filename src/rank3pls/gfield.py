@@ -229,19 +229,8 @@ class Field:
     def frob_iter(self, x: int, k: int) -> int:
         return self.pow(x, self.p ** (k % self.a))
 
-    def omega_pow(self, i: int) -> int:
-        return self.exp[i % (self.q - 1)]
-
-    def dlog(self, x: int) -> int:
-        if x == 0:
-            raise ZeroDivisionError("dlog of 0")
-        return self.log[x]
-
     def coeffs(self, x: int) -> tuple[int, ...]:
         return tuple((x // pw) % self.p for pw in self._pow_p)
-
-    def elements(self):
-        return range(self.q)
 
     def __repr__(self):
         return f"GF({self.p}^{self.a})" if self.a > 1 else f"GF({self.p})"

@@ -61,7 +61,7 @@ class Mat:
     def map_entries(self, fn) -> "Mat":
         return Mat(self.field, [[fn(x) for x in r] for r in self.rows])
 
-    def frob(self, k: int = 1) -> "Mat":
+    def frob(self, k: int) -> "Mat":
         F = self.field
         return self.map_entries(lambda x: F.frob_iter(x, k))
 
@@ -285,8 +285,8 @@ def scalar(F: Field, lam: int, n: int) -> SemilinearElem:
     return linear(Mat.diag(F, [lam] * n))
 
 
-def phi(F: Field, n: int, k: int = 1) -> SemilinearElem:
-    return SemilinearElem(k, Mat.identity(F, n))
+def phi(F: Field, n: int) -> SemilinearElem:
+    return SemilinearElem(1, Mat.identity(F, n))
 
 
 def singer_cycle(n: int, F: Field) -> SemilinearElem:

@@ -322,15 +322,14 @@ def vector_action(F: Field, n: int, gens, expected_order: int | None = None,
 
 
 def classify_action(n: int, q: int, r: int, G: PermGroup, spec: GroupSpec,
-                    space: OmegaSpace | None = None,
-                    check_rank: bool = True) -> dict:
+                    space: OmegaSpace | None = None) -> dict:
     """Arithmetic classification flags for an induced catalogue action.
 
     semiprimitive is identically true for these constructions; innate
     transitivity and the rank-3 flag are pure arithmetic; quasiprimitivity
-    additionally sifts scalar permutations into G.  When check_rank is set,
-    the rank-3 flag is compared against the computed rank and a mismatch
-    raises (this is a test oracle, not a fallback).
+    additionally sifts scalar permutations into G.  The rank-3 flag is
+    always compared against the computed rank, and a mismatch raises (an
+    oracle, not a fallback).
     """
     fac = factorize(q)
     (p, a), = fac.items()
@@ -380,10 +379,8 @@ def classify_action(n: int, q: int, r: int, G: PermGroup, spec: GroupSpec,
     flags["quasiprimitive"] = qp
     flags["type"] = ("qp" if flags["quasiprimitive"]
                      else "it" if flags["innately_transitive"] else "sp")
-    if check_rank:
-        computed = G.rank() == 3
-        if computed != flags["rank3"]:
-            raise AssertionError(
-                f"rank-3 arithmetic flag {flags['rank3']} disagrees with "
-                f"computed rank for {spec}")
+    if (G.rank() == 3) != flags["rank3"]:
+        raise AssertionError(
+            f"rank-3 arithmetic flag {flags['rank3']} disagrees with "
+            f"computed rank for {spec}")
     return flags

@@ -17,8 +17,8 @@ about _BATCH_ENTRIES array entries (Seress, Permutation Group Algorithms,
 4.1-4.2).  For the pass only, each level keeps its transversal as a table of
 inverse reps, one row per orbit point, with a point -> row map; a batch is
 built by flat gathers, and each level below costs it one gather, where
-`_Level.trace_back` composes once per Schreier-tree edge.  g u^-1 is the
-same array either way, and the first non-member of a batch, in the pair
+`_Level.trace_back` walks the Schreier tree to u with `rep_to`.  g u^-1 is
+the same array either way, and the first non-member of a batch, in the pair
 order of a one-at-a-time loop, is the one inserted, so the base, orbits,
 Schreier vectors and strong generators are exactly those of that loop.
 
@@ -26,7 +26,7 @@ A chain is built once per group.  The stabilizer of a point x in the first
 basic orbit (every point, for a transitive group) is the chain below the
 first base point b conjugated by the transversal rep taking b to x, so it
 runs no Schreier-Sims; only a point outside that orbit gets a chain rebuilt
-with x first.
+with x first, and G_x keeps that chain below x.
 
 `merge` is the one union-find: a partition is an array of class roots, each
 class rooted at its least point.  Orbits, the block lattice (a block through
@@ -54,6 +54,7 @@ import random
 import numpy as np
 
 DETERMINISTIC_DEGREE = 4000
+MAX_BLOCKS = 10000  # all_blocks_through raises past this many blocks
 DEFAULT_SEED = 0x52334C53  # "R3LS"
 _BATCH_ENTRIES = 1 << 16  # array entries per batch of the deterministic pass
 
@@ -211,11 +212,7 @@ class _Level:
         x = int(g[self.point])
         if self.sv[x] == -1:
             return None
-        while x != self.point:
-            k = int(self.sv[x])
-            g = compose(g, self.inv_gens[k])
-            x = int(g[self.point])
-        return g
+        return compose(g, inverse(self.rep_to(x, len(g))))
 
 
 def _join_rows(rows: np.ndarray, images: np.ndarray) -> np.ndarray:
@@ -286,7 +283,7 @@ def _sift_schreier_batch(lv: _Level, table: _InverseReps, xs: np.ndarray,
     Returns (first, residue): first is the row of the first non-member and
     residue its sift residue, or (len(xs), None) when every row is a member.
     One gather per level replaces g by g u^-1 for the rep u with
-    base^u = base^g; the same array trace_back reaches edge by edge.  A row
+    base^u = base^g; the same array trace_back reaches through rep_to.  A row
     whose base image falls outside the orbit stops with its current value,
     and the rows after it are dropped, since they cannot come first.
     """
@@ -368,18 +365,16 @@ class PermGroup:
         raise AssertionError("no unused moved point for base extension")
 
     def _sift(self, g: np.ndarray, start: int = 0):
-        """Returns (residue, level); residue None means member."""
-        for i in range(start, len(self._levels)):
-            lv = self._levels[i]
+        """The sift residue of g through the levels from start down; None
+        means member."""
+        for lv in self._levels[start:]:
             if int(g[lv.point]) == lv.point:
                 continue
             g2 = lv.trace_back(g)
             if g2 is None:
-                return g, i
+                return g
             g = g2
-        if is_identity(g):
-            return None, len(self._levels)
-        return g, len(self._levels)
+        return None if is_identity(g) else g
 
     def _insert_strong_gen(self, g: np.ndarray) -> int:
         """Add g as a strong generator; returns the deepest level it joins."""
@@ -473,7 +468,7 @@ class PermGroup:
                 raise AssertionError(
                     f"{self!r}: computed order {order} exceeds expected {target}")
             g = shaker.element()
-            residue, _ = self._sift(g, 0)
+            residue = self._sift(g)
             if residue is not None:
                 self._insert_strong_gen(residue)
         raise AssertionError(
@@ -499,8 +494,7 @@ class PermGroup:
         self.order
         if not self._levels:
             return is_identity(g)
-        residue, _ = self._sift(g.astype(np.int32), 0)
-        return residue is None
+        return self._sift(g.astype(np.int32)) is None
 
     def _gen_array(self) -> np.ndarray:
         """The generators as one (m, degree) array."""
@@ -540,7 +534,7 @@ class PermGroup:
         G_x = u^-1 G_b u for the transversal rep u with b^u = x, b the first
         base point, so the chain of G_x is this chain below b conjugated by u
         (shared as is when x = b) and no Schreier-Sims runs.  Otherwise the
-        chain is rebuilt with x as first base point and G_x read off it.
+        chain is rebuilt with x as first base point and G_x keeps it below x.
         """
         order = self.order
         lv0 = self._levels[0] if self._levels else None
@@ -552,28 +546,25 @@ class PermGroup:
                 u = lv0.rep_to(x, self.degree)
                 u_inv = inverse(u)
                 levels = [lv.conjugate(u, u_inv) for lv in self._levels[1:]]
-            if math.prod(len(lv.orbit) for lv in levels) != sub_order:
-                raise AssertionError(f"{self!r}: stabilizer chain order mismatch")
-            gens = {g.tobytes(): g for g in levels[0].gens} if levels else {}
-            stab = PermGroup(self.degree, list(gens.values()), expected_order=sub_order,
-                             base_hint=[lv.point for lv in levels],
-                             seed=self.seed, name=f"{self.name}_{x}")
-            stab._levels = levels
-            stab._order = sub_order
-            return stab
-        orb = self.orbit(x)
-        sub_order = order // len(orb)
-        if len(orb) == 1:
-            return PermGroup(self.degree, self.gens, expected_order=sub_order,
-                             seed=self.seed, name=f"{self.name}_{x}")
-        rebased = PermGroup(self.degree, self.gens, expected_order=order,
-                            base_hint=[x] + self.base_hint, seed=self.seed,
-                            name=f"{self.name}|rebase{x}")
-        chain = rebased._chain()
-        gens = {g.tobytes(): g for lv in chain[1:] for g in lv.gens}
-        return PermGroup(self.degree, list(gens.values()), expected_order=sub_order,
-                         base_hint=[lv.point for lv in chain[1:]],
+        else:
+            orb = self.orbit(x)
+            sub_order = order // len(orb)
+            if len(orb) == 1:
+                return PermGroup(self.degree, self.gens, expected_order=sub_order,
+                                 seed=self.seed, name=f"{self.name}_{x}")
+            rebased = PermGroup(self.degree, self.gens, expected_order=order,
+                                base_hint=[x] + self.base_hint, seed=self.seed,
+                                name=f"{self.name}|rebase{x}")
+            levels = rebased._chain()[1:]
+        if math.prod(len(lv.orbit) for lv in levels) != sub_order:
+            raise AssertionError(f"{self!r}: stabilizer chain order mismatch")
+        gens = {g.tobytes(): g for g in levels[0].gens} if levels else {}
+        stab = PermGroup(self.degree, list(gens.values()), expected_order=sub_order,
+                         base_hint=[lv.point for lv in levels],
                          seed=self.seed, name=f"{self.name}_{x}")
+        stab._levels = levels
+        stab._order = sub_order
+        return stab
 
     def rank(self) -> int:
         """Number of suborbits of a transitive group (orbits of G_x)."""
@@ -635,9 +626,10 @@ class PermGroup:
                              max_rows=self.degree // len(block))
         return bool(np.bincount(rows.ravel()).max() <= 1)
 
-    def all_blocks_through(self, beta: int, cap: int = 10000) -> list[frozenset]:
+    def all_blocks_through(self, beta: int) -> list[frozenset]:
         """Every nontrivial block of imprimitivity containing beta, for this
-        group transitive on the orbit of beta.
+        group transitive on the orbit of beta; RuntimeError once more than
+        MAX_BLOCKS blocks are found.
 
         Any block through beta is a union of orbits of the point stabilizer
         G_beta and the join of the minimal blocks it contains, and
@@ -678,8 +670,8 @@ class PermGroup:
         min_rows = np.asarray([row for _, row in minimal])
         frontier = minimal
         while frontier:
-            if len(blocks) > cap:
-                raise RuntimeError(f"block lattice exceeded cap {cap}")
+            if len(blocks) > MAX_BLOCKS:
+                raise RuntimeError(f"block lattice exceeded cap {MAX_BLOCKS}")
             pairs = np.array([(i, j) for i, (b1, _) in enumerate(frontier)
                               for j, (b2, _) in enumerate(minimal) if not b2 <= b1],
                              dtype=np.intp).reshape(-1, 2)
@@ -762,8 +754,7 @@ class PermGroup:
                 queue.append(compose(compose(inverse(h), x), h))
         return K
 
-    def normal_subgroup_of_index(self, r: int, rng: random.Random | None = None,
-                                 budget: int = 48) -> "PermGroup":
+    def normal_subgroup_of_index(self, r: int) -> "PermGroup":
         """A verified normal subgroup of index r.
 
         Built as the normal closure of commutators of generator pairs and
@@ -773,7 +764,7 @@ class PermGroup:
         the PSL3_2_deg14 and M11_deg22 rows to the catalogue's data, and by
         the tests; no catalogue load calls it.
         """
-        rng = rng or random.Random(self.seed ^ 0xC0117)
+        rng = random.Random(self.seed ^ 0xC0117)
         seeds = []
         for a in self.gens:
             for b in self.gens:
@@ -782,7 +773,7 @@ class PermGroup:
             seeds.append(perm_power(g, r))
         N = self.normal_closure(seeds)
         tries = 0
-        while self.order // N.order > r and tries < budget:
+        while self.order // N.order > r and tries < 48:
             g = self.random_element(rng)
             N = self.normal_closure(N.gens + [perm_power(g, r)])
             tries += 1
@@ -797,7 +788,7 @@ class PermGroup:
         return N
 
     def subgroup_of_index(self, r: int, rng: random.Random | None = None,
-                          accept=None, attempts: int = 2000) -> "PermGroup":
+                          accept=None) -> "PermGroup":
         """Search for an index-r subgroup by sampling small generating sets.
 
         accept() runs the caller's downstream verification and the first
@@ -810,7 +801,7 @@ class PermGroup:
             raise ValueError(f"index {r} does not divide the group order")
         target = self.order // r
         rng = rng or random.Random(self.seed ^ 0x5B6)
-        for attempt in range(attempts):
+        for _ in range(2000):
             xs = [self.random_element(rng) for _ in range(2)]
             S = PermGroup(self.degree, xs, seed=self.seed)
             o = S.order
@@ -822,11 +813,11 @@ class PermGroup:
                 continue
             if accept is None or accept(S):
                 return S
-        raise RuntimeError(f"no index-{r} subgroup found in {attempts} attempts")
+        raise RuntimeError(f"no index-{r} subgroup found in 2000 attempts")
 
     # -- setwise stabilizer (oracle) ----------------------------------------------
 
-    def setwise_stabilizer(self, points, leaf_cap: int = 2_000_000) -> "PermGroup":
+    def setwise_stabilizer(self, points) -> "PermGroup":
         """Backtracking setwise stabilizer; meant for degree <= a few hundred."""
         S = frozenset(int(p) for p in points)
         rebased = PermGroup(self.degree, self.gens, expected_order=self.order,
@@ -841,7 +832,7 @@ class PermGroup:
         def search(level: int, h: np.ndarray):
             nonlocal stab
             counter[0] += 1
-            if counter[0] > leaf_cap:
+            if counter[0] > 2_000_000:
                 raise RuntimeError("setwise stabilizer search exceeded cap")
             if level == len(chain):
                 if frozenset(int(h[x]) for x in S) == S and not is_identity(h) \
@@ -862,16 +853,17 @@ class PermGroup:
 
 
 class _Shaker:
-    """Product-replacement random element generator."""
+    """Product-replacement random element generator: ten slots, sixty
+    burn-in steps."""
 
-    def __init__(self, gens, rng: random.Random, slots: int = 10, burn: int = 60):
+    def __init__(self, gens, rng: random.Random):
         self.rng = rng
         base = [g.copy() for g in gens]
-        while len(base) < slots:
+        while len(base) < 10:
             base.append(base[len(base) % len(gens)].copy())
         self.slots = base
         self.acc = identity(len(gens[0]))
-        for _ in range(burn):
+        for _ in range(60):
             self._step()
 
     def _step(self):
@@ -1044,7 +1036,7 @@ def line_orbit(gens, line, *, max_rows=None):
     return _row_orbit(gens, base, canon, max_rows)
 
 
-def flag_transitive_on_line(G: PermGroup, line, precomputed=None) -> bool:
+def flag_transitive_on_line(G: PermGroup, line) -> bool:
     """Whether the setwise stabilizer of `line` in G is transitive on it.
 
     Tested without computing the stabilizer, on the flags of the line orbit:
@@ -1052,13 +1044,12 @@ def flag_transitive_on_line(G: PermGroup, line, precomputed=None) -> bool:
     limg[l] * k + (the rank of g[lines[l, c]] in its image row), and
     merging every flag with its image under each generator gives the flag
     orbits.  The stabilizer of row 0, the base line, is transitive on it
-    exactly when flags 0..k-1 share one root.  `precomputed` may carry a
-    (lines, limg) pair from line_orbit on the same line set.
+    exactly when flags 0..k-1 share one root.
     """
     line0 = np.sort(np.asarray(line, dtype=np.int32))
     if len(line0) == 1:
         return True
-    lines, limg = precomputed if precomputed is not None else line_orbit(G.gens, line0)
+    lines, limg = line_orbit(G.gens, line0)
     nl, k = lines.shape
     flags = np.arange(nl * k).reshape(nl, k)
     labels = flags.ravel()

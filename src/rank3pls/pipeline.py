@@ -146,7 +146,6 @@ class PipelineEntry:
     filtered: bool = False     # discarded by the cell-intersection filter
     structure: LineOrbit | None = None
     connected: bool | None = None
-    label: str | None = None
 
     def summary(self) -> dict:
         out = {"orbit": self.orbit, "block_size": len(self.block),
@@ -159,8 +158,6 @@ class PipelineEntry:
             out["structure_ref"] = (f"{self.structure.num_lines}x"
                                     f"{self.structure.line_size}"
                                     f"{'' if self.connected else ':disconnected'}")
-        if self.label:
-            out["label"] = self.label
         return out
 
 

@@ -6,6 +6,7 @@ classification row) need --runslow.
 """
 
 import json
+import math
 import random
 import time
 from pathlib import Path
@@ -76,7 +77,7 @@ def test_criterion_03_lsub_2_16_4_5():
     D = fam.lsub(2, 16, 4, 5)
     k, tpar = fam.lsub_params(16, 4, 5)
     lhat = 5 * 16 * (16**2 - 1) * (16 - 1) // (4 * 15 * 15)
-    expected_lines = lhat // _gcd(2 * 5, tpar)
+    expected_lines = lhat // math.gcd(2 * 5, tpar)
     ok = (D.num_points == 85 and D.num_lines == 340 == expected_lines
           and D.line_sizes() == {5}
           and multiplicity_bruteforce(D) == 1)
@@ -351,9 +352,3 @@ def test_criterion_14_kernel_property_suites():
     _report(14, ok, "orbit-stabilizer, BSGS base invariance, flag vs setwise "
                     "oracle, and block-closure completeness all hold "
                     f"({time.time()-t0:.1f}s)")
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

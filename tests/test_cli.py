@@ -45,7 +45,9 @@ def test_omega_and_group_commands(tmp_path, capsys):
 
 def test_group_unknown_builtin(capsys):
     assert main(["group", "--group", "builtin:NoSuchThing"]) == 1
-    assert "unknown builtin" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown builtin group 'NoSuchThing'; ")
+    assert err.count("\n") == 1
 
 
 def test_usage_error_exit_code():
@@ -128,12 +130,13 @@ def test_family_options_come_from_the_constructor(kind, first, capsys):
 
 def test_family_vector_off_omega_is_one_line_error(capsys, monkeypatch):
     """A base vector that is not a point (here (w, 0, 1), not isotropic)
-    ends the build with the KeyError naming it, and exit 1."""
+    ends the build with the KeyError's message naming it, unquoted, and
+    exit 1."""
     from rank3pls.gfield import SubfieldView
 
     monkeypatch.setattr(SubfieldView, "embed",
                         lambda self, x: self.big.omega if x else 0)
     assert main(["family", "build", "--kind", "usub", "--q", "4", "--q0", "2"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "is not a point of Omega" in err
+    assert err.startswith("error: (") and err.count("\n") == 1
+    assert err.endswith(") is not a point of Omega\n")

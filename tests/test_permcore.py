@@ -160,6 +160,14 @@ def test_cyclic_blocks_known_answers():
     assert _cyclic(3000).minimal_block(0, 1) == frozenset(range(3000))
 
 
+def test_block_lattice_cap(monkeypatch):
+    """C_8's blocks through 0 are {0, 4} and {0, 2, 4, 6}: two blocks pass a
+    cap of one."""
+    monkeypatch.setattr(permcore, "MAX_BLOCKS", 1)
+    with pytest.raises(RuntimeError, match="block lattice exceeded cap"):
+        _cyclic(8).all_blocks_through(0)
+
+
 def _elementary_abelian(k):
     """C_2^k acting regularly on 2^k points, x -> x xor 2^i."""
     x = np.arange(1 << k, dtype=np.int32)

@@ -2,8 +2,8 @@
 its whole line orbit.
 
 For each block through the least point of each suborbit it runs
-line_orbit, flag_transitive_on_line on the orbit, and for a flag-transitive
-line an IncidenceStructure with validate_pls, is_proper, components and
+flag_transitive_on_line, and for a flag-transitive line the line_orbit and
+an IncidenceStructure with validate_pls, is_proper, components and
 fingerprint.  devillers_enumerate reads all of this off the lines through
 alpha; the tests compare the two.
 """
@@ -46,11 +46,10 @@ def reference_enumerate(G: PermGroup, name: str = "") -> list[ReferenceEntry]:
             if not in_cell and np.bincount(cell_of[list(line)]).max() >= 2:
                 entry.filtered = True
                 continue
-            lines, limg = line_orbit(G.gens, line)
-            entry.flag_transitive = flag_transitive_on_line(
-                G, line, precomputed=(lines, limg))
+            entry.flag_transitive = flag_transitive_on_line(G, line)
             if not entry.flag_transitive:
                 continue
+            lines, _ = line_orbit(G.gens, line)
             D = IncidenceStructure(G.degree, lines,
                                    {"group": name or G.name, "block_size": len(block)})
             ref.report = validate_pls(D)

@@ -3,8 +3,8 @@ time.
 
 Kept separate from the library on purpose.  Each (orbit point, generator)
 pair builds its Schreier generator from memoised transversal reps and sifts
-it through `_Level.trace_back`, one composition per Schreier-tree edge; the
-first non-member is inserted at once.  The library's batched pass must build
+it through `_Level.trace_back`, one Schreier-tree walk (`rep_to`) per level;
+the first non-member is inserted at once.  The library's batched pass must build
 the same chains byte for byte.
 """
 
@@ -43,7 +43,7 @@ class SequentialPermGroup(PermGroup):
                     us = compose(rep(lv, memo, x), s)
                     v = rep(lv, memo, int(s[x]))
                     if not (us == v).all():
-                        residue, _lvl = self._sift(compose(us, inverse(v)), i + 1)
+                        residue = self._sift(compose(us, inverse(v)), i + 1)
                         if residue is not None:
                             inserted_at = self._insert_strong_gen(residue)
                             break
