@@ -328,7 +328,7 @@ def _random_walk(gens, base, steps: int, rng: random.Random) -> np.ndarray:
     images = [g.tolist() for g in gens]
     walk = [list(base)]
     for _ in range(steps):
-        g = images[rng.randrange(len(images))]
+        g = rng.choice(images)
         walk.append([g[x] for x in walk[-1]])
     return np.array(walk, dtype=np.int32)
 

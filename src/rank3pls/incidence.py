@@ -10,8 +10,9 @@ row's lexicographic rank among the k-subsets of the points as an int64 when
 C(num_points, k) < 2**63, and the row's big-endian int32 bytes as one np.void
 otherwise, where a rank could overflow (7-point lines on 2044 points, say);
 a duplicate is a key equal to the one before it.  The predicates work on the
-whole array; the point pairs on the lines are packed into int64 keys
-a * num_points + b with a < b.
+whole array; the point pairs on the lines are packed into keys
+a * num_points + b with a < b, uint32 when num_points**2 <= 2**32 and
+int64 otherwise (see pair_counts).
 
 A structure's lines and point count are read-only, so its pair table
 (pair_counts of its lines) and its components are built once, the first time
@@ -58,19 +59,30 @@ def _line_array(lines, num_points: int) -> np.ndarray:
 
 
 def pair_counts(lines: np.ndarray, num_points: int):
-    """(keys, counts): the collinear point pairs a < b as increasing int64
-    keys a * num_points + b, and the number of lines through each pair.
+    """(keys, counts): the collinear point pairs a < b as increasing keys
+    a * num_points + b, and the number of lines through each pair as int32.
 
-    The freshly built keys are sorted in place with numpy's default
-    (unstable) sort, and each count is the length of a run of equal keys."""
+    The keys are uint32 when num_points**2 <= 2**32 (the largest key is
+    num_points**2 - num_points - 1), int64 otherwise.  They are built in
+    one preallocated array, one point pair of the lines at a time with the
+    arithmetic in the key dtype, and sorted in place with numpy's default
+    (unstable) sort; each count is the length of a run of equal keys."""
+    n = num_points
+    dtype = np.dtype(np.uint32 if n * n <= 2**32 else np.int64)
     i, j = np.triu_indices(lines.shape[1], 1)
-    keys = (lines[:, i].astype(np.int64) * num_points + lines[:, j]).ravel()
+    keys = np.empty((len(i), len(lines)), dtype=dtype)
+    for key, a, b in zip(keys, i, j):
+        np.multiply(lines[:, a], n, out=key, dtype=dtype, casting="unsafe")
+        np.add(key, lines[:, b], out=key, dtype=dtype, casting="unsafe")
+    keys = keys.ravel()
     keys.sort()
-    start = np.empty(len(keys), dtype=bool)
-    start[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=start[1:])
-    starts = np.flatnonzero(start)
-    return keys[starts], np.diff(starts, append=len(keys))
+    edge = np.empty(len(keys) + 1, dtype=bool)  # run starts, then the end
+    edge[0] = edge[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    counts = np.empty(len(bounds) - 1, dtype=np.int32)
+    np.subtract(bounds[1:], bounds[:-1], out=counts, casting="unsafe")
+    return keys[bounds[:-1]], counts
 
 
 class IncidenceStructure:
@@ -99,7 +111,7 @@ class IncidenceStructure:
     def _components(self) -> tuple[tuple[int, ...], ...]:
         """The components as components() returns them, as tuples."""
         rest = self.lines[:, 1:]
-        labels = merge(np.arange(self.num_points), rest,
+        labels = merge(np.arange(self.num_points, dtype=np.int32), rest,
                        np.broadcast_to(self.lines[:, :1], rest.shape))
         return tuple(sorted(map(tuple, classes(labels)), key=lambda c: (len(c), c)))
 
@@ -217,7 +229,8 @@ def fingerprint(D: IncidenceStructure) -> tuple:
     """Isomorphism-invariant summary: equal structures (same labelling or
     relabelled) have equal fingerprints."""
     n = D.num_points
-    concurrence = np.bincount(np.concatenate(np.divmod(D._pairs[0], n)), minlength=n)
+    a, b = np.divmod(D._pairs[0], n)
+    concurrence = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
     comp_sizes = tuple(sorted(len(c) for c in D._components))
     return (n, D.num_lines, tuple(sorted(D.line_sizes())),
             tuple(np.sort(D.point_degrees()).tolist()),

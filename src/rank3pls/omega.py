@@ -347,12 +347,13 @@ def classify_action(n: int, q: int, r: int, G: PermGroup, spec: GroupSpec,
                 arith = arith and spec.shape in ("gammal", "gl", "z_sl",
                                                  "z_sl_phi")
         else:
-            # rank 3 iff G is not inside Y SigmaL_2(q)/Y: some generator's
-            # matrix part must have determinant outside <w^{2r}>
+            # rank 3 iff G is not inside Z SigmaL_2(q): some generator's
+            # matrix part must have a non-square determinant (w I only
+            # swaps the two points of a cell, so Z SL_2(q) has rank 4)
             F = space.field if space is not None else field_make(p, a)
             from .matsemi import gens_group
             dets = [g.mat.det() for g in gens_group(spec)]
-            stride = math.gcd(2 * r, q - 1)  # <w^{2r}> = <w^stride>
+            stride = math.gcd(2, q - 1)  # the squares are <w^stride>
             arith = any(F.log[d] % stride for d in dets)
         flags["rank3"] = flags.get("rank3", arith)
     else:

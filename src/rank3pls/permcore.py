@@ -964,21 +964,26 @@ def _row_orbit(gens, row, canon, max_rows=None):
     sortable key per row).  Returns (rows, maps): the canonical rows in FIFO
     order (by BFS layer, then by source row, then by generator), row 0
     canon of `row`, and maps[k] taking row index -> image index under
-    gens[k].  Each layer stacks the frontier's images source-major and
-    sorts their keys once (default unstable argsort); runs of equal keys
-    are looked up in the sorted seen keys with one searchsorted, and a run
-    is numbered by its least image index, so ties sort in any order.  The
-    new keys are merged into the seen keys in one linear pass.  The search
-    stops after the first layer that passes max_rows rows: rows is then a
-    FIFO prefix of the orbit, and maps cover the rows before that layer.
+    gens[k].  Each layer gathers the frontier's images source-major into
+    one new (m, len(gens), w) block, which canon may sort in place (row
+    itself is passed as a copy), and sorts their keys once (default
+    unstable argsort); runs of equal keys are looked up in the sorted seen
+    keys with one searchsorted, and a run is numbered by its least image
+    index, so ties sort in any order.  The new keys are merged into the
+    seen keys in one linear pass.  The search stops after the first layer
+    that passes max_rows rows: rows is then a FIFO prefix of the orbit,
+    and maps cover the rows before that layer.
     """
-    frontier, seen_keys = canon(np.asarray(row)[None, :])   # one key: sorted
+    frontier, seen_keys = canon(np.array(row, ndmin=2))   # one key: sorted
     seen_ids = np.zeros(1, dtype=np.int32)      # row index of each seen key
     layers = [frontier]
     maps: list[list[np.ndarray]] = [[] for _ in gens]
     total = 1
     while len(gens) and len(frontier) and (max_rows is None or total <= max_rows):
-        imgs = np.stack([g[frontier] for g in gens], axis=1)
+        imgs = np.empty((len(frontier), len(gens), frontier.shape[1]),
+                        dtype=np.result_type(*gens))
+        for k, g in enumerate(gens):
+            np.take(g, frontier, out=imgs[:, k])
         imgs, keys = canon(imgs.reshape(-1, frontier.shape[1]))
         order = np.argsort(keys)
         keys = keys[order]
@@ -1030,7 +1035,7 @@ def line_orbit(gens, line, *, max_rows=None):
                          f"points in range({n})")
 
     def canon(rows):
-        rows = np.sort(rows, axis=1)
+        rows.sort(axis=1)
         return rows, row_keys(rows, n)
 
     return _row_orbit(gens, base, canon, max_rows)

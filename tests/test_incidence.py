@@ -1,10 +1,13 @@
 """Incidence-structure model and verification predicates."""
 
+import collections
 import dataclasses
 import itertools
 import json
+import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,3 +236,42 @@ def test_pair_table_once_per_structure(seed):
             continue
         with pytest.raises(ValueError):
             D.lines[0] = R.lines[0]
+
+
+@pytest.mark.parametrize("n, key_dtype", [(65536, np.uint32), (65537, np.int64)])
+def test_pair_keys_at_the_dtype_boundary(n, key_dtype):
+    """Keys are uint32 up to n = 2**16 and int64 past it; the largest key
+    n**2 - n - 1 (the pair n-2, n-1) comes out exact either way."""
+    top = [n - 3, n - 2, n - 1]
+    lines = np.array([[0, 1, n - 1], [1, n - 2, n - 1], [0, n - 2, n - 1],
+                      top, [2, 3, n - 2]], dtype=np.int32)
+    want = collections.Counter(a * n + b for l in lines.tolist()
+                               for a, b in itertools.combinations(l, 2))
+    keys, counts = pair_counts(lines, n)
+    assert keys.dtype == key_dtype and counts.dtype == np.int32
+    assert keys.tolist() == sorted(want)
+    assert counts.tolist() == [want[key] for key in sorted(want)]
+    assert keys[-1] == n * n - n - 1
+
+
+def test_pair_table_memory_per_incidence():
+    """tracemalloc peak above live memory, per point-pair incidence, of the
+    first validate_pls (which builds the pair table) and of fingerprint
+    reading the cached table: 4-byte keys and counts, built in place."""
+    D = fam.ag_star(3, 9)
+    incidences = D.num_lines * math.comb(D.line_size, 2)
+
+    def peak_per_incidence(f):
+        tracemalloc.reset_peak()
+        live = tracemalloc.get_traced_memory()[0]
+        f(D)
+        return (tracemalloc.get_traced_memory()[1] - live) / incidences
+
+    tracemalloc.start()
+    try:
+        validate_cost = peak_per_incidence(validate_pls)
+        fingerprint_cost = peak_per_incidence(fingerprint)
+    finally:
+        tracemalloc.stop()
+    assert validate_cost <= 24, validate_cost
+    assert fingerprint_cost <= 20, fingerprint_cost

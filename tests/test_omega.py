@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from rank3pls.catalog import (NEGATIVE_CONTROLS, OMEGA_BUILTINS, get_builtin,
-                              projective_action)
-from rank3pls.gfield import field_make
+                              induced_order, projective_action)
+from rank3pls.gfield import _CONWAY, field_make
 from rank3pls.matsemi import (GroupSpec, Mat, SemilinearElem, gens_group,
                               gens_sl, linear, scalar)
 from rank3pls.omega import (build_omega, classify_action, induce_action,
@@ -197,6 +197,22 @@ def test_classify_negative_controls():
                       expected_order=induced_order(spec), name=str(spec))
         flags = classify_action(spec.n, spec.q, spec.r, G, spec, sp)
         assert not flags["rank3"], spec
+
+
+@pytest.mark.parametrize("shape", ["z_sl", "z_sl_phi"])
+def test_classify_rank3_with_scalars_at_r2(shape):
+    """At (n, r) = (2, 2) the flag asks for a non-square determinant: the
+    scalars w I lie in G but only swap the two points of each cell, so
+    Z SL_2(q) has rank 4 even where 4 divides q - 1."""
+    qs = sorted(p ** a for p, a in _CONWAY if p ** a % 4 == 1 and p ** a <= 125)
+    assert len(qs) == 11
+    for q in qs:
+        spec = GroupSpec("linear", 2, q, 2, shape)
+        sp = build_omega("linear", 2, q, 2)
+        G = PermGroup(len(sp), induce_action(sp, gens_group(spec)),
+                      expected_order=induced_order(spec), name=str(spec))
+        flags = classify_action(2, q, 2, G, spec, sp)
+        assert flags["rank3"] == (G.rank() == 3), spec
 
 
 def test_classify_consistency_failure_raises():
