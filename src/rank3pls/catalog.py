@@ -6,10 +6,11 @@ Three construction routes:
   * coset: the plinth G built from its generators, the point stabilizer
     G_0 taken, and the index-r subgroup R of G_0 read from the bundled file
     data/<row>.sub.grp and verified (R <= G_0, |G_0 : R| = r, then the
-    action of G on the cosets of R has order |G|, rank 3 and one block
-    system through 0, of cells of size r) before the coset action is
-    returned; the C2x rows double their base row's action by a centralizing
-    involution.  No load searches for a subgroup;
+    action of G on the cosets of R has order |G|, rank 3 and a Sigma of
+    cells of size r) before the coset action is returned.  A C2x row takes
+    its cached base row (r = 2) and adjoins the involution swapping the two
+    points of each Sigma-cell, checked to centralize the base row and to
+    lie outside it.  No load searches for a subgroup;
     tools/gen_sporadic_data.py regenerates the files;
   * file: bundled generator files for the two covers that are not derivable
     from the matrix layer.
@@ -32,7 +33,7 @@ from .matsemi import (GroupSpec, Mat, SemilinearElem, gens_group, gens_sl,
 from .omega import (CanonicalPoints, OmegaSpace, _projective_reps, build_omega,
                     induce_action, vector_action)
 from .permcore import (PermGroup, compose, identity, perm_from_images,
-                       read_group_file, DEFAULT_SEED)
+                       read_group_file, sigma_partition, DEFAULT_SEED)
 
 
 @dataclass(frozen=True)
@@ -198,35 +199,33 @@ def projective_action(F, n, gens, expected_order=None, seed=DEFAULT_SEED,
 
 
 def _build_coset_group(meta: BuiltinMeta, seed: int) -> Builtin:
-    base = ALL_BUILTINS[meta.name.removeprefix("C2x")]
-    G = _plinth(base.name, seed)
+    if meta.name.startswith("C2x"):
+        return Builtin(meta, _double_by_cell_swap(meta, seed))
+    G = _plinth(meta.name, seed)
     H = G.stabilizer(0)
-    R = PermGroup(*_read_data(f"{base.name}.sub.grp"), seed=H.seed)
+    R = PermGroup(*_read_data(f"{meta.name}.sub.grp"), seed=H.seed)
     try:
-        image, reps = _verified_coset_action(G, H, R, base)
-    except AssertionError as exc:
+        image = _verified_coset_action(G, H, R, meta)
+    except (AssertionError, ValueError) as exc:
         raise AssertionError(
-            f"{meta.name}: bundled subgroup {base.name}.sub.grp: {exc}") from None
-    if meta.name != base.name:
-        image = _double_by_centralizer(R, image, reps, H, seed)
+            f"{meta.name}: bundled subgroup {meta.name}.sub.grp: {exc}") from None
     return Builtin(meta, image)
 
 
-def _verified_coset_action(G, H, R, base: BuiltinMeta):
-    """(image, reps) of G on the cosets of R, once R is checked to be an
-    index-r subgroup of H = G_0 whose action is rank 3 of order |G| with one
-    block system through 0, of cells of size r; AssertionError otherwise."""
+def _verified_coset_action(G, H, R, base: BuiltinMeta) -> PermGroup:
+    """The action of G on the cosets of R, once R is checked to be an
+    index-r subgroup of H = G_0 whose action has order |G| and whose Sigma
+    has cells of size r; AssertionError otherwise, or sigma_partition's
+    ValueError when the action is not imprimitive of rank 3."""
     if not all(H.contains(g) for g in R.gens):
         raise AssertionError("a generator lies outside G_0")
     if R.order * base.r != H.order:
         raise AssertionError(f"index {H.order // R.order} in G_0, expected {base.r}")
-    image, reps = G.coset_action(R, expected_order=base.order)
-    rank = image.rank()
-    sizes = [len(b) for b in image.all_blocks_through(0)]
-    if rank != 3 or sizes != [base.r]:
-        raise AssertionError(f"the coset action has rank {rank} and blocks "
-                             f"of sizes {sizes} through 0")
-    return image, reps
+    image = G.coset_action(R, expected_order=base.order)
+    size = sigma_partition(image).shape[1]
+    if size != base.r:
+        raise AssertionError(f"the coset action has Sigma-cells of size {size}")
+    return image
 
 
 # the projective plinths: name -> (p, a, n, group), acting on PG(n-1, p^a)
@@ -266,27 +265,24 @@ def _plinth(name: str, seed: int) -> PermGroup:
                              name=f"{group}{n}({F.q})@{(F.q**n - 1) // (F.q - 1)}")
 
 
-def _double_by_centralizer(R, image, reps, H, seed: int) -> PermGroup:
-    """C2 x G on the coset space: adjoin the centralizing involution
-    R h -> R x h for x in N_G(R) minus R (here x in H minus R with R normal
-    of index 2 in H, so the coset R x, and with it the involution, does not
-    depend on which x is taken)."""
-    x = next(g for g in H.gens if not R.contains(g))
-    # coset i has key keys[i], and R x rep_i is coset z[i]
-    canon = R.coset_canon()
-    keys, moved = canon(reps)[1], canon(reps[:, x])[1]
-    order = np.argsort(keys)
-    z = order[np.searchsorted(keys, moved, sorter=order)].astype(np.int32)
-    if not (keys[z] == moved).all():
-        raise AssertionError("doubling element does not map cosets to cosets")
-    for g in image.gens:
-        if not (compose(z, g) == compose(g, z)).all():
-            raise AssertionError("doubling element does not centralize")
-    if not (compose(z, z) == identity(len(reps))).all() or image.contains(z):
-        raise AssertionError("doubling element is not a fresh involution")
-    return PermGroup(image.degree, image.gens + [z],
-                     expected_order=2 * image.order, seed=seed,
-                     name=f"C2x{image.name}")
+def _double_by_cell_swap(meta: BuiltinMeta, seed: int) -> PermGroup:
+    """C2 x G for the base row G (r = 2): G and the involution z swapping
+    the two points of each Sigma-cell.  z is checked to centralize G and
+    to lie outside it; the order 2|G| then certifies the chain."""
+    try:
+        G = get_builtin(meta.name.removeprefix("C2x"), seed).group
+    except AssertionError as exc:
+        raise AssertionError(f"{meta.name}: {exc}") from None
+    cells = sigma_partition(G)
+    if cells.shape[1] != 2:
+        raise AssertionError(f"{meta.name}: Sigma-cells of size {cells.shape[1]}")
+    z = identity(G.degree)
+    z[cells] = cells[:, ::-1]
+    if any((compose(z, g) != compose(g, z)).any() for g in G.gens) or G.contains(z):
+        raise AssertionError(f"{meta.name}: the cell swap is not a fresh "
+                             f"centralizing involution")
+    return PermGroup(G.degree, G.gens + [z], expected_order=2 * G.order,
+                     seed=seed, name=f"C2x{G.name}")
 
 
 def _read_data(filename: str):

@@ -251,6 +251,15 @@ def lsub(n: int, q: int, q0: int, r: int) -> IncidenceStructure:
                             FamilyParams("lsub", n, q, q0, r, k=k, t=t), exp)
 
 
+def diagonal_relabel(space: OmegaSpace, D: IncidenceStructure,
+                     j: int) -> IncidenceStructure:
+    """D relabelled by the permutation diag(w^j, 1, ..., 1) induces on the
+    linear space."""
+    F = space.field
+    mat = Mat.diag(F, [F.exp[j % (F.q - 1)]] + [1] * (space.n - 1))
+    return relabel(D, induce_action(space, [linear(mat)])[0])
+
+
 def dlsub(q: int, q0: int, r: int, j: int) -> IncidenceStructure:
     """Doubled subfield structure (Omega, L cup w^j L) in dimension 2.
 
@@ -263,9 +272,7 @@ def dlsub(q: int, q0: int, r: int, j: int) -> IncidenceStructure:
         raise ValueError(f"DLSub needs 0 < j < t = {t}")
     base = lsub(2, q, q0, r)
     space = build_omega("linear", 2, q, r)
-    F = space.field
-    conj = induce_action(space, [linear(Mat.diag(F, [F.exp[j % (F.q - 1)], 1]))])[0]
-    both = np.concatenate([base.lines, relabel(base, conj).lines])
+    both = np.concatenate([base.lines, diagonal_relabel(space, base, j).lines])
     rows, repeat = sorted_rows(both, len(space))
     union = rows[~repeat]
     params = FamilyParams("dlsub", 2, q, q0, r, j=j, k=k, t=t)

@@ -229,9 +229,6 @@ class Field:
     def frob_iter(self, x: int, k: int) -> int:
         return self.pow(x, self.p ** (k % self.a))
 
-    def coeffs(self, x: int) -> tuple[int, ...]:
-        return tuple((x // pw) % self.p for pw in self._pow_p)
-
     def __repr__(self):
         return f"GF({self.p}^{self.a})" if self.a > 1 else f"GF({self.p})"
 

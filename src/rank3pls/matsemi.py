@@ -89,26 +89,6 @@ class Mat:
                         m[r][c] = F.sub(m[r][c], F.mul(factor, m[col][c]))
         return det
 
-    def inverse(self) -> "Mat":
-        F = self.field
-        n = self.n
-        m = [list(r) + [1 if i == j else 0 for j in range(n)]
-             for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-            inv = F.inv(m[col][col])
-            m[col] = [F.mul(inv, x) for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col]:
-                    factor = m[r][col]
-                    m[r] = [F.sub(m[r][c], F.mul(factor, m[col][c]))
-                            for c in range(2 * n)]
-        return Mat(F, [r[n:] for r in m])
-
     def apply_row(self, v) -> tuple:
         F = self.field
         n = self.n

@@ -37,8 +37,10 @@ Schreier tree of `_Level.extend_orbit` (BFS order and `sv`, which the
 transversal reps are read from) and `_row_orbit`, the orbit of one row of
 points with rows numbered in FIFO order and per-generator image maps.  Line
 orbits (`line_orbit`), coset actions (`coset_action`, on canonical coset
-elements) and block checks (`verify_block`, on the images of a block) are
-all `_row_orbit`, each with its own canonical form of a row.
+elements read off the subgroup's chain) and block checks (`verify_block`, on
+the images of a block) are all `_row_orbit`, each with its own canonical
+form of a row.  So is Sigma, the one block system of an imprimitive rank 3
+group (`sigma_partition`): no block lattice runs on the whole group.
 
 Sets of sorted point sets (lines, cells, samples) are sorted, deduplicated
 and searched through one key per row, `row_keys`: the row's lexicographic
@@ -483,10 +485,6 @@ class PermGroup:
             self._build_bsgs()
         return self._order
 
-    @property
-    def base(self) -> list[int]:
-        return [lv.point for lv in self._chain()]
-
     def contains(self, g) -> bool:
         g = g if isinstance(g, np.ndarray) else perm_from_images(g)
         if len(g) != self.degree:
@@ -689,18 +687,24 @@ class PermGroup:
 
     # -- coset action ------------------------------------------------------------
 
-    def coset_canon(self):
-        """Canonical right cosets of this group: a function taking an
-        (m, degree) array of elements h to (the canonical element of each
-        coset (self)h, its big-endian bytes as a sortable key).  Level by
-        level down the chain, one argmin and one gather turn h into u h for
-        the transversal rep u taking the base point to the orbit point of
-        least image under h.  A base leaves no freedom, so this greedy
-        minimum of the base images is one element of the coset, whatever
-        the reps."""
+    def coset_action(self, sub: "PermGroup", expected_order: int | None = None):
+        """The right-multiplication action on the right cosets of sub, on
+        [0, |G:sub|): the _row_orbit of the identity, cosets numbered in FIFO
+        order (by layer, then source coset, then generator) and each one held
+        as a canonical element, its big-endian bytes the key.  Level by level
+        down sub's chain, one argmin and one gather turn h into u h for the
+        transversal rep u taking the base point to the orbit point of least
+        image under h; a base leaves no freedom, so this greedy minimum of the
+        base images is one element of the coset, whatever the reps.
+        expected_order, when given, is the order of the image (|G| for a
+        faithful action) and certifies its BSGS."""
+        for g in sub.gens:
+            if not self.contains(g):
+                raise ValueError("not a subgroup: generator fails membership sift")
+        index = self.order // sub.order
         n = self.degree
         levels = []
-        for lv in self._chain():
+        for lv in sub._chain():
             table = _InverseReps(n)
             table.extend(lv)
             fwd = np.empty_like(table.rows)
@@ -713,30 +717,12 @@ class PermGroup:
             be = np.ascontiguousarray(h, dtype=">i4")
             return h, be.view(np.dtype((np.void, 4 * n))).ravel()
 
-        return canon
-
-    def coset_action(self, sub: "PermGroup", expected_order: int | None = None):
-        """Right-multiplication action on right cosets of sub.
-
-        Returns (image group on [0, |G:sub|), reps): the cosets are the
-        _row_orbit of the identity under sub.coset_canon, numbered in FIFO
-        order (by layer, then source coset, then generator), and row i of
-        the array reps is the canonical element of coset i.  expected_order,
-        when given, is the order of the action image (|G| for a faithful
-        action) and certifies its BSGS.
-        """
-        for g in sub.gens:
-            if not self.contains(g):
-                raise ValueError("not a subgroup: generator fails membership sift")
-        index = self.order // sub.order
-        reps, new_gens = _row_orbit(self.gens, identity(self.degree), sub.coset_canon())
-        if len(reps) != index:
+        cosets, new_gens = _row_orbit(self.gens, identity(n), canon)
+        if len(cosets) != index:
             raise AssertionError(
-                f"coset enumeration found {len(reps)} cosets, index is {index}")
-        image = PermGroup(index, new_gens, seed=self.seed,
-                          expected_order=expected_order,
-                          name=f"{self.name}/cosets")
-        return image, reps
+                f"coset enumeration found {len(cosets)} cosets, index is {index}")
+        return PermGroup(index, new_gens, seed=self.seed,
+                         expected_order=expected_order, name=f"{self.name}/cosets")
 
     # -- subgroup search -----------------------------------------------------------
 
@@ -892,26 +878,29 @@ def _rank_table(n: int, k: int) -> np.ndarray | None:
     """The (k, n) int64 table T with T[i, x] = C(n-1-i, k-i) - C(n-1-x, k-i)
     over the reachable range i <= x <= n-k+i, so that the lexicographic rank
     of a k-subset x_0 < ... < x_(k-1) of range(n) is sum_i T[i, x_i].  None
-    when C(n, k) >= 2**63, where some rank would not fit in an int64.
+    when C(n, k) >= 2**63, where some rank would not fit in an int64.  Only
+    that band, k x (n-k+1) entries, is stored: T is a read-only strided view
+    whose row i reads band row i at x - i, so an entry off the band is
+    another row's value.
 
     With y_j = n-1-x_(k-1-j), the complemented and reversed row, that sum is
     C(n, k) - 1 - sum_j C(y_j, j+1), the colex rank of y (Knuth, TAOCP 4A,
-    7.2.1.3) counted down from the top.  Column j of the binomials,
-    C(y, j+1) = sum_(t<y) C(t, j), is an exclusive cumulative sum of column
-    j-1 with its unreachable entries zeroed, so no partial sum overflows.
+    7.2.1.3) counted down from the top.  Over its reachable range
+    j <= y <= n-k+j, C(y, j+1) = sum_(j<=t<y) C(t, j) is an exclusive
+    cumulative sum of the range of j-1, so each band row is one in-place
+    cumsum of n-k+1 entries, and every entry is at most C(n-1, k).
     """
     if math.comb(n, k) >= 2**63:
         return None
-    y = np.arange(n)
-    col = np.ones(n, dtype=np.int64)            # C(y, 0)
-    binom = np.empty((k, n), dtype=np.int64)    # binom[i, x] = C(n-1-x, k-i)
+    band = np.empty((k, n - k + 1), dtype=np.int64)
+    col = np.ones(n - k + 1, dtype=np.int64)    # col[d] = C(d-1, 0), d >= 1
     for j in range(k):
-        col = np.concatenate(([0], np.cumsum(col[:-1])))
-        col[y > n - k + j] = 0
-        binom[k - 1 - j] = col[::-1]
-    table = binom[np.arange(k), np.arange(k), None] - binom
-    table.flags.writeable = False
-    return table
+        col[0] = 0
+        np.cumsum(col, out=col)                 # col[d] = C(j+d, j+1)
+        np.subtract(col[-1], col[::-1], out=band[k - 1 - j])
+    # a row stride one entry short of the band's: T[i, x] = band[i, x - i]
+    return np.lib.stride_tricks.as_strided(band, (k, n), (8 * (n - k), 8),
+                                           writeable=False)
 
 
 def row_keys(rows: np.ndarray, n: int) -> np.ndarray:
@@ -1039,6 +1028,34 @@ def line_orbit(gens, line, *, max_rows=None):
         return rows, row_keys(rows, n)
 
     return _row_orbit(gens, base, canon, max_rows)
+
+
+def sigma_partition(G: PermGroup) -> np.ndarray:
+    """Sigma, the one block system of the imprimitive rank 3 group G, as a
+    (cells, cell size) array of sorted cells in lexicographic order.
+
+    A block through 0 is {0} and a union of G_0-orbits (Dixon & Mortimer,
+    Thm 1.5A), and at rank 3 only {0} | Delta for the smaller suborbit Delta
+    can have at most n/2 points.  That B is a block exactly when |B| divides
+    n and its line orbit, cut at n/|B| rows, has pairwise disjoint rows,
+    which are then the cells.  ValueError unless G is transitive of rank 3
+    and B is a block."""
+    if not G.is_transitive():
+        raise ValueError(f"{G!r}: needs a transitive group")
+    n = G.degree
+    labels = G.stabilizer(0).orbit_labels()
+    roots = np.flatnonzero(labels == identity(n))   # 0 and one point per suborbit
+    if len(roots) != 3:
+        raise ValueError(f"{G!r}: needs rank 3, got rank {len(roots)}")
+    beta = roots[1 + np.argmin(np.bincount(labels)[roots[1:]])]
+    block = np.flatnonzero((labels == 0) | (labels == beta))
+    k = len(block)
+    if n % k == 0:
+        cells, _ = line_orbit(G.gens, block, max_rows=n // k)
+        if np.bincount(cells.ravel()).max() <= 1:
+            return sorted_rows(cells, n)[0]
+    raise ValueError(f"{G!r}: {{0}} and its smaller suborbit, {k} points, "
+                     f"are not a block, so G is primitive")
 
 
 def flag_transitive_on_line(G: PermGroup, line) -> bool:

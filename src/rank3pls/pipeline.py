@@ -40,11 +40,10 @@ import numpy as np
 from . import families
 from .catalog import ALL_BUILTINS, get_builtin
 from .gfield import SubfieldView, factorize
-from .incidence import IncidenceStructure, PLSReport, is_proper, relabel
-from .matsemi import Mat, linear
-from .omega import OmegaSpace, induce_action
+from .incidence import IncidenceStructure, PLSReport, is_proper
+from .omega import OmegaSpace
 from .permcore import (PermGroup, classes, identity, inverse, line_orbit, merge,
-                       sorted_rows)
+                       sigma_partition)
 
 
 def _is_line_at_alpha(pts: np.ndarray, block: np.ndarray, at_beta,
@@ -200,17 +199,6 @@ class PipelineResult:
                 "results": [e.summary() for e in self.entries]}
 
 
-def sigma_partition(G: PermGroup) -> np.ndarray:
-    """The unique nontrivial G-block system, asserted unique: a (cells, cell
-    size) array of sorted cells in lexicographic order."""
-    blocks = G.all_blocks_through(0)
-    if len(blocks) != 1:
-        raise ValueError(f"{G!r}: expected a unique nontrivial block system, "
-                         f"found {len(blocks)} blocks through 0")
-    cells, _ = line_orbit(G.gens, sorted(blocks[0]))
-    return sorted_rows(cells, G.degree)[0]
-
-
 MAX_LINE_ORBIT = 2_000_000  # lines per structure, a cap for non-slow runs
 
 
@@ -228,24 +216,19 @@ def devillers_enumerate(G: PermGroup, name: str = "",
     connectivity (one merge per suborbit) disconnected for the cell orbit
     and connected for the far one.  No line array is built here; outside
     slow runs a structure of more than MAX_LINE_ORBIT lines raises
-    RuntimeError.
+    RuntimeError, and sigma_partition's ValueError rejects a group that is
+    not imprimitive of rank 3.
     """
-    if not G.is_transitive():
-        raise ValueError("pipeline needs a transitive group")
-    rank = G.rank()
-    if rank != 3:
-        raise ValueError(f"pipeline needs rank 3, got rank {rank}")
     n = G.degree
     sigma = sigma_partition(G)
     cell_of = np.empty(n, dtype=np.int32)
     cell_of[sigma] = np.arange(len(sigma), dtype=np.int32)[:, None]
-    result = PipelineResult(name or G.name, n, rank, sigma)
+    result = PipelineResult(name or G.name, n, 3, sigma)
     Ga = G.stabilizer(0)
     labels = Ga.orbit_labels()
     at0 = G.schreier_tree(0)
-    cell0 = set(sigma[cell_of[0]].tolist())
     for orb in classes(labels):
-        in_cell = orb[0] in cell0
+        in_cell = cell_of[orb[0]] == cell_of[0]
         kind = "cell" if in_cell else "far"
         if len(orb) <= 2:
             continue
@@ -477,12 +460,6 @@ def run_pipeline(builtin_name: str, slow: bool = False) -> PipelineResult:
     return _PIPE_CACHE[key]
 
 
-def _conjugate_lines(space: OmegaSpace, D: IncidenceStructure, wexp: int):
-    F = space.field
-    mat = Mat.diag(F, [F.exp[wexp % (F.q - 1)]] + [1] * (space.n - 1))
-    return relabel(D, induce_action(space, [linear(mat)])[0]).lines
-
-
 def _table2_row(fam: str, args: tuple, groups: list, wexp, slow: bool) -> dict:
     D = families.CONSTRUCTORS[fam](*args)
     row_ok = True
@@ -498,7 +475,7 @@ def _table2_row(fam: str, args: tuple, groups: list, wexp, slow: bool) -> dict:
         direct = any(np.array_equal(D.lines, ls) for ls in same)
         mirrored = None
         if wexp is not None and b.space is not None:
-            conj = _conjugate_lines(b.space, D, wexp)
+            conj = families.diagonal_relabel(b.space, D, wexp).lines
             mirrored = any(np.array_equal(conj, ls) for ls in same
                            if not np.array_equal(D.lines, ls))
         ok = direct and (mirrored is not False or wexp is None)

@@ -9,7 +9,7 @@ import pytest
 
 from rank3pls import catalog
 from rank3pls.cli import main
-from rank3pls.permcore import PermGroup, write_group_file
+from rank3pls.permcore import PermGroup, sigma_partition, write_group_file
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "gen_sporadic_data.py"
 
@@ -42,6 +42,18 @@ def test_tool_regenerates_bundled_subgroup(filename, tmp_path):
 def test_seed_reaches_the_plinth(name, monkeypatch):
     monkeypatch.setattr(catalog, "_CACHE", {})
     assert catalog.get_builtin(name, 11).group.seed == 11
+
+
+@pytest.mark.parametrize("name", ["C2xPSL3_2_deg14", "C2xM11_deg22"])
+def test_c2x_row_doubles_its_base_row(name):
+    """A C2x row is its base row's generators and the swap of the two
+    points of each Sigma-cell."""
+    G = catalog.get_builtin(name.removeprefix("C2x")).group
+    swap = list(range(G.degree))
+    for a, b in sigma_partition(G).tolist():
+        swap[a], swap[b] = b, a
+    gens = catalog.get_builtin(name).group.gens
+    assert [g.tolist() for g in gens] == [g.tolist() for g in G.gens] + [swap]
 
 
 def test_no_default_build_searches(monkeypatch):

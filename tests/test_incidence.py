@@ -17,7 +17,7 @@ from rank3pls.catalog import get_builtin
 from rank3pls.incidence import (IncidenceStructure, components, fingerprint,
                                 is_connected, is_proper, multiplicity_bruteforce,
                                 pair_counts, preserved_by, relabel, validate_pls)
-from rank3pls.permcore import row_keys
+from rank3pls.permcore import _rank_table, row_keys
 
 
 def test_ingestion_rules():
@@ -275,3 +275,18 @@ def test_pair_table_memory_per_incidence():
         tracemalloc.stop()
     assert validate_cost <= 24, validate_cost
     assert fingerprint_cost <= 20, fingerprint_cost
+
+
+def test_ingesting_a_line_of_almost_every_point_stays_small():
+    """One line of 3,996 points on 4,000: the rank table keeps each row's
+    reachable band, 3,996 x 5 int64, not 3,996 x 4,000 (122 MB)."""
+    text = json.dumps({"points": 4000, "lines": [list(range(2, 3998))]})
+    _rank_table.cache_clear()
+    tracemalloc.start()
+    try:
+        D = IncidenceStructure.from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert D.lines.shape == (1, 3996)
+    assert peak < 8 * 2**20, peak

@@ -17,9 +17,6 @@ def test_mat_basics():
     a = Mat(F, [[1, F.omega], [0, 1]])
     b = Mat(F, [[1, 0], [1, 1]])
     assert (a * b).det() == F.mul(a.det(), b.det())
-    assert a * a.inverse() == Mat.identity(F, 2)
-    with pytest.raises(ZeroDivisionError):
-        Mat(F, [[1, 1], [1, 1]]).inverse()
 
 
 @pytest.mark.parametrize("p,a", [(2, 2), (3, 2), (2, 4)])

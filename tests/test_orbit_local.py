@@ -168,11 +168,11 @@ def test_line_arrays_built_only_when_read(monkeypatch):
     res.report()
     res.line_signature(None)
     assert len(res.structures()) == 2
-    assert calls == ["sigma_partition"]
+    assert calls == []
     D = res.structures()[1]
     first = D.lines
     assert D.lines is first
-    assert calls == ["sigma_partition", "lines"]
+    assert calls == ["lines"]
     assert len(first) == D.num_lines
 
 

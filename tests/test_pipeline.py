@@ -1,5 +1,6 @@
 """Pipeline behavior, flag-transitivity exactness, table reproduction."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -10,9 +11,9 @@ import pytest
 
 from rank3pls import families as fam
 from rank3pls import pipeline
-from rank3pls.catalog import get_builtin
+from rank3pls.catalog import ALL_BUILTINS, get_builtin
 from rank3pls.incidence import fingerprint
-from rank3pls.permcore import PermGroup
+from rank3pls.permcore import PermGroup, line_orbit, sorted_rows
 from rank3pls.pipeline import (FLAG_TRANSITIVE_EXPECT, classify_blocks,
                                devillers_enumerate, expected_blocks_linear,
                                expected_blocks_unitary, negative_controls,
@@ -26,6 +27,34 @@ def test_sigma_partition_unique():
     assert len(sigma) == 5 and all(len(c) == 3 for c in sigma)
     assert tuple(sigma[0]) == (0, 1, 2)
     assert sorted(x for c in sigma for x in c) == list(range(15))
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(nm, marks=pytest.mark.slow) if meta.slow else nm
+    for nm, meta in sorted(ALL_BUILTINS.items())])
+def test_sigma_partition_is_the_one_block_system(name):
+    """Sigma from the smaller suborbit is the line orbit of the one block
+    through 0 that the block lattice finds."""
+    G = get_builtin(name).group
+    block, = G.all_blocks_through(0)
+    cells, _ = line_orbit(G.gens, sorted(block))
+    assert sigma_partition(G).tolist() == sorted_rows(cells, G.degree)[0].tolist()
+
+
+def test_sigma_partition_needs_an_imprimitive_rank_3_group():
+    """S_5 on the 10 two-subsets is rank 3 (suborbits 1, 6, 3) and
+    primitive: 4 points do not divide 10.  The hexagon's D_6 is rank 4."""
+    pairs = list(itertools.combinations(range(5), 2))
+    at = {p: i for i, p in enumerate(pairs)}
+    S5 = PermGroup(10, [[at[tuple(sorted((g[a], g[b])))] for a, b in pairs]
+                        for g in ([1, 2, 3, 4, 0], [1, 0, 2, 3, 4])])
+    assert S5.order == 120 and S5.rank() == 3
+    with pytest.raises(ValueError, match="not a block"):
+        sigma_partition(S5)
+    D6 = PermGroup(6, [[1, 2, 3, 4, 5, 0], [0, 5, 4, 3, 2, 1]])
+    assert D6.rank() == 4
+    with pytest.raises(ValueError, match="rank 4"):
+        sigma_partition(D6)
 
 
 def test_pipeline_rejects_wrong_rank():

@@ -56,15 +56,12 @@ def _m11_index2():
 @pytest.mark.parametrize("pair", [_s4_on_g0, _psl32_index2, _m11_index2])
 def test_coset_action_matches_fifo_reference(pair):
     G, sub = pair()
-    image, reps = G.coset_action(sub)
+    image = G.coset_action(sub)
     ref_gens, ref_reps = _fifo_coset_action(G, sub)
     assert image.degree == len(ref_reps) == G.order // sub.order
     assert len(image.gens) == len(ref_gens)
     for got, want in zip(image.gens, ref_gens):
         assert got.tolist() == want.tolist()
-    assert len(reps) == len(ref_reps)
-    for rep, ref in zip(reps, ref_reps):
-        assert sub.contains(compose(rep, inverse(ref)))
 
 
 def test_coset_route_generator_bytes():
