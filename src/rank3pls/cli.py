@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, FileNotFoundError, AssertionError,
+    except (ValueError, KeyError, OSError, AssertionError,
             RuntimeError) as exc:
         # str() of a KeyError is the repr of its message, quotes included
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gfield import SubfieldView, factorize
-from .incidence import IncidenceStructure, pair_counts, relabel
+from .incidence import IncidenceStructure, pair_summary, relabel
 from .matsemi import GroupSpec, Mat, gens_group, gens_sl, linear
 from .omega import OmegaSpace, build_omega, induce_action, omega_space
 from .permcore import PermGroup, line_orbit, sorted_rows
@@ -148,8 +148,9 @@ def _group_gens(space: OmegaSpace, shape: str):
 def _orbit_structure(space: OmegaSpace, gens, base, params: FamilyParams,
                      exp: dict) -> IncidenceStructure:
     """The line orbit of base under gens as a structure on the space, its
-    line count checked against the closed-form count exp."""
-    lines, _ = line_orbit(gens, base)
+    line count checked against the closed-form count exp.  The orbit's
+    image maps are dropped before the lines are ingested."""
+    lines = line_orbit(gens, base)[0]
     D = IncidenceStructure(len(space), lines, params.as_dict())
     if D.num_lines != exp["lines"]:
         args = ", ".join(f"{k}={v}" for k, v in D.params.items() if k != "family")
@@ -346,7 +347,7 @@ def _count_only(space, params, exp, base, gens, seed):
     rows, repeat = sorted_rows(np.sort(walk, axis=1), len(space))
     sample = rows[~repeat]
     # local PLS check: no point pair on two sampled lines
-    if pair_counts(sample, len(space))[1].max() > 1:
+    if pair_summary(sample, len(space)).multiplicity > 1:
         raise AssertionError("sampled lines violate the PLS property")
     return CountOnly(space, params, exp, base, list(map(tuple, sample.tolist())))
 

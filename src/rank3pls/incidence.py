@@ -12,12 +12,19 @@ otherwise, where a rank could overflow (7-point lines on 2044 points, say);
 a duplicate is a key equal to the one before it.  The predicates work on the
 whole array; the point pairs on the lines are packed into keys
 a * num_points + b with a < b, uint32 when num_points**2 <= 2**32 and
-int64 otherwise (see pair_counts).
+int64 otherwise (see pair_keys).
 
-A structure's lines and point count are read-only, so its pair table
-(pair_counts of its lines) and its components are built once, the first time
-a predicate needs them, and kept: validate_pls, is_proper, components,
-fingerprint and to_dot all read the same table, sorted once.
+The point count must be a non-negative integer and the params a dict, and
+a JSON document an object with "points" and "lines"; a ValueError names the
+one that is not.
+
+A structure's lines and point count are read-only, so its pair summary (the
+multiplicity, the number of collinear pairs and each point's concurrence;
+see pair_summary) and its components are built once, the first time a
+predicate needs them, and kept: validate_pls, is_proper and fingerprint read
+the summary.  The sorted pair keys it is read off are freed once it is
+built, so beyond its lines a structure keeps O(num_points) bytes; to_dot,
+which needs the pairs themselves, sorts them again with pair_keys.
 """
 
 from __future__ import annotations
@@ -29,7 +36,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .permcore import classes, merge, sorted_rows
+from .permcore import _BATCH_ENTRIES, classes, merge, sorted_rows
+
+_PAIR_SLICE = _BATCH_ENTRIES  # pair keys per slice of pair_summary
 
 
 def _reject(lines: np.ndarray, bad: np.ndarray, what: str):
@@ -44,7 +53,7 @@ def _line_array(lines, num_points: int) -> np.ndarray:
         arr = np.asarray(lines)
     except ValueError:
         raise ValueError("all lines must have the same size") from None
-    if len(arr) == 0:
+    if arr.ndim and not len(arr):
         return np.empty((0, 0), dtype=np.int32)
     if arr.ndim != 2 or arr.dtype.kind not in "iu":
         raise ValueError("lines must be equal-size sequences of point indices")
@@ -58,15 +67,15 @@ def _line_array(lines, num_points: int) -> np.ndarray:
     return arr
 
 
-def pair_counts(lines: np.ndarray, num_points: int):
-    """(keys, counts): the collinear point pairs a < b as increasing keys
-    a * num_points + b, and the number of lines through each pair as int32.
+def pair_keys(lines: np.ndarray, num_points: int) -> np.ndarray:
+    """The point pairs a < b of every line as keys a * num_points + b, in
+    increasing order, a pair on m lines m times.
 
     The keys are uint32 when num_points**2 <= 2**32 (the largest key is
     num_points**2 - num_points - 1), int64 otherwise.  They are built in
     one preallocated array, one point pair of the lines at a time with the
     arithmetic in the key dtype, and sorted in place with numpy's default
-    (unstable) sort; each count is the length of a run of equal keys."""
+    (unstable) sort."""
     n = num_points
     dtype = np.dtype(np.uint32 if n * n <= 2**32 else np.int64)
     i, j = np.triu_indices(lines.shape[1], 1)
@@ -76,20 +85,64 @@ def pair_counts(lines: np.ndarray, num_points: int):
         np.add(key, lines[:, b], out=key, dtype=dtype, casting="unsafe")
     keys = keys.ravel()
     keys.sort()
-    edge = np.empty(len(keys) + 1, dtype=bool)  # run starts, then the end
-    edge[0] = edge[-1] = True
-    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
-    bounds = np.flatnonzero(edge)
-    counts = np.empty(len(bounds) - 1, dtype=np.int32)
-    np.subtract(bounds[1:], bounds[:-1], out=counts, casting="unsafe")
-    return keys[bounds[:-1]], counts
+    return keys
+
+
+def _run_starts(keys: np.ndarray, before=None) -> np.ndarray:
+    """Mask of the keys that differ from the key before them; the first
+    differs unless it equals `before`."""
+    start = np.empty(len(keys), dtype=bool)
+    if len(keys):
+        start[0] = before is None or keys[0] != before
+        np.not_equal(keys[1:], keys[:-1], out=start[1:])
+    return start
+
+
+@dataclass(frozen=True)
+class PairSummary:
+    """What the predicates read off the point pairs of a line set."""
+    multiplicity: int      # the most lines through one point pair
+    collinear_pairs: int   # point pairs on at least one line
+    concurrence: np.ndarray  # per point, the points collinear with it
+
+
+def pair_summary(lines: np.ndarray, num_points: int) -> PairSummary:
+    """The PairSummary of the lines, read off pair_keys in one pass over
+    slices of _PAIR_SLICE keys.  Each slice finds its own run starts (a run
+    may begin in an earlier slice), run lengths and distinct pairs, whose
+    two points it counts with one bincount each; the run still open at a
+    slice's end carries its length into the next."""
+    n = num_points
+    keys = pair_keys(lines, n)
+    concurrence = np.zeros(n, dtype=np.int64)
+    mult = pairs = open_run = 0
+    for lo in range(0, len(keys), _PAIR_SLICE):
+        part = keys[lo:lo + _PAIR_SLICE]
+        at = np.flatnonzero(_run_starts(part, keys[lo - 1] if lo else None))
+        if not len(at):
+            open_run += len(part)
+            continue
+        mult = max(mult, open_run + int(at[0]), int(np.diff(at).max(initial=0)))
+        open_run = len(part) - int(at[-1])
+        pairs += len(at)
+        a, b = np.divmod(part[at], n)
+        concurrence += np.bincount(a, minlength=n)
+        concurrence += np.bincount(b, minlength=n)
+    concurrence.flags.writeable = False
+    return PairSummary(max(mult, open_run), pairs, concurrence)
 
 
 class IncidenceStructure:
 
     def __init__(self, num_points: int, lines, params: dict | None = None):
-        self._num_points = num_points
-        self._lines = _line_array(lines, num_points)
+        if (not isinstance(num_points, (int, np.integer))
+                or isinstance(num_points, bool) or num_points < 0):
+            raise ValueError(f"points must be a non-negative integer, "
+                             f"not {num_points!r}")
+        if not isinstance(params, (dict, type(None))):
+            raise ValueError(f"params must be a dict, not {params!r}")
+        self._num_points = int(num_points)
+        self._lines = _line_array(lines, self._num_points)
         self.params = dict(params or {})
 
     @property
@@ -101,11 +154,9 @@ class IncidenceStructure:
         return self._lines
 
     @cached_property
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """pair_counts of the lines, read-only."""
-        keys, counts = pair_counts(self.lines, self.num_points)
-        keys.flags.writeable = counts.flags.writeable = False
-        return keys, counts
+    def _pair_summary(self) -> PairSummary:
+        """pair_summary of the lines."""
+        return pair_summary(self.lines, self.num_points)
 
     @cached_property
     def _components(self) -> tuple[tuple[int, ...], ...]:
@@ -149,6 +200,8 @@ class IncidenceStructure:
     @classmethod
     def from_json(cls, text: str) -> "IncidenceStructure":
         data = json.loads(text)
+        if not isinstance(data, dict) or not {"points", "lines"} <= data.keys():
+            raise ValueError('a structure is a JSON object with "points" and "lines"')
         return cls(data["points"], data["lines"], data.get("params"))
 
     def to_csv(self) -> str:
@@ -161,7 +214,8 @@ class IncidenceStructure:
         """Collinearity graph for small instances."""
         if self.num_points > 200:
             raise ValueError("DOT export is limited to 200 points")
-        a, b = np.divmod(self._pairs[0], self.num_points)
+        keys = pair_keys(self.lines, self.num_points)
+        a, b = np.divmod(keys[_run_starts(keys)], self.num_points)
         body = "\n".join(map("  {} -- {};".format, a.tolist(), b.tolist()))
         return "graph collinearity {\n" + body + "\n}\n"
 
@@ -177,14 +231,14 @@ class PLSReport:
 
 
 def validate_pls(D: IncidenceStructure) -> PLSReport:
-    """Exact multiplicity over all point pairs via a pair -> count table."""
+    """Exact multiplicity over all point pairs, from the pair summary."""
     deg = D.point_degrees()
     deg_const = bool((deg == deg[0]).all()) if D.num_points else True
     if not D.num_lines:
         return PLSReport(True, 0, True, deg_const, None, 0)
-    counts = D._pairs[1]
-    mult = int(counts.max())
-    return PLSReport(mult <= 1, mult, True, deg_const, D.line_size, len(counts))
+    pairs = D._pair_summary
+    return PLSReport(pairs.multiplicity <= 1, pairs.multiplicity, True,
+                     deg_const, D.line_size, pairs.collinear_pairs)
 
 
 def multiplicity_bruteforce(D: IncidenceStructure) -> int:
@@ -202,7 +256,7 @@ def multiplicity_bruteforce(D: IncidenceStructure) -> int:
 def is_proper(D: IncidenceStructure, rep: PLSReport | None = None) -> bool:
     """Neither a linear space nor a graph: line size >= 3 and some point
     pair lies on no line.  `rep`, when given, must be validate_pls(D); it
-    is used instead of validating D again.  Either way D's pair table is
+    is used instead of validating D again.  Either way D's pair summary is
     built at most once, so passing `rep` saves only the report."""
     if rep is None:
         rep = validate_pls(D)
@@ -228,13 +282,10 @@ def is_connected(D: IncidenceStructure) -> bool:
 def fingerprint(D: IncidenceStructure) -> tuple:
     """Isomorphism-invariant summary: equal structures (same labelling or
     relabelled) have equal fingerprints."""
-    n = D.num_points
-    a, b = np.divmod(D._pairs[0], n)
-    concurrence = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
     comp_sizes = tuple(sorted(len(c) for c in D._components))
-    return (n, D.num_lines, tuple(sorted(D.line_sizes())),
+    return (D.num_points, D.num_lines, tuple(sorted(D.line_sizes())),
             tuple(np.sort(D.point_degrees()).tolist()),
-            tuple(np.sort(concurrence).tolist()), comp_sizes)
+            tuple(np.sort(D._pair_summary.concurrence).tolist()), comp_sizes)
 
 
 def preserved_by(D: IncidenceStructure, gens) -> bool:

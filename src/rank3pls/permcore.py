@@ -959,9 +959,11 @@ def _row_orbit(gens, row, canon, max_rows=None):
     unstable argsort); runs of equal keys are looked up in the sorted seen
     keys with one searchsorted, and a run is numbered by its least image
     index, so ties sort in any order.  The new keys are merged into the
-    seen keys in one linear pass.  The search stops after the first layer
-    that passes max_rows rows: rows is then a FIFO prefix of the orbit,
-    and maps cover the rows before that layer.
+    seen keys in one linear pass.  Each image-wide temporary is freed as
+    soon as it is dead, the image block once the next frontier is gathered
+    from it, so no two layers' blocks are live at once.  The search stops
+    after the first layer that passes max_rows rows: rows is then a FIFO
+    prefix of the orbit, and maps cover the rows before that layer.
     """
     frontier, seen_keys = canon(np.array(row, ndmin=2))   # one key: sorted
     seen_ids = np.zeros(1, dtype=np.int32)      # row index of each seen key
@@ -982,8 +984,10 @@ def _row_orbit(gens, row, canon, max_rows=None):
         runs = np.flatnonzero(start)
         keys = keys[runs]
         first = np.minimum.reduceat(order, runs)
-        inv = np.empty(len(order), dtype=np.intp)
-        inv[order] = np.cumsum(start) - 1
+        inv = np.empty(len(order), dtype=np.int32)  # image -> its run
+        inv[order] = np.cumsum(start, dtype=np.int32)
+        inv -= 1
+        del order, start, runs
         pos = np.searchsorted(seen_keys, keys)
         known = seen_keys[np.minimum(pos, len(seen_keys) - 1)] == keys
         fresh = np.flatnonzero(~known)
@@ -993,6 +997,7 @@ def _row_orbit(gens, row, canon, max_rows=None):
         key_ids[fresh] = np.arange(total, total + len(fresh), dtype=np.int32)
         for k, part in enumerate(key_ids[inv].reshape(-1, len(gens)).T):
             maps[k].append(part)
+        del inv
         total += len(fresh)
         new = ~known
         at = pos[new] + np.arange(len(fresh))   # pos[new] is non-decreasing
@@ -1001,6 +1006,7 @@ def _row_orbit(gens, row, canon, max_rows=None):
         seen_keys = _merge_at(seen_keys, kept, at, keys[new])
         seen_ids = _merge_at(seen_ids, kept, at, key_ids[new])
         frontier = imgs[first[fresh]]
+        del imgs
         layers.append(frontier)
     return np.concatenate(layers), [np.concatenate(m) for m in maps]
 

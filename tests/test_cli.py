@@ -140,3 +140,33 @@ def test_family_vector_off_omega_is_one_line_error(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: (") and err.count("\n") == 1
     assert err.endswith(") is not a point of Omega\n")
+
+
+@pytest.mark.parametrize("text, phrase", [
+    ("[1, 2]", "JSON object"),                               # a list, not an object
+    ('{"points": "5", "lines": []}', "points must be"),
+    ('{"points": 5.5, "lines": []}', "points must be"),
+    ('{"points": -3, "lines": []}', "points must be"),
+    ('{"points": 5, "lines": 7}', "lines must be"),
+    ('{"points": 5, "lines": [[0, 1, 2]], "params": 4}', "params must be"),
+])
+def test_verify_malformed_document_is_one_line_error(tmp_path, capsys, text, phrase):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert phrase in err
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "{dir}"],
+    ["family", "build", "--kind", "delta", "--n", "2", "--q", "4", "--out", "{dir}"],
+])
+def test_directory_path_is_one_line_error(tmp_path, capsys, args):
+    """A directory where a file is read or written is an OSError other
+    than FileNotFoundError; it ends the command with one line, exit 1."""
+    assert main([a.format(dir=tmp_path) for a in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path) in err

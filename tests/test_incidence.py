@@ -2,21 +2,25 @@
 
 import collections
 import dataclasses
+import gc
 import itertools
 import json
 import math
 import random
 import re
 import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from rank3pls import families as fam
+from rank3pls import families as fam, incidence
 from rank3pls.catalog import get_builtin
 from rank3pls.incidence import (IncidenceStructure, components, fingerprint,
                                 is_connected, is_proper, multiplicity_bruteforce,
-                                pair_counts, preserved_by, relabel, validate_pls)
+                                pair_keys, pair_summary, preserved_by, relabel,
+                                validate_pls)
 from rank3pls.permcore import _rank_table, row_keys
 
 
@@ -199,22 +203,38 @@ def _random_line_sets(seed):
         yield n, rng.sample(pool, min(size, len(pool)))
 
 
+def _reference_summary(lines, n):
+    """(multiplicity, collinear pairs, concurrence) from np.unique over the
+    pair keys of the lines, made with Python ints."""
+    keys = np.array([a * n + b for l in lines
+                     for a, b in itertools.combinations(l, 2)], dtype=np.int64)
+    pairs, counts = np.unique(keys, return_counts=True)
+    a, b = np.divmod(pairs, n)
+    concurrence = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+    return int(counts.max(initial=0)), len(pairs), concurrence.tolist()
+
+
+def _summary_fields(summary):
+    return (summary.multiplicity, summary.collinear_pairs,
+            summary.concurrence.tolist())
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_pair_table_once_per_structure(seed):
-    """The cached pair table agrees with np.unique and the brute-force
-    multiplicity; the predicates answer the same in any call order and on a
-    fresh copy; relabel builds its own table; points and lines are
-    read-only."""
+    """The cached pair summary agrees with np.unique and the brute-force
+    multiplicity, and is built once; the predicates answer the same in any
+    call order and on a fresh copy; relabel builds its own summary; points
+    and lines are read-only."""
     preds = {"fingerprint": fingerprint, "validate_pls": validate_pls,
              "components": components}
     for n, lines in _random_line_sets(seed):
         D = IncidenceStructure(n, lines)
-        keys = np.array([a * n + b for l in lines
-                         for a, b in itertools.combinations(l, 2)], dtype=np.int64)
-        got, want = pair_counts(D.lines, n), np.unique(keys, return_counts=True)
-        for g, w in zip(got, want):
-            assert g.tolist() == w.tolist()
+        keys = [a * n + b for l in lines for a, b in itertools.combinations(l, 2)]
+        assert pair_keys(D.lines, n).tolist() == sorted(keys)
+        assert _summary_fields(pair_summary(D.lines, n)) == _reference_summary(lines, n)
         assert validate_pls(D).multiplicity == multiplicity_bruteforce(D)
+        assert D._pair_summary is D._pair_summary
+        assert not D._pair_summary.concurrence.flags.writeable
         expected = {name: f(IncidenceStructure(n, lines)) for name, f in preds.items()}
         for order in itertools.permutations(preds):
             E = IncidenceStructure(n, lines)
@@ -226,6 +246,7 @@ def test_pair_table_once_per_structure(seed):
         R = relabel(D, perm)
         fresh = IncidenceStructure(n, R.lines)
         assert R.to_dot() == fresh.to_dot()
+        assert R.to_dot().count("--") == len(set(keys))
         assert components(R) == components(fresh)
         assert validate_pls(R) == validate_pls(D)
         with pytest.raises(AttributeError):
@@ -241,23 +262,61 @@ def test_pair_table_once_per_structure(seed):
 @pytest.mark.parametrize("n, key_dtype", [(65536, np.uint32), (65537, np.int64)])
 def test_pair_keys_at_the_dtype_boundary(n, key_dtype):
     """Keys are uint32 up to n = 2**16 and int64 past it; the largest key
-    n**2 - n - 1 (the pair n-2, n-1) comes out exact either way."""
+    n**2 - n - 1 (the pair n-2, n-1) comes out exact either way, and so
+    does the summary read off the keys, in one slice or in many."""
     top = [n - 3, n - 2, n - 1]
     lines = np.array([[0, 1, n - 1], [1, n - 2, n - 1], [0, n - 2, n - 1],
                       top, [2, 3, n - 2]], dtype=np.int32)
     want = collections.Counter(a * n + b for l in lines.tolist()
                                for a, b in itertools.combinations(l, 2))
-    keys, counts = pair_counts(lines, n)
-    assert keys.dtype == key_dtype and counts.dtype == np.int32
-    assert keys.tolist() == sorted(want)
-    assert counts.tolist() == [want[key] for key in sorted(want)]
+    keys = pair_keys(lines, n)
+    assert keys.dtype == key_dtype
+    assert keys.tolist() == sorted(want.elements())
     assert keys[-1] == n * n - n - 1
+    assert max(want.values()) == 3   # the pair (n-2, n-1) lies on three lines
+    for size in (incidence._PAIR_SLICE, 2):
+        with unittest.mock.patch.object(incidence, "_PAIR_SLICE", size):
+            got = _summary_fields(pair_summary(lines, n))
+        assert got == _reference_summary(lines.tolist(), n)
+
+
+@st.composite
+def _line_sets_and_slices(draw):
+    """A small line set, possibly empty, on n points; some draws send many
+    lines through the pair (0, 1), whose run of keys is then longer than a
+    slice; and a slice size of 1 to 9 keys."""
+    n = draw(st.integers(3, 12))
+    k = draw(st.integers(2, min(n, 5)))
+    pool = list(itertools.combinations(range(n), k))
+    if draw(st.booleans()):
+        pool = [l for l in pool if l[:2] == (0, 1)]
+    lines = draw(st.lists(st.sampled_from(pool), max_size=20, unique=True))
+    return n, sorted(lines), draw(st.integers(1, 9))
+
+
+# pair (0, 1) on 40 lines: its run of keys spans slices that hold no run
+# start at all; and the empty structure
+@example((50, [(0, 1, x) for x in range(2, 42)] + [(2, 3, 4), (5, 6, 7)], 3))
+@example((50, [(0, 1, x) for x in range(2, 42)] + [(2, 3, 4), (5, 6, 7)], 7))
+@example((5, [], 1))
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_line_sets_and_slices())
+def test_pair_summary_matches_np_unique(case):
+    """The summary read off pair_keys slice by slice equals the one read
+    off np.unique of the whole key list, whatever the slice size: runs of
+    equal keys that cross slice boundaries, a run longer than a slice and
+    the empty structure included."""
+    n, lines, size = case
+    with unittest.mock.patch.object(incidence, "_PAIR_SLICE", size):
+        got = _summary_fields(pair_summary(IncidenceStructure(n, lines).lines, n))
+    assert got == _reference_summary(lines, n)
 
 
 def test_pair_table_memory_per_incidence():
     """tracemalloc peak above live memory, per point-pair incidence, of the
-    first validate_pls (which builds the pair table) and of fingerprint
-    reading the cached table: 4-byte keys and counts, built in place."""
+    first validate_pls (which builds the pair summary from 4-byte keys, read
+    in slices) and of fingerprint reading the cached summary; after both,
+    the structure keeps O(points) bytes beyond its lines, not its pairs."""
     D = fam.ag_star(3, 9)
     incidences = D.num_lines * math.comb(D.line_size, 2)
 
@@ -267,14 +326,35 @@ def test_pair_table_memory_per_incidence():
         f(D)
         return (tracemalloc.get_traced_memory()[1] - live) / incidences
 
+    gc.collect()
     tracemalloc.start()
     try:
         validate_cost = peak_per_incidence(validate_pls)
         fingerprint_cost = peak_per_incidence(fingerprint)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert validate_cost <= 24, validate_cost
-    assert fingerprint_cost <= 20, fingerprint_cost
+    assert validate_cost <= 15, validate_cost
+    assert fingerprint_cost <= 8, fingerprint_cost
+    assert kept <= 100 * D.num_points, kept
+
+
+def test_family_build_memory_per_line_entry():
+    """tracemalloc peak above live memory of building delta(3,7), 19,152
+    lines of size 3, per entry of its line array: the row orbit frees each
+    layer's full-width temporaries once they are dead, and the build drops
+    the orbit's image maps before it ingests the lines."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        D = fam.delta(3, 7)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert D.lines.shape == (19152, 3)
+    assert peak / D.lines.size <= 34, peak / D.lines.size
 
 
 def test_ingesting_a_line_of_almost_every_point_stays_small():

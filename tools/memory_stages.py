@@ -1,0 +1,68 @@
+#!/usr/bin/env python3
+"""Print the tracemalloc peak of each library call of the `families` workload.
+
+The calls are those of perfbench's `families` workload, in its order:
+`usub(16, 4)` (count-only), then `lsub(3, 25, 5, 3)`, split into its line
+orbit and the ingestion of the orbit's lines into an IncidenceStructure,
+then `validate_pls`, `components` and `fingerprint` on that structure
+(`is_proper` is not called: the structure is not a partial linear space).
+All run in this one process, so the module caches start empty.  For each
+call the line gives, in MiB:
+
+    above_live  the traced peak during the call minus the memory live when
+                the call began: what the call itself allocates at most;
+    live        the memory live when the call began;
+    kept        what the call left live when it returned (its result and
+                any cache it filled).
+
+tracemalloc counts allocations, numpy's included, so these numbers do not
+move with heap layout the way a process's peak RSS does.
+
+Usage, from the repository root: python3 tools/memory_stages.py
+"""
+
+import sys
+import tracemalloc
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from rank3pls import families, incidence, permcore  # noqa: E402
+
+MIB = 2**20
+
+
+def main() -> int:
+    rows = []
+
+    def measured(name, f):
+        def call(*args, **kwargs):
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            out = f(*args, **kwargs)
+            now, peak = tracemalloc.get_traced_memory()
+            rows.append((name, peak - live, live, now - live))
+            return out
+        return call
+
+    # lsub reaches the orbit and the ingestion through these two names
+    families.line_orbit = measured("line orbit", families.line_orbit)
+    families.IncidenceStructure = measured("ingest", families.IncidenceStructure)
+    tracemalloc.start()
+    try:
+        # bound, as in the workload, so that it stays live to the end
+        C = measured("usub", families.usub)(16, 4, seed=permcore.DEFAULT_SEED)
+        D = families.lsub(3, 25, 5, 3)
+        for f in (incidence.validate_pls, incidence.components,
+                  incidence.fingerprint):
+            measured(f.__name__, f)(D)
+    finally:
+        tracemalloc.stop()
+    print(f"{'call':<14}{'above_live':>11}{'live':>8}{'kept':>8}   (MiB)")
+    for name, above, live, kept in rows:
+        print(f"{name:<14}{above / MIB:>11.1f}{live / MIB:>8.1f}{kept / MIB:>8.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
