@@ -71,7 +71,7 @@ def cmd_family(args) -> int:
 def cmd_omega(args) -> int:
     space = build_omega(args.kind, args.n, args.q, args.r)
     print(f"Omega({args.kind}, {args.n}, {args.q}, {args.r}): "
-          f"{len(space)} points, {len(space.sigma)} cells of size {space.r}")
+          f"{len(space)} points, {len(space.cells)} cells of size {space.r}")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(space.to_json())
@@ -207,6 +207,10 @@ def main(argv=None) -> int:
         # str() of a KeyError is the repr of its message, quotes included
         msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {msg}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 1
 
 

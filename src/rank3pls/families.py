@@ -148,8 +148,9 @@ def _group_gens(space: OmegaSpace, shape: str):
 def _orbit_structure(space: OmegaSpace, gens, base, params: FamilyParams,
                      exp: dict) -> IncidenceStructure:
     """The line orbit of base under gens as a structure on the space, its
-    line count checked against the closed-form count exp.  The orbit's
-    image maps are dropped before the lines are ingested."""
+    line count checked against the closed-form count exp.  The orbit is
+    built without image maps, so its FIFO rows are all it holds when the
+    lines are ingested."""
     lines = line_orbit(gens, base)[0]
     D = IncidenceStructure(len(space), lines, params.as_dict())
     if D.num_lines != exp["lines"]:

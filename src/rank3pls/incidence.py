@@ -9,22 +9,27 @@ rows are put in order by sorting one key per row, `permcore.row_keys`: the
 row's lexicographic rank among the k-subsets of the points as an int64 when
 C(num_points, k) < 2**63, and the row's big-endian int32 bytes as one np.void
 otherwise, where a rank could overflow (7-point lines on 2044 points, say);
-a duplicate is a key equal to the one before it.  The predicates work on the
-whole array; the point pairs on the lines are packed into keys
-a * num_points + b with a < b, uint32 when num_points**2 <= 2**32 and
-int64 otherwise (see pair_keys).
+a duplicate is a key equal to the one before it.  The point pairs on the
+lines are packed into keys a * num_points + b with a < b, uint32 when
+num_points**2 <= 2**32 and int64 otherwise (see pair_keys).
 
-The point count must be a non-negative integer and the params a dict, and
-a JSON document an object with "points" and "lines"; a ValueError names the
-one that is not.
+The point count must be a non-negative integer of at most MAX_POINTS, the
+points an int32 line array can address, and the params a dict, and a JSON
+document an object with "points" and "lines"; a ValueError names the one
+that is not.
 
 A structure's lines and point count are read-only, so its pair summary (the
 multiplicity, the number of collinear pairs and each point's concurrence;
 see pair_summary) and its components are built once, the first time a
 predicate needs them, and kept: validate_pls, is_proper and fingerprint read
-the summary.  The sorted pair keys it is read off are freed once it is
-built, so beyond its lines a structure keeps O(num_points) bytes; to_dot,
-which needs the pairs themselves, sorts them again with pair_keys.
+the summary.  No predicate holds an array as large as the line array or its
+pairs next to it.  The summary is read off the sorted pair keys one block
+of consecutive smaller points at a time (_pair_key_blocks; beyond a block
+of about _PAIR_BLOCK keys it keeps one int32 row index per line for each
+column not already in block order), and components and point_degrees merge
+and count the lines slice by slice (_line_slices).  Beyond its lines a
+structure keeps O(num_points) bytes; to_dot, which needs the pairs
+themselves, joins the blocks with pair_keys.
 """
 
 from __future__ import annotations
@@ -38,7 +43,17 @@ import numpy as np
 
 from .permcore import _BATCH_ENTRIES, classes, merge, sorted_rows
 
-_PAIR_SLICE = _BATCH_ENTRIES  # pair keys per slice of pair_summary
+MAX_POINTS = 2**31 - 1  # the largest point count an int32 line array addresses
+_PAIR_BLOCK = _BATCH_ENTRIES << 1  # pair keys per block of pair_summary, about
+_LINE_SLICE = _BATCH_ENTRIES >> 2  # line entries per slice, at least
+
+
+def _line_slices(lines: np.ndarray, num_points: int):
+    """Consecutive slices of the lines, each of about max(_LINE_SLICE,
+    num_points) entries: a pass that keeps per-point arrays costs O(points)
+    per slice, so a slice is never smaller than them."""
+    step = max(1, max(_LINE_SLICE, num_points) // max(1, lines.shape[1]))
+    return (lines[lo:lo + step] for lo in range(0, len(lines), step))
 
 
 def _reject(lines: np.ndarray, bad: np.ndarray, what: str):
@@ -59,7 +74,10 @@ def _line_array(lines, num_points: int) -> np.ndarray:
         raise ValueError("lines must be equal-size sequences of point indices")
     if arr.shape[1] < 2:
         raise ValueError(f"line {tuple(arr[0].tolist())} has fewer than 2 points")
-    _reject(arr, (np.diff(arr, axis=1) <= 0).any(axis=1), "is not strictly sorted")
+    unsorted = np.zeros(len(arr), dtype=bool)
+    for i in range(1, arr.shape[1]):    # one column pair at a time
+        unsorted |= arr[:, i] <= arr[:, i - 1]
+    _reject(arr, unsorted, "is not strictly sorted")
     _reject(arr, (arr[:, 0] < 0) | (arr[:, -1] >= num_points), "out of range")
     arr, repeat = sorted_rows(arr.astype(np.int32, copy=False), num_points)
     _reject(arr, repeat, "is a duplicate")
@@ -67,33 +85,80 @@ def _line_array(lines, num_points: int) -> np.ndarray:
     return arr
 
 
+def _key_dtype(num_points: int) -> np.dtype:
+    return np.dtype(np.uint32 if num_points**2 <= 2**32 else np.int64)
+
+
+def _pair_key_blocks(lines: np.ndarray, num_points: int):
+    """The keys of pair_keys, in increasing order, one block at a time.
+
+    A block holds every key whose smaller point a lies in one range of
+    consecutive points, so equal keys never straddle two blocks.  A point
+    in column i of a line is the smaller point of k - 1 - i of its pairs;
+    from those per-point counts each point is put in the block of the
+    _PAIR_BLOCK-key window its first key falls in, so a block holds about
+    _PAIR_BLOCK keys (more only when one point alone has more).  Each
+    column's rows are grouped by the block of their point with one stable
+    argsort of 8- or 16-bit block tags (a radix sort); a block gathers its
+    rows of each column i with one take, builds the keys of the pairs (i, j)
+    for j > i in one preallocated array and sorts it in place."""
+    n = num_points
+    dtype = _key_dtype(n)
+    lines = np.asarray(lines, dtype=np.int32)
+    if not lines.size:
+        return
+    k = lines.shape[1]
+    counts = [np.bincount(lines[:, i], minlength=n) for i in range(k - 1)]
+    per_point = sum((k - 1 - i) * c for i, c in enumerate(counts))
+    window = (np.cumsum(per_point) - per_point) // _PAIR_BLOCK
+    cuts = np.flatnonzero(window[1:] != window[:-1]) + 1
+    starts = np.r_[0, cuts]             # the first point of each block
+    tags = np.zeros(n, dtype=np.min_scalar_type(len(cuts)))
+    tags[cuts] = 1
+    np.cumsum(tags, out=tags)           # the block of each point
+    index = np.int32 if len(lines) < 2**31 else np.intp
+    groups = []         # per column: its rows in block order, each block's end
+    for i, c in enumerate(counts):
+        tag = tags[lines[:, i]]
+        order = (None if (tag[1:] >= tag[:-1]).all()    # column 0, when sorted
+                 else np.argsort(tag, kind="stable").astype(index))
+        groups.append((order, np.cumsum(np.add.reduceat(c, starts))))
+    del counts, tag
+    points = lines.view(np.uint32)     # the same bits: no cast in the keys
+    sizes = np.add.reduceat(per_point, starts)
+    for blk, size in enumerate(sizes.tolist()):
+        if not size:
+            continue
+        keys = np.empty(size, dtype=dtype)
+        at = 0
+        for i, (order, ends) in enumerate(groups):
+            part = slice(ends[blk - 1] if blk else 0, ends[blk])
+            rows = (points[part] if order is None
+                    else np.take(points, order[part], axis=0))
+            a = np.multiply(rows[:, i], n, dtype=dtype)
+            for j in range(i + 1, k):
+                np.add(a, rows[:, j], out=keys[at:at + len(a)])
+                at += len(a)
+        keys.sort()
+        yield keys
+
+
 def pair_keys(lines: np.ndarray, num_points: int) -> np.ndarray:
     """The point pairs a < b of every line as keys a * num_points + b, in
-    increasing order, a pair on m lines m times.
+    increasing order, a pair on m lines m times: the blocks of
+    _pair_key_blocks, concatenated.
 
     The keys are uint32 when num_points**2 <= 2**32 (the largest key is
-    num_points**2 - num_points - 1), int64 otherwise.  They are built in
-    one preallocated array, one point pair of the lines at a time with the
-    arithmetic in the key dtype, and sorted in place with numpy's default
-    (unstable) sort."""
-    n = num_points
-    dtype = np.dtype(np.uint32 if n * n <= 2**32 else np.int64)
-    i, j = np.triu_indices(lines.shape[1], 1)
-    keys = np.empty((len(i), len(lines)), dtype=dtype)
-    for key, a, b in zip(keys, i, j):
-        np.multiply(lines[:, a], n, out=key, dtype=dtype, casting="unsafe")
-        np.add(key, lines[:, b], out=key, dtype=dtype, casting="unsafe")
-    keys = keys.ravel()
-    keys.sort()
-    return keys
+    num_points**2 - num_points - 1), int64 otherwise."""
+    blocks = _pair_key_blocks(lines, num_points)
+    return np.concatenate([np.empty(0, _key_dtype(num_points)), *blocks])
 
 
-def _run_starts(keys: np.ndarray, before=None) -> np.ndarray:
-    """Mask of the keys that differ from the key before them; the first
-    differs unless it equals `before`."""
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the keys that differ from the key before them."""
     start = np.empty(len(keys), dtype=bool)
     if len(keys):
-        start[0] = before is None or keys[0] != before
+        start[0] = True
         np.not_equal(keys[1:], keys[:-1], out=start[1:])
     return start
 
@@ -106,30 +171,42 @@ class PairSummary:
     concurrence: np.ndarray  # per point, the points collinear with it
 
 
+def _longest_run(keys: np.ndarray) -> int:
+    """The length of the longest run of equal keys in sorted, non-empty
+    keys: a run of m keys exists iff some key equals the key m - 1 places
+    on, tested for m = 2, 4, 8, ... and then bisected."""
+    def has_run(m):
+        return m <= len(keys) and bool((keys[m - 1:] == keys[:len(keys) - m + 1]).any())
+
+    lo, hi = 1, 2       # a run of lo keys exists; none of hi may
+    while has_run(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if has_run(mid) else (lo, mid)
+    return lo
+
+
 def pair_summary(lines: np.ndarray, num_points: int) -> PairSummary:
-    """The PairSummary of the lines, read off pair_keys in one pass over
-    slices of _PAIR_SLICE keys.  Each slice finds its own run starts (a run
-    may begin in an earlier slice), run lengths and distinct pairs, whose
-    two points it counts with one bincount each; the run still open at a
-    slice's end carries its length into the next."""
+    """The PairSummary of the lines, read off the blocks of
+    _pair_key_blocks one at a time.  A block's distinct keys are its run
+    starts; the distinct pairs of each smaller point a lie between a * n
+    and (a + 1) * n (one searchsorted), and the larger points are counted
+    with one bincount."""
     n = num_points
-    keys = pair_keys(lines, n)
     concurrence = np.zeros(n, dtype=np.int64)
-    mult = pairs = open_run = 0
-    for lo in range(0, len(keys), _PAIR_SLICE):
-        part = keys[lo:lo + _PAIR_SLICE]
-        at = np.flatnonzero(_run_starts(part, keys[lo - 1] if lo else None))
-        if not len(at):
-            open_run += len(part)
-            continue
-        mult = max(mult, open_run + int(at[0]), int(np.diff(at).max(initial=0)))
-        open_run = len(part) - int(at[-1])
-        pairs += len(at)
-        a, b = np.divmod(part[at], n)
-        concurrence += np.bincount(a, minlength=n)
-        concurrence += np.bincount(b, minlength=n)
+    mult = pairs = 0
+    for keys in _pair_key_blocks(lines, n):
+        mult = max(mult, _longest_run(keys))
+        keys = np.compress(_run_starts(keys), keys)
+        pairs += len(keys)
+        lo, hi = int(keys[0] // n), int(keys[-1] // n) + 1
+        cuts = np.searchsorted(keys, np.arange(lo + 1, hi, dtype=keys.dtype) * n)
+        concurrence[lo:hi] += np.diff(cuts, prepend=0, append=len(keys))
+        # keys % n, spelt with // by a scalar, which numpy vectorizes
+        concurrence += np.bincount(keys - keys // n * n, minlength=n)
     concurrence.flags.writeable = False
-    return PairSummary(max(mult, open_run), pairs, concurrence)
+    return PairSummary(mult, pairs, concurrence)
 
 
 class IncidenceStructure:
@@ -139,6 +216,9 @@ class IncidenceStructure:
                 or isinstance(num_points, bool) or num_points < 0):
             raise ValueError(f"points must be a non-negative integer, "
                              f"not {num_points!r}")
+        if num_points > MAX_POINTS:
+            raise ValueError(f"points must be at most {MAX_POINTS}, the int32 "
+                             f"line array's range, not {num_points}")
         if not isinstance(params, (dict, type(None))):
             raise ValueError(f"params must be a dict, not {params!r}")
         self._num_points = int(num_points)
@@ -161,9 +241,10 @@ class IncidenceStructure:
     @cached_property
     def _components(self) -> tuple[tuple[int, ...], ...]:
         """The components as components() returns them, as tuples."""
-        rest = self.lines[:, 1:]
-        labels = merge(np.arange(self.num_points, dtype=np.int32), rest,
-                       np.broadcast_to(self.lines[:, :1], rest.shape))
+        labels = np.arange(self.num_points, dtype=np.int32)
+        for part in _line_slices(self.lines, self.num_points):
+            rest = part[:, 1:]
+            labels = merge(labels, rest, np.broadcast_to(part[:, :1], rest.shape))
         return tuple(sorted(map(tuple, classes(labels)), key=lambda c: (len(c), c)))
 
     @property
@@ -181,7 +262,10 @@ class IncidenceStructure:
         return frozenset(map(tuple, self.lines.tolist()))
 
     def point_degrees(self) -> np.ndarray:
-        return np.bincount(self.lines.ravel(), minlength=self.num_points)
+        deg = np.zeros(self.num_points, dtype=np.intp)
+        for part in _line_slices(self.lines, self.num_points):
+            deg += np.bincount(part.ravel(), minlength=self.num_points)
+        return deg
 
     def __repr__(self):
         return (f"IncidenceStructure({self.num_points} points, "

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -133,7 +133,14 @@ class CanonicalPoints:
 
 
 class OmegaSpace(CanonicalPoints):
-    """Indexed point set of Construction-style <w^r>-cosets with partition Sigma."""
+    """Indexed point set of Construction-style <w^r>-cosets with partition
+    Sigma.
+
+    The space is held as arrays: `vectors` (row i is point i) and `cells`
+    (Sigma, one sorted row of point indices per cell, the cells in order
+    of their least points).  `points` (the vectors as tuples) and `sigma`
+    (the cells as lists) are built from them the first time they are read
+    and kept; the library itself reads only the arrays."""
 
     def __init__(self, kind: str, n: int, q: int, r: int, field: Field,
                  vectors: np.ndarray, cells: np.ndarray,
@@ -143,11 +150,18 @@ class OmegaSpace(CanonicalPoints):
         self.kind = kind
         self.n = n
         self.q = q
-        self.points = list(map(tuple, vectors.tolist()))
-        self.sigma = cells.tolist()
+        self.cells = cells
         self.form = form
         self.cell_of = np.empty(len(vectors), dtype=np.int32)
         self.cell_of[cells] = np.arange(len(cells), dtype=np.int32)[:, None]
+
+    @cached_property
+    def points(self) -> list[tuple]:
+        return list(map(tuple, self.vectors.tolist()))
+
+    @cached_property
+    def sigma(self) -> list[list[int]]:
+        return self.cells.tolist()
 
     def canonicalize(self, v) -> tuple:
         row = _canonical(self.field, self.r, np.array([v], dtype=np.int64))[0]
@@ -170,8 +184,8 @@ class OmegaSpace(CanonicalPoints):
     def to_json(self) -> str:
         return json.dumps({
             "kind": self.kind, "n": self.n, "q": self.q, "r": self.r,
-            "points": [list(v) for v in self.points],
-            "sigma": [list(c) for c in self.sigma],
+            "points": self.vectors.tolist(),
+            "sigma": self.cells.tolist(),
         })
 
 
@@ -281,7 +295,7 @@ def induce_action(space: OmegaSpace, gens) -> list[np.ndarray]:
     Raises if a generator fails to permute Omega or to preserve Sigma.
     """
     n = len(space)
-    ends = np.array([(c[0], c[-1]) for c in space.sigma])
+    ends = space.cells[:, [0, -1]]
     perms = []
     for g in gens:
         img = space.image(g)

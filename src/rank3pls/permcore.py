@@ -35,12 +35,15 @@ flag orbits and the components of an incidence structure are all merges.
 Two BFS loops stay, because they need what a partition does not keep: the
 Schreier tree of `_Level.extend_orbit` (BFS order and `sv`, which the
 transversal reps are read from) and `_row_orbit`, the orbit of one row of
-points with rows numbered in FIFO order and per-generator image maps.  Line
-orbits (`line_orbit`), coset actions (`coset_action`, on canonical coset
-elements read off the subgroup's chain) and block checks (`verify_block`, on
-the images of a block) are all `_row_orbit`, each with its own canonical
-form of a row.  So is Sigma, the one block system of an imprimitive rank 3
-group (`sigma_partition`): no block lattice runs on the whole group.
+points with rows numbered in FIFO order, each BFS layer read in frontier
+slices of about _ORBIT_SLICE image entries, and per-generator image maps
+built only for the callers that ask for them (coset actions and the flag
+test).  Line orbits (`line_orbit`), coset actions (`coset_action`, on
+canonical coset elements read off the subgroup's chain) and block checks
+(`verify_block`, on the images of a block) are all `_row_orbit`, each with
+its own canonical form of a row.  So is Sigma, the one block system of an
+imprimitive rank 3 group (`sigma_partition`): no block lattice runs on the
+whole group.
 
 Sets of sorted point sets (lines, cells, samples) are sorted, deduplicated
 and searched through one key per row, `row_keys`: the row's lexicographic
@@ -59,6 +62,7 @@ DETERMINISTIC_DEGREE = 4000
 MAX_BLOCKS = 10000  # all_blocks_through raises past this many blocks
 DEFAULT_SEED = 0x52334C53  # "R3LS"
 _BATCH_ENTRIES = 1 << 16  # array entries per batch of the deterministic pass
+_ORBIT_SLICE = _BATCH_ENTRIES << 2  # image entries per frontier slice of _row_orbit
 
 
 def identity(degree: int) -> np.ndarray:
@@ -717,7 +721,8 @@ class PermGroup:
             be = np.ascontiguousarray(h, dtype=">i4")
             return h, be.view(np.dtype((np.void, 4 * n))).ravel()
 
-        cosets, new_gens = _row_orbit(self.gens, identity(n), canon)
+        cosets, new_gens = _row_orbit(self.gens, identity(n), canon,
+                                      with_maps=True)
         if len(cosets) != index:
             raise AssertionError(
                 f"coset enumeration found {len(cosets)} cosets, index is {index}")
@@ -933,6 +938,7 @@ def sorted_rows(rows: np.ndarray, n: int):
     keys = keys[order]
     repeat = np.zeros(len(keys), dtype=bool)
     repeat[1:] = keys[1:] == keys[:-1]
+    del keys                            # dead before the rows are gathered
     return rows[order], repeat
 
 
@@ -946,84 +952,102 @@ def _merge_at(old: np.ndarray, kept: np.ndarray, at: np.ndarray,
     return out
 
 
-def _row_orbit(gens, row, canon, max_rows=None):
-    """Orbit of one row under <gens>, with per-generator image maps.
+def _row_orbit(gens, row, canon, max_rows=None, *, with_maps=False):
+    """Orbit of one row under <gens>, with per-generator image maps on
+    request.
 
     canon maps an (m, w) array of image rows to (canonical rows, one
     sortable key per row).  Returns (rows, maps): the canonical rows in FIFO
     order (by BFS layer, then by source row, then by generator), row 0
-    canon of `row`, and maps[k] taking row index -> image index under
-    gens[k].  Each layer gathers the frontier's images source-major into
-    one new (m, len(gens), w) block, which canon may sort in place (row
-    itself is passed as a copy), and sorts their keys once (default
-    unstable argsort); runs of equal keys are looked up in the sorted seen
-    keys with one searchsorted, and a run is numbered by its least image
-    index, so ties sort in any order.  The new keys are merged into the
-    seen keys in one linear pass.  Each image-wide temporary is freed as
-    soon as it is dead, the image block once the next frontier is gathered
-    from it, so no two layers' blocks are live at once.  The search stops
-    after the first layer that passes max_rows rows: rows is then a FIFO
-    prefix of the orbit, and maps cover the rows before that layer.
+    canon of `row`; maps is None unless with_maps is set, and then maps[k]
+    takes row index -> image index under gens[k].
+
+    A layer is processed in consecutive slices of its frontier, about
+    _ORBIT_SLICE image entries each, in source-row order.  A slice gathers
+    its images source-major into one new (m, len(gens), w) block, which
+    canon may sort in place (row itself is passed as a copy), and sorts
+    their keys once (default unstable argsort); runs of equal keys are
+    looked up in the sorted seen keys with one searchsorted, and a run is
+    numbered by its least image index, so ties sort in any order.  The
+    slice's new keys are merged into the seen keys in one linear pass
+    before the next slice is read, and its fresh rows are numbered in order
+    of first appearance, so rows, numbering and maps are those of one pass
+    over the whole layer, while only one slice's image-wide temporaries are
+    live at a time.  The search stops after the first layer that passes
+    max_rows rows: rows is then a FIFO prefix of the orbit, and maps cover
+    the rows before that layer.
     """
     frontier, seen_keys = canon(np.array(row, ndmin=2))   # one key: sorted
     seen_ids = np.zeros(1, dtype=np.int32)      # row index of each seen key
+    w = frontier.shape[1]
+    step = max(1, _ORBIT_SLICE // (max(1, len(gens)) * w))   # frontier rows
     layers = [frontier]
-    maps: list[list[np.ndarray]] = [[] for _ in gens]
+    maps = [[] for _ in gens] if with_maps else None
     total = 1
     while len(gens) and len(frontier) and (max_rows is None or total <= max_rows):
-        imgs = np.empty((len(frontier), len(gens), frontier.shape[1]),
-                        dtype=np.result_type(*gens))
-        for k, g in enumerate(gens):
-            np.take(g, frontier, out=imgs[:, k])
-        imgs, keys = canon(imgs.reshape(-1, frontier.shape[1]))
-        order = np.argsort(keys)
-        keys = keys[order]
-        start = np.empty(len(order), dtype=bool)
-        start[0] = True
-        start[1:] = keys[1:] != keys[:-1]   # np.not_equal has no np.void loop
-        runs = np.flatnonzero(start)
-        keys = keys[runs]
-        first = np.minimum.reduceat(order, runs)
-        inv = np.empty(len(order), dtype=np.int32)  # image -> its run
-        inv[order] = np.cumsum(start, dtype=np.int32)
-        inv -= 1
-        del order, start, runs
-        pos = np.searchsorted(seen_keys, keys)
-        known = seen_keys[np.minimum(pos, len(seen_keys) - 1)] == keys
-        fresh = np.flatnonzero(~known)
-        fresh = fresh[np.argsort(first[fresh])]  # in order of first appearance
-        key_ids = np.empty(len(keys), dtype=np.int32)
-        key_ids[known] = seen_ids[pos[known]]
-        key_ids[fresh] = np.arange(total, total + len(fresh), dtype=np.int32)
-        for k, part in enumerate(key_ids[inv].reshape(-1, len(gens)).T):
-            maps[k].append(part)
-        del inv
-        total += len(fresh)
-        new = ~known
-        at = pos[new] + np.arange(len(fresh))   # pos[new] is non-decreasing
-        kept = np.ones(len(seen_keys) + len(fresh), dtype=bool)
-        kept[at] = False
-        seen_keys = _merge_at(seen_keys, kept, at, keys[new])
-        seen_ids = _merge_at(seen_ids, kept, at, key_ids[new])
-        frontier = imgs[first[fresh]]
-        del imgs
+        fresh_rows = []
+        for lo in range(0, len(frontier), step):
+            src = frontier[lo:lo + step]
+            imgs = np.empty((len(src), len(gens), w), dtype=np.result_type(*gens))
+            for k, g in enumerate(gens):
+                np.take(g, src, out=imgs[:, k])
+            imgs, keys = canon(imgs.reshape(-1, w))
+            order = np.argsort(keys)
+            keys = keys[order]
+            start = np.empty(len(order), dtype=bool)
+            start[0] = True
+            start[1:] = keys[1:] != keys[:-1]   # np.not_equal has no np.void loop
+            runs = np.flatnonzero(start)
+            keys = keys[runs]
+            first = np.minimum.reduceat(order, runs)
+            if with_maps:
+                inv = np.empty(len(order), dtype=np.int32)  # image -> its run
+                inv[order] = np.cumsum(start, dtype=np.int32)
+                inv -= 1
+            del order, start, runs
+            pos = np.searchsorted(seen_keys, keys)
+            known = seen_keys[np.minimum(pos, len(seen_keys) - 1)] == keys
+            fresh = np.flatnonzero(~known)
+            fresh = fresh[np.argsort(first[fresh])]  # in order of first appearance
+            key_ids = np.empty(len(keys), dtype=np.int32)
+            key_ids[known] = seen_ids[pos[known]]
+            key_ids[fresh] = np.arange(total, total + len(fresh), dtype=np.int32)
+            if with_maps:
+                for k, part in enumerate(key_ids[inv].reshape(-1, len(gens)).T):
+                    maps[k].append(part)
+                del inv
+            total += len(fresh)
+            new = ~known
+            at = pos[new] + np.arange(len(fresh))   # pos[new] is non-decreasing
+            kept = np.ones(len(seen_keys) + len(fresh), dtype=bool)
+            kept[at] = False
+            seen_keys = _merge_at(seen_keys, kept, at, keys[new])
+            seen_ids = _merge_at(seen_ids, kept, at, key_ids[new])
+            fresh_rows.append(imgs[first[fresh]])
+            del imgs
+        frontier = np.concatenate(fresh_rows)
+        del fresh_rows
         layers.append(frontier)
-    return np.concatenate(layers), [np.concatenate(m) for m in maps]
+    del seen_keys, seen_ids
+    rows = np.concatenate(layers)
+    return rows, None if maps is None else [np.concatenate(m) for m in maps]
 
 
-def line_orbit(gens, line, *, max_rows=None):
-    """Orbit of a point set under <gens>, with per-generator image maps.
+def line_orbit(gens, line, *, max_rows=None, with_maps=False):
+    """Orbit of a point set under <gens>, with per-generator image maps on
+    request.
 
     Returns (lines, limg): lines is an (L, k) int32 array of row-sorted
     point sets in FIFO order (by BFS layer, then by source line, then by
-    generator), row 0 the sorted base line; limg[k] is an int32 array
-    mapping line index -> image index under gens[k].  It is _row_orbit on
-    sorted rows keyed by row_keys; max_rows cuts the orbit as there.  A line
-    with a repeated point or a point outside range(n) raises ValueError.
+    generator), row 0 the sorted base line.  limg is None unless with_maps
+    is set; then limg[k] is an int32 array mapping line index -> image
+    index under gens[k].  It is _row_orbit on sorted rows keyed by
+    row_keys; max_rows cuts the orbit as there.  A line with a repeated
+    point or a point outside range(n) raises ValueError.
     """
     base = np.sort(np.asarray(line, dtype=np.int32))
     if not len(gens):
-        return base[None, :], []
+        return base[None, :], [] if with_maps else None
     n = len(gens[0])
     if (np.diff(base) <= 0).any() or ((base < 0) | (base >= n)).any():
         raise ValueError(f"line {tuple(base.tolist())} is not a set of "
@@ -1033,7 +1057,7 @@ def line_orbit(gens, line, *, max_rows=None):
         rows.sort(axis=1)
         return rows, row_keys(rows, n)
 
-    return _row_orbit(gens, base, canon, max_rows)
+    return _row_orbit(gens, base, canon, max_rows, with_maps=with_maps)
 
 
 def sigma_partition(G: PermGroup) -> np.ndarray:
@@ -1077,7 +1101,7 @@ def flag_transitive_on_line(G: PermGroup, line) -> bool:
     line0 = np.sort(np.asarray(line, dtype=np.int32))
     if len(line0) == 1:
         return True
-    lines, limg = line_orbit(G.gens, line0)
+    lines, limg = line_orbit(G.gens, line0, with_maps=True)
     nl, k = lines.shape
     flags = np.arange(nl * k).reshape(nl, k)
     labels = flags.ravel()

@@ -149,6 +149,9 @@ def test_family_vector_off_omega_is_one_line_error(capsys, monkeypatch):
     ('{"points": -3, "lines": []}', "points must be"),
     ('{"points": 5, "lines": 7}', "lines must be"),
     ('{"points": 5, "lines": [[0, 1, 2]], "params": 4}', "params must be"),
+    # past the int32 line array: no per-point array is ever allocated
+    ('{"points": 1000000000000, "lines": []}', "points must be at most"),
+    ('{"points": 3000000000, "lines": [[0, 2999999999]]}', "points must be at most"),
 ])
 def test_verify_malformed_document_is_one_line_error(tmp_path, capsys, text, phrase):
     path = tmp_path / "bad.json"
@@ -157,6 +160,20 @@ def test_verify_malformed_document_is_one_line_error(tmp_path, capsys, text, phr
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert phrase in err
+
+
+def test_memory_error_is_one_line_error(tmp_path, capsys, monkeypatch):
+    """A MemoryError from a check ends the command with one line, exit 1."""
+    from rank3pls import cli
+
+    def refuse(D):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, "validate_pls", refuse)
+    path = tmp_path / "ok.json"
+    path.write_text('{"points": 3, "lines": [[0, 1, 2]]}')
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 7.28 TiB\n"
 
 
 @pytest.mark.parametrize("args", [

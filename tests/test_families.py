@@ -1,6 +1,9 @@
 """Family constructors versus the closed-form counts and paper identities."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,3 +226,15 @@ def test_constructor_table_covers_every_kind():
                                         "lsub", "usub"]
     for kind, build in fam.CONSTRUCTORS.items():
         assert callable(build) and build.__module__ == fam.__name__
+
+
+def test_families_workload_traced_peak():
+    """tools/memory_stages.py, run in a fresh interpreter, reports the
+    traced peak (live + above_live over its calls) of the family builds and
+    predicates of the `families` workload: at most 20 MiB."""
+    root = Path(__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, str(root / "tools" / "memory_stages.py")],
+                         capture_output=True, text=True, timeout=300, check=True)
+    name, peak, *_ = out.stdout.splitlines()[-1].split()
+    assert name == "peak"
+    assert float(peak) <= 20, out.stdout

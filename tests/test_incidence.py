@@ -274,17 +274,17 @@ def test_pair_keys_at_the_dtype_boundary(n, key_dtype):
     assert keys.tolist() == sorted(want.elements())
     assert keys[-1] == n * n - n - 1
     assert max(want.values()) == 3   # the pair (n-2, n-1) lies on three lines
-    for size in (incidence._PAIR_SLICE, 2):
-        with unittest.mock.patch.object(incidence, "_PAIR_SLICE", size):
+    for size in (incidence._PAIR_BLOCK, 2):
+        with unittest.mock.patch.object(incidence, "_PAIR_BLOCK", size):
             got = _summary_fields(pair_summary(lines, n))
         assert got == _reference_summary(lines.tolist(), n)
 
 
 @st.composite
-def _line_sets_and_slices(draw):
+def _line_sets_and_budgets(draw):
     """A small line set, possibly empty, on n points; some draws send many
-    lines through the pair (0, 1), whose run of keys is then longer than a
-    slice; and a slice size of 1 to 9 keys."""
+    lines through the pair (0, 1), so that point 0 alone has more pairs
+    than a block's budget; and a block budget of 1 to 9 keys."""
     n = draw(st.integers(3, 12))
     k = draw(st.integers(2, min(n, 5)))
     pool = list(itertools.combinations(range(n), k))
@@ -294,29 +294,69 @@ def _line_sets_and_slices(draw):
     return n, sorted(lines), draw(st.integers(1, 9))
 
 
-# pair (0, 1) on 40 lines: its run of keys spans slices that hold no run
-# start at all; and the empty structure
+# pair (0, 1) on 40 lines: point 0 alone has 80 pairs, many budgets' worth,
+# and its run of keys is longer than a budget; and the empty structure
 @example((50, [(0, 1, x) for x in range(2, 42)] + [(2, 3, 4), (5, 6, 7)], 3))
 @example((50, [(0, 1, x) for x in range(2, 42)] + [(2, 3, 4), (5, 6, 7)], 7))
 @example((5, [], 1))
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(_line_sets_and_slices())
+@given(_line_sets_and_budgets())
 def test_pair_summary_matches_np_unique(case):
-    """The summary read off pair_keys slice by slice equals the one read
-    off np.unique of the whole key list, whatever the slice size: runs of
-    equal keys that cross slice boundaries, a run longer than a slice and
-    the empty structure included."""
-    n, lines, size = case
-    with unittest.mock.patch.object(incidence, "_PAIR_SLICE", size):
-        got = _summary_fields(pair_summary(IncidenceStructure(n, lines).lines, n))
+    """The summary read off the key blocks equals the one read off
+    np.unique of the whole key list, whatever the block budget: a point
+    whose own pairs exceed the budget and the empty structure included.
+    Each block is sorted, holds every key of its smaller points and no
+    other block's, and the blocks concatenated are pair_keys."""
+    n, lines, budget = case
+    want = sorted(a * n + b for l in lines for a, b in itertools.combinations(l, 2))
+    D = IncidenceStructure(n, lines)
+    with unittest.mock.patch.object(incidence, "_PAIR_BLOCK", budget):
+        got = _summary_fields(pair_summary(D.lines, n))
+        blocks = [b.tolist() for b in incidence._pair_key_blocks(D.lines, n)]
     assert got == _reference_summary(lines, n)
+    assert sum(blocks, []) == want
+    smaller = [{key // n for key in b} for b in blocks]
+    assert all(b == sorted(b) for b in blocks)
+    assert all(max(p) < min(q) for p, q in zip(smaller, smaller[1:]))
+    # a block goes past the budget only by the keys of its last point
+    for b, points in zip(blocks, smaller):
+        assert len(b) - sum(key // n == max(points) for key in b) < budget
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_components_and_degrees_do_not_depend_on_the_slice_size(seed):
+    """components and point_degrees merge and count the lines slice by
+    slice; slices of 1, 2 and 3 lines give what one slice gives."""
+    def by_rows(rows):
+        return lambda lines, n: (lines[lo:lo + rows] for lo in range(0, len(lines), rows))
+
+    for n, lines in _random_line_sets(seed):
+        D = IncidenceStructure(n, lines)
+        want = (components(D), D.point_degrees().tolist())
+        for rows in (1, 2, 3):
+            with unittest.mock.patch.object(incidence, "_line_slices", by_rows(rows)):
+                D = IncidenceStructure(n, lines)
+                assert (components(D), D.point_degrees().tolist()) == want
+
+
+def test_line_slices_cover_the_lines_in_order(monkeypatch):
+    """Slices of _LINE_SLICE entries, or of num_points entries where that is
+    more, in order and together the whole line array."""
+    lines = np.arange(60, dtype=np.int32).reshape(20, 3)
+    monkeypatch.setattr(incidence, "_LINE_SLICE", 6)
+    for n, rows in [(4, 2), (9, 3), (60, 20)]:
+        parts = list(incidence._line_slices(lines, n))
+        assert [len(p) for p in parts[:-1]] == [rows] * (len(parts) - 1)
+        assert np.array_equal(np.concatenate(parts), lines)
 
 
 def test_pair_table_memory_per_incidence():
     """tracemalloc peak above live memory, per point-pair incidence, of the
     first validate_pls (which builds the pair summary from 4-byte keys, read
-    in slices) and of fingerprint reading the cached summary; after both,
-    the structure keeps O(points) bytes beyond its lines, not its pairs."""
+    in blocks), of components (a merge over slices of lines) and of
+    fingerprint reading the cached summary and components (its point
+    degrees counted over slices of lines); after all three, the structure
+    keeps O(points) bytes beyond its lines, not its pairs."""
     D = fam.ag_star(3, 9)
     incidences = D.num_lines * math.comb(D.line_size, 2)
 
@@ -330,21 +370,23 @@ def test_pair_table_memory_per_incidence():
     tracemalloc.start()
     try:
         validate_cost = peak_per_incidence(validate_pls)
+        components_cost = peak_per_incidence(components)
         fingerprint_cost = peak_per_incidence(fingerprint)
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert validate_cost <= 15, validate_cost
-    assert fingerprint_cost <= 8, fingerprint_cost
+    assert components_cost <= 2, components_cost
+    assert fingerprint_cost <= 1, fingerprint_cost
     assert kept <= 100 * D.num_points, kept
 
 
 def test_family_build_memory_per_line_entry():
     """tracemalloc peak above live memory of building delta(3,7), 19,152
-    lines of size 3, per entry of its line array: the row orbit frees each
-    layer's full-width temporaries once they are dead, and the build drops
-    the orbit's image maps before it ingests the lines."""
+    lines of size 3, per entry of its line array: the row orbit builds no
+    image maps and reads each layer in slices, and ingestion drops the row
+    keys before it gathers the sorted rows."""
     gc.collect()
     tracemalloc.start()
     try:
@@ -354,7 +396,7 @@ def test_family_build_memory_per_line_entry():
     finally:
         tracemalloc.stop()
     assert D.lines.shape == (19152, 3)
-    assert peak / D.lines.size <= 34, peak / D.lines.size
+    assert peak / D.lines.size <= 29, peak / D.lines.size
 
 
 def test_ingesting_a_line_of_almost_every_point_stays_small():

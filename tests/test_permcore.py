@@ -296,7 +296,7 @@ def test_flag_transitivity_vs_setwise_oracle():
 
 def test_line_orbit_image_maps():
     G = get_builtin("GammaL2_4").group
-    lines, limg = line_orbit(G.gens, (0, 1, 2, 3))
+    lines, limg = line_orbit(G.gens, (0, 1, 2, 3), with_maps=True)
     for k, g in enumerate(G.gens):
         for i, line in enumerate(lines):
             img = tuple(sorted(int(g[p]) for p in line))
@@ -331,7 +331,7 @@ def test_line_orbit_matches_tuple_bfs():
     # USub(4,2,3) is one line orbit, so any of its lines serves as the base;
     # it is passed unsorted to check that row 0 is the sorted base line
     base = fam.usub(4, 2, 3).lines[5].tolist()
-    lines, limg = line_orbit(G.gens, base[::-1])
+    lines, limg = line_orbit(G.gens, base[::-1], with_maps=True)
     rows, maps = _tuple_line_orbit(G.gens, base)
     assert row_keys(lines, G.degree).dtype == np.int64   # the rank keys
     assert lines.shape == (6240, 3) and lines.dtype == np.int32
@@ -348,7 +348,7 @@ def test_line_orbit_void_keys_match_tuple_bfs():
     x = np.arange(n, dtype=np.int32)
     gens = [(x + 1) % n, (7 * x) % n]
     base = (0, 1, 2, 3, 5, 8, 13)
-    lines, limg = line_orbit(gens, base)
+    lines, limg = line_orbit(gens, base, with_maps=True)
     rows, maps = _tuple_line_orbit(gens, base)
     assert row_keys(lines, n).dtype.kind == "V"
     assert lines.shape == (60_000, 7)
@@ -372,7 +372,7 @@ def test_line_orbit_ties_number_lines_by_first_appearance(kind):
         gens, base = [(x + 1) % n, (7 * x) % n], (0, 1, 2, 3, 5, 8, 13)
     g, *rest = gens
     gens = [g, g, identity(n), inverse(g), *rest]
-    lines, limg = line_orbit(gens, base)
+    lines, limg = line_orbit(gens, base, with_maps=True)
     rows, maps = _tuple_line_orbit(gens, base)
     assert row_keys(lines, n).dtype.kind == kind
     assert list(map(tuple, lines.tolist())) == rows

@@ -64,6 +64,50 @@ def test_coset_action_matches_fifo_reference(pair):
         assert got.tolist() == want.tolist()
 
 
+def _set_orbit_slice(monkeypatch, rows, gens, width):
+    """Cut _row_orbit's frontier slices to `rows` rows (None: one slice per
+    layer)."""
+    size = 1 << 62 if rows is None else rows * len(gens) * width
+    monkeypatch.setattr(permcore, "_ORBIT_SLICE", size)
+
+
+@pytest.mark.parametrize("max_rows", [None, 40])
+def test_line_orbit_does_not_depend_on_the_slice_size(monkeypatch, max_rows):
+    """Frontier slices of 1, 2 and 3 rows give the rows and image maps of
+    one slice per layer, for a whole line orbit and for one cut after
+    max_rows rows; with maps off the rows are the same."""
+    G = get_builtin("GammaL2_4").group
+    line = (0, 1, 2, 3)
+
+    def orbit(rows, with_maps=True):
+        _set_orbit_slice(monkeypatch, rows, G.gens, len(line))
+        return permcore.line_orbit(G.gens, line, max_rows=max_rows,
+                                   with_maps=with_maps)
+
+    want, want_maps = orbit(None)
+    for rows in (1, 2, 3):
+        got, maps = orbit(rows)
+        assert got.tolist() == want.tolist()
+        assert [m.tolist() for m in maps] == [m.tolist() for m in want_maps]
+        got, maps = orbit(rows, with_maps=False)
+        assert got.tolist() == want.tolist() and maps is None
+
+
+@pytest.mark.parametrize("pair", [_psl32_index2, _m11_index2])
+def test_coset_action_does_not_depend_on_the_slice_size(monkeypatch, pair):
+    """The coset action's generators, the maps of its row orbit, are the
+    same with frontier slices of 1, 2 and 3 cosets."""
+    G, sub = pair()
+
+    def action(rows):
+        _set_orbit_slice(monkeypatch, rows, G.gens, G.degree)
+        return [g.tolist() for g in G.coset_action(sub).gens]
+
+    want = action(None)
+    for rows in (1, 2, 3):
+        assert action(rows) == want
+
+
 def test_coset_route_generator_bytes():
     """One sha256 over the generator bytes of every coset-route builtin of
     degree <= 300, in name order: the `group --out` files they write."""

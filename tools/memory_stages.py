@@ -15,6 +15,9 @@ call the line gives, in MiB:
     kept        what the call left live when it returned (its result and
                 any cache it filled).
 
+The last row, `peak`, is the largest live + above_live over all the
+calls: the traced peak of the whole workload.
+
 tracemalloc counts allocations, numpy's included, so these numbers do not
 move with heap layout the way a process's peak RSS does.
 
@@ -61,6 +64,8 @@ def main() -> int:
     print(f"{'call':<14}{'above_live':>11}{'live':>8}{'kept':>8}   (MiB)")
     for name, above, live, kept in rows:
         print(f"{name:<14}{above / MIB:>11.1f}{live / MIB:>8.1f}{kept / MIB:>8.1f}")
+    peak = max(above + live for _, above, live, _ in rows)
+    print(f"{'peak':<14}{peak / MIB:>11.1f}   (live + above_live)")
     return 0
 
 
