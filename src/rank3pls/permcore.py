@@ -22,11 +22,19 @@ the same array either way, and the first non-member of a batch, in the pair
 order of a one-at-a-time loop, is the one inserted, so the base, orbits,
 Schreier vectors and strong generators are exactly those of that loop.
 
-A chain is built once per group.  The stabilizer of a point x in the first
-basic orbit (every point, for a transitive group) is the chain below the
-first base point b conjugated by the transversal rep taking b to x, so it
-runs no Schreier-Sims; only a point outside that orbit gets a chain rebuilt
-with x first, and G_x keeps that chain below x.
+A chain is built once per group, and so is everything a group derives from
+it or from its generators: each `PermGroup` keeps its point stabilizers,
+Schreier trees and block lattices per point, its orbit partition and its
+Sigma in one store of its own, the arrays read-only and each lattice handed
+out as a new list.  So the pipeline, the block inventory check and Sigma
+share one G_0, one set of G_0 labels, one tree and one lattice per beta.
+The stabilizer of a point x in the first basic orbit (every point, for a
+transitive group) is the chain below the first base point b conjugated by
+the transversal rep taking b to x, so it runs no Schreier-Sims; only a point
+outside that orbit gets a chain rebuilt with x first, and G_x keeps that
+chain below x.  A Schreier tree that gains a generator grows by that
+generator alone on its old points, which the old generators already keep
+inside the orbit (`_Level.add_gen`).
 
 `merge` is the one union-find: a partition is an array of class roots, each
 class rooted at its least point.  Orbits, the block lattice (a block through
@@ -166,17 +174,25 @@ class _Level:
         self.sv[point] = -2  # root marker
 
     def add_gen(self, g: np.ndarray):
+        """Add the generator g and grow the orbit by it.  The orbit is closed
+        under the old generators, so only g can take an old point out of
+        it: the first round applies g alone (Seress, Permutation Group
+        Algorithms, 4.1), and the orbit order and sv are those of a round
+        over every generator."""
         self.gens.append(g)
         self.inv_gens.append(inverse(g))
-        self.extend_orbit()
+        self.extend_orbit(len(self.gens) - 1)
 
-    def extend_orbit(self):
+    def extend_orbit(self, first_gen: int = 0):
+        """Breadth-first growth of the orbit from all of its points, the
+        first round by the generators from first_gen on, every later round
+        by all of them on the points the round before added."""
         sv = self.sv
         frontier = np.fromiter(self.orbit, dtype=np.int32)
         while frontier.size:
             parts = []
-            for k, g in enumerate(self.gens):
-                img = g[frontier]
+            for k in range(first_gen, len(self.gens)):
+                img = self.gens[k][frontier]
                 fresh = img[sv[img] == -1]
                 if fresh.size:
                     # ascending and distinct: the orbit order chains keep
@@ -186,6 +202,7 @@ class _Level:
                     self.orbit.extend(int(x) for x in fresh)
                     parts.append(fresh)
             frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
+            first_gen = 0
 
     def rep_to(self, point: int, degree: int) -> np.ndarray:
         """A word u in the level generators with base^u = point; ValueError
@@ -322,7 +339,10 @@ class PermGroup:
     """Permutation group of fixed degree given by generators.
 
     The base/strong-generating structure is built lazily on first use of
-    order, membership, stabilizers or random elements.
+    order, membership, stabilizers or random elements.  What the group
+    derives from it and from its generators (point stabilizers, Schreier
+    trees, the orbit partition, block lattices, Sigma) is computed on first
+    request and kept in the group's own store.
     """
 
     def __init__(self, degree: int, gens, *, expected_order: int | None = None,
@@ -341,6 +361,14 @@ class PermGroup:
         self.name = name
         self._levels: list[_Level] | None = None
         self._order: int | None = None
+        self._store: dict = {}
+
+    def _kept(self, key, make):
+        """The value kept under key, made by make() on the first request."""
+        store = self._store
+        if key not in store:
+            store[key] = make()
+        return store[key]
 
     def __repr__(self):
         label = self.name or f"<{len(self.gens)} gens>"
@@ -504,9 +532,13 @@ class PermGroup:
 
     def orbit_labels(self) -> np.ndarray:
         """The least point of each point's orbit: one merge of every x with
-        its images g[x]."""
-        x = identity(self.degree)
-        return merge(x, np.tile(x, len(self.gens)), self._gen_array().ravel())
+        its images g[x], made once and kept as a read-only array."""
+        def make():
+            x = identity(self.degree)
+            labels = merge(x, np.tile(x, len(self.gens)), self._gen_array().ravel())
+            labels.flags.writeable = False
+            return labels
+        return self._kept("labels", make)
 
     def orbit(self, x: int) -> list[int]:
         """The orbit of x, ascending."""
@@ -530,14 +562,20 @@ class PermGroup:
         return g
 
     def stabilizer(self, x: int) -> "PermGroup":
-        """The point stabilizer G_x, with order |G| / |x^G|.
+        """The point stabilizer G_x, with order |G| / |x^G|: the same object
+        on every call for the same x, so its own stabilizers, trees and
+        lattices are computed once.
 
         When x lies in the first basic orbit (always, for a transitive group),
         G_x = u^-1 G_b u for the transversal rep u with b^u = x, b the first
         base point, so the chain of G_x is this chain below b conjugated by u
         (shared as is when x = b) and no Schreier-Sims runs.  Otherwise the
         chain is rebuilt with x as first base point and G_x keeps it below x.
+        G_x is kept only once its chain is in place.
         """
+        return self._kept(("stabilizer", int(x)), lambda: self._stabilizer(int(x)))
+
+    def _stabilizer(self, x: int) -> "PermGroup":
         order = self.order
         lv0 = self._levels[0] if self._levels else None
         if lv0 is not None and lv0.sv[x] != -1:
@@ -587,12 +625,16 @@ class PermGroup:
 
     def schreier_tree(self, beta: int) -> _Level:
         """A Schreier tree rooted at beta over the group's generators: its
-        orbit is beta's orbit and its rep_to(gamma) takes beta to gamma."""
-        tree = _Level(self.degree, beta)
-        tree.gens = list(self.gens)
-        tree.inv_gens = [inverse(g) for g in self.gens]
-        tree.extend_orbit()
-        return tree
+        orbit is beta's orbit and its rep_to(gamma) takes beta to gamma.
+        Made once per beta and kept, its sv read-only."""
+        def make():
+            tree = _Level(self.degree, beta)
+            tree.gens = list(self.gens)
+            tree.inv_gens = [inverse(g) for g in self.gens]
+            tree.extend_orbit()
+            tree.sv.flags.writeable = False
+            return tree
+        return self._kept(("tree", int(beta)), make)
 
     def minimal_block(self, beta: int, gamma: int) -> frozenset:
         """Smallest block of imprimitivity containing {beta, gamma} for this
@@ -630,8 +672,15 @@ class PermGroup:
 
     def all_blocks_through(self, beta: int) -> list[frozenset]:
         """Every nontrivial block of imprimitivity containing beta, for this
-        group transitive on the orbit of beta; RuntimeError once more than
-        MAX_BLOCKS blocks are found.
+        group transitive on the orbit of beta, ordered by size and then by
+        sorted points; RuntimeError once more than MAX_BLOCKS blocks are
+        found.  The lattice is computed once per beta and kept; each call
+        returns a new list of its blocks."""
+        return list(self._kept(("blocks", int(beta)),
+                               lambda: tuple(self._blocks_through(int(beta)))))
+
+    def _blocks_through(self, beta: int) -> list[frozenset]:
+        """The lattice of all_blocks_through, computed afresh.
 
         Any block through beta is a union of orbits of the point stabilizer
         G_beta and the join of the minimal blocks it contains, and
@@ -973,12 +1022,14 @@ def _row_orbit(gens, row, canon, max_rows=None, *, with_maps=False):
     before the next slice is read, and its fresh rows are numbered in order
     of first appearance, so rows, numbering and maps are those of one pass
     over the whole layer, while only one slice's image-wide temporaries are
-    live at a time.  The search stops after the first layer that passes
-    max_rows rows: rows is then a FIFO prefix of the orbit, and maps cover
-    the rows before that layer.
+    live at a time.  The row index of each seen key, which only the maps
+    read, is kept only when they are asked for.  The search stops after the
+    first layer that passes max_rows rows: rows is then a FIFO prefix of the
+    orbit, and maps cover the rows before that layer.
     """
     frontier, seen_keys = canon(np.array(row, ndmin=2))   # one key: sorted
-    seen_ids = np.zeros(1, dtype=np.int32)      # row index of each seen key
+    # the row index of each seen key, which only the maps read
+    seen_ids = np.zeros(1, dtype=np.int32) if with_maps else None
     w = frontier.shape[1]
     step = max(1, _ORBIT_SLICE // (max(1, len(gens)) * w))   # frontier rows
     layers = [frontier]
@@ -1006,24 +1057,25 @@ def _row_orbit(gens, row, canon, max_rows=None, *, with_maps=False):
                 inv -= 1
             del order, start, runs
             pos = np.searchsorted(seen_keys, keys)
-            known = seen_keys[np.minimum(pos, len(seen_keys) - 1)] == keys
-            fresh = np.flatnonzero(~known)
-            fresh = fresh[np.argsort(first[fresh])]  # in order of first appearance
-            key_ids = np.empty(len(keys), dtype=np.int32)
-            key_ids[known] = seen_ids[pos[known]]
-            key_ids[fresh] = np.arange(total, total + len(fresh), dtype=np.int32)
-            if with_maps:
-                for k, part in enumerate(key_ids[inv].reshape(-1, len(gens)).T):
-                    maps[k].append(part)
-                del inv
-            total += len(fresh)
-            new = ~known
+            new = seen_keys[np.minimum(pos, len(seen_keys) - 1)] != keys
+            # the fresh rows' least image indices, in order of first appearance
+            fresh = np.sort(first[new])
             at = pos[new] + np.arange(len(fresh))   # pos[new] is non-decreasing
             kept = np.ones(len(seen_keys) + len(fresh), dtype=bool)
             kept[at] = False
+            if with_maps:
+                key_ids = np.empty(len(keys), dtype=np.int32)
+                known = ~new
+                key_ids[known] = seen_ids[pos[known]]
+                in_order = np.flatnonzero(new)[np.argsort(first[new])]
+                key_ids[in_order] = np.arange(total, total + len(fresh), dtype=np.int32)
+                for k, part in enumerate(key_ids[inv].reshape(-1, len(gens)).T):
+                    maps[k].append(part)
+                seen_ids = _merge_at(seen_ids, kept, at, key_ids[new])
+                del inv, key_ids
+            total += len(fresh)
             seen_keys = _merge_at(seen_keys, kept, at, keys[new])
-            seen_ids = _merge_at(seen_ids, kept, at, key_ids[new])
-            fresh_rows.append(imgs[first[fresh]])
+            fresh_rows.append(imgs[fresh])
             del imgs
         frontier = np.concatenate(fresh_rows)
         del fresh_rows
@@ -1062,14 +1114,20 @@ def line_orbit(gens, line, *, max_rows=None, with_maps=False):
 
 def sigma_partition(G: PermGroup) -> np.ndarray:
     """Sigma, the one block system of the imprimitive rank 3 group G, as a
-    (cells, cell size) array of sorted cells in lexicographic order.
+    (cells, cell size) array of sorted cells in lexicographic order, found
+    once per group and kept on G as a read-only array.
 
     A block through 0 is {0} and a union of G_0-orbits (Dixon & Mortimer,
     Thm 1.5A), and at rank 3 only {0} | Delta for the smaller suborbit Delta
     can have at most n/2 points.  That B is a block exactly when |B| divides
     n and its line orbit, cut at n/|B| rows, has pairwise disjoint rows,
     which are then the cells.  ValueError unless G is transitive of rank 3
-    and B is a block."""
+    and B is a block; nothing is kept then."""
+    return G._kept("sigma", lambda: _find_sigma(G))
+
+
+def _find_sigma(G: PermGroup) -> np.ndarray:
+    """Sigma as sigma_partition describes it, found afresh."""
     if not G.is_transitive():
         raise ValueError(f"{G!r}: needs a transitive group")
     n = G.degree
@@ -1083,7 +1141,9 @@ def sigma_partition(G: PermGroup) -> np.ndarray:
     if n % k == 0:
         cells, _ = line_orbit(G.gens, block, max_rows=n // k)
         if np.bincount(cells.ravel()).max() <= 1:
-            return sorted_rows(cells, n)[0]
+            cells = sorted_rows(cells, n)[0]
+            cells.flags.writeable = False
+            return cells
     raise ValueError(f"{G!r}: {{0}} and its smaller suborbit, {k} points, "
                      f"are not a block, so G is primitive")
 

@@ -204,7 +204,7 @@ def test_block_lattice_does_not_depend_on_batch_size(monkeypatch):
         got = []
         for H, beta in cases:
             monkeypatch.setattr(permcore, "_BATCH_ENTRIES", rows * H.degree)
-            got.append(H.all_blocks_through(beta))
+            got.append(H._blocks_through(beta))     # afresh, not the kept lattice
         assert got == want
 
 
@@ -472,8 +472,10 @@ def test_deep_schreier_tree_dihedral_3000():
 
 def test_stabilizer_reads_the_parent_chain(monkeypatch):
     """G_x for x in the first basic orbit runs no Schreier-Sims; its chain is
-    a complete chain of the stabilizer."""
-    G = get_builtin("GammaL2_4").group
+    a complete chain of the stabilizer.  A fresh copy of the group keeps no
+    stabilizer from an earlier test."""
+    b = get_builtin("GammaL2_4").group
+    G = PermGroup(b.degree, b.gens, expected_order=b.order, name=b.name)
     G.order
 
     def no_build(self):
