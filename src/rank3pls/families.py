@@ -1,16 +1,29 @@
 """The six partial-linear-space families and their parameter arithmetic.
 
-Each family is declared once, here.  A constructor finds its base line with
-one OmegaSpace.points_of call and hands it, with the generators of its
-defining group, to one orbit builder (_orbit_structure): the line orbit
-(permcore.line_orbit, one (L, k) int32 array of sorted lines) becomes an
-IncidenceStructure whose line count is checked against the closed-form
-count, computed independently in expected_counts.  DLSub is the union of an
-LSub structure and its image, and USub above FULL_ENUMERATION_LIMIT lines
-is counted and sampled instead (CountOnly).  CONSTRUCTORS maps each family
-kind to its constructor; the command line and the table reproduction build
-through it.  Non-PLS parameter sets construct fine on purpose; the
-validator reports their multiplicity.
+Each family is declared once, here.  A constructor finds its base line L
+with one OmegaSpace.points_of call and builds its structure, the line orbit
+L^G, as an OrbitStructure over its defining group G, whose line count is
+checked against the closed-form count computed independently in
+expected_counts.  G (the catalogue's GL or Z SU generators, or the
+det-restricted group of LSub) is built once per (space, shape) with its
+closed-form order, which certifies its chain both ways, and is transitive.
+
+So every count the validators read follows from S, the lines through 0:
+for x in L let t_x take x to 0; then S is the union of the G_0-orbits of the
+rows L^(t_x).  Each point lies on |S| lines, there are n |S| / k lines of
+size k, the most lines through a point pair is the most rows of S through
+one y != 0, and each point is collinear with the number of such y.  The
+component of 0 is the orbit of 0 under G_0 and one t_y for each G_0-orbit
+of those y, and the other components are its images under G.  The line
+array (permcore.line_orbit, ingested as any line set) is built only when
+something reads `lines`, such as the file output of `family build`.
+
+DLSub is the union of the orbits of L and of its image under a diagonal map
+that normalizes G, so one OrbitStructure with two base rows.  USub above
+FULL_ENUMERATION_LIMIT lines is counted and sampled instead (CountOnly).
+CONSTRUCTORS maps each family kind to its constructor; the command line and
+the table reproduction build through it.  Non-PLS parameter sets construct
+fine on purpose; the validator reports their multiplicity.
 """
 
 from __future__ import annotations
@@ -18,14 +31,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .catalog import induced_order
 from .gfield import SubfieldView, factorize
-from .incidence import IncidenceStructure, pair_summary, relabel
-from .matsemi import GroupSpec, Mat, gens_group, gens_sl, linear
+from .incidence import IncidenceStructure, PairSummary, pair_summary
+from .matsemi import GroupSpec, Mat, gens_group, gens_sl, linear, sl_order
 from .omega import OmegaSpace, build_omega, induce_action, omega_space
-from .permcore import PermGroup, line_orbit, sorted_rows
+from .permcore import PermGroup, identity, line_orbit, merge, row_keys, sorted_rows
 
 FULL_ENUMERATION_LIMIT = 10**7  # lines; above it usub counts and samples
 SAMPLE_SIZE = 10000  # steps of a count-only result's random walk
@@ -135,24 +150,149 @@ class CountOnly:
                 f"{self.expected['lines']} lines by formula)")
 
 
-# -- one orbit builder ----------------------------------------------------------
+# -- one orbit structure ----------------------------------------------------------
 
 
-def _group_gens(space: OmegaSpace, shape: str):
-    """The catalogue generators of the given shape ("gl" or "z_su"), induced
-    on the space."""
-    spec = GroupSpec(space.kind, space.n, space.q, space.r, shape)
-    return induce_action(space, gens_group(spec))
+class OrbitStructure(IncidenceStructure):
+    """The union of the line orbits B^G of one or more base rows B under a
+    transitive group G, known by S, its lines through 0 (module docstring).
+
+    S is read off G_0 and the Schreier tree of G at 0: the lines of B^G
+    through 0 are the G_0-orbits of the rows B^(t_x), x in B, t_x taking x
+    to 0.  The counts, the pair summary, the point degrees and the
+    components follow from S; the line array is built by line_orbit and
+    ingested the first time `lines` is read, and then kept.  `bases` keeps
+    one base row per distinct orbit, `group` is G."""
+
+    def __init__(self, G: PermGroup, bases, params: dict):
+        if not G.is_transitive():
+            raise ValueError(f"{G!r} is not transitive")
+        self._num_points = n = G.degree
+        self.params = dict(params)
+        self.group = G
+        self._lines = None
+        self._at0 = G.schreier_tree(0)
+        gens0 = G.stabilizer(0).gens
+        seen, orbits, self.bases = set(), [], []
+        for base in bases:
+            base = np.sort(np.asarray(base, dtype=np.int32))
+            rows = self._at0.to_root(np.tile(base, (len(base), 1)), base)
+            rows.sort(axis=1)
+            if rows[0].tobytes() in seen:
+                continue        # an orbit met through an earlier base
+            self.bases.append(base)
+            for row in rows:
+                if row.tobytes() not in seen:
+                    orbit = line_orbit(gens0, row)[0]
+                    seen.update(r.tobytes() for r in orbit)
+                    orbits.append(orbit)
+        self._rows = sorted_rows(np.concatenate(orbits), n)[0]
+        self._keys = row_keys(self._rows, n)
+        num_lines, rem = divmod(n * len(self._rows), self.line_size)
+        if rem:
+            raise AssertionError(f"{n} points on {len(self._rows)} lines each "
+                                 f"do not fall into lines of size {self.line_size}")
+        self._num_lines = num_lines
+
+    @property
+    def lines(self) -> np.ndarray:
+        if self._lines is None:
+            orbits = [line_orbit(self.group.gens, base)[0] for base in self.bases]
+            lines = IncidenceStructure(self.num_points, np.concatenate(orbits)).lines
+            if len(lines) != self._num_lines:
+                raise AssertionError(f"line orbits of {len(lines)} lines, "
+                                     f"{self._num_lines} counted at 0")
+            self._lines = lines
+        return self._lines
+
+    @property
+    def num_lines(self) -> int:
+        return self._num_lines
+
+    @property
+    def line_size(self) -> int:
+        return self._rows.shape[1]
+
+    def point_degrees(self) -> np.ndarray:
+        """Every point lies on |S| lines."""
+        return np.full(self.num_points, len(self._rows), dtype=np.intp)
+
+    @cached_property
+    def _pair_summary(self) -> PairSummary:
+        """The lines through 0 through each y != 0: the multiplicity is their
+        most, the concurrence of every point the number of such y."""
+        n = self.num_points
+        through = np.bincount(self._rows[:, 1:].ravel(), minlength=n)
+        conc = int(np.count_nonzero(through))
+        concurrence = np.full(n, conc, dtype=np.int64)
+        concurrence.flags.writeable = False
+        return PairSummary(int(through.max()), n * conc // 2, concurrence)
+
+    @cached_property
+    def _components(self) -> tuple[tuple[int, ...], ...]:
+        """The component of 0 is the orbit of 0 under G_0 and one t_y for
+        each G_0-orbit of the points y collinear with 0; the others are its
+        images under G."""
+        n, G = self.num_points, self.group
+        labels = G.stabilizer(0).orbit_labels()
+        collinear = np.zeros(n, dtype=bool)
+        collinear[self._rows[:, 1:]] = True
+        reps = [self._at0.rep_to(y, n)
+                for y in sorted(set(labels[collinear].tolist()))]
+        comp = merge(labels, np.tile(identity(n), len(reps)), np.concatenate(reps))
+        component = np.flatnonzero(comp == 0)
+        if len(component) == n:
+            return (tuple(range(n)),)
+        cells = line_orbit(G.gens, component)[0]
+        if len(cells) * len(component) != n:
+            raise AssertionError(f"components of {len(component)} points do "
+                                 f"not tile {n} points")
+        return tuple(sorted(map(tuple, cells.tolist())))
+
+    def has_lines(self, rows) -> np.ndarray:
+        """Whether each row of point sets is a line: a row R is one exactly
+        when R^(t), t taking its least point to 0, is in S.  ValueError
+        for a point outside range(num_points)."""
+        rows = np.sort(np.asarray(rows, dtype=np.int32), axis=1)
+        if rows.size and (rows[:, 0].min() < 0 or rows[:, -1].max() >= self.num_points):
+            raise ValueError(f"rows hold points outside range({self.num_points})")
+        if rows.shape[1] != self.line_size:
+            return np.zeros(len(rows), dtype=bool)
+        images = self._at0.to_root(rows, rows[:, 0])
+        images.sort(axis=1)
+        keys = row_keys(images, self.num_points)
+        at = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
+        return self._keys[at] == keys
 
 
-def _orbit_structure(space: OmegaSpace, gens, base, params: FamilyParams,
-                     exp: dict) -> IncidenceStructure:
-    """The line orbit of base under gens as a structure on the space, its
-    line count checked against the closed-form count exp.  The orbit is
-    built without image maps, so its FIFO rows are all it holds when the
-    lines are ingested."""
-    lines = line_orbit(gens, base)[0]
-    D = IncidenceStructure(len(space), lines, params.as_dict())
+_GROUPS: dict[tuple, PermGroup] = {}
+
+
+def _family_group(space: OmegaSpace, shape) -> PermGroup:
+    """The group a family orbits its base rows with, on the space: the
+    catalogue group of shape "gl" or "z_su", or, for an int shape t, the
+    det-restricted group of _det_restricted_gens.  Built once per (space,
+    shape), its chain certified by its closed-form order."""
+    key = (space.kind, space.n, space.q, space.r, shape)
+    if key not in _GROUPS:
+        if isinstance(shape, int):
+            perms, order = _det_restricted_gens(space, shape)
+            name = f"G1(det in <w^{shape}>)"
+        else:
+            spec = GroupSpec(space.kind, space.n, space.q, space.r, shape)
+            perms, order = induce_action(space, gens_group(spec)), induced_order(spec)
+            name = f"{shape}{key[1:4]}"
+        G = PermGroup(len(space), perms, expected_order=order, name=name)
+        G.order         # the chain, built and certified here
+        _GROUPS[key] = G
+    return _GROUPS[key]
+
+
+def _counted(space: OmegaSpace, shape, bases, params: FamilyParams,
+             exp: dict) -> OrbitStructure:
+    """The orbit structure of the bases under the family group, its line
+    count checked against the closed-form count exp."""
+    D = OrbitStructure(_family_group(space, shape), bases, params.as_dict())
     if D.num_lines != exp["lines"]:
         args = ", ".join(f"{k}={v}" for k, v in D.params.items() if k != "family")
         raise AssertionError(f"{params.family}({args}): {D.num_lines} lines, "
@@ -187,8 +327,7 @@ def ag_star(n: int, q: int) -> IncidenceStructure:
     base = space.points_of(_plane_vectors(
         space, [(lam, F.sub(1, lam)) for lam in range(F.q)]))
     exp = expected_counts("agstar", n, q)
-    return _orbit_structure(space, _group_gens(space, "gl"), base,
-                            FamilyParams("agstar", n, q), exp)
+    return _counted(space, "gl", [base], FamilyParams("agstar", n, q), exp)
 
 
 def delta(n: int, q: int) -> IncidenceStructure:
@@ -200,34 +339,26 @@ def delta(n: int, q: int) -> IncidenceStructure:
     base = space.points_of(_plane_vectors(
         space, [(1, 0), (0, 1), (F.neg(1), F.neg(1))]))
     exp = expected_counts("delta", n, q)
-    return _orbit_structure(space, _group_gens(space, "gl"), base,
-                            FamilyParams("delta", n, q), exp)
+    return _counted(space, "gl", [base], FamilyParams("delta", n, q), exp)
 
 
 def _det_restricted_gens(space: OmegaSpace, t: int):
-    """Generators of G_1 = {g in GL_n(q) : det g in <w^t>} =
+    """(generators, order) of G_1 = {g in GL_n(q) : det g in <w^t>} =
     <SL_n(q), diag(w^t, 1, ..., 1)>, induced on the space.
 
     Determinant surjectivity makes the two descriptions agree; the induced
-    order is asserted on desk-scale spaces (|G_1| = |SL_n(q)| (q-1)/t' for
-    t' = gcd(t, q-1), divided by |G_1 cap Y|).
+    order is |G_1| = |SL_n(q)| (q-1)/t' for t' = gcd(t, q-1), divided by
+    |G_1 cap Y|.
     """
-    from .matsemi import sl_order
     F = space.field
     n, q, r = space.n, F.q, space.r
     gens = gens_sl(space.n, F)
     if t % (q - 1):
         gens = gens + [linear(Mat.diag(F, [F.exp[t % (q - 1)]]
                                        + [1] * (space.n - 1)))]
-    perms = induce_action(space, gens)
-    if len(space) <= 600:
-        tt = math.gcd(t, q - 1)
-        kernel = sum(1 for i in range((q - 1) // r)
-                     if (r * n * i) % tt == 0)
-        expected = sl_order(n, q) * (q - 1) // tt // kernel
-        PermGroup(len(space), perms, expected_order=expected,
-                  name=f"G1(det in <w^{t}>)").order
-    return perms
+    tt = math.gcd(t, q - 1)
+    kernel = sum(1 for i in range((q - 1) // r) if (r * n * i) % tt == 0)
+    return induce_action(space, gens), sl_order(n, q) * (q - 1) // tt // kernel
 
 
 def _subfield(F, q0: int) -> SubfieldView:
@@ -249,37 +380,36 @@ def lsub(n: int, q: int, q0: int, r: int) -> IncidenceStructure:
     base = space.points_of(_plane_vectors(
         space, [(1, 0)] + [(embed(lam0), 1) for lam0 in range(q0)]))
     exp = expected_counts("lsub", n, q, q0, r)
-    return _orbit_structure(space, _det_restricted_gens(space, t), base,
-                            FamilyParams("lsub", n, q, q0, r, k=k, t=t), exp)
+    return _counted(space, t, [base], FamilyParams("lsub", n, q, q0, r, k=k, t=t),
+                    exp)
 
 
-def diagonal_relabel(space: OmegaSpace, D: IncidenceStructure,
-                     j: int) -> IncidenceStructure:
-    """D relabelled by the permutation diag(w^j, 1, ..., 1) induces on the
-    linear space."""
+def diagonal_map(space: OmegaSpace, j: int) -> np.ndarray:
+    """The permutation diag(w^j, 1, ..., 1) induces on the linear space."""
     F = space.field
     mat = Mat.diag(F, [F.exp[j % (F.q - 1)]] + [1] * (space.n - 1))
-    return relabel(D, induce_action(space, [linear(mat)])[0])
+    return induce_action(space, [linear(mat)])[0]
 
 
 def dlsub(q: int, q0: int, r: int, j: int) -> IncidenceStructure:
     """Doubled subfield structure (Omega, L cup w^j L) in dimension 2.
 
-    w^j L is the image of L under diag(w^j, 1).  The result is a partial
-    linear space iff k = 2, r is even and j != r_2; other parameter sets
-    build fine and are flagged by validate_pls.
+    w^j L is the image of L under h = diag(w^j, 1), which normalizes
+    LSub's group G, so (w^j L)^G is the image of L^G: the two orbits are
+    equal or disjoint.  The result is a partial linear space iff k = 2, r
+    is even and j != r_2; other parameter sets build fine and are flagged
+    by validate_pls.
     """
     k, t = lsub_params(q, q0, r)
     if not 0 < j < t:
         raise ValueError(f"DLSub needs 0 < j < t = {t}")
-    base = lsub(2, q, q0, r)
+    L = lsub(2, q, q0, r)
+    (base,) = L.bases
     space = build_omega("linear", 2, q, r)
-    both = np.concatenate([base.lines, diagonal_relabel(space, base, j).lines])
-    rows, repeat = sorted_rows(both, len(space))
-    union = rows[~repeat]
     params = FamilyParams("dlsub", 2, q, q0, r, j=j, k=k, t=t)
-    D = IncidenceStructure(len(space), union, params.as_dict())
-    D.params["disjoint_union"] = len(union) == len(both)
+    D = OrbitStructure(L.group, [base, diagonal_map(space, j)[base]],
+                       params.as_dict())
+    D.params["disjoint_union"] = len(D.bases) == 2
     return D
 
 
@@ -309,10 +439,10 @@ def usub(q: int, q0: int, r: int | None = None, seed: int = 0):
                                           for lam0 in range(q0)])
     exp = expected_counts("usub", 3, q, q0, r)
     params = FamilyParams("usub", 3, q, q0, r)
-    gens = _group_gens(space, "z_su")
     if exp["lines"] > FULL_ENUMERATION_LIMIT:
+        gens = induce_action(space, gens_group(GroupSpec("unitary", 3, q, r, "z_su")))
         return _count_only(space, params, exp, base, gens, seed)
-    return _orbit_structure(space, gens, base, params, exp)
+    return _counted(space, "z_su", [base], params, exp)
 
 
 def agu_star(q: int) -> IncidenceStructure:
@@ -326,8 +456,7 @@ def agu_star(q: int) -> IncidenceStructure:
     base = space.points_of([(lam, 0, F.sub(1, lam))
                             for lam in map(embed, range(q))])
     exp = expected_counts("agustar", 3, q)
-    return _orbit_structure(space, _group_gens(space, "z_su"), base,
-                            FamilyParams("agustar", 3, q, r=r), exp)
+    return _counted(space, "z_su", [base], FamilyParams("agustar", 3, q, r=r), exp)
 
 
 def _random_walk(gens, base, steps: int, rng: random.Random) -> np.ndarray:

@@ -5,11 +5,14 @@ Permutations are numpy int32 arrays of images; composition is left-to-right
 layers: compose(g, h)[x] = h[g[x]].
 
 Schreier-Sims runs deterministically (full Schreier-generator processing) up
-to DETERMINISTIC_DEGREE.  Above that a randomized pass (product replacement
-plus sifting) is used and the chain is accepted only once the computed order
-reaches a caller-supplied expected order; the computed order can never exceed
-the true order, so matching it certifies completeness.  Every large group in
-the catalogue has an arithmetically known order or one derived from
+to DETERMINISTIC_DEGREE.  Above that, and from degree 256 on whenever the
+order is known, a randomized pass (product replacement plus sifting) is
+used, checked against a caller-supplied expected order on both sides: it
+ends once CERTIFICATE_SIFTS random elements in a row sift to the identity,
+and the chain's order must then equal the target.  The computed order never
+exceeds the true order, and the run of members leaves a chain short of it
+with probability about 2**-CERTIFICATE_SIFTS.  Every large group in the
+catalogue has an arithmetically known order or one derived from
 orbit-stabilizer counting.
 
 The deterministic pass sifts a level's Schreier generators in batches of
@@ -69,6 +72,7 @@ import numpy as np
 DETERMINISTIC_DEGREE = 4000
 MAX_BLOCKS = 10000  # all_blocks_through raises past this many blocks
 DEFAULT_SEED = 0x52334C53  # "R3LS"
+CERTIFICATE_SIFTS = 40  # members in a row that end a randomized build
 _BATCH_ENTRIES = 1 << 16  # array entries per batch of the deterministic pass
 _ORBIT_SLICE = _BATCH_ENTRIES << 2  # image entries per frontier slice of _row_orbit
 
@@ -236,6 +240,26 @@ class _Level:
         if self.sv[x] == -1:
             return None
         return compose(g, inverse(self.rep_to(x, len(g))))
+
+    def to_root(self, rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Each row of point images mapped by u^-1 for the rep u taking the
+        base to its point: the tree walk of rep_to read backwards in the
+        inverse generators, all rows in step, one flat gather a step, the
+        rows already at the base mapped by the identity.  A row that is a
+        permutation g becomes g u^-1.  ValueError for a point outside the
+        orbit."""
+        n = len(self.sv)
+        off = points[self.sv[points] == -1]
+        if len(off):
+            raise ValueError(f"point {off[0]} is not in the orbit of {self.point}")
+        flat = np.concatenate([*self.inv_gens, identity(n)])
+        step = self.sv.astype(np.intp) * n      # the offset of each inverse
+        step[self.point] = len(self.inv_gens) * n
+        x = points
+        while (x != self.point).any():
+            k = step[x]
+            rows, x = flat[k[:, None] + rows], flat[k + x]
+        return rows
 
 
 def _join_rows(rows: np.ndarray, images: np.ndarray) -> np.ndarray:
@@ -488,26 +512,39 @@ class PermGroup:
             i = i - 1 if inserted_at is None else inserted_at
 
     def _randomized_schreier_sims(self):
-        rng = random.Random(self.seed)
-        shaker = _Shaker(self.gens, rng)
+        """Insert the sift residues of product-replacement elements until
+        the chain's order reaches the target, then sift CERTIFICATE_SIFTS
+        more elements, which must all be members.
+
+        The chain's order only bounds |G| from below.  While the chain is
+        incomplete, a uniformly random element of G sifts to the identity
+        with probability at most 1/2, so the run of members errs with
+        probability about 2**-CERTIFICATE_SIFTS (Seress, Permutation Group
+        Algorithms, 4.5).  An order past the target, or a non-member once
+        the order equals it, means |G| exceeds the target; that many
+        members in a row below it means |G| is smaller.  Either raises
+        AssertionError.  The chain reaches the target by an insertion, or
+        has it from the start, so no member drawn below it counts towards
+        the tail."""
+        shaker = _Shaker(self.gens, random.Random(self.seed))
         target = self.expected_order
-        attempts = 0
-        max_attempts = 20000
-        while attempts < max_attempts:
-            attempts += 1
-            order = self._chain_order()
-            if order == target:
-                return
-            if order > target:
-                raise AssertionError(
-                    f"{self!r}: computed order {order} exceeds expected {target}")
-            g = shaker.element()
-            residue = self._sift(g)
+        members = 0
+        while (order := self._chain_order()) < target:
+            residue = self._sift(shaker.element())
             if residue is not None:
                 self._insert_strong_gen(residue)
-        raise AssertionError(
-            f"{self!r}: randomized BSGS stalled at order {self._chain_order()}, "
-            f"expected {target}")
+                members = 0
+            elif (members := members + 1) == CERTIFICATE_SIFTS:
+                raise AssertionError(f"{self!r}: order {order} below "
+                                     f"expected {target}")
+        if order > target:
+            raise AssertionError(
+                f"{self!r}: computed order {order} exceeds expected {target}")
+        for _ in range(CERTIFICATE_SIFTS):
+            if self._sift(shaker.element()) is not None:
+                raise AssertionError(f"{self!r}: a random element sifts out of "
+                                     f"the chain of order {order}, so the order "
+                                     f"exceeds expected {target}")
 
     # -- public queries ---------------------------------------------------------
 

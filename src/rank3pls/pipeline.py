@@ -461,6 +461,11 @@ def run_pipeline(builtin_name: str, slow: bool = False) -> PipelineResult:
 
 
 def _table2_row(fam: str, args: tuple, groups: list, wexp, slow: bool) -> dict:
+    """Whether each group emits the family's structure D, and its image
+    under the named diagonal map h for a mirrored block.  A structure E of
+    D's line count equals D when every line of E is a line of D, and h(D)
+    when every line of E mapped by h^-1 is; D decides membership from its
+    lines through 0, so no family line array is built."""
     D = families.CONSTRUCTORS[fam](*args)
     row_ok = True
     detail = {}
@@ -468,16 +473,16 @@ def _table2_row(fam: str, args: tuple, groups: list, wexp, slow: bool) -> dict:
         b = get_builtin(g)
         res = run_pipeline(g, slow=slow)
         emitted = res.structures(connected=True)
-        # line arrays are canonical, so array equality is set equality; a
-        # structure of another shape builds no array to be found unequal
-        same = [d.lines for d in emitted
-                if (d.num_lines, d.line_size) == D.lines.shape]
-        direct = any(np.array_equal(D.lines, ls) for ls in same)
+        # a structure of another shape builds no array to be tested
+        same = [E.lines for E in emitted
+                if (E.num_lines, E.line_size) == (D.num_lines, D.line_size)]
+        equal = [D.has_lines(lines).all() for lines in same]
+        direct = any(equal)
         mirrored = None
         if wexp is not None and b.space is not None:
-            conj = families.diagonal_relabel(b.space, D, wexp).lines
-            mirrored = any(np.array_equal(conj, ls) for ls in same
-                           if not np.array_equal(D.lines, ls))
+            h_inv = inverse(families.diagonal_map(b.space, wexp))
+            mirrored = any(D.has_lines(h_inv[lines]).all()
+                           for lines, eq in zip(same, equal) if not eq)
         ok = direct and (mirrored is not False or wexp is None)
         row_ok &= ok
         detail[g] = {"direct": direct, "mirrored": mirrored,

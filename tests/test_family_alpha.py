@@ -1,0 +1,132 @@
+"""Family structures decided from their lines through 0, against the
+full-array predicates of the same lines ingested as an IncidenceStructure."""
+
+import numpy as np
+import pytest
+
+from rank3pls import families as fam, pipeline
+from rank3pls.incidence import (IncidenceStructure, components, fingerprint,
+                                is_proper, relabel, validate_pls)
+from rank3pls.omega import build_omega
+from rank3pls.permcore import PermGroup
+
+# every Table 2 family instance, AG*(3,9), and the non-PLS DLSub(9,3,2,2)
+INSTANCES = [(fam, args) for _, (fam, args), _, _ in pipeline.TABLE2_ROWS] + [
+    ("agstar", (3, 9)), ("dlsub", (9, 3, 2, 2))]
+
+
+def _predicates(D):
+    rep = validate_pls(D)
+    return (rep, rep.is_pls and is_proper(D), components(D), fingerprint(D),
+            D.point_degrees().tolist(), D.num_lines)
+
+
+@pytest.mark.parametrize("kind, args", INSTANCES,
+                         ids=[f"{k}{a}" for k, a in INSTANCES])
+def test_alpha_predicates_match_the_full_array(kind, args):
+    D = fam.CONSTRUCTORS[kind](*args)
+    at_alpha = _predicates(D)
+    assert D._lines is None
+    R = IncidenceStructure(D.num_points, D.lines, D.params)
+    assert at_alpha == _predicates(R)
+    assert D.has_lines(R.lines).all()
+    rng = np.random.default_rng(3)
+    known = R.line_set()
+    for _ in range(200):
+        row = tuple(sorted(rng.choice(D.num_points, D.line_size, replace=False).tolist()))
+        assert D.has_lines([row])[0] == (row in known)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_dlsub_disjoint_union_param(j):
+    """disjoint_union says whether L^G and its image under diag(w^j, 1)
+    share no line, as the lines themselves show."""
+    D = fam.dlsub(9, 3, 2, j)
+    L = fam.lsub(2, 9, 3, 2)
+    image = relabel(L, fam.diagonal_map(build_omega("linear", 2, 9, 2), j))
+    assert D.params["disjoint_union"] == L.line_set().isdisjoint(image.line_set())
+    assert D.line_set() == L.line_set() | image.line_set()
+
+
+@pytest.mark.parametrize("base, sizes", [([0, 1], [3, 3]), ([0, 1, 3], [6])])
+def test_components_in_a_wreath_product(base, sizes):
+    """S_3 wr S_2 on two blocks of 3 points: a line inside a block gives two
+    components; a line meeting both blocks joins them, through both
+    G_0-orbits of the points collinear with 0."""
+    G = PermGroup(6, [[1, 0, 2, 3, 4, 5], [1, 2, 0, 3, 4, 5], [3, 4, 5, 0, 1, 2]])
+    D = fam.OrbitStructure(G, [base], {})
+    at_alpha = _predicates(D)
+    assert at_alpha == _predicates(IncidenceStructure(6, D.lines))
+    assert [len(c) for c in components(D)] == sizes
+
+
+def test_two_bases_in_one_orbit_give_that_orbit():
+    D = fam.lsub(2, 16, 4, 5)
+    (base,) = D.bases
+    U = fam.OrbitStructure(D.group, [base, D.group.gens[0][base]], {})
+    assert len(U.bases) == 1 and U.num_lines == D.num_lines
+    assert U.line_set() == D.line_set()
+
+
+def test_rows_with_points_off_the_space_are_rejected():
+    """has_lines reads its rows as points of the structure; -1 or a point
+    past the last is an error, not a point read modulo n."""
+    D = fam.lsub(2, 16, 4, 5)
+    row = D.bases[0].copy()
+    assert D.has_lines([row]).all()
+    for off in (-1, D.num_points):
+        row[-1] = off
+        with pytest.raises(ValueError, match="outside range"):
+            D.has_lines([row])
+
+
+def test_one_kept_group_per_space_and_shape():
+    assert fam.ag_star(3, 4).group is fam.delta(3, 4).group
+    assert fam.usub(4, 2, 3).group is fam.agu_star(4).group
+    assert fam.dlsub(9, 3, 2, 1).group is fam.lsub(2, 9, 3, 2).group
+    assert fam.ag_star(3, 4).group is not fam.ag_star(2, 4).group
+
+
+def test_a_group_that_is_not_transitive_is_one_line_error():
+    G = PermGroup(4, [[1, 0, 2, 3]])
+    with pytest.raises(ValueError, match="not transitive") as err:
+        fam.OrbitStructure(G, [[0, 1]], {})
+    assert "\n" not in str(err.value)
+
+
+def test_lsub_3_25_5_3_builds_no_line_array(monkeypatch):
+    """lsub(3, 25, 5, 3) and its predicates run line_orbit only on the
+    G_0-orbits of its 780 lines through 0; the 253,890 lines are built
+    once, when `lines` is read."""
+    sizes = []
+    real = fam.line_orbit
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        sizes.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(fam, "line_orbit", counted)
+    D = fam.lsub(3, 25, 5, 3)
+    rep = validate_pls(D)
+    assert (rep.multiplicity, rep.is_pls) == (2, False)
+    assert components(D) == [list(range(D.num_points))]
+    assert fingerprint(D)[:2] == (1953, 253_890)
+    assert D.point_degrees()[0] == 780
+    assert sizes and max(sizes) <= 780 and sum(sizes) == 780
+    assert D._lines is None
+    sizes.clear()
+    first = D.lines
+    assert D.lines is first
+    assert sizes == [253_890] and len(first) == D.num_lines
+
+
+def test_table2_builds_no_family_line_array(monkeypatch):
+    """The Table 2 rows decide `direct` and `mirrored` by membership in
+    each family's lines through 0, so no family structure ingests lines."""
+    ingested = []
+    monkeypatch.setattr(fam, "IncidenceStructure",
+                        lambda *args, **kwargs: ingested.append(args))
+    rows = pipeline.reproduce_table(2, max_degree=300)
+    assert all(r["pass"] for r in rows if "pass" in r)
+    assert ingested == []

@@ -243,6 +243,30 @@ def test_rep_to_rejects_points_off_the_orbit():
                                        for x in (3, 4, 5)]
 
 
+def test_to_root_rejects_points_off_the_orbit():
+    """to_root's walk, like rep_to's, would loop at sv = -1; in a subprocess
+    for the same reason.  Rows at orbit points map by u^-1."""
+    code = ("import numpy as np\n"
+            "from rank3pls.permcore import _Level\n"
+            "tree = _Level(6, 0)\n"
+            "tree.add_gen(np.array([1, 2, 0, 4, 5, 3], dtype=np.int32))\n"
+            "rows = np.array([[0, 1, 2], [3, 4, 5]], dtype=np.int32)\n"
+            "print(tree.to_root(rows, np.array([2, 0])).tolist())\n"
+            "try:\n"
+            "    tree.to_root(rows, np.array([0, 3]))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    src = str(Path(permcore.__file__).resolve().parents[1])
+    try:
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=30, env={**os.environ, "PYTHONPATH": src})
+    except subprocess.TimeoutExpired:
+        pytest.fail("to_root did not return for a point off the orbit")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[[1, 2, 0], [3, 4, 5]]",
+                                       "point 3 is not in the orbit of 0"]
+
+
 def test_coset_action_contract():
     G = s4()
     st = G.stabilizer(0)

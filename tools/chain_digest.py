@@ -12,7 +12,11 @@ digest built byte-identical chains, so every seeded random element and
 subgroups from bundled data, so no subgroup search runs in it.  The line
 also gives the number of chains the tables built and the number in all.
 
-Usage, from the repository root: python3 tools/chain_digest.py
+With --catalogue the chains built by `families._family_group` (the groups
+the Table 2 family structures are orbits of) are left out, so the line
+covers the catalogue's and the pipeline's chains alone.
+
+Usage, from the repository root: python3 tools/chain_digest.py [--catalogue]
 """
 
 import hashlib
@@ -23,7 +27,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from rank3pls import catalog, pipeline  # noqa: E402
+from rank3pls import catalog, families, pipeline  # noqa: E402
 from rank3pls.permcore import PermGroup  # noqa: E402
 
 
@@ -31,9 +35,13 @@ def main() -> None:
     digest = hashlib.sha256()
     builds = [0]
     build = PermGroup._build_bsgs
+    family_group = families._family_group
+    in_family = [False]
 
     def hashed_build(self):
         build(self)
+        if in_family[0]:
+            return
         builds[0] += 1
         digest.update(np.int64(self.degree).tobytes())
         for lv in self._levels:
@@ -43,7 +51,16 @@ def main() -> None:
             for g in lv.gens:
                 digest.update(g.tobytes())
 
+    def unhashed_family_group(*args):
+        in_family[0] = True
+        try:
+            return family_group(*args)
+        finally:
+            in_family[0] = False
+
     PermGroup._build_bsgs = hashed_build
+    if "--catalogue" in sys.argv[1:]:
+        families._family_group = unhashed_family_group
     try:
         for t in range(2, 7):
             pipeline.reproduce_table(t, max_degree=300)
@@ -53,6 +70,7 @@ def main() -> None:
             digest.update(g.tobytes())
     finally:
         PermGroup._build_bsgs = build
+        families._family_group = family_group
     print(f"{digest.hexdigest()}  tables={chains} chains={builds[0]}")
 
 

@@ -2,10 +2,12 @@
 """Print the tracemalloc peak of each library call of the `families` workload.
 
 The calls are those of perfbench's `families` workload, in its order:
-`usub(16, 4)` (count-only), then `lsub(3, 25, 5, 3)`, split into its line
-orbit and the ingestion of the orbit's lines into an IncidenceStructure,
-then `validate_pls`, `components` and `fingerprint` on that structure
-(`is_proper` is not called: the structure is not a partial linear space).
+`usub(16, 4)` (count-only), then `lsub(3, 25, 5, 3)`, split into the
+stages it runs: the chain of its group (`_family_group`) and the lines
+through 0 (the `OrbitStructure` it builds), then `validate_pls`,
+`components` and `fingerprint` on that structure (`is_proper` is not
+called: the structure is not a partial linear space).  None of them builds
+the structure's line array.
 All run in this one process, so the module caches start empty.  For each
 call the line gives, in MiB:
 
@@ -48,9 +50,9 @@ def main() -> int:
             return out
         return call
 
-    # lsub reaches the orbit and the ingestion through these two names
-    families.line_orbit = measured("line orbit", families.line_orbit)
-    families.IncidenceStructure = measured("ingest", families.IncidenceStructure)
+    # lsub reaches its chain and its lines through 0 through these two names
+    families._family_group = measured("chain", families._family_group)
+    families.OrbitStructure = measured("rows through 0", families.OrbitStructure)
     tracemalloc.start()
     try:
         # bound, as in the workload, so that it stays live to the end
@@ -61,11 +63,11 @@ def main() -> int:
             measured(f.__name__, f)(D)
     finally:
         tracemalloc.stop()
-    print(f"{'call':<14}{'above_live':>11}{'live':>8}{'kept':>8}   (MiB)")
+    print(f"{'call':<16}{'above_live':>11}{'live':>8}{'kept':>8}   (MiB)")
     for name, above, live, kept in rows:
-        print(f"{name:<14}{above / MIB:>11.1f}{live / MIB:>8.1f}{kept / MIB:>8.1f}")
+        print(f"{name:<16}{above / MIB:>11.1f}{live / MIB:>8.1f}{kept / MIB:>8.1f}")
     peak = max(above + live for _, above, live, _ in rows)
-    print(f"{'peak':<14}{peak / MIB:>11.1f}   (live + above_live)")
+    print(f"{'peak':<16}{peak / MIB:>11.1f}   (live + above_live)")
     return 0
 
 
