@@ -24,6 +24,9 @@ FULL_ENUMERATION_LIMIT lines is counted and sampled instead (CountOnly).
 CONSTRUCTORS maps each family kind to its constructor; the command line and
 the table reproduction build through it.  Non-PLS parameter sets construct
 fine on purpose; the validator reports their multiplicity.
+
+The pipeline emits the same class: pipeline.devillers_enumerate builds the
+OrbitStructure of each flag-transitive line {0} | B under its rank 3 group.
 """
 
 from __future__ import annotations

@@ -19,10 +19,11 @@ collinear pairs and n |Delta| / (k (k - 1)) lines of size k, proper when
 k >= 3 and |Delta| < n - 1, and its component through 0 is the orbit of 0
 under <G_0, t> for any t with 0^t in Delta.
 
-The emitted structures (LineOrbit) carry those counts, and their line
-arrays are built by line_orbit only when something reads them: counts,
-summaries, reports and fingerprints never do.  Outside slow runs a
-structure of more than MAX_LINE_ORBIT lines raises RuntimeError.
+Each emitted structure is the families' OrbitStructure of L under G, so
+the generic predicates (validate_pls, is_proper, is_connected, fingerprint,
+has_lines) read it off those lines through 0, and its line array is built
+only when something reads `lines`.  Outside slow runs a structure of more
+than MAX_LINE_ORBIT lines raises RuntimeError.
 
 classify_blocks materializes the expected block inventories from their
 vector formulas at test time, so they survive any change of field modulus
@@ -40,101 +41,23 @@ import numpy as np
 from . import families
 from .catalog import ALL_BUILTINS, get_builtin
 from .gfield import SubfieldView, factorize
-from .incidence import IncidenceStructure, PLSReport, is_proper
+from .incidence import fingerprint, is_connected, is_proper, validate_pls
 from .omega import OmegaSpace
-from .permcore import (PermGroup, classes, identity, inverse, line_orbit, merge,
-                       sigma_partition)
-
-
-def _is_line_at_alpha(pts: np.ndarray, block: np.ndarray, at_beta,
-                      in_delta: np.ndarray) -> bool:
-    """Whether the point set pts is {0} | a class of the block system of
-    block on Delta, the class through c being block^(u_c) for the rep u_c
-    from beta to c of the Schreier tree at_beta of G_0."""
-    rest = np.sort(pts[pts != 0])
-    if len(rest) != len(block) or not in_delta[rest].all():
-        return False
-    u = at_beta.rep_to(int(rest[0]), len(in_delta))
-    return np.array_equal(rest, np.sort(u[block]))
+from .permcore import PermGroup, classes, inverse, sigma_partition
 
 
 def flag_transitive_at_alpha(block: np.ndarray, t_beta: np.ndarray, at_beta,
                              in_delta: np.ndarray) -> bool:
     """Whether G_L is transitive on L = {0} | block, for t_beta in G taking
-    beta to 0: whether L^(t_beta) is a line through 0."""
-    return _is_line_at_alpha(t_beta[np.r_[0, block]], block, at_beta, in_delta)
-
-
-class LineOrbit(IncidenceStructure):
-    """The orbit L^G of a flag-transitive line L = {0} | B of a rank 3
-    group G, B a block of G_0 through beta on the suborbit Delta, known by
-    the lines through 0 (see the module docstring).
-
-    Its counts, report() and fingerprint() are read off Delta; the line
-    array is built by line_orbit the first time `lines` is read, or a
-    predicate that needs it is called, and then kept."""
-
-    def __init__(self, G: PermGroup, block: np.ndarray, at0, at_beta,
-                 in_delta: np.ndarray, component: int, params: dict):
-        self._num_points = n = G.degree
-        self.params = dict(params)
-        self._gens = G.gens
-        self._block = block
-        self._at0, self._at_beta, self._in_delta = at0, at_beta, in_delta
-        self._component = component       # points in each component
-        self._lines = None
-        self._delta = int(np.count_nonzero(in_delta))
-        k = len(block) + 1
-        num_lines, rem = divmod(n * self._delta, k * (k - 1))
-        if rem:
-            raise AssertionError(f"{n} * {self._delta} collinear pairs do not "
-                                 f"fall into lines of size {k}")
-        self._num_lines = num_lines
-
-    @property
-    def lines(self) -> np.ndarray:
-        if self._lines is None:
-            base = np.concatenate(([0], self._block))
-            # ingested like any line set: sorted, and checked for repeats
-            lines = IncidenceStructure(self.num_points,
-                                       line_orbit(self._gens, base)[0]).lines
-            if len(lines) != self._num_lines:
-                raise AssertionError(f"line orbit of {len(lines)} lines, "
-                                     f"{self._num_lines} counted at alpha")
-            self._lines = lines
-        return self._lines
-
-    @property
-    def num_lines(self) -> int:
-        return self._num_lines
-
-    @property
-    def line_size(self) -> int:
-        return len(self._block) + 1
-
-    @property
-    def connected(self) -> bool:
-        return self._component == self.num_points
-
-    def report(self) -> PLSReport:
-        """validate_pls(self): every point pair on at most one line."""
-        return PLSReport(True, 1, True, True, self.line_size,
-                         self.num_points * self._delta // 2)
-
-    def fingerprint(self) -> tuple:
-        """incidence.fingerprint(self): every point lies on |Delta| / (k-1)
-        lines and is collinear with |Delta| points."""
-        n, c = self.num_points, self._component
-        return (n, self.num_lines, (self.line_size,),
-                (self._delta // (self.line_size - 1),) * n, (self._delta,) * n,
-                (c,) * (n // c))
-
-    def has_line(self, line) -> bool:
-        """Whether the point set line is a line of the orbit: its image
-        under a t taking one of its points to 0 is a line through 0."""
-        pts = np.asarray(line, dtype=np.int32)
-        t = inverse(self._at0.rep_to(int(pts[0]), self.num_points))
-        return _is_line_at_alpha(t[pts], self._block, self._at_beta, self._in_delta)
+    beta to 0: whether L^(t_beta) minus 0 is a class of the block system of
+    block on Delta, the class through c being block^(u_c) for the rep u_c
+    from beta to c of the Schreier tree at_beta of G_0."""
+    pts = t_beta[np.r_[0, block]]
+    rest = np.sort(pts[pts != 0])
+    if not in_delta[rest].all():
+        return False
+    u = at_beta.rep_to(int(rest[0]), len(in_delta))
+    return np.array_equal(rest, np.sort(u[block]))
 
 
 @dataclass
@@ -143,7 +66,7 @@ class PipelineEntry:
     block: tuple
     flag_transitive: bool
     filtered: bool = False     # discarded by the cell-intersection filter
-    structure: LineOrbit | None = None
+    structure: families.OrbitStructure | None = None
     connected: bool | None = None
 
     def summary(self) -> dict:
@@ -168,7 +91,7 @@ class PipelineResult:
     sigma: np.ndarray          # (cells, cell size), rows sorted
     entries: list[PipelineEntry] = field(default_factory=list)
 
-    def structures(self, connected: bool | None = None) -> list[LineOrbit]:
+    def structures(self, connected: bool | None = None) -> list[families.OrbitStructure]:
         out = []
         for e in self.entries:
             if e.structure is None:
@@ -183,7 +106,7 @@ class PipelineResult:
         and fingerprints stand in for isomorphism testing."""
         out = {}
         for d in self.structures(connected):
-            out.setdefault(d.fingerprint(), d)
+            out.setdefault(fingerprint(d), d)
         return list(out.values())
 
     def line_signature(self, connected: bool | None = True):
@@ -211,11 +134,12 @@ def devillers_enumerate(G: PermGroup, name: str = "",
     iff L^(t_beta) minus 0 lies in Delta and equals B^(u_c), where t_beta
     is the inverse of the rep from 0 to beta of G's Schreier tree at 0, c
     is the least point of L^(t_beta) minus 0, and u_c is the rep from beta
-    to c of G_0's tree at beta.  A flag-transitive L becomes a LineOrbit:
-    its line count is asserted to be an integer, its report proper, and its
-    connectivity (one merge per suborbit) disconnected for the cell orbit
-    and connected for the far one.  No line array is built here; outside
-    slow runs a structure of more than MAX_LINE_ORBIT lines raises
+    to c of G_0's tree at beta.  A flag-transitive L becomes
+    families.OrbitStructure(G, [L]), and AssertionError is raised unless
+    its line count is an integer, validate_pls and is_proper find a proper
+    partial linear space, and is_connected finds it disconnected for the
+    cell orbit and connected for the far one.  No line array is built here;
+    outside slow runs a structure of more than MAX_LINE_ORBIT lines raises
     RuntimeError, and sigma_partition's ValueError rejects a group that is
     not imprimitive of rank 3.
     """
@@ -236,9 +160,6 @@ def devillers_enumerate(G: PermGroup, name: str = "",
         in_delta = labels == beta
         at_beta = Ga.schreier_tree(beta)
         t_beta = inverse(at0.rep_to(beta, n))
-        # the component through 0: its orbit under <G_0, t_beta>
-        comp = merge(labels, identity(n), t_beta)
-        component = int(np.count_nonzero(comp == 0))
         for block in Ga.all_blocks_through(beta):
             B = np.array(sorted(block), dtype=np.int32)
             line = np.concatenate(([0], B))
@@ -254,16 +175,17 @@ def devillers_enumerate(G: PermGroup, name: str = "",
                                                              in_delta)
             if not entry.flag_transitive:
                 continue
-            D = LineOrbit(G, B, at0, at_beta, in_delta, component,
-                          {"group": result.name, "block_size": len(B)})
+            D = families.OrbitStructure(G, [line], {"group": result.name,
+                                                    "block_size": len(B)})
             if not slow and D.num_lines > MAX_LINE_ORBIT:
                 raise RuntimeError(f"line orbit of {D.num_lines} lines exceeded "
                                    f"max_lines {MAX_LINE_ORBIT}")
-            if not is_proper(D, D.report()):
+            rep = validate_pls(D)
+            if not rep.is_pls or not is_proper(D, rep):
                 raise AssertionError(
                     f"{result.name}: emitted structure fails PLS/properness")
             entry.structure = D
-            entry.connected = D.connected
+            entry.connected = is_connected(D)
             if entry.connected == in_cell:
                 raise AssertionError(
                     "cell-orbit structures must be disconnected and "
@@ -497,7 +419,7 @@ def _usub_16_4_5_emitted(C: families.CountOnly, exp: dict) -> bool:
     5), so the base line needs no translation."""
     shape = (exp["points"], exp["lines"], exp["line_size"])
     return any((D.num_points, D.num_lines, D.line_size) == shape
-               and D.has_line(C.base_line)
+               and D.has_lines([C.base_line])[0]
                for D in run_pipeline("GammaU3_16", slow=True).structures(connected=True))
 
 

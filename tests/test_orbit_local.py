@@ -9,7 +9,7 @@ import pytest
 
 from rank3pls import families, pipeline
 from rank3pls.catalog import ALL_BUILTINS, get_builtin
-from rank3pls.incidence import components, fingerprint, validate_pls
+from rank3pls.incidence import components, fingerprint, is_connected, validate_pls
 from rank3pls.permcore import PermGroup, flag_transitive_on_line, inverse
 from rank3pls.pipeline import (devillers_enumerate, flag_transitive_at_alpha,
                                reproduce_table, run_pipeline)
@@ -63,13 +63,6 @@ def _groups():
         yield f"PSL3_2wrS{b}", lambda b=b: wreath(7, b, fano_group())
 
 
-def _groups():
-    for nm in DESK:
-        yield nm, lambda nm=nm: get_builtin(nm).group
-    for a, b in WREATHS:
-        yield f"S{a}wrS{b}", lambda a=a, b=b: wreath(a, b)
-
-
 @pytest.mark.parametrize("name,build", list(_groups()), ids=[nm for nm, _ in _groups()])
 def test_pipeline_matches_the_line_orbit_reference(name, build):
     G = build()
@@ -83,14 +76,12 @@ def test_pipeline_matches_the_line_orbit_reference(name, build):
             assert D is None
             continue
         # orbit-local first, before D has a line array
-        assert D._lines is None
-        assert D.report() == r.report
-        assert D.fingerprint() == r.fingerprint
-        assert D.params == R.params
-        assert np.array_equal(D.lines, R.lines)
         assert validate_pls(D) == r.report
         assert components(D) == r.components
         assert fingerprint(D) == r.fingerprint
+        assert D._lines is None
+        assert D.params == R.params
+        assert np.array_equal(D.lines, R.lines)
 
 
 def test_wreath_products_are_rank_3():
@@ -106,8 +97,8 @@ def test_wreath_products_are_rank_3():
 def test_fano_cells_give_disconnected_structures():
     res = devillers_enumerate(wreath(7, 3, fano_group()))
     (D,) = res.structures()
-    assert not D.connected and D.num_lines == 3 * 7
-    assert D.fingerprint()[5] == (7, 7, 7)
+    assert not is_connected(D) and D.num_lines == 3 * 7
+    assert fingerprint(D)[5] == (7, 7, 7)
     assert res.line_signature(connected=False) == ((21, 3),)
 
 
@@ -143,27 +134,32 @@ def test_has_line_is_orbit_membership(name):
         lines = D.lines
         known = set(map(tuple, lines.tolist()))
         for row in lines[rng.choice(len(lines), min(len(lines), 200), replace=False)]:
-            assert D.has_line(row.tolist())
+            assert D.has_lines([row])[0]
         for _ in range(200):
             cand = tuple(sorted(rng.choice(D.num_points, D.line_size, replace=False).tolist()))
-            assert D.has_line(cand) == (cand in known)
+            assert D.has_lines([cand])[0] == (cand in known)
         # the lines of another structure with lines of the same size
         for E in res.structures():
             if E is not D and E.line_size == D.line_size:
                 for row in E.lines[:50].tolist():
-                    assert D.has_line(row) == (tuple(row) in known)
+                    assert D.has_lines([row])[0] == (tuple(row) in known)
 
 
 def test_line_arrays_built_only_when_read(monkeypatch):
+    """Only `lines` orbits a base row under G; the constructor's G_0 row
+    orbits call line_orbit too, and are not counted."""
     calls = []
-    real = pipeline.line_orbit
+    real = families.line_orbit
 
     def counted(*args, **kwargs):
-        calls.append(sys._getframe(1).f_code.co_name)
+        # `lines` may call it from a comprehension, one frame further out
+        caller = sys._getframe(1)
+        if "lines" in (caller.f_code.co_name, caller.f_back.f_code.co_name):
+            calls.append("lines")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pipeline, "_PIPE_CACHE", {})
-    monkeypatch.setattr(pipeline, "line_orbit", counted)
+    monkeypatch.setattr(families, "line_orbit", counted)
     res = run_pipeline("GammaU3_4")
     res.report()
     res.line_signature(None)
@@ -174,6 +170,15 @@ def test_line_arrays_built_only_when_read(monkeypatch):
     assert D.lines is first
     assert calls == ["lines"]
     assert len(first) == D.num_lines
+
+
+def test_forced_acceptance_fails_the_pls_check(monkeypatch):
+    """With the flag test accepting every unfiltered block, GL3_3 emits a
+    line orbit that is not a proper partial linear space, and the pipeline's
+    validation, read off the lines through 0, rejects it."""
+    monkeypatch.setattr(pipeline, "flag_transitive_at_alpha", lambda *args: True)
+    with pytest.raises(AssertionError, match="fails PLS/properness"):
+        devillers_enumerate(get_builtin("GL3_3").group, name="GL3_3")
 
 
 def test_max_line_orbit_caps_the_emitted_structures(monkeypatch):
@@ -220,7 +225,7 @@ def test_gammau3_16_structure_orbit_local():
     exp = families.expected_counts("usub", 3, 16, 4, 5)
     assert (D.num_points, D.num_lines, D.line_size) == (exp["points"], exp["lines"],
                                                         exp["line_size"])
-    assert D.connected and D.report().is_pls
-    assert D.has_line(families.usub(16, 4, 5).base_line)
-    assert not D.has_line((0, 1, 2, 3, 4))
+    assert is_connected(D) and validate_pls(D).is_pls
+    assert D.has_lines([families.usub(16, 4, 5).base_line])[0]
+    assert not D.has_lines([(0, 1, 2, 3, 4)])[0]
     assert D._lines is None
