@@ -30,8 +30,8 @@ import numpy as np
 from .gfield import field_make
 from .matsemi import (GroupSpec, Mat, SemilinearElem, gens_group, gens_sl,
                       group_matrix_order, linear)
-from .omega import (CanonicalPoints, OmegaSpace, _projective_reps, build_omega,
-                    induce_action, vector_action)
+from .omega import (OmegaSpace, build_omega, induce_action, projective_points,
+                    vector_action)
 from .permcore import (PermGroup, compose, identity, perm_from_images,
                        read_group_file, sigma_partition, DEFAULT_SEED)
 
@@ -192,7 +192,7 @@ def projective_action(F, n, gens, expected_order=None, seed=DEFAULT_SEED,
 
     Point 0 leads the base, so the stabilizer of 0 is read off the group's
     own chain."""
-    points = CanonicalPoints(F, 1, _projective_reps(F, n))
+    points = projective_points(F, n)
     perms = [points.image(g) for g in gens]
     return PermGroup(len(points), perms, expected_order=expected_order,
                      base_hint=[0], seed=seed, name=name)

@@ -464,14 +464,17 @@ def agu_star(q: int) -> IncidenceStructure:
 
 def _random_walk(gens, base, steps: int, rng: random.Random) -> np.ndarray:
     """(steps + 1, k) int32: base, then each row's image under a generator
-    drawn by rng.  Walked on int lists; they are freed before the caller
-    allocates anything that outlives it."""
+    drawn by rng.  All draws come first, then each point walks along them
+    on int lists, freed before the caller allocates what outlives them."""
     images = [g.tolist() for g in gens]
-    walk = [list(base)]
-    for _ in range(steps):
-        g = rng.choice(images)
-        walk.append([g[x] for x in walk[-1]])
-    return np.array(walk, dtype=np.int32)
+    picks = [rng.choice(images) for _ in range(steps)]
+    walks = [[x] for x in base]
+    for walk in walks:
+        x = walk[0]
+        for g in picks:
+            x = g[x]
+            walk.append(x)
+    return np.array(walks, dtype=np.int32).T
 
 
 def _count_only(space, params, exp, base, gens, seed):

@@ -2,17 +2,19 @@
 
 A point of Omega is the <w^r>-orbit of a nonzero (isotropic) row vector,
 stored by its canonical representative: the unique scaling whose first
-nonzero coordinate is w^i with 0 <= i < r.  Point indices are fixed by
-sorting canonical vectors by their discrete-log coordinate tuples, compared
-from the last coordinate to the first with zeros ordered first; this places
+nonzero coordinate is w^i with 0 <= i < r.  The points w^i u of a 1-space
+<u> form one cell of Sigma.  Point indices sort the points by one log-
+coordinate key, last coordinate most significant, zeros first; this places
 alpha = <w^r> e_1 (linear) and alpha = <w^r> e (unitary) at index 0 and the
 whole cell of alpha at indices [0, r).
 
 Points are held as one (N, n) int64 array of packed field elements, and a
-semilinear element acts on all of them at once (semilinear_image): the
+semilinear element acts on arrays of them at once (semilinear_image): the
 Frobenius and the matrix product are gathers on the field's exp/log tables.
-The same kernel gives the projective action (r = 1) and the action on
-nonzero vectors (r = q - 1).
+It maps cells to cells, so it acts on the N = r m points through the m
+cell reps: w^i u goes to w^(i p^k + s) u' when u goes to w^s u'.  The same
+kernel gives the projective action (r = 1) and the action on nonzero
+vectors (r = q - 1).
 """
 
 from __future__ import annotations
@@ -77,82 +79,95 @@ def semilinear_image(g, V: np.ndarray) -> np.ndarray:
                             if rows[i][j]], len(V)) for j in range(n)], axis=1)
 
 
-def _canonical(F: Field, r: int, V: np.ndarray) -> np.ndarray:
-    """Scale each row of V by the unique element of <w^r> putting its first
-    nonzero coordinate into {w^i : 0 <= i < r}."""
+def _projective(F: Field, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P, d): each row of V divided by its first nonzero coordinate w^d, so
+    that P's first nonzero coordinate is 1; d = -1 marks a zero row."""
     T = _tables(F)
-    first = V[np.arange(len(V)), (V != 0).argmax(axis=1)]
-    if not first.all():
-        raise ValueError("zero vector has no Omega point")
-    d = T.log[first]
-    shift = d - d % r
-    return T.scale(V, -shift[:, None]) if shift.any() else V
+    d = T.log[V[np.arange(len(V)), (V != 0).argmax(axis=1)]]
+    return T.scale(V, -d[:, None]), d
 
 
-def _nonzero_vectors(q: int, n: int) -> np.ndarray:
-    """All nonzero vectors of GF(q)^n; row k - 1 holds the base-q digits of k."""
-    return np.arange(1, q**n)[:, None] // q ** np.arange(n) % q
+def _scalings(F: Field, reps: np.ndarray, r: int) -> np.ndarray:
+    """(m, r, n): w^i u for each row u of reps and 0 <= i < r."""
+    return _tables(F).scale(reps[:, None, :], np.arange(r)[:, None])
 
 
 class CanonicalPoints:
-    """The <w^r>-orbits of a set of nonzero vectors over F, one canonical row
-    each: row i of vectors is point i.  r = 1 gives projective points and
-    r = q - 1 the vectors themselves.  A point is found by its key
-    sum v_j q^j in a sorted array of the keys."""
+    """The points w^i u (0 <= i < r) of the 1-spaces of cell reps u over F,
+    each with first nonzero coordinate 1; r = 1 gives projective points, r =
+    q - 1 nonzero vectors.  Points are numbered in the order of their keys,
+    keys[u, i] for w^i u: point pos[u, i], row pos[u, i] of vectors.  A
+    vector is found by its projective form's key sum v_j q^j in the sorted
+    keys of the reps and the log of its first nonzero coordinate mod r."""
 
-    def __init__(self, field: Field, r: int, vectors: np.ndarray):
-        self.field = field
-        self.r = r
-        self.vectors = vectors
-        self._place = field.q ** np.arange(vectors.shape[1], dtype=np.int64)
-        keys = vectors @ self._place
-        self._order = np.argsort(keys)
-        self._keys = keys[self._order]
+    def __init__(self, field: Field, r: int, reps: np.ndarray, keys: np.ndarray):
+        self.field, self.r = field, r
+        order = np.argsort(keys, axis=None)
+        if (np.diff(keys.ravel()[order]) == 0).any():
+            raise AssertionError("cell members collide")
+        pos = np.argsort(order).reshape(keys.shape)     # the rank of each key
+        self._place = field.q ** np.arange(reps.shape[1], dtype=np.int64)
+        rep_keys = reps @ self._place
+        by_key = np.argsort(rep_keys)
+        self._rep_keys = rep_keys[by_key]
+        self.reps = reps[by_key]
+        self.pos = pos[by_key]
+        self.vectors = np.empty((pos.size, reps.shape[1]), dtype=np.int64)
+        self.vectors[self.pos] = _scalings(field, self.reps, r)
 
     def __len__(self):
         return len(self.vectors)
 
+    def _reps_of(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u, d): the rep row u of each row of V (-1 where its 1-space is
+        not a cell) and the log d of its first nonzero coordinate."""
+        P, d = _projective(self.field, V)
+        keys = P @ self._place
+        at = np.minimum(np.searchsorted(self._rep_keys, keys), len(self._rep_keys) - 1)
+        return np.where(self._rep_keys[at] == keys, at, -1), d
+
     def locate(self, V: np.ndarray) -> np.ndarray:
         """Point index of each row of V, or -1 where the row's orbit is not a
         point."""
-        keys = _canonical(self.field, self.r, V) @ self._place
-        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        return np.where(self._keys[pos] == keys, self._order[pos], -1)
+        u, d = self._reps_of(V)
+        return np.where(u >= 0, self.pos[u, d % self.r], -1)
 
     def image(self, g) -> np.ndarray:
-        """The permutation of the points induced by the semilinear element g."""
+        """The permutation of the points induced by the semilinear element g,
+        read off its images of the reps."""
         if g.field != self.field:
             raise ValueError(f"generator {g!r} is over {g.field}, not {self.field}")
-        W = semilinear_image(g, self.vectors)
-        if not W.any(axis=1).all():
+        u, d = self._reps_of(semilinear_image(g, self.reps))
+        if (d < 0).any():
             raise ValueError(f"generator {g!r} does not act bijectively on Omega")
-        img = self.locate(W)
-        if (img < 0).any():
+        if (u < 0).any():
             raise ValueError(f"generator {g!r} does not permute Omega")
-        return img.astype(np.int32)
+        # w^i u -> w^(i p^frob + d_u) u'
+        shift = np.arange(self.r) * (self.field.p ** g.frob % self.r) + d[:, None]
+        img = np.empty(len(self.vectors), dtype=np.int32)
+        img[self.pos] = self.pos[u[:, None], shift % self.r]
+        return img
 
 
 class OmegaSpace(CanonicalPoints):
     """Indexed point set of Construction-style <w^r>-cosets with partition
     Sigma.
 
-    The space is held as arrays: `vectors` (row i is point i) and `cells`
-    (Sigma, one sorted row of point indices per cell, the cells in order
-    of their least points).  `points` (the vectors as tuples) and `sigma`
-    (the cells as lists) are built from them the first time they are read
-    and kept; the library itself reads only the arrays."""
+    The space is held as arrays: `vectors` (row i is point i), `reps`,
+    `pos` (see CanonicalPoints) and `cells` (Sigma, one sorted row of point
+    indices per cell, the cells in order of their least points).  `points`
+    (the vectors as tuples) and `sigma` (the cells as lists) are built from
+    them the first time they are read and kept; the library itself reads
+    only the arrays."""
 
     def __init__(self, kind: str, n: int, q: int, r: int, field: Field,
-                 vectors: np.ndarray, cells: np.ndarray,
-                 form: UnitaryForm | None = None):
+                 reps: np.ndarray, keys: np.ndarray, form: UnitaryForm | None = None):
         # field is the matrix field: GF(q) linear, GF(q^2) unitary
-        super().__init__(field, r, vectors)
-        self.kind = kind
-        self.n = n
-        self.q = q
-        self.cells = cells
-        self.form = form
-        self.cell_of = np.empty(len(vectors), dtype=np.int32)
+        super().__init__(field, r, reps, keys)
+        self.kind, self.n, self.q, self.form = kind, n, q, form
+        cells = np.sort(self.pos, axis=1)
+        self.cells = cells = cells[np.argsort(cells[:, 0])]
+        self.cell_of = np.empty(len(self), dtype=np.int32)
         self.cell_of[cells] = np.arange(len(cells), dtype=np.int32)[:, None]
 
     @cached_property
@@ -162,10 +177,6 @@ class OmegaSpace(CanonicalPoints):
     @cached_property
     def sigma(self) -> list[list[int]]:
         return self.cells.tolist()
-
-    def canonicalize(self, v) -> tuple:
-        row = _canonical(self.field, self.r, np.array([v], dtype=np.int64))[0]
-        return tuple(row.tolist())
 
     def points_of(self, vectors) -> tuple[int, ...]:
         """The sorted distinct points of the given vectors (a sequence of
@@ -237,19 +248,11 @@ def _build_omega_uncached(kind: str, n: int, q: int, r: int) -> OmegaSpace:
     else:
         F = field_make(p, 2 * a)
         form = UnitaryForm(F)
-        reps = _isotropic_reps(F, form)
-    T = _tables(F)
-    # the cell of rep u is {w^i u : 0 <= i < r}, rows u*r .. u*r + r - 1
-    vecs = _canonical(F, r, T.scale(reps[:, None, :], np.arange(r)[:, None])
-                      .reshape(-1, reps.shape[1]))
-    order = np.lexsort(T.log[vecs].T)  # last coordinate first, zeros first
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    cells = np.sort(rank.reshape(-1, r), axis=1)
-    space = OmegaSpace(kind, n, q, r, F, vecs[order],
-                       cells[np.argsort(cells[:, 0])], form)
-    if (np.diff(space._keys) == 0).any():
-        raise AssertionError("cell members collide")
+        reps = _projective(F, _isotropic_reps(F, form))[0]
+    # the cell of rep u is {w^i u : 0 <= i < r}; a point's key is its log
+    # coordinates, the last coordinate most significant, zeros first
+    logs = _tables(F).log[_scalings(F, reps, r)] + 1
+    space = OmegaSpace(kind, n, q, r, F, reps, logs @ F.q ** np.arange(n), form)
     expected = r * ((q**n - 1) // (q - 1)) if kind == "linear" else r * (q**3 + 1)
     if len(space) != expected:
         raise AssertionError(f"|Omega| = {len(space)}, expected {expected}")
@@ -259,7 +262,7 @@ def _build_omega_uncached(kind: str, n: int, q: int, r: int) -> OmegaSpace:
 def _projective_reps(F: Field, n: int) -> np.ndarray:
     """One vector per 1-space, first nonzero coordinate equal to 1, ordered
     by the position of that 1 and then by the digits of the tail."""
-    V = _nonzero_vectors(F.q, n)
+    V = np.arange(1, F.q**n)[:, None] // F.q ** np.arange(n) % F.q   # digits of k
     pivot = (V != 0).argmax(axis=1)
     keep = V[np.arange(len(V)), pivot] == 1
     return V[keep][np.argsort(pivot[keep], kind="stable")]
@@ -294,14 +297,11 @@ def induce_action(space: OmegaSpace, gens) -> list[np.ndarray]:
 
     Raises if a generator fails to permute Omega or to preserve Sigma.
     """
-    n = len(space)
     ends = space.cells[:, [0, -1]]
     perms = []
     for g in gens:
         img = space.image(g)
-        hit = np.zeros(n, dtype=bool)
-        hit[img] = True
-        if not hit.all():
+        if not np.bincount(img, minlength=len(space)).all():
             raise ValueError(f"generator {g!r} does not act bijectively on Omega")
         cells = space.cell_of[img[ends]]
         if not (cells[:, 0] == cells[:, 1]).all():
@@ -321,12 +321,23 @@ def induced_kernel_facts(space: OmegaSpace) -> tuple[bool, int]:
     return bool((perm_wr == np.arange(len(space))).all()), perm_order(perm_w)
 
 
+def projective_points(F: Field, n: int, vectors: bool = False) -> CanonicalPoints:
+    """The 1-spaces of F^n as points (r = 1, in the order of
+    _projective_reps), or with vectors the nonzero vectors (r = q - 1,
+    point k - 1 with the base-q digits of k)."""
+    reps = _projective_reps(F, n)
+    if not vectors:
+        return CanonicalPoints(F, 1, reps, np.arange(len(reps))[:, None])
+    r = F.q - 1
+    return CanonicalPoints(F, r, reps, _scalings(F, reps, r) @ F.q ** np.arange(n))
+
+
 def vector_action(F: Field, n: int, gens, expected_order: int | None = None,
                   seed: int = DEFAULT_SEED) -> tuple[PermGroup, np.ndarray]:
     """Permutation action of semilinear elements on all q^n - 1 nonzero
     vectors, with the (q^n - 1, n) array whose row i is point i; used for
     order self-checks of matrix generator sets and for PSL(3,2)'s plinth."""
-    vecs = CanonicalPoints(F, F.q - 1, _nonzero_vectors(F.q, n))
+    vecs = projective_points(F, n, vectors=True)
     return PermGroup(len(vecs), [vecs.image(g) for g in gens],
                      name="vector-action", expected_order=expected_order,
                      seed=seed), vecs.vectors

@@ -20,10 +20,11 @@ about _BATCH_ENTRIES array entries (Seress, Permutation Group Algorithms,
 4.1-4.2).  For the pass only, each level keeps its transversal as a table of
 inverse reps, one row per orbit point, with a point -> row map; a batch is
 built by flat gathers, and each level below costs it one gather, where
-`_Level.trace_back` walks the Schreier tree to u with `rep_to`.  g u^-1 is
-the same array either way, and the first non-member of a batch, in the pair
-order of a one-at-a-time loop, is the one inserted, so the base, orbits,
-Schreier vectors and strong generators are exactly those of that loop.
+`_Level.trace_back` walks base^g up the Schreier tree, one inverse
+generator a step.  g u^-1 is the same array either way, and the first
+non-member of a batch, in the pair order of a one-at-a-time loop, is the one
+inserted, so the base, orbits, Schreier vectors and strong generators are
+exactly those of that loop.
 
 A chain is built once per group, and so is everything a group derives from
 it or from its generators: each `PermGroup` keeps its point stabilizers,
@@ -83,7 +84,7 @@ def identity(degree: int) -> np.ndarray:
 
 def compose(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Apply g, then h."""
-    return h[g]
+    return h.take(g)
 
 
 def inverse(g: np.ndarray) -> np.ndarray:
@@ -196,7 +197,7 @@ class _Level:
         while frontier.size:
             parts = []
             for k in range(first_gen, len(self.gens)):
-                img = self.gens[k][frontier]
+                img = self.gens[k].take(frontier)
                 fresh = img[sv[img] == -1]
                 if fresh.size:
                     # ascending and distinct: the orbit order chains keep
@@ -234,12 +235,17 @@ class _Level:
         return lv
 
     def trace_back(self, g: np.ndarray):
-        """g * u^{-1} for the transversal rep u with base^u = base^g, i.e. an
-        element fixing the base point; None if base^g is outside the orbit."""
+        """g * u^{-1} for the transversal rep u with base^u = base^g, which
+        fixes the base point: g composed with the inverse generator of each
+        step up the tree from base^g.  None if base^g is outside the orbit."""
         x = int(g[self.point])
         if self.sv[x] == -1:
             return None
-        return compose(g, inverse(self.rep_to(x, len(g))))
+        while x != self.point:
+            inv = self.inv_gens[self.sv[x]]
+            g = inv.take(g)
+            x = int(inv[x])
+        return g
 
     def to_root(self, rows: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Each row of point images mapped by u^-1 for the rep u taking the
@@ -330,9 +336,9 @@ def _sift_schreier_batch(lv: _Level, table: _InverseReps, xs: np.ndarray,
     Returns (first, residue): first is the row of the first non-member and
     residue its sift residue, or (len(xs), None) when every row is a member.
     One gather per level replaces g by g u^-1 for the rep u with
-    base^u = base^g; the same array trace_back reaches through rep_to.  A row
-    whose base image falls outside the orbit stops with its current value,
-    and the rows after it are dropped, since they cannot come first.
+    base^u = base^g; the same array trace_back reaches by its tree walk.
+    A row whose base image falls outside the orbit stops with its current
+    value, and the rows after it are dropped, since they cannot come first.
     """
     n = len(table.pos)
     flat = table.rows.reshape(-1)

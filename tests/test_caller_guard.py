@@ -27,7 +27,7 @@ ALLOWED = {
     **{name: "test oracle or tool helper" for name in (
         "setwise_stabilizer", "normal_subgroup_of_index",
         "multiplicity_bruteforce", "induced_kernel_facts", "singer_cycle",
-        "apply", "is_isotropic", "canonicalize", "line_set", "sigma_blocks")},
+        "apply", "is_isotropic", "line_set", "sigma_blocks")},
     # IncidenceStructure's Graphviz export, an output format for readers
     "to_dot": "Graphviz export",
 }

@@ -11,13 +11,6 @@ from rank3pls import catalog, permcore, pipeline
 from rank3pls.permcore import PermGroup, _Level, inverse, line_orbit, sigma_partition
 
 
-@pytest.fixture
-def fresh_caches(monkeypatch):
-    """Empty builtin and pipeline caches, so that every group is built anew."""
-    monkeypatch.setattr(catalog, "_CACHE", {})
-    monkeypatch.setattr(pipeline, "_PIPE_CACHE", {})
-
-
 def _lattice_runs(monkeypatch) -> list[tuple[PermGroup, int]]:
     """Record (group, beta) for every lattice computed afresh."""
     runs = []

@@ -39,8 +39,7 @@ def test_tool_regenerates_bundled_subgroup(filename, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["PSL3_2_deg14", "C2xPSL3_2_deg14", "M11_deg22"])
-def test_seed_reaches_the_plinth(name, monkeypatch):
-    monkeypatch.setattr(catalog, "_CACHE", {})
+def test_seed_reaches_the_plinth(name, fresh_caches):
     assert catalog.get_builtin(name, 11).group.seed == 11
 
 
@@ -56,14 +55,13 @@ def test_c2x_row_doubles_its_base_row(name):
     assert [g.tolist() for g in gens] == [g.tolist() for g in G.gens] + [swap]
 
 
-def test_no_default_build_searches(monkeypatch):
+def test_no_default_build_searches(monkeypatch, fresh_caches):
     def refuse(*args, **kwargs):
         raise AssertionError("a catalogue build searched")
 
     for name in ("subgroup_of_index", "normal_subgroup_of_index",
                  "normal_closure", "random_element"):
         monkeypatch.setattr(PermGroup, name, refuse)
-    monkeypatch.setattr(catalog, "_CACHE", {})
     names = [nm for nm, meta in catalog.ALL_BUILTINS.items()
              if meta.route == "coset" and meta.degree <= 300]
     assert len(names) == 8
@@ -88,12 +86,11 @@ def _wrong_index(degree, gens):
 @pytest.mark.parametrize("perturb, fault", [(_outside_g0, "outside G_0"),
                                             (_wrong_index, "index")])
 def test_bad_bundled_subgroup_fails_loudly(name, perturb, fault, tmp_path,
-                                           monkeypatch, capsys):
+                                           monkeypatch, capsys, fresh_caches):
     filename = f"{name.removeprefix('C2x')}.sub.grp"
     degree, gens = catalog._read_data(filename)
     write_group_file(tmp_path / filename, degree, perturb(degree, gens))
     monkeypatch.setattr(catalog, "_DATA", tmp_path)
-    monkeypatch.setattr(catalog, "_CACHE", {})
     with pytest.raises(AssertionError, match=name) as info:
         catalog.get_builtin(name)
     assert fault in str(info.value)

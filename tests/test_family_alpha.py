@@ -121,12 +121,27 @@ def test_lsub_3_25_5_3_builds_no_line_array(monkeypatch):
     assert sizes == [253_890] and len(first) == D.num_lines
 
 
-def test_table2_builds_no_family_line_array(monkeypatch):
+def test_table2_builds_no_family_line_array(monkeypatch, fresh_caches):
     """The Table 2 rows decide `direct` and `mirrored` by membership in
-    each family's lines through 0, so no family structure ingests lines."""
-    ingested = []
-    monkeypatch.setattr(fam, "IncidenceStructure",
-                        lambda *args, **kwargs: ingested.append(args))
+    each family's lines through 0, so no family structure D builds its line
+    array.  Each emitted structure of D's shape still builds one, 17 in the
+    default rows; a normalizer certificate (ROADMAP D) would need none."""
+    built, families_built = [], []
+    real_lines = fam.OrbitStructure.lines.fget
+
+    def counted_lines(D):
+        if D._lines is None:
+            built.append(D)
+        return real_lines(D)
+
+    def recorded(make):
+        return lambda *args: families_built.append(make(*args)) or families_built[-1]
+
+    monkeypatch.setattr(fam.OrbitStructure, "lines", property(counted_lines))
+    for kind, make in list(fam.CONSTRUCTORS.items()):
+        monkeypatch.setitem(fam.CONSTRUCTORS, kind, recorded(make))
     rows = pipeline.reproduce_table(2, max_degree=300)
     assert all(r["pass"] for r in rows if "pass" in r)
-    assert ingested == []
+    assert families_built
+    assert not any(D is E for D in families_built for E in built)
+    assert len(built) == 17

@@ -10,8 +10,9 @@ from rank3pls.catalog import (NEGATIVE_CONTROLS, OMEGA_BUILTINS, get_builtin,
 from rank3pls.gfield import _CONWAY, field_make
 from rank3pls.matsemi import (GroupSpec, Mat, SemilinearElem, gens_group,
                               gens_sl, linear, scalar)
-from rank3pls.omega import (build_omega, classify_action, induce_action,
-                            induced_kernel_facts, vector_action)
+from rank3pls.omega import (_tables, build_omega, classify_action, induce_action,
+                            induced_kernel_facts, projective_points,
+                            semilinear_image, vector_action)
 from rank3pls.permcore import PermGroup, perm_order
 
 
@@ -50,7 +51,7 @@ def test_canonical_form_unique():
     for v in sp.points:
         for i in range(sp.r):
             scaled = tuple(F.mul(F.exp[(2 * i) % (F.q - 1)], x) for x in v)
-            assert sp.canonicalize(scaled) == v
+            assert sp.points[sp.index_of(scaled)] == v
 
 
 def test_kernel_facts():
@@ -84,7 +85,7 @@ def test_phi_fixes_subfield_points():
 def test_induce_action_rejects_non_permuting():
     sp = build_omega("unitary", 3, 4, 3)
     bad = linear(Mat(sp.field, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))  # not unitary
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not permute Omega"):
         induce_action(sp, [bad])
 
 
@@ -93,6 +94,17 @@ def test_induce_action_rejects_non_bijective():
     singular = linear(Mat(sp.field, [[1, 1], [1, 1]]))
     with pytest.raises(ValueError, match="bijectively"):
         induce_action(sp, [singular])
+
+
+def test_induce_action_rejects_a_repeated_image(monkeypatch):
+    """An image that no cell-wise construction gives, two points on one,
+    still trips induce_action's own bijectivity check."""
+    sp = build_omega("linear", 2, 4, 3)
+    merged = np.arange(len(sp), dtype=np.int32)
+    merged[1] = 0
+    monkeypatch.setattr(sp, "image", lambda g: merged)
+    with pytest.raises(ValueError, match="bijectively"):
+        induce_action(sp, [scalar(sp.field, 1, 2)])
 
 
 def test_induce_action_rejects_sigma_breaking(monkeypatch):
@@ -252,12 +264,108 @@ def test_points_of_and_index_of_name_a_non_point():
                                   ("linear", 2, 9, 2)])
 def test_points_of_matches_a_dict_lookup(args):
     """Scaled point vectors, found by one locate call and, one at a time, in
-    a dict from canonical vector to point."""
+    a dict from canonical vector (the all-points reference's) to point."""
     sp = build_omega(*args)
     F = sp.field
     index = {v: i for i, v in enumerate(sp.points)}
     rng = random.Random(7)
     vecs = [tuple(F.mul(s, x) for x in sp.points[rng.randrange(len(sp))])
             for s in (rng.randrange(1, F.q) for _ in range(40))]
-    assert sp.points_of(vecs) == tuple(sorted({index[sp.canonicalize(v)]
-                                               for v in vecs}))
+    canonical = _AllPoints(sp).canonical(np.array(vecs))
+    assert sp.points_of(vecs) == tuple(sorted({index[tuple(v)]
+                                               for v in canonical.tolist()}))
+
+
+class _AllPoints:
+    """The all-points reference for CanonicalPoints: every point's canonical
+    vector keyed by sum v_j q^j in one sorted array; a vector is scaled by
+    the element of <w^r> putting its first nonzero coordinate into
+    {w^i : 0 <= i < r} and searched there, and an element's image maps and
+    searches all N point vectors."""
+
+    def __init__(self, points):
+        self.field, self.r, self.vectors = points.field, points.r, points.vectors
+        self.place = self.field.q ** np.arange(self.vectors.shape[1], dtype=np.int64)
+        keys = self.vectors @ self.place
+        self.order = np.argsort(keys)
+        self.keys = keys[self.order]
+
+    def canonical(self, V):
+        T = _tables(self.field)
+        first = V[np.arange(len(V)), (V != 0).argmax(axis=1)]
+        if not first.all():
+            raise ValueError("zero vector has no Omega point")
+        d = T.log[first]
+        return T.scale(V, -(d - d % self.r)[:, None])
+
+    def locate(self, V):
+        keys = self.canonical(V) @ self.place
+        pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        return np.where(self.keys[pos] == keys, self.order[pos], -1)
+
+    def image(self, g):
+        W = semilinear_image(g, self.vectors)
+        if not W.any(axis=1).all():
+            raise ValueError("does not act bijectively")
+        img = self.locate(W)
+        if (img < 0).any():
+            raise ValueError("does not permute Omega")
+        return img.astype(np.int32)
+
+
+def _probe_vectors(points, count=200, seed=5):
+    """Scaled point vectors and random nonzero vectors, which may lie in
+    no point."""
+    F, n = points.field, points.vectors.shape[1]
+    rng = np.random.default_rng(seed)
+    rows = points.vectors[rng.integers(len(points), size=count)]
+    scaled = _tables(F).scale(rows, rng.integers(F.q - 1, size=count)[:, None])
+    other = rng.integers(F.q, size=(count, n))
+    return np.concatenate([scaled, other[other.any(axis=1)]])
+
+
+def _agrees_with_reference(points, gens):
+    ref = _AllPoints(points)
+    for g in gens:
+        img = points.image(g)
+        assert img.dtype == np.int32
+        assert np.array_equal(img, ref.image(g)), g
+    V = _probe_vectors(points)
+    assert np.array_equal(points.locate(V), ref.locate(V))
+
+
+@pytest.mark.parametrize("name", list(OMEGA_BUILTINS))
+def test_cell_image_and_locate_match_all_points_on_every_builtin(name):
+    """The space of every Omega builtin, GammaU3_16's frob generators
+    included, against the all-points reference."""
+    spec = OMEGA_BUILTINS[name].spec
+    sp = build_omega(spec.kind, spec.n, spec.q, spec.r)
+    gens = gens_group(spec)
+    assert any(g.frob for g in gens) or name != "GammaU3_16"
+    _agrees_with_reference(sp, gens)
+    assert len(sp.reps) * sp.r == len(sp) and sp.locate(sp.vectors).tolist() == list(range(len(sp)))
+
+
+@pytest.mark.parametrize("p, a, n", [(2, 3, 3), (2, 2, 3), (2, 1, 4), (3, 1, 3),
+                                     (5, 1, 2)])
+def test_cell_image_and_locate_match_all_points_on_vectors_and_1_spaces(p, a, n):
+    """The projective action (r = 1) and vector_action's points
+    (r = q - 1), with the frob generator of PGammaL3(8) among them."""
+    F = field_make(p, a)
+    gens = gens_sl(n, F) + [linear(Mat.diag(F, [F.omega] + [1] * (n - 1))),
+                            SemilinearElem(1, Mat.identity(F, n))]
+    for vectors in (False, True):
+        _agrees_with_reference(projective_points(F, n, vectors), gens)
+    G, rows = vector_action(F, n, gens)
+    assert rows.tolist() == [[k // F.q**j % F.q for j in range(n)]
+                             for k in range(1, F.q**n)]
+    assert all(np.array_equal(h, _AllPoints(projective_points(F, n, True)).image(g))
+               for g, h in zip(gens, G.gens))
+
+
+def test_points_of_key_error_is_a_reference_miss():
+    sp = build_omega("unitary", 3, 4, 3)
+    v = np.array([[1, 1, 1]])
+    assert sp.locate(v)[0] == _AllPoints(sp).locate(v)[0] == -1
+    with pytest.raises(KeyError, match=r"\(1, 1, 1\) is not a point"):
+        sp.points_of(v)

@@ -145,7 +145,7 @@ def test_has_line_is_orbit_membership(name):
                     assert D.has_lines([row])[0] == (tuple(row) in known)
 
 
-def test_line_arrays_built_only_when_read(monkeypatch):
+def test_line_arrays_built_only_when_read(monkeypatch, fresh_caches):
     """Only `lines` orbits a base row under G; the constructor's G_0 row
     orbits call line_orbit too, and are not counted."""
     calls = []
@@ -158,7 +158,6 @@ def test_line_arrays_built_only_when_read(monkeypatch):
             calls.append("lines")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "_PIPE_CACHE", {})
     monkeypatch.setattr(families, "line_orbit", counted)
     res = run_pipeline("GammaU3_4")
     res.report()
@@ -181,13 +180,12 @@ def test_forced_acceptance_fails_the_pls_check(monkeypatch):
         devillers_enumerate(get_builtin("GL3_3").group, name="GL3_3")
 
 
-def test_max_line_orbit_caps_the_emitted_structures(monkeypatch):
+def test_max_line_orbit_caps_the_emitted_structures(monkeypatch, fresh_caches):
     """The cap counts a structure's lines, not the orbits of the lines that
     are not flag-transitive."""
-    monkeypatch.setattr(pipeline, "_PIPE_CACHE", {})
     monkeypatch.setattr(pipeline, "MAX_LINE_ORBIT", 30)
     assert run_pipeline("GammaL2_4").line_signature() == ((15, 4), (30, 3))
-    monkeypatch.setattr(pipeline, "_PIPE_CACHE", {})
+    fresh_caches()
     monkeypatch.setattr(pipeline, "MAX_LINE_ORBIT", 29)
     with pytest.raises(RuntimeError, match="max_lines"):
         run_pipeline("GammaL2_4")

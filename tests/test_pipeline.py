@@ -210,9 +210,8 @@ def test_gammau3_16_blocks():
         ("B1", 4096), ("B2", 16), ("B3", 5), ("B4", 80), ("B7", 4)]
 
 
-def test_run_pipeline_cache_keys_on_slow(monkeypatch):
+def test_run_pipeline_cache_keys_on_slow(monkeypatch, fresh_caches):
     """A slow result is not handed to a later capped call."""
-    monkeypatch.setattr(pipeline, "_PIPE_CACHE", {})
     monkeypatch.setattr(pipeline, "MAX_LINE_ORBIT", 10)
     assert run_pipeline("GammaL2_4", slow=True).line_signature() == ((15, 4), (30, 3))
     with pytest.raises(RuntimeError, match="max_lines"):

@@ -111,3 +111,22 @@ def test_random_chains_match_reference(G, data):
     hint = data.draw(st.lists(st.integers(0, G.degree - 1), max_size=3, unique=True))
     ours, ref = both_chains(G.degree, G.gens, base_hint=hint)
     assert ours == ref
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.one_of(groups(), intransitive_groups()), st.data())
+def test_trace_back_walks_to_the_rep_it_replaces(G, data):
+    """On every level of a random chain, trace_back(g) is g u^-1 for the
+    rep u that rep_to builds to base^g, and None off the level's orbit; g
+    is a random permutation, so base^g falls off the orbit too."""
+    n = G.degree
+    for lv in G._chain():
+        g = np.array(data.draw(st.permutations(range(n))), dtype=np.int32)
+        x = int(g[lv.point])
+        got = lv.trace_back(g)
+        if lv.sv[x] == -1:
+            assert got is None
+        else:
+            want = permcore.compose(g, permcore.inverse(lv.rep_to(x, n)))
+            assert got.dtype == np.int32 and np.array_equal(got, want)
+            assert got[lv.point] == lv.point

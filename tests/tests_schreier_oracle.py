@@ -3,8 +3,8 @@ time.
 
 Kept separate from the library on purpose.  Each (orbit point, generator)
 pair builds its Schreier generator from memoised transversal reps and sifts
-it through `_Level.trace_back`, one Schreier-tree walk (`rep_to`) per level;
-the first non-member is inserted at once.  The library's batched pass must build
+it through `_Level.trace_back`, one Schreier-tree walk per level; the
+first non-member is inserted at once.  The library's batched pass must build
 the same chains byte for byte.
 """
 
