@@ -221,7 +221,7 @@ def _verified_coset_action(G, H, R, base: BuiltinMeta) -> PermGroup:
         raise AssertionError("a generator lies outside G_0")
     if R.order * base.r != H.order:
         raise AssertionError(f"index {H.order // R.order} in G_0, expected {base.r}")
-    image = G.coset_action(R, expected_order=base.order)
+    image = G.coset_action(R, faithful=True)
     size = sigma_partition(image).shape[1]
     if size != base.r:
         raise AssertionError(f"the coset action has Sigma-cells of size {size}")
@@ -268,7 +268,8 @@ def _plinth(name: str, seed: int) -> PermGroup:
 def _double_by_cell_swap(meta: BuiltinMeta, seed: int) -> PermGroup:
     """C2 x G for the base row G (r = 2): G and the involution z swapping
     the two points of each Sigma-cell.  z is checked to centralize G and
-    to lie outside it; the order 2|G| then certifies the chain."""
+    to lie outside it, which proves the order 2|G|, the chain's proven
+    bound."""
     try:
         G = get_builtin(meta.name.removeprefix("C2x"), seed).group
     except AssertionError as exc:
@@ -281,7 +282,7 @@ def _double_by_cell_swap(meta: BuiltinMeta, seed: int) -> PermGroup:
     if any((compose(z, g) != compose(g, z)).any() for g in G.gens) or G.contains(z):
         raise AssertionError(f"{meta.name}: the cell swap is not a fresh "
                              f"centralizing involution")
-    return PermGroup(G.degree, G.gens + [z], expected_order=2 * G.order,
+    return PermGroup(G.degree, G.gens + [z], order_bound=2 * G.order,
                      seed=seed, name=f"C2x{G.name}")
 
 

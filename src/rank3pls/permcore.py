@@ -4,16 +4,31 @@ Permutations are numpy int32 arrays of images; composition is left-to-right
 (apply g then h), matching the right actions used throughout the geometry
 layers: compose(g, h)[x] = h[g[x]].
 
-Schreier-Sims runs deterministically (full Schreier-generator processing) up
-to DETERMINISTIC_DEGREE.  Above that, and from degree 256 on whenever the
-order is known, a randomized pass (product replacement plus sifting) is
-used, checked against a caller-supplied expected order on both sides: it
-ends once CERTIFICATE_SIFTS random elements in a row sift to the identity,
-and the chain's order must then equal the target.  The computed order never
-exceeds the true order, and the run of members leaves a chain short of it
-with probability about 2**-CERTIFICATE_SIFTS.  Every large group in the
-catalogue has an arithmetically known order or one derived from
-orbit-stabilizer counting.
+Schreier-Sims without a known order runs deterministically (full
+Schreier-generator processing) up to DETERMINISTIC_DEGREE.  A known order is
+certified in one of three ways (Seress, Permutation Group Algorithms, 4.1
+and 4.5); random residues come from product replacement plus sifting, and a
+chain's order never exceeds the true order:
+  * proven bound (`order_bound`): the caller has proven |G| <= the bound,
+    so a chain that reaches it is complete.  Random residues are inserted
+    until it does; a run of CERTIFICATE_SIFTS members below it raises.
+    Three callers prove one: a stabilizer's rebase (the generators of a
+    certified G), a faithful coset action (its image has at most |G|
+    elements) and the catalogue's C2x doubles (G x <z> once z is checked to
+    centralize G and to lie outside it).
+  * seeded sweep (an expected order below degree 256): random residues up
+    to the order, or until that run of members, then the deterministic pass
+    as the exact certificate, whose chain is complete whatever it started
+    from; its order must equal the target.  A chain already at the target
+    sifts at level 0 only the Schreier generators of the input generators,
+    which generate G (Schreier's lemma).
+  * randomized (an expected order from degree 256 on): random residues up
+    to the target, then CERTIFICATE_SIFTS more elements, which must all be
+    members; a run of members below the target, an order past it or a
+    non-member at it raises.  The run of members leaves a chain short of
+    |G| with probability about 2**-CERTIFICATE_SIFTS.
+Every large group in the catalogue has an arithmetically known order or one
+derived from orbit-stabilizer counting.
 
 The deterministic pass sifts a level's Schreier generators in batches of
 about _BATCH_ENTRIES array entries (Seress, Permutation Group Algorithms,
@@ -193,7 +208,9 @@ class _Level:
         first round by the generators from first_gen on, every later round
         by all of them on the points the round before added."""
         sv = self.sv
-        frontier = np.fromiter(self.orbit, dtype=np.int32)
+        if len(self.orbit) == len(sv):
+            return                          # every point: nothing to add
+        frontier = np.array(self.orbit, dtype=np.int32)
         while frontier.size:
             parts = []
             for k in range(first_gen, len(self.gens)):
@@ -204,7 +221,7 @@ class _Level:
                     fresh = np.sort(fresh)
                     fresh = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
                     sv[fresh] = k
-                    self.orbit.extend(int(x) for x in fresh)
+                    self.orbit.extend(fresh.tolist())
                     parts.append(fresh)
             frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
             first_gen = 0
@@ -372,11 +389,15 @@ class PermGroup:
     order, membership, stabilizers or random elements.  What the group
     derives from it and from its generators (point stabilizers, Schreier
     trees, the orbit partition, block lattices, Sigma) is computed on first
-    request and kept in the group's own store.
+    request and kept in the group's own store.  expected_order is an order
+    the chain must be certified to have; order_bound an upper bound on the
+    order that the caller has proven and expects reached (module
+    docstring).
     """
 
     def __init__(self, degree: int, gens, *, expected_order: int | None = None,
-                 base_hint=None, seed: int = DEFAULT_SEED, name: str = ""):
+                 order_bound: int | None = None, base_hint=None,
+                 seed: int = DEFAULT_SEED, name: str = ""):
         self.degree = degree
         self.gens = []
         for g in gens:
@@ -386,6 +407,7 @@ class PermGroup:
             if not is_identity(arr):
                 self.gens.append(arr)
         self.expected_order = expected_order
+        self.order_bound = order_bound
         self.base_hint = list(base_hint) if base_hint else []
         self.seed = seed
         self.name = name
@@ -451,7 +473,23 @@ class PermGroup:
             self._levels[j].add_gen(g)
         return m
 
+    def _build_path(self) -> str:
+        """How _build_bsgs builds and certifies the chain: "proven bound",
+        "seeded sweep", "randomized" or "deterministic" (module
+        docstring)."""
+        if self.order_bound is not None:
+            return "proven bound"
+        if self.expected_order is None:
+            return "deterministic"
+        return "randomized" if self.degree >= 256 else "seeded sweep"
+
     def _build_bsgs(self):
+        """The chain, built and certified by _build_path's path: residues
+        of random elements up to a proven bound, which then stops it; up to
+        an expected order below degree 256, then the deterministic pass as
+        the exact certificate; up to an expected order from degree 256 on,
+        then CERTIFICATE_SIFTS members in a row; or the deterministic pass
+        alone.  A certificate that fails raises AssertionError."""
         self._levels = []
         if not self.gens:
             self._order = 1
@@ -464,19 +502,70 @@ class PermGroup:
         for g in self.gens:
             # every input generator is a strong generator for its prefix
             self._insert_strong_gen(g)
-        if self.expected_order is not None and self.degree >= 256:
-            self._randomized_schreier_sims()
-            self._order = self._chain_order()
-        elif self.degree <= DETERMINISTIC_DEGREE:
+        path = self._build_path()
+        if path == "deterministic":
+            if self.degree > DETERMINISTIC_DEGREE:
+                raise ValueError(
+                    f"{self!r}: degree {self.degree} needs expected_order for "
+                    f"the randomized Schreier-Sims certificate")
             self._deterministic_schreier_sims()
             self._order = self._chain_order()
-            if self.expected_order is not None and self._order != self.expected_order:
-                raise AssertionError(
-                    f"{self!r}: order {self._order} != expected {self.expected_order}")
-        else:
-            raise ValueError(
-                f"{self!r}: degree {self.degree} needs expected_order for the "
-                f"randomized Schreier-Sims certificate")
+            return
+        target = self.order_bound or self.expected_order
+        shaker = _Shaker(self.gens, random.Random(self.seed))
+        reached = self._insert_residues(shaker, target)
+        if path == "proven bound" and not reached:
+            raise AssertionError(f"{self!r}: order {self._chain_order()} below "
+                                 f"the proven bound {target}")
+        if path == "randomized":
+            self._certify_by_members(shaker, reached)
+        if path == "seeded sweep":
+            self._deterministic_schreier_sims()
+        self._order = self._chain_order()
+        if self._order != target:
+            raise AssertionError(
+                f"{self!r}: order {self._order} != expected {target}")
+
+    def _insert_residues(self, shaker: "_Shaker", target: int) -> bool:
+        """Insert the sift residues of random elements until the chain's
+        order reaches target; False, with the chain short of it, once
+        CERTIFICATE_SIFTS elements in a row are members."""
+        members = 0
+        while self._chain_order() < target:
+            residue = self._sift(shaker.element())
+            if residue is not None:
+                self._insert_strong_gen(residue)
+                members = 0
+            elif (members := members + 1) == CERTIFICATE_SIFTS:
+                return False
+        return True
+
+    def _certify_by_members(self, shaker: "_Shaker", reached: bool):
+        """Sift CERTIFICATE_SIFTS more random elements through a chain at
+        the expected order; each must be a member.
+
+        The chain's order only bounds |G| from below.  While the chain is
+        incomplete, a uniformly random element of G sifts to the identity
+        with probability at most 1/2, so the run of members errs with
+        probability about 2**-CERTIFICATE_SIFTS (Seress, Permutation Group
+        Algorithms, 4.5).  An order past the target, or a non-member once
+        the order equals it, means |G| exceeds the target; that many
+        members in a row below it (reached False) means |G| is smaller.
+        Either raises AssertionError.  The chain reaches the target by an
+        insertion, or has it from the start, so no member drawn below it
+        counts towards the tail."""
+        target, order = self.expected_order, self._chain_order()
+        if not reached:
+            raise AssertionError(f"{self!r}: order {order} below "
+                                 f"expected {target}")
+        if order > target:
+            raise AssertionError(
+                f"{self!r}: computed order {order} exceeds expected {target}")
+        for _ in range(CERTIFICATE_SIFTS):
+            if self._sift(shaker.element()) is not None:
+                raise AssertionError(f"{self!r}: a random element sifts out of "
+                                     f"the chain of order {order}, so the order "
+                                     f"exceeds expected {target}")
 
     def _deterministic_schreier_sims(self):
         # Level i is scanned over its (orbit point x, generator s) pairs, x
@@ -489,7 +578,12 @@ class PermGroup:
         # inserted and the pairs before it are accepted, exactly as a
         # pair-by-pair loop would, so the chain does not depend on the batch
         # size.  The inverse transversal tables live for this pass only.
+        # A chain that starts at its expected order (a seeded sweep) sifts
+        # at level 0 the pairs of the input generators alone: they generate
+        # G, so by Schreier's lemma their Schreier generators generate G_b
+        # for any transversal.
         n = self.degree
+        inputs_only = self._chain_order() == self.expected_order
         tables: list[_InverseReps] = []
         accepted: list[np.ndarray] = []     # per level, an (orbit, gens) grid
         batch = max(1, _BATCH_ENTRIES // n)
@@ -504,6 +598,8 @@ class PermGroup:
             done = np.zeros((len(lv.orbit), len(lv.gens)), dtype=bool)
             old = accepted[i]
             done[:old.shape[0], :old.shape[1]] = old
+            if i == 0 and inputs_only:
+                done[:, len(self.gens):] = True
             accepted[i] = done
             xs, ss = np.nonzero(~done)
             below = list(zip(self._levels[i + 1:], tables[i + 1:]))
@@ -516,41 +612,6 @@ class PermGroup:
                     inserted_at = self._insert_strong_gen(residue)
                     break
             i = i - 1 if inserted_at is None else inserted_at
-
-    def _randomized_schreier_sims(self):
-        """Insert the sift residues of product-replacement elements until
-        the chain's order reaches the target, then sift CERTIFICATE_SIFTS
-        more elements, which must all be members.
-
-        The chain's order only bounds |G| from below.  While the chain is
-        incomplete, a uniformly random element of G sifts to the identity
-        with probability at most 1/2, so the run of members errs with
-        probability about 2**-CERTIFICATE_SIFTS (Seress, Permutation Group
-        Algorithms, 4.5).  An order past the target, or a non-member once
-        the order equals it, means |G| exceeds the target; that many
-        members in a row below it means |G| is smaller.  Either raises
-        AssertionError.  The chain reaches the target by an insertion, or
-        has it from the start, so no member drawn below it counts towards
-        the tail."""
-        shaker = _Shaker(self.gens, random.Random(self.seed))
-        target = self.expected_order
-        members = 0
-        while (order := self._chain_order()) < target:
-            residue = self._sift(shaker.element())
-            if residue is not None:
-                self._insert_strong_gen(residue)
-                members = 0
-            elif (members := members + 1) == CERTIFICATE_SIFTS:
-                raise AssertionError(f"{self!r}: order {order} below "
-                                     f"expected {target}")
-        if order > target:
-            raise AssertionError(
-                f"{self!r}: computed order {order} exceeds expected {target}")
-        for _ in range(CERTIFICATE_SIFTS):
-            if self._sift(shaker.element()) is not None:
-                raise AssertionError(f"{self!r}: a random element sifts out of "
-                                     f"the chain of order {order}, so the order "
-                                     f"exceeds expected {target}")
 
     # -- public queries ---------------------------------------------------------
 
@@ -612,9 +673,10 @@ class PermGroup:
         When x lies in the first basic orbit (always, for a transitive group),
         G_x = u^-1 G_b u for the transversal rep u with b^u = x, b the first
         base point, so the chain of G_x is this chain below b conjugated by u
-        (shared as is when x = b) and no Schreier-Sims runs.  Otherwise the
-        chain is rebuilt with x as first base point and G_x keeps it below x.
-        G_x is kept only once its chain is in place.
+        (shared as is when x = b) and no Schreier-Sims runs.  A point that G
+        fixes gets G's own chain.  Otherwise the chain is rebuilt with x as
+        first base point, its order |G| a proven bound, and G_x keeps it
+        below x.  G_x is kept only once its chain is in place.
         """
         return self._kept(("stabilizer", int(x)), lambda: self._stabilizer(int(x)))
 
@@ -629,13 +691,11 @@ class PermGroup:
                 u = lv0.rep_to(x, self.degree)
                 u_inv = inverse(u)
                 levels = [lv.conjugate(u, u_inv) for lv in self._levels[1:]]
+        elif len(orb := self.orbit(x)) == 1:
+            sub_order, levels = order, self._levels       # G fixes x
         else:
-            orb = self.orbit(x)
             sub_order = order // len(orb)
-            if len(orb) == 1:
-                return PermGroup(self.degree, self.gens, expected_order=sub_order,
-                                 seed=self.seed, name=f"{self.name}_{x}")
-            rebased = PermGroup(self.degree, self.gens, expected_order=order,
+            rebased = PermGroup(self.degree, self.gens, order_bound=order,
                                 base_hint=[x] + self.base_hint, seed=self.seed,
                                 name=f"{self.name}|rebase{x}")
             levels = rebased._chain()[1:]
@@ -783,7 +843,7 @@ class PermGroup:
 
     # -- coset action ------------------------------------------------------------
 
-    def coset_action(self, sub: "PermGroup", expected_order: int | None = None):
+    def coset_action(self, sub: "PermGroup", faithful: bool = False):
         """The right-multiplication action on the right cosets of sub, on
         [0, |G:sub|): the _row_orbit of the identity, cosets numbered in FIFO
         order (by layer, then source coset, then generator) and each one held
@@ -792,8 +852,15 @@ class PermGroup:
         transversal rep u taking the base point to the orbit point of least
         image under h; a base leaves no freedom, so this greedy minimum of the
         base images is one element of the coset, whatever the reps.
-        expected_order, when given, is the order of the image (|G| for a
-        faithful action) and certifies its BSGS."""
+
+        Of the three ways a known order certifies a chain (proven bound,
+        seeded sweep, randomized; module docstring) the image takes the
+        first.  With faithful set, |G| is its proven order bound: the image
+        has at most |G| elements, so its chain is complete once it reaches
+        |G|, with no deterministic pass and no run of members, and an action
+        that is not faithful raises AssertionError ("below") once
+        CERTIFICATE_SIFTS random elements in a row sift through its chain.
+        Without it the image's chain is built deterministically."""
         for g in sub.gens:
             if not self.contains(g):
                 raise ValueError("not a subgroup: generator fails membership sift")
@@ -819,7 +886,8 @@ class PermGroup:
             raise AssertionError(
                 f"coset enumeration found {len(cosets)} cosets, index is {index}")
         return PermGroup(index, new_gens, seed=self.seed,
-                         expected_order=expected_order, name=f"{self.name}/cosets")
+                         order_bound=self.order if faithful else None,
+                         name=f"{self.name}/cosets")
 
     # -- subgroup search -----------------------------------------------------------
 
@@ -903,9 +971,8 @@ class PermGroup:
     def setwise_stabilizer(self, points) -> "PermGroup":
         """Backtracking setwise stabilizer; meant for degree <= a few hundred."""
         S = frozenset(int(p) for p in points)
-        rebased = PermGroup(self.degree, self.gens, expected_order=self.order,
-                            base_hint=sorted(S), seed=self.seed,
-                            name=f"{self.name}|setstab")
+        rebased = PermGroup(self.degree, self.gens, base_hint=sorted(S),
+                            seed=self.seed, name=f"{self.name}|setstab")
         rebased.order
         chain = rebased._levels
         found: list[np.ndarray] = []

@@ -382,29 +382,52 @@ def run_pipeline(builtin_name: str, slow: bool = False) -> PipelineResult:
     return _PIPE_CACHE[key]
 
 
+def _normalizes(gens, N: PermGroup) -> bool:
+    """Whether each of gens conjugates every generator of N into N, so
+    that the group they generate normalizes N."""
+    return all(N.contains(g[x[inverse(g)]]) for g in gens for x in N.gens)
+
+
+def _certified_equal(E: families.OrbitStructure, X: families.OrbitStructure) -> bool:
+    """Whether E = X, for X an orbit structure under N that E's group G
+    normalizes: when G maps each base row of X into X, G fixes X, since
+    b^(x g) = (b^g)^(g^-1 x g) for x in N; so E's base rows lying in X
+    give E <= X, and equal line counts E = X.  No line array is built."""
+    G = E.group
+    return (E.num_lines == X.num_lines
+            and X.has_lines([g[b] for g in G.gens for b in X.bases]).all()
+            and X.has_lines(E.bases).all())
+
+
 def _table2_row(fam: str, args: tuple, groups: list, wexp, slow: bool) -> dict:
-    """Whether each group emits the family's structure D, and its image
-    under the named diagonal map h for a mirrored block.  A structure E of
-    D's line count equals D when every line of E is a line of D, and h(D)
-    when every line of E mapped by h^-1 is; D decides membership from its
-    lines through 0, so no family line array is built."""
+    """Whether each group G emits the family's structure D, an orbit
+    structure under its group N, and its image D^h under the named diagonal
+    map h for a mirrored block, decided by normalizer certificates: G
+    normalizes N, and an emitted structure of D's shape is D when
+    _certified_equal says so.  h normalizing N makes D^h the orbit structure
+    of the rows h(B), B a base row of D, under N, which G normalizes too.
+    A group with no certificate emits neither: `direct` is False."""
     D = families.CONSTRUCTORS[fam](*args)
+    shape = (D.num_points, D.num_lines, D.line_size)
     row_ok = True
     detail = {}
     for g in groups:
         b = get_builtin(g)
-        res = run_pipeline(g, slow=slow)
-        emitted = res.structures(connected=True)
-        # a structure of another shape builds no array to be tested
-        same = [E.lines for E in emitted
-                if (E.num_lines, E.line_size) == (D.num_lines, D.line_size)]
-        equal = [D.has_lines(lines).all() for lines in same]
+        emitted = run_pipeline(g, slow=slow).structures(connected=True)
+        same = [E for E in emitted
+                if (E.num_points, E.num_lines, E.line_size) == shape]
+        if same and not _normalizes(b.group.gens, D.group):
+            same = []
+        equal = [_certified_equal(E, D) for E in same]
         direct = any(equal)
         mirrored = None
         if wexp is not None and b.space is not None:
-            h_inv = inverse(families.diagonal_map(b.space, wexp))
-            mirrored = any(D.has_lines(h_inv[lines]).all()
-                           for lines, eq in zip(same, equal) if not eq)
+            h = families.diagonal_map(b.space, wexp)
+            mirrored = False
+            others = [E for E, eq in zip(same, equal) if not eq]
+            if others and _normalizes([h], D.group):
+                Dh = families.OrbitStructure(D.group, [h[B] for B in D.bases], {})
+                mirrored = any(_certified_equal(E, Dh) for E in others)
         ok = direct and (mirrored is not False or wexp is None)
         row_ok &= ok
         detail[g] = {"direct": direct, "mirrored": mirrored,

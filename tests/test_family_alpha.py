@@ -1,6 +1,8 @@
 """Family structures decided from their lines through 0, against the
 full-array predicates of the same lines ingested as an IncidenceStructure."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -121,12 +123,9 @@ def test_lsub_3_25_5_3_builds_no_line_array(monkeypatch):
     assert sizes == [253_890] and len(first) == D.num_lines
 
 
-def test_table2_builds_no_family_line_array(monkeypatch, fresh_caches):
-    """The Table 2 rows decide `direct` and `mirrored` by membership in
-    each family's lines through 0, so no family structure D builds its line
-    array.  Each emitted structure of D's shape still builds one, 17 in the
-    default rows; a normalizer certificate (ROADMAP D) would need none."""
-    built, families_built = [], []
+def _built_line_arrays(monkeypatch) -> list:
+    """The OrbitStructures that build their line array from now on."""
+    built = []
     real_lines = fam.OrbitStructure.lines.fget
 
     def counted_lines(D):
@@ -134,14 +133,79 @@ def test_table2_builds_no_family_line_array(monkeypatch, fresh_caches):
             built.append(D)
         return real_lines(D)
 
+    monkeypatch.setattr(fam.OrbitStructure, "lines", property(counted_lines))
+    return built
+
+
+def test_table2_builds_no_family_line_array(monkeypatch, fresh_caches):
+    """The Table 2 rows decide `direct` and `mirrored` by normalizer
+    certificates, read off the family's lines through 0, so neither a
+    family structure D nor any emitted structure builds its line array."""
+    built, families_built = _built_line_arrays(monkeypatch), []
+
     def recorded(make):
         return lambda *args: families_built.append(make(*args)) or families_built[-1]
 
-    monkeypatch.setattr(fam.OrbitStructure, "lines", property(counted_lines))
     for kind, make in list(fam.CONSTRUCTORS.items()):
         monkeypatch.setitem(fam.CONSTRUCTORS, kind, recorded(make))
     rows = pipeline.reproduce_table(2, max_degree=300)
     assert all(r["pass"] for r in rows if "pass" in r)
     assert families_built
     assert not any(D is E for D in families_built for E in built)
-    assert len(built) == 17
+    assert len(built) == 0
+
+
+@pytest.mark.slow
+def test_slow_table2_builds_no_line_array(monkeypatch, fresh_caches):
+    built = _built_line_arrays(monkeypatch)
+    rows = pipeline.reproduce_table(2, slow=True)
+    assert all(r["pass"] for r in rows) and len(rows) == 12
+    assert built == []
+
+
+def test_a_perturbed_family_base_row_fails_its_row(monkeypatch, fresh_caches):
+    """A base row of D moved off D's lines: GammaL2_16 no longer maps it into
+    D, so its structure is not certified equal to D and the row fails."""
+    make = fam.CONSTRUCTORS["lsub"]
+
+    def perturbed(*args):
+        D = make(*args)
+        row = D.bases[0].copy()
+        row[-1] = next(x for x in range(D.num_points) if x not in row)
+        D.bases[0] = np.sort(row)
+        assert not D.has_lines([D.bases[0]])[0]
+        return D
+
+    assert pipeline._table2_row("lsub", (2, 16, 4, 5), ["GammaL2_16"], None,
+                                False)["pass"]
+    monkeypatch.setitem(fam.CONSTRUCTORS, "lsub", perturbed)
+    row = pipeline._table2_row("lsub", (2, 16, 4, 5), ["GammaL2_16"], None, False)
+    assert row == {"pass": False, "groups": {"GammaL2_16": {
+        "direct": False, "mirrored": None, "emitted": 1}}}
+
+
+def test_a_group_that_does_not_normalize_the_family_group_emits_nothing(monkeypatch):
+    """D is the pentagon, the orbit of {0, 1} under N = <(0 1 2 3 4)>.  The
+    5-cycle g = (0 3 1 2 4) does not normalize N, maps {0, 1} to the edge
+    {2, 3}, and its orbit E of {0, 1} has five lines too, but two of them
+    are diagonals: every other part of the certificate holds, so only the
+    normalizer check stands between E and a false `direct`."""
+    N = PermGroup(5, [[1, 2, 3, 4, 0]])
+    G = PermGroup(5, [[3, 2, 4, 1, 0]])
+    D = fam.OrbitStructure(N, [[0, 1]], {})
+    E = fam.OrbitStructure(G, [[0, 1]], {})
+    assert D.has_lines([G.gens[0][[0, 1]]])[0] and E.num_lines == D.num_lines
+    assert not D.has_lines([[0, 2]])[0] and E.has_lines([[0, 2]])[0]
+    monkeypatch.setitem(fam.CONSTRUCTORS, "pentagon", lambda: D)
+    monkeypatch.setattr(pipeline, "get_builtin",
+                        lambda name: SimpleNamespace(group=G, space=None))
+    monkeypatch.setattr(pipeline, "run_pipeline", lambda name, slow: SimpleNamespace(
+        structures=lambda connected: [E]))
+    row = pipeline._table2_row("pentagon", (), ["G"], None, False)
+    assert row == {"pass": False, "groups": {"G": {
+        "direct": False, "mirrored": None, "emitted": 1}}}
+
+
+def test_a_group_of_another_degree_gets_no_certificate():
+    row = pipeline._table2_row("agstar", (2, 4), ["SL3_3"], None, False)
+    assert row["groups"]["SL3_3"]["direct"] is False and not row["pass"]

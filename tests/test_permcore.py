@@ -517,3 +517,20 @@ def test_stabilizer_reads_the_parent_chain(monkeypatch):
             assert S.contains(g) == (g[x] == x)
     b = G._chain()[0].point
     assert G.stabilizer(b)._levels == G._levels[1:]
+
+
+def test_stabilizer_of_a_fixed_point_is_the_group_on_its_own_chain(monkeypatch):
+    """G_x = G for a point G fixes: it gets G's chain, and neither it nor
+    its order runs Schreier-Sims."""
+    G = PermGroup(6, [[1, 0, 2, 3, 4, 5], [0, 2, 1, 3, 4, 5], [3, 1, 2, 0, 4, 5]])
+    assert G.order == 24
+
+    def no_build(self):
+        raise AssertionError(f"Schreier-Sims ran for {self!r}")
+
+    monkeypatch.setattr(PermGroup, "_build_bsgs", no_build)
+    for x in (4, 5):
+        S = G.stabilizer(x)
+        assert S._levels is G._levels and S.order == 24
+        assert all(G.contains(g) for g in S.gens)
+        assert S.contains(G.gens[2]) and not S.contains([0, 1, 2, 3, 5, 4])

@@ -16,7 +16,14 @@ With --catalogue the chains built by `families._family_group` (the groups
 the Table 2 family structures are orbits of) are left out, so the line
 covers the catalogue's and the pipeline's chains alone.
 
-Usage, from the repository root: python3 tools/chain_digest.py [--catalogue]
+With --per-build a line per hashed build comes first: the group's name,
+its degree, the path that built and certified its chain
+(`PermGroup._build_path`: deterministic, seeded sweep, proven bound or
+randomized) and the sha256 of that chain alone.  Two commits' lists show
+which chains moved and by which path they were built.
+
+Usage, from the repository root:
+python3 tools/chain_digest.py [--catalogue] [--per-build]
 """
 
 import hashlib
@@ -38,18 +45,24 @@ def main() -> None:
     family_group = families._family_group
     in_family = [False]
 
+    per_build = []
+
     def hashed_build(self):
         build(self)
         if in_family[0]:
             return
         builds[0] += 1
-        digest.update(np.int64(self.degree).tobytes())
-        for lv in self._levels:
-            digest.update(np.int64(lv.point).tobytes())
-            digest.update(np.asarray(lv.orbit, dtype=np.int32).tobytes())
-            digest.update(lv.sv.tobytes())
-            for g in lv.gens:
-                digest.update(g.tobytes())
+        chain = hashlib.sha256()
+        for h in (digest, chain):
+            h.update(np.int64(self.degree).tobytes())
+            for lv in self._levels:
+                h.update(np.int64(lv.point).tobytes())
+                h.update(np.asarray(lv.orbit, dtype=np.int32).tobytes())
+                h.update(lv.sv.tobytes())
+                for g in lv.gens:
+                    h.update(g.tobytes())
+        per_build.append(f"{self.name or '-'}  {self.degree}  "
+                         f"{self._build_path()}  {chain.hexdigest()}")
 
     def unhashed_family_group(*args):
         in_family[0] = True
@@ -71,6 +84,8 @@ def main() -> None:
     finally:
         PermGroup._build_bsgs = build
         families._family_group = family_group
+    if "--per-build" in sys.argv[1:]:
+        print("\n".join(per_build))
     print(f"{digest.hexdigest()}  tables={chains} chains={builds[0]}")
 
 

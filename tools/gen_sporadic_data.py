@@ -31,6 +31,14 @@ base row's file)
 Every output is verified before writing: the covers by order, transitivity,
 rank 3 and cell structure, each R by the catalogue's load check.
 
+The searches draw random elements from stabilizer chains, and a chain
+depends on how it was built.  The catalogue builds a plinth with its order
+known, from random residues checked by the exact sweep, so `_coset_row`
+rebuilds each plinth, and `gen_3s6` its GammaL(3,4) on 63 points, with no
+order given: the deterministic pass alone, whose chains the files were
+searched with.  So the files regenerate byte for byte, however the
+catalogue certifies its orders.
+
 Usage: python tools/gen_sporadic_data.py [outdir]
 writes every file of FILES to outdir, by default src/rank3pls/data.
 """
@@ -93,8 +101,8 @@ def gen_3s6():
     assert len(target) == 18
     gens = gens_sl(3, F) + [linear(Mat.diag(F, [w, 1, 1])),
                             SemilinearElem(1, Mat.identity(F, 3))]
-    big = PermGroup(63, induce_action(space, gens),
-                    expected_order=60480 * 3 * 2, name="GammaL3(4)@63")
+    big = PermGroup(63, induce_action(space, gens), name="GammaL3(4)@63")
+    assert big.order == 60480 * 3 * 2, big.order
     stab = big.setwise_stabilizer(sorted(target))
     assert stab.order == 2160, stab.order
     # restrict to the 18 moved points, relabelled in increasing order
@@ -285,9 +293,12 @@ SEARCH_SEEDS = {
 
 
 def _coset_row(name):
-    """(row meta, plinth G, G_0)."""
-    G = catalog._plinth(name, DEFAULT_SEED)
-    return catalog.ALL_BUILTINS[name], G, G.stabilizer(0)
+    """(row meta, plinth G, G_0), G's chain built by the deterministic pass
+    alone (module docstring)."""
+    meta, P = catalog.ALL_BUILTINS[name], catalog._plinth(name, DEFAULT_SEED)
+    G = PermGroup(P.degree, P.gens, base_hint=P.base_hint, seed=P.seed, name=P.name)
+    assert G.order == meta.order, G.order
+    return meta, G, G.stabilizer(0)
 
 
 def gen_normal_sub(name):
