@@ -1,8 +1,10 @@
 """Builtin permutation groups: every desk-scale row of the rank-3 catalogue.
 
 Three construction routes:
-  * omega: matrix/semilinear generators induced on the coset point set, with
-    the induced order asserted arithmetically (matrix order / kernel size);
+  * omega: matrix/semilinear generators induced on the coset point set,
+    the chain stopped at the bound computed from the generators
+    (matsemi.induced_order_bound), which makes it exact, and its order
+    compared with the published one (matrix order / kernel size);
   * coset: the plinth G built from its generators, the point stabilizer
     G_0 taken, and the index-r subgroup R of G_0 read from the bundled file
     data/<row>.sub.grp and verified (R <= G_0, |G_0 : R| = r, then the
@@ -29,7 +31,7 @@ import numpy as np
 
 from .gfield import field_make
 from .matsemi import (GroupSpec, Mat, SemilinearElem, gens_group, gens_sl,
-                      group_matrix_order, linear)
+                      group_matrix_order, induced_order_bound, linear)
 from .omega import (OmegaSpace, build_omega, induce_action, projective_points,
                     vector_action)
 from .permcore import (PermGroup, compose, identity, perm_from_images,
@@ -74,6 +76,8 @@ def _kernel_size(spec: GroupSpec) -> int:
 
 
 def induced_order(spec: GroupSpec) -> int:
+    """The published order of the group spec induces on its Omega, right
+    at the catalogue's parameters: BuiltinMeta.order."""
     return group_matrix_order(spec) // _kernel_size(spec)
 
 
@@ -180,21 +184,23 @@ def get_builtin(name: str, seed: int = DEFAULT_SEED) -> Builtin:
 def _build_omega_group(meta: BuiltinMeta, seed: int) -> Builtin:
     spec = meta.spec
     space = build_omega(spec.kind, spec.n, spec.q, spec.r)
-    perms = induce_action(space, gens_group(spec))
-    G = PermGroup(len(space), perms, expected_order=meta.order, seed=seed,
-                  name=meta.name)
+    gens = gens_group(spec)
+    G = PermGroup(len(space), induce_action(space, gens),
+                  order_bound=induced_order_bound(gens, spec.r, space.form),
+                  seed=seed, name=meta.name)
     return Builtin(meta, G, space)
 
 
-def projective_action(F, n, gens, expected_order=None, seed=DEFAULT_SEED,
-                      name="proj"):
-    """Action of (semi)linear generators on the 1-spaces of F^n.
+def projective_action(F, n, gens, seed=DEFAULT_SEED, name="proj"):
+    """Action of (semi)linear generators on the 1-spaces of F^n, its chain
+    stopped at induced_order_bound with r = 1 (the scalars are its kernel),
+    so the order is read for generators whose group contains SL_n(q).
 
     Point 0 leads the base, so the stabilizer of 0 is read off the group's
     own chain."""
     points = projective_points(F, n)
     perms = [points.image(g) for g in gens]
-    return PermGroup(len(points), perms, expected_order=expected_order,
+    return PermGroup(len(points), perms, order_bound=induced_order_bound(gens, 1),
                      base_hint=[0], seed=seed, name=name)
 
 
@@ -242,18 +248,17 @@ def _plinth(name: str, seed: int) -> PermGroup:
     """The plinth G of a coset row, with point 0 leading its base: PSL(3,2)
     on the 7 nonzero vectors of GF(2)^3, M11 by its classical generators on
     11 points, or a projective group."""
-    order = ALL_BUILTINS[name].order
     if name == "PSL3_2_deg14":
         F = field_make(2, 1)
-        return vector_action(F, 3, gens_sl(3, F), expected_order=order,
-                             seed=seed)[0]
+        return vector_action(F, 3, gens_sl(3, F), seed=seed)[0]
     if name == "M11_deg22":
         a = perm_from_images([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0])
         b = np.arange(11, dtype=np.int32)
         for cyc in [(2, 6, 10, 7), (3, 9, 4, 5)]:
             for i in range(len(cyc)):
                 b[cyc[i]] = cyc[(i + 1) % len(cyc)]
-        return PermGroup(11, [a, b], expected_order=order, seed=seed, name="M11")
+        return PermGroup(11, [a, b], expected_order=ALL_BUILTINS[name].order,
+                         seed=seed, name="M11")
     p, a, n, group = _PROJECTIVE_PLINTHS[name]
     F = field_make(p, a)
     gens = gens_sl(n, F)
@@ -261,7 +266,7 @@ def _plinth(name: str, seed: int) -> PermGroup:
         gens.append(linear(Mat.diag(F, [F.omega] + [1] * (n - 1))))
     if group == "PGammaL":
         gens.append(SemilinearElem(1, Mat.identity(F, n)))
-    return projective_action(F, n, gens, expected_order=order, seed=seed,
+    return projective_action(F, n, gens, seed=seed,
                              name=f"{group}{n}({F.q})@{(F.q**n - 1) // (F.q - 1)}")
 
 

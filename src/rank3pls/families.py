@@ -5,8 +5,9 @@ with one OmegaSpace.points_of call and builds its structure, the line orbit
 L^G, as an OrbitStructure over its defining group G, whose line count is
 checked against the closed-form count computed independently in
 expected_counts.  G (the catalogue's GL or Z SU generators, or the
-det-restricted group of LSub) is built once per (space, shape) with its
-closed-form order, which certifies its chain both ways, and is transitive.
+det-restricted group of LSub) is built once per (space, shape), its chain
+stopped at the bound computed from its generators
+(matsemi.induced_order_bound), which makes it exact, and is transitive.
 
 So every count the validators read follows from S, the lines through 0:
 for x in L let t_x take x to 0; then S is the union of the G_0-orbits of the
@@ -38,10 +39,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .catalog import induced_order
 from .gfield import SubfieldView, factorize
 from .incidence import IncidenceStructure, PairSummary, pair_summary
-from .matsemi import GroupSpec, Mat, gens_group, gens_sl, linear, sl_order
+from .matsemi import GroupSpec, Mat, gens_group, gens_sl, induced_order_bound, linear
 from .omega import OmegaSpace, build_omega, induce_action, omega_space
 from .permcore import PermGroup, identity, line_orbit, merge, row_keys, sorted_rows
 
@@ -275,17 +275,17 @@ def _family_group(space: OmegaSpace, shape) -> PermGroup:
     """The group a family orbits its base rows with, on the space: the
     catalogue group of shape "gl" or "z_su", or, for an int shape t, the
     det-restricted group of _det_restricted_gens.  Built once per (space,
-    shape), its chain certified by its closed-form order."""
+    shape), its chain stopped at the bound its generators prove."""
     key = (space.kind, space.n, space.q, space.r, shape)
     if key not in _GROUPS:
         if isinstance(shape, int):
-            perms, order = _det_restricted_gens(space, shape)
+            gens = _det_restricted_gens(space, shape)
             name = f"G1(det in <w^{shape}>)"
         else:
-            spec = GroupSpec(space.kind, space.n, space.q, space.r, shape)
-            perms, order = induce_action(space, gens_group(spec)), induced_order(spec)
+            gens = gens_group(GroupSpec(space.kind, space.n, space.q, space.r, shape))
             name = f"{shape}{key[1:4]}"
-        G = PermGroup(len(space), perms, expected_order=order, name=name)
+        G = PermGroup(len(space), induce_action(space, gens), name=name,
+                      order_bound=induced_order_bound(gens, space.r, space.form))
         G.order         # the chain, built and certified here
         _GROUPS[key] = G
     return _GROUPS[key]
@@ -346,22 +346,15 @@ def delta(n: int, q: int) -> IncidenceStructure:
 
 
 def _det_restricted_gens(space: OmegaSpace, t: int):
-    """(generators, order) of G_1 = {g in GL_n(q) : det g in <w^t>} =
-    <SL_n(q), diag(w^t, 1, ..., 1)>, induced on the space.
-
-    Determinant surjectivity makes the two descriptions agree; the induced
-    order is |G_1| = |SL_n(q)| (q-1)/t' for t' = gcd(t, q-1), divided by
-    |G_1 cap Y|.
-    """
+    """Semilinear generators of G_1 = {g in GL_n(q) : det g in <w^t>} =
+    <SL_n(q), diag(w^t, 1, ..., 1)>; determinant surjectivity makes the two
+    descriptions agree."""
     F = space.field
-    n, q, r = space.n, F.q, space.r
     gens = gens_sl(space.n, F)
-    if t % (q - 1):
-        gens = gens + [linear(Mat.diag(F, [F.exp[t % (q - 1)]]
+    if t % (F.q - 1):
+        gens = gens + [linear(Mat.diag(F, [F.exp[t % (F.q - 1)]]
                                        + [1] * (space.n - 1)))]
-    tt = math.gcd(t, q - 1)
-    kernel = sum(1 for i in range((q - 1) // r) if (r * n * i) % tt == 0)
-    return induce_action(space, gens), sl_order(n, q) * (q - 1) // tt // kernel
+    return gens
 
 
 def _subfield(F, q0: int) -> SubfieldView:
@@ -465,8 +458,8 @@ def agu_star(q: int) -> IncidenceStructure:
 def _random_walk(gens, base, steps: int, rng: random.Random) -> np.ndarray:
     """(steps + 1, k) int32: base, then each row's image under a generator
     drawn by rng.  All draws come first, then each point walks along them
-    on int lists, freed before the caller allocates what outlives them."""
-    images = [g.tolist() for g in gens]
+    through memoryviews of the int32 generators, which copy nothing."""
+    images = [memoryview(g) for g in gens]
     picks = [rng.choice(images) for _ in range(steps)]
     walks = [[x] for x in base]
     for walk in walks:

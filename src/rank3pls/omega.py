@@ -26,7 +26,7 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from .gfield import Field, field_make, factorize, is_prime, is_primitive_prime_divisor
-from .matsemi import GroupSpec, UnitaryForm, scalar
+from .matsemi import GroupSpec, UnitaryForm, induced_order_bound, scalar
 from .permcore import DEFAULT_SEED, PermGroup, perm_order
 
 
@@ -36,14 +36,19 @@ class _Tables:
 
     def __init__(self, F: Field):
         self.p = F.p
-        self.q1 = F.q - 1
+        self.q1 = q1 = F.q - 1
         self.exp = np.array(F.exp, dtype=np.int64)
         self.log = np.array(F.log, dtype=np.int64)
         self.digits = [F.p**i for i in range(F.a)]
+        # exp twice, then zeros, and a log that sends 0 into the zeros: so
+        # _log0[x] + (d mod q - 1) indexes x * w^d for every x, 0 included
+        self._exp3 = np.concatenate([self.exp, self.exp, np.zeros(q1, dtype=np.int64)])
+        self._log0 = self.log.copy()
+        self._log0[0] = 2 * q1
 
     def scale(self, x, d):
         """x * w^d elementwise; d is an exponent or an array of them."""
-        return np.where(x == 0, 0, self.exp[(self.log[x] + d) % self.q1])
+        return self._exp3[self._log0[x] + d % self.q1]
 
     def mul(self, x, y):
         return np.where(y == 0, 0, self.scale(x, self.log[y]))
@@ -332,15 +337,18 @@ def projective_points(F: Field, n: int, vectors: bool = False) -> CanonicalPoint
     return CanonicalPoints(F, r, reps, _scalings(F, reps, r) @ F.q ** np.arange(n))
 
 
-def vector_action(F: Field, n: int, gens, expected_order: int | None = None,
+def vector_action(F: Field, n: int, gens,
                   seed: int = DEFAULT_SEED) -> tuple[PermGroup, np.ndarray]:
     """Permutation action of semilinear elements on all q^n - 1 nonzero
     vectors, with the (q^n - 1, n) array whose row i is point i; used for
-    order self-checks of matrix generator sets and for PSL(3,2)'s plinth."""
+    PSL(3,2)'s plinth and for order checks of generator sets that contain
+    SL_n(q). The action is faithful (r = q - 1, so Y = 1) and its chain
+    stops at induced_order_bound; reading the order of a set that misses
+    SL_n(q) raises "below the proven bound"."""
     vecs = projective_points(F, n, vectors=True)
     return PermGroup(len(vecs), [vecs.image(g) for g in gens],
-                     name="vector-action", expected_order=expected_order,
-                     seed=seed), vecs.vectors
+                     name="vector-action", seed=seed,
+                     order_bound=induced_order_bound(gens, F.q - 1)), vecs.vectors
 
 
 # -- the semiprimitive / innately transitive / quasiprimitive / rank-3 flags --

@@ -12,23 +12,25 @@ chain's order never exceeds the true order:
   * proven bound (`order_bound`): the caller has proven |G| <= the bound,
     so a chain that reaches it is complete.  Random residues are inserted
     until it does; a run of CERTIFICATE_SIFTS members below it raises.
-    Three callers prove one: a stabilizer's rebase (the generators of a
-    certified G), a faithful coset action (its image has at most |G|
+    Every group built from matrices proves one from its generators
+    (matsemi.induced_order_bound: the omega builtins, the matrix plinths
+    and the family groups), and so do a stabilizer's rebase (the generators
+    of a certified G), a faithful coset action (its image has at most |G|
     elements) and the catalogue's C2x doubles (G x <z> once z is checked to
     centralize G and to lie outside it).
-  * seeded sweep (an expected order below degree 256): random residues up
-    to the order, or until that run of members, then the deterministic pass
-    as the exact certificate, whose chain is complete whatever it started
-    from; its order must equal the target.  A chain already at the target
+  * seeded sweep (an expected order below degree 256; in the catalogue,
+    M11 and the two covers read from files): random residues up to the
+    order, or until that run of members, then the deterministic pass as the
+    exact certificate, whose chain is complete whatever it started from;
+    its order must equal the target.  A chain already at the target
     sifts at level 0 only the Schreier generators of the input generators,
     which generate G (Schreier's lemma).
   * randomized (an expected order from degree 256 on): random residues up
     to the target, then CERTIFICATE_SIFTS more elements, which must all be
     members; a run of members below the target, an order past it or a
     non-member at it raises.  The run of members leaves a chain short of
-    |G| with probability about 2**-CERTIFICATE_SIFTS.
-Every large group in the catalogue has an arithmetically known order or one
-derived from orbit-stabilizer counting.
+    |G| with probability about 2**-CERTIFICATE_SIFTS.  No catalogue or
+    family build takes it; it serves callers that pass such an order.
 
 The deterministic pass sifts a level's Schreier generators in batches of
 about _BATCH_ENTRIES array entries (Seress, Permutation Group Algorithms,

@@ -2,17 +2,10 @@ import pytest
 
 
 def pytest_addoption(parser):
+    # the slow (large-degree) cases run by default; `-m slow` selects them
+    # alone, and the flag is still accepted so older commands keep working
     parser.addoption("--runslow", action="store_true", default=False,
-                     help="run the slow (large-degree) cases")
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--runslow"):
-        return
-    skip = pytest.mark.skip(reason="slow case: pass --runslow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
+                     help="accepted for compatibility: slow cases always run")
 
 
 @pytest.fixture

@@ -7,9 +7,10 @@ import pytest
 from rank3pls.gfield import field_make
 from rank3pls.matsemi import (GroupSpec, Mat, SemilinearElem, UnitaryForm,
                               gens_group, gens_sl, gens_su3, group_matrix_order,
-                              is_unitary, linear, singer_cycle, sl_order,
-                              su3_order)
-from rank3pls.omega import vector_action
+                              induced_order_bound, is_unitary, linear,
+                              singer_cycle, sl_order, su3_order)
+from rank3pls.omega import projective_points, vector_action
+from rank3pls.permcore import PermGroup
 
 
 def test_mat_basics():
@@ -61,7 +62,7 @@ def test_gens_sl_orders(n, q, expect):
         assert want == expect
     if q**n - 1 > 20000:
         pytest.skip("vector action too large for the default suite")
-    G, _ = vector_action(F, n, gens_sl(n, F), expected_order=want)
+    G, _ = vector_action(F, n, gens_sl(n, F))
     assert G.order == want
 
 
@@ -72,18 +73,25 @@ def test_gens_su3_orders_and_membership():
         form = UnitaryForm(F2)
         for g in gens:
             assert is_unitary(g.mat, form) and g.mat.det() == 1
-        G, _ = vector_action(F2, 3, gens, expected_order=su3_order(q))
+        vecs = projective_points(F2, 3, vectors=True)
+        G = PermGroup(len(vecs), [vecs.image(g) for g in gens],
+                      order_bound=induced_order_bound(gens, F2.q - 1, form))
         assert G.order == su3_order(q)
     assert su3_order(4) == 62400
     assert su3_order(3) == 6048
 
 
 def test_singer_cycle_orders():
+    """A Singer cycle makes a cyclic group of order q^n - 1, which misses
+    SL_n(q): the deterministic pass finds that order, and the vector
+    action's chain, stopped at the bound its generators prove, raises."""
     for n, (p, a) in [(2, (2, 2)), (2, (3, 1)), (3, (2, 1))]:
         F = field_make(p, a)
         s = singer_cycle(n, F)
         G, _ = vector_action(F, n, [s])
-        assert G.order == F.q**n - 1
+        assert PermGroup(G.degree, G.gens).order == F.q**n - 1
+        with pytest.raises(AssertionError, match="below the proven bound"):
+            G.order
 
 
 def test_gens_group_gammal_induced_order():

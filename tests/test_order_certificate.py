@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from rank3pls import permcore
+from rank3pls import families, permcore
 from rank3pls.catalog import get_builtin, induced_order
 from rank3pls.matsemi import GroupSpec, gens_group
 from rank3pls.omega import build_omega, induce_action
@@ -136,10 +136,13 @@ def test_a_coset_action_that_is_not_faithful_raises_below_at_once(monkeypatch):
     assert S4.coset_action(V4).order == 6
 
 
-def test_only_the_three_callers_prove_a_bound(monkeypatch, fresh_caches):
-    """A stabilizer's rebase, a faithful coset action and a C2x double
-    build by their proven bounds; every other build of a coset row and of
-    the stabilizers runs the exact sweep or the deterministic pass."""
+def test_matrix_builds_prove_their_bound_and_only_m11_and_the_covers_sweep(
+        monkeypatch, fresh_caches):
+    """Every group built from matrices (an omega builtin, a matrix plinth,
+    a family group), a stabilizer's rebase, a faithful coset action and a
+    C2x double build by their proven bounds; the seeded sweep is left for
+    M11 and the two covers read from files, and the deterministic pass for
+    the bundled index-r subgroups."""
     paths = {}
     build = PermGroup._build_bsgs
 
@@ -150,8 +153,15 @@ def test_only_the_three_callers_prove_a_bound(monkeypatch, fresh_caches):
     monkeypatch.setattr(PermGroup, "_build_bsgs", recorded)
     G = PermGroup(5, [[1, 0, 2, 3, 4], [0, 1, 3, 4, 2]], name="S2xC3")
     assert G.stabilizer(2).order == 2               # 2 is off the first orbit
-    for name in ("PSL3_3_deg39", "C2xM11_deg22"):
+    for name in ("PSL3_3_deg39", "C2xM11_deg22", "C2xPSL3_2_deg14", "GammaU3_4",
+                 "3S6_deg18", "2M12_deg24"):
         get_builtin(name)
+    families.lsub(2, 25, 5, 3)
+    families.agu_star(4)
     assert sorted(paths["proven bound"]) == [
-        "C2xM11/cosets", "M11/cosets", "PSL3(3)@13/cosets", "S2xC3|rebase2"]
+        "C2xM11/cosets", "C2xvector-action/cosets", "G1(det in <w^2>)",
+        "GammaU3_4", "M11/cosets", "PSL3(3)@13", "PSL3(3)@13/cosets",
+        "S2xC3|rebase2", "vector-action", "vector-action/cosets",
+        "z_su(3, 4, 3)"]
+    assert sorted(paths["seeded sweep"]) == ["2M12_deg24", "3S6_deg18", "M11"]
     assert sorted(paths) == ["deterministic", "proven bound", "seeded sweep"]

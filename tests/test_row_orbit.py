@@ -44,7 +44,8 @@ def _psl32_index2():
     from rank3pls.matsemi import gens_sl
     from rank3pls.omega import vector_action
     F = field_make(2, 1)
-    G, _ = vector_action(F, 3, gens_sl(3, F), expected_order=168)
+    G, _ = vector_action(F, 3, gens_sl(3, F))
+    assert G.order == 168
     return G, G.stabilizer(0).normal_subgroup_of_index(2)
 
 
