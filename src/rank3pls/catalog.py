@@ -257,8 +257,7 @@ def _plinth(name: str, seed: int) -> PermGroup:
         for cyc in [(2, 6, 10, 7), (3, 9, 4, 5)]:
             for i in range(len(cyc)):
                 b[cyc[i]] = cyc[(i + 1) % len(cyc)]
-        return PermGroup(11, [a, b], expected_order=ALL_BUILTINS[name].order,
-                         seed=seed, name="M11")
+        return PermGroup(11, [a, b], seed=seed, name="M11")
     p, a, n, group = _PROJECTIVE_PLINTHS[name]
     F = field_make(p, a)
     gens = gens_sl(n, F)
@@ -298,8 +297,7 @@ def _read_data(filename: str):
 
 
 def _build_file_group(meta: BuiltinMeta, seed: int) -> Builtin:
-    G = PermGroup(*_read_data(f"{meta.name}.grp"), expected_order=meta.order,
-                  seed=seed, name=meta.name)
+    G = PermGroup(*_read_data(f"{meta.name}.grp"), seed=seed, name=meta.name)
     return Builtin(meta, G)
 
 

@@ -41,8 +41,10 @@ class _Tables:
         self.log = np.array(F.log, dtype=np.int64)
         self.digits = [F.p**i for i in range(F.a)]
         # exp twice, then zeros, and a log that sends 0 into the zeros: so
-        # _log0[x] + (d mod q - 1) indexes x * w^d for every x, 0 included
-        self._exp3 = np.concatenate([self.exp, self.exp, np.zeros(q1, dtype=np.int64)])
+        # _log0[x] + (d mod q - 1) indexes x * w^d and _log0[x] + _log0[y]
+        # indexes x * y for every x and y, 0 included
+        self._exp3 = np.concatenate([self.exp, self.exp,
+                                     np.zeros(2 * q1 + 1, dtype=np.int64)])
         self._log0 = self.log.copy()
         self._log0[0] = 2 * q1
 
@@ -51,10 +53,11 @@ class _Tables:
         return self._exp3[self._log0[x] + d % self.q1]
 
     def mul(self, x, y):
-        return np.where(y == 0, 0, self.scale(x, self.log[y]))
+        return self._exp3[self._log0[x] + self._log0[y]]
 
     def power(self, x, e: int):
-        return np.where(x == 0, 0, self.exp[(self.log[x] * e) % self.q1])
+        """x^e = x * w^(log x (e - 1)); 0 stays 0."""
+        return self.scale(x, self.log[x] * (e - 1))
 
     def sum(self, terms, shape):
         """Field sum of equal-shape arrays: XOR for p = 2, else digit-wise

@@ -4,33 +4,21 @@ Permutations are numpy int32 arrays of images; composition is left-to-right
 (apply g then h), matching the right actions used throughout the geometry
 layers: compose(g, h)[x] = h[g[x]].
 
-Schreier-Sims without a known order runs deterministically (full
-Schreier-generator processing) up to DETERMINISTIC_DEGREE.  A known order is
-certified in one of three ways (Seress, Permutation Group Algorithms, 4.1
-and 4.5); random residues come from product replacement plus sifting, and a
-chain's order never exceeds the true order:
+Schreier-Sims builds a chain in one of two ways (Seress, Permutation Group
+Algorithms, 4.1-4.2); a chain's order never exceeds the true order:
   * proven bound (`order_bound`): the caller has proven |G| <= the bound,
-    so a chain that reaches it is complete.  Random residues are inserted
-    until it does; a run of CERTIFICATE_SIFTS members below it raises.
-    Every group built from matrices proves one from its generators
-    (matsemi.induced_order_bound: the omega builtins, the matrix plinths
-    and the family groups), and so do a stabilizer's rebase (the generators
-    of a certified G), a faithful coset action (its image has at most |G|
-    elements) and the catalogue's C2x doubles (G x <z> once z is checked to
-    centralize G and to lie outside it).
-  * seeded sweep (an expected order below degree 256; in the catalogue,
-    M11 and the two covers read from files): random residues up to the
-    order, or until that run of members, then the deterministic pass as the
-    exact certificate, whose chain is complete whatever it started from;
-    its order must equal the target.  A chain already at the target
-    sifts at level 0 only the Schreier generators of the input generators,
-    which generate G (Schreier's lemma).
-  * randomized (an expected order from degree 256 on): random residues up
-    to the target, then CERTIFICATE_SIFTS more elements, which must all be
-    members; a run of members below the target, an order past it or a
-    non-member at it raises.  The run of members leaves a chain short of
-    |G| with probability about 2**-CERTIFICATE_SIFTS.  No catalogue or
-    family build takes it; it serves callers that pass such an order.
+    so a chain that reaches it is complete.  Sift residues of random
+    elements (product replacement) are inserted until it does; a run of
+    CERTIFICATE_SIFTS members below it raises.  Every group built from
+    matrices proves one from its generators (matsemi.induced_order_bound:
+    the omega builtins, the matrix plinths and the family groups), and so
+    do a stabilizer's rebase (the generators of a certified G), a faithful
+    coset action (its image has at most |G| elements) and the catalogue's
+    C2x doubles (G x <z> once z is checked to centralize G and to lie
+    outside it).
+  * deterministic (no bound): full Schreier-generator processing, whose
+    chain is complete whatever it started from, up to DETERMINISTIC_DEGREE.
+    A larger group needs a proven bound.
 
 The deterministic pass sifts a level's Schreier generators in batches of
 about _BATCH_ENTRIES array entries (Seress, Permutation Group Algorithms,
@@ -90,7 +78,7 @@ import numpy as np
 DETERMINISTIC_DEGREE = 4000
 MAX_BLOCKS = 10000  # all_blocks_through raises past this many blocks
 DEFAULT_SEED = 0x52334C53  # "R3LS"
-CERTIFICATE_SIFTS = 40  # members in a row that end a randomized build
+CERTIFICATE_SIFTS = 40  # members in a row that stop a build below its bound
 _BATCH_ENTRIES = 1 << 16  # array entries per batch of the deterministic pass
 _ORBIT_SLICE = _BATCH_ENTRIES << 2  # image entries per frontier slice of _row_orbit
 
@@ -391,15 +379,14 @@ class PermGroup:
     order, membership, stabilizers or random elements.  What the group
     derives from it and from its generators (point stabilizers, Schreier
     trees, the orbit partition, block lattices, Sigma) is computed on first
-    request and kept in the group's own store.  expected_order is an order
-    the chain must be certified to have; order_bound an upper bound on the
-    order that the caller has proven and expects reached (module
+    request and kept in the group's own store.  order_bound is an upper
+    bound on the order that the caller has proven and expects reached;
+    without one the chain comes from the deterministic pass (module
     docstring).
     """
 
-    def __init__(self, degree: int, gens, *, expected_order: int | None = None,
-                 order_bound: int | None = None, base_hint=None,
-                 seed: int = DEFAULT_SEED, name: str = ""):
+    def __init__(self, degree: int, gens, *, order_bound: int | None = None,
+                 base_hint=None, seed: int = DEFAULT_SEED, name: str = ""):
         self.degree = degree
         self.gens = []
         for g in gens:
@@ -408,7 +395,6 @@ class PermGroup:
                 raise ValueError("generator degree mismatch")
             if not is_identity(arr):
                 self.gens.append(arr)
-        self.expected_order = expected_order
         self.order_bound = order_bound
         self.base_hint = list(base_hint) if base_hint else []
         self.seed = seed
@@ -476,22 +462,16 @@ class PermGroup:
         return m
 
     def _build_path(self) -> str:
-        """How _build_bsgs builds and certifies the chain: "proven bound",
-        "seeded sweep", "randomized" or "deterministic" (module
-        docstring)."""
-        if self.order_bound is not None:
-            return "proven bound"
-        if self.expected_order is None:
-            return "deterministic"
-        return "randomized" if self.degree >= 256 else "seeded sweep"
+        """How _build_bsgs builds and certifies the chain: "proven bound" or
+        "deterministic" (module docstring)."""
+        return "deterministic" if self.order_bound is None else "proven bound"
 
     def _build_bsgs(self):
-        """The chain, built and certified by _build_path's path: residues
-        of random elements up to a proven bound, which then stops it; up to
-        an expected order below degree 256, then the deterministic pass as
-        the exact certificate; up to an expected order from degree 256 on,
-        then CERTIFICATE_SIFTS members in a row; or the deterministic pass
-        alone.  A certificate that fails raises AssertionError."""
+        """The chain, built and certified by _build_path's path: residues of
+        random elements up to the proven bound, which then stops it, or the
+        deterministic pass.  A chain that stops below the bound or passes it
+        raises AssertionError; a degree past DETERMINISTIC_DEGREE with no
+        bound raises ValueError."""
         self._levels = []
         if not self.gens:
             self._order = 1
@@ -504,70 +484,30 @@ class PermGroup:
         for g in self.gens:
             # every input generator is a strong generator for its prefix
             self._insert_strong_gen(g)
-        path = self._build_path()
-        if path == "deterministic":
+        if self._build_path() == "deterministic":
             if self.degree > DETERMINISTIC_DEGREE:
                 raise ValueError(
-                    f"{self!r}: degree {self.degree} needs expected_order for "
-                    f"the randomized Schreier-Sims certificate")
+                    f"{self!r}: degree {self.degree} is past the deterministic "
+                    f"cap {DETERMINISTIC_DEGREE}, so the group needs a proven "
+                    f"order bound")
             self._deterministic_schreier_sims()
             self._order = self._chain_order()
             return
-        target = self.order_bound or self.expected_order
+        bound = self.order_bound
         shaker = _Shaker(self.gens, random.Random(self.seed))
-        reached = self._insert_residues(shaker, target)
-        if path == "proven bound" and not reached:
-            raise AssertionError(f"{self!r}: order {self._chain_order()} below "
-                                 f"the proven bound {target}")
-        if path == "randomized":
-            self._certify_by_members(shaker, reached)
-        if path == "seeded sweep":
-            self._deterministic_schreier_sims()
-        self._order = self._chain_order()
-        if self._order != target:
-            raise AssertionError(
-                f"{self!r}: order {self._order} != expected {target}")
-
-    def _insert_residues(self, shaker: "_Shaker", target: int) -> bool:
-        """Insert the sift residues of random elements until the chain's
-        order reaches target; False, with the chain short of it, once
-        CERTIFICATE_SIFTS elements in a row are members."""
         members = 0
-        while self._chain_order() < target:
+        while self._chain_order() < bound:
             residue = self._sift(shaker.element())
             if residue is not None:
                 self._insert_strong_gen(residue)
                 members = 0
             elif (members := members + 1) == CERTIFICATE_SIFTS:
-                return False
-        return True
-
-    def _certify_by_members(self, shaker: "_Shaker", reached: bool):
-        """Sift CERTIFICATE_SIFTS more random elements through a chain at
-        the expected order; each must be a member.
-
-        The chain's order only bounds |G| from below.  While the chain is
-        incomplete, a uniformly random element of G sifts to the identity
-        with probability at most 1/2, so the run of members errs with
-        probability about 2**-CERTIFICATE_SIFTS (Seress, Permutation Group
-        Algorithms, 4.5).  An order past the target, or a non-member once
-        the order equals it, means |G| exceeds the target; that many
-        members in a row below it (reached False) means |G| is smaller.
-        Either raises AssertionError.  The chain reaches the target by an
-        insertion, or has it from the start, so no member drawn below it
-        counts towards the tail."""
-        target, order = self.expected_order, self._chain_order()
-        if not reached:
-            raise AssertionError(f"{self!r}: order {order} below "
-                                 f"expected {target}")
-        if order > target:
+                raise AssertionError(f"{self!r}: order {self._chain_order()} "
+                                     f"below the proven bound {bound}")
+        self._order = self._chain_order()
+        if self._order != bound:
             raise AssertionError(
-                f"{self!r}: computed order {order} exceeds expected {target}")
-        for _ in range(CERTIFICATE_SIFTS):
-            if self._sift(shaker.element()) is not None:
-                raise AssertionError(f"{self!r}: a random element sifts out of "
-                                     f"the chain of order {order}, so the order "
-                                     f"exceeds expected {target}")
+                f"{self!r}: order {self._order} above the proven bound {bound}")
 
     def _deterministic_schreier_sims(self):
         # Level i is scanned over its (orbit point x, generator s) pairs, x
@@ -580,12 +520,7 @@ class PermGroup:
         # inserted and the pairs before it are accepted, exactly as a
         # pair-by-pair loop would, so the chain does not depend on the batch
         # size.  The inverse transversal tables live for this pass only.
-        # A chain that starts at its expected order (a seeded sweep) sifts
-        # at level 0 the pairs of the input generators alone: they generate
-        # G, so by Schreier's lemma their Schreier generators generate G_b
-        # for any transversal.
         n = self.degree
-        inputs_only = self._chain_order() == self.expected_order
         tables: list[_InverseReps] = []
         accepted: list[np.ndarray] = []     # per level, an (orbit, gens) grid
         batch = max(1, _BATCH_ENTRIES // n)
@@ -600,8 +535,6 @@ class PermGroup:
             done = np.zeros((len(lv.orbit), len(lv.gens)), dtype=bool)
             old = accepted[i]
             done[:old.shape[0], :old.shape[1]] = old
-            if i == 0 and inputs_only:
-                done[:, len(self.gens):] = True
             accepted[i] = done
             xs, ss = np.nonzero(~done)
             below = list(zip(self._levels[i + 1:], tables[i + 1:]))
@@ -704,8 +637,7 @@ class PermGroup:
         if math.prod(len(lv.orbit) for lv in levels) != sub_order:
             raise AssertionError(f"{self!r}: stabilizer chain order mismatch")
         gens = {g.tobytes(): g for g in levels[0].gens} if levels else {}
-        stab = PermGroup(self.degree, list(gens.values()), expected_order=sub_order,
-                         base_hint=[lv.point for lv in levels],
+        stab = PermGroup(self.degree, list(gens.values()), base_hint=[lv.point for lv in levels],
                          seed=self.seed, name=f"{self.name}_{x}")
         stab._levels = levels
         stab._order = sub_order
@@ -855,14 +787,13 @@ class PermGroup:
         image under h; a base leaves no freedom, so this greedy minimum of the
         base images is one element of the coset, whatever the reps.
 
-        Of the three ways a known order certifies a chain (proven bound,
-        seeded sweep, randomized; module docstring) the image takes the
-        first.  With faithful set, |G| is its proven order bound: the image
-        has at most |G| elements, so its chain is complete once it reaches
-        |G|, with no deterministic pass and no run of members, and an action
-        that is not faithful raises AssertionError ("below") once
-        CERTIFICATE_SIFTS random elements in a row sift through its chain.
-        Without it the image's chain is built deterministically."""
+        Of the two ways to build a chain (module docstring), the image takes
+        the proven bound when faithful is set: it has at most |G| elements,
+        so its chain is complete once it reaches |G|, with no deterministic
+        pass, and an action that is not faithful raises AssertionError
+        ("below") once CERTIFICATE_SIFTS random elements in a row sift
+        through its chain.  Without it the image's chain is built by the
+        deterministic pass."""
         for g in sub.gens:
             if not self.contains(g):
                 raise ValueError("not a subgroup: generator fails membership sift")

@@ -21,7 +21,7 @@ from rank3pls.gfield import field_make
 from rank3pls.incidence import (components, is_connected, is_proper,
                                 multiplicity_bruteforce, preserved_by,
                                 validate_pls)
-from rank3pls.matsemi import gens_group, singer_cycle
+from rank3pls.matsemi import gens_group, induced_order_bound, singer_cycle
 from rank3pls.omega import build_omega, classify_action, induce_action
 from rank3pls.permcore import PermGroup, flag_transitive_on_line, perm_order
 from rank3pls.pipeline import (FLAG_TRANSITIVE_EXPECT, classify_blocks,
@@ -247,8 +247,11 @@ def test_criterion_13_predicate_consistency():
         count_pos += 1
     for spec in NEGATIVE_CONTROLS:
         sp = build_omega(spec.kind, spec.n, spec.q, spec.r)
-        G = PermGroup(len(sp), induce_action(sp, gens_group(spec)),
-                      expected_order=induced_order(spec), name=str(spec))
+        gens = gens_group(spec)
+        G = PermGroup(len(sp), induce_action(sp, gens),
+                      order_bound=induced_order_bound(gens, spec.r, sp.form),
+                      name=str(spec))
+        ok &= G.order == induced_order(spec)
         flags = classify_action(spec.n, spec.q, spec.r, G, spec, sp)
         ok &= not flags["rank3"]
         count_neg += 1

@@ -99,7 +99,6 @@ def test_tables_command(capsys):
     "4\n1 2 3 0\n1 0\n",              # short generator line
     "4\n1 1 2 3\n",                   # not a permutation
     "four\n1 2 3 0\n",                # degree line is not an integer
-    "4001\n" + " ".join(map(str, range(1, 4001))) + " 0\n",  # no order given
 ])
 def test_bad_group_file_is_one_line_error(tmp_path, capsys, text):
     path = tmp_path / "bad.grp"
@@ -107,6 +106,17 @@ def test_bad_group_file_is_one_line_error(tmp_path, capsys, text):
     assert main(["pipeline", "run", "--group", f"file:{path}"]) != 0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_degree_cap_needs_a_proven_bound(tmp_path, capsys):
+    """A group file past the deterministic pass's degree cap carries no
+    order bound, so the run stops with one line that says it needs one."""
+    path = tmp_path / "cycle.grp"
+    path.write_text("4001\n" + " ".join(map(str, range(1, 4001))) + " 0\n")
+    assert main(["pipeline", "run", "--group", f"file:{path}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "degree 4001" in err and "needs a proven order bound" in err
 
 
 def test_library_assertion_is_one_line_error(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,7 @@ from rank3pls.catalog import (NEGATIVE_CONTROLS, OMEGA_BUILTINS, get_builtin,
                               induced_order, projective_action)
 from rank3pls.gfield import _CONWAY, field_make
 from rank3pls.matsemi import (GroupSpec, Mat, SemilinearElem, gens_group,
-                              gens_sl, linear, scalar)
+                              gens_sl, induced_order_bound, linear, scalar)
 from rank3pls.omega import (_tables, build_omega, classify_action, induce_action,
                             induced_kernel_facts, projective_points,
                             semilinear_image, vector_action)
@@ -205,9 +205,11 @@ def test_classify_negative_controls():
         if spec.q ** (2 if spec.kind == "unitary" else 1) > 1000:
             continue  # the big ones run in the acceptance suite
         sp = build_omega(spec.kind, spec.n, spec.q, spec.r)
-        from rank3pls.catalog import induced_order
-        G = PermGroup(len(sp), induce_action(sp, gens_group(spec)),
-                      expected_order=induced_order(spec), name=str(spec))
+        gens = gens_group(spec)
+        G = PermGroup(len(sp), induce_action(sp, gens),
+                      order_bound=induced_order_bound(gens, spec.r, sp.form),
+                      name=str(spec))
+        assert G.order == induced_order(spec)
         flags = classify_action(spec.n, spec.q, spec.r, G, spec, sp)
         assert not flags["rank3"], spec
 
@@ -222,8 +224,10 @@ def test_classify_rank3_with_scalars_at_r2(shape):
     for q in qs:
         spec = GroupSpec("linear", 2, q, 2, shape)
         sp = build_omega("linear", 2, q, 2)
-        G = PermGroup(len(sp), induce_action(sp, gens_group(spec)),
-                      expected_order=induced_order(spec), name=str(spec))
+        gens = gens_group(spec)
+        G = PermGroup(len(sp), induce_action(sp, gens),
+                      order_bound=induced_order_bound(gens, 2), name=str(spec))
+        assert G.order == induced_order(spec)
         flags = classify_action(2, q, 2, G, spec, sp)
         assert flags["rank3"] == (G.rank() == 3), spec
 

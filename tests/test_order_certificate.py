@@ -1,56 +1,60 @@
-"""Each way a known order certifies a chain checks it.
+"""Each way to build a chain checks it.
 
-The randomized build (degree 256 on) checks its expected order both ways: a
-target below |G| meets a random element outside its chain, and a target
-above |G| meets CERTIFICATE_SIFTS members in a row.  Below degree 256 the
-exact sweep after the random residues raises either way.  A proven bound
-stops the build once reached, with no sweep and no run of members, and a
-run of members below it raises at once."""
+A proven bound stops the build once reached, with no deterministic pass,
+and a run of CERTIFICATE_SIFTS members below it raises at once; a chain
+that jumps past it raises too.  With no bound the deterministic pass builds
+the chain, and the catalogue compares its order with the published one."""
 
+import dataclasses
 import time
 
 import pytest
 
-from rank3pls import families, permcore
+from rank3pls import catalog, families, permcore
 from rank3pls.catalog import get_builtin, induced_order
 from rank3pls.matsemi import GroupSpec, gens_group
 from rank3pls.omega import build_omega, induce_action
 from rank3pls.permcore import PermGroup
 
-# catalogue generators and targets a partial chain passes through on the
-# way to the true order (49,448,448, 5,313,600 and 85,542,912,000)
-TOO_SMALL = [("PGammaL3_8_deg2044", 2044), ("ZSLphi2_81", 1640),
-             ("GammaL3_16", 27300)]
-
-
-@pytest.mark.parametrize("name, claim", TOO_SMALL)
-def test_a_target_below_the_order_raises(name, claim):
-    G = get_builtin(name).group
-    with pytest.raises(AssertionError, match=f"exceeds expected {claim}"):
-        PermGroup(G.degree, G.gens, expected_order=claim).order
-
 
 def test_a_target_above_the_order_fails_fast_in_one_line():
-    """sl_diag_phi at (3, 41, 2) on 3,446 points: the formula is 20 times
-    the order of the group the generators make."""
+    """sl_diag_phi at (3, 41, 2) on 3,446 points, given its published
+    formula as the bound: the formula is 20 times the order of the group
+    the generators make."""
     t0 = time.perf_counter()
     spec = GroupSpec("linear", 3, 41, 2, "sl_diag_phi")
     space = build_omega("linear", 3, 41, 2)
     G = PermGroup(len(space), induce_action(space, gens_group(spec)),
-                  expected_order=induced_order(spec))
-    with pytest.raises(AssertionError, match="below expected") as err:
+                  order_bound=induced_order(spec))
+    with pytest.raises(AssertionError, match="below the proven bound") as err:
         G.order
     assert time.perf_counter() - t0 < 1
     assert "\n" not in str(err.value)
     assert f"order {induced_order(spec) // 20} below" in str(err.value)
 
 
+def test_a_chain_past_its_bound_raises():
+    """S_4's input generators give a chain of order 4; the first residue
+    takes it past a bound of 5."""
+    G = PermGroup(4, [[1, 2, 3, 0], [1, 0, 2, 3]], order_bound=5)
+    with pytest.raises(AssertionError, match="above the proven bound 5"):
+        G.order
+
+
+def test_expected_order_is_gone():
+    with pytest.raises(TypeError):
+        PermGroup(4, [[1, 2, 3, 0]], expected_order=4)
+    assert PermGroup(4, [[1, 2, 3, 0]])._build_path() == "deterministic"
+    assert PermGroup(4, [[1, 2, 3, 0]], order_bound=4)._build_path() == "proven bound"
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("name", [name for name, _ in TOO_SMALL])
-def test_randomized_orders_match_the_deterministic_pass(name):
+@pytest.mark.parametrize("name", ["PGammaL3_8_deg2044", "ZSLphi2_81", "GammaL3_16"])
+def test_proven_bound_orders_match_the_deterministic_pass(name):
     """The full deterministic pass, run on the generators with no order
-    given, finds the order the randomized build certified."""
+    given, finds the order the proven bound certified."""
     G = get_builtin(name).group
+    assert G._build_path() == "proven bound"
     assert PermGroup(G.degree, G.gens).order == G.order
 
 
@@ -67,26 +71,10 @@ def _spy(monkeypatch, name) -> list[int]:
     return calls
 
 
-# GammaL3_4 on 63 points, |G| = 362,880: the random residues toward a target
-# of 90,720 stop there, at a chain of a quarter of the group, which the
-# sweep completes; 725,760 is never reached, and the residues stop at |G|
-@pytest.mark.parametrize("claim, at_sweep", [(90_720, 90_720), (725_760, 362_880)])
-def test_a_wrong_formula_below_degree_256_raises_after_the_exact_sweep(
-        monkeypatch, claim, at_sweep):
-    G = get_builtin("GammaL3_4").group
-    sweeps = _spy(monkeypatch, "_deterministic_schreier_sims")
-    H = PermGroup(G.degree, G.gens, expected_order=claim, base_hint=G.base_hint)
-    assert H._build_path() == "seeded sweep"
-    with pytest.raises(AssertionError, match=f"order {G.order} != expected {claim}"):
-        H.order
-    assert sweeps == [at_sweep]
-
-
-def test_a_sweep_from_a_chain_at_its_formula_sifts_only_the_input_generators_at_level_0(
-        monkeypatch):
-    """Level 0 of a seeded sweep sifts the pairs of the input generators
-    alone; every level below, and every level of a sweep from scratch,
-    sifts the pairs of all its generators."""
+def test_the_deterministic_pass_sifts_the_pairs_of_every_generator(monkeypatch):
+    """Every level of the deterministic pass sifts the Schreier generators
+    of all its strong generators, the input generators and the residues
+    alike."""
     G = get_builtin("GammaU3_4").group
     batches = []
     sift = permcore._sift_schreier_batch
@@ -96,28 +84,22 @@ def test_a_sweep_from_a_chain_at_its_formula_sifts_only_the_input_generators_at_
         return sift(lv, table, xs, ss, below)
 
     monkeypatch.setattr(permcore, "_sift_schreier_batch", recorded)
-    for expected in (G.order, None):
-        batches.clear()
-        H = PermGroup(G.degree, G.gens, expected_order=expected, base_hint=G.base_hint)
-        assert H.order == G.order
-        for lv in H._levels:
-            used = set().union(*(ss for b, ss in batches if b is lv))
-            seeded_top = expected is not None and lv is H._levels[0]
-            assert used == set(range(len(G.gens) if seeded_top else len(lv.gens)))
-        if expected is not None:
-            assert len(H._levels[0].gens) > len(G.gens)     # residues joined it
+    H = PermGroup(G.degree, G.gens, base_hint=G.base_hint)
+    assert H.order == G.order
+    for lv in H._levels:
+        used = set().union(*(ss for b, ss in batches if b is lv))
+        assert used == set(range(len(lv.gens)))
+    assert len(H._levels[0].gens) > len(G.gens)         # residues joined it
 
 
 def test_a_proven_bound_stops_the_build_once_reached(monkeypatch):
-    """No deterministic pass and no run of members: the build ends at the
-    bound."""
+    """No deterministic pass: the build ends at the bound."""
     G = get_builtin("PSL3_5_deg155").group
     sweeps = _spy(monkeypatch, "_deterministic_schreier_sims")
-    tails = _spy(monkeypatch, "_certify_by_members")
     H = PermGroup(G.degree, G.gens, order_bound=G.order, base_hint=G.base_hint)
     assert H._build_path() == "proven bound"
     assert H.order == G.order
-    assert not sweeps and not tails
+    assert not sweeps
     assert all(G.contains(g) for lv in H._levels for g in lv.gens)
 
 
@@ -136,13 +118,13 @@ def test_a_coset_action_that_is_not_faithful_raises_below_at_once(monkeypatch):
     assert S4.coset_action(V4).order == 6
 
 
-def test_matrix_builds_prove_their_bound_and_only_m11_and_the_covers_sweep(
+def test_matrix_builds_prove_their_bound_and_the_rest_run_the_deterministic_pass(
         monkeypatch, fresh_caches):
     """Every group built from matrices (an omega builtin, a matrix plinth,
     a family group), a stabilizer's rebase, a faithful coset action and a
-    C2x double build by their proven bounds; the seeded sweep is left for
-    M11 and the two covers read from files, and the deterministic pass for
-    the bundled index-r subgroups."""
+    C2x double build by their proven bounds; M11, the two covers read from
+    files and the bundled index-r subgroups (unnamed) run the deterministic
+    pass."""
     paths = {}
     build = PermGroup._build_bsgs
 
@@ -163,5 +145,22 @@ def test_matrix_builds_prove_their_bound_and_only_m11_and_the_covers_sweep(
         "GammaU3_4", "M11/cosets", "PSL3(3)@13", "PSL3(3)@13/cosets",
         "S2xC3|rebase2", "vector-action", "vector-action/cosets",
         "z_su(3, 4, 3)"]
-    assert sorted(paths["seeded sweep"]) == ["2M12_deg24", "3S6_deg18", "M11"]
-    assert sorted(paths) == ["deterministic", "proven bound", "seeded sweep"]
+    assert sorted(paths["deterministic"]) == [
+        "", "", "", "2M12_deg24", "3S6_deg18", "M11", "S2xC3"]
+    assert sorted(paths) == ["deterministic", "proven bound"]
+
+
+@pytest.mark.parametrize("name, order", [("M11_deg22", 7920), ("3S6_deg18", 2160),
+                                         ("2M12_deg24", 190080)])
+def test_a_wrong_published_order_is_refused(monkeypatch, fresh_caches, name, order):
+    """M11 and the two covers read from files build with no bound, so the
+    published order is checked only against the order the deterministic
+    pass finds."""
+    meta = catalog.ALL_BUILTINS[name]
+    assert meta.order == order
+    monkeypatch.setitem(catalog.ALL_BUILTINS, name,
+                        dataclasses.replace(meta, order=2 * order))
+    with pytest.raises(AssertionError) as err:
+        get_builtin(name)
+    assert str(err.value) == (f"{name}: built degree/order {meta.degree}/{order}, "
+                              f"expected {meta.degree}/{2 * order}")

@@ -499,8 +499,8 @@ def test_stabilizer_reads_the_parent_chain(monkeypatch):
     a complete chain of the stabilizer.  A fresh copy of the group keeps no
     stabilizer from an earlier test."""
     b = get_builtin("GammaL2_4").group
-    G = PermGroup(b.degree, b.gens, expected_order=b.order, name=b.name)
-    G.order
+    G = PermGroup(b.degree, b.gens, name=b.name)
+    assert G.order == b.order
 
     def no_build(self):
         raise AssertionError(f"Schreier-Sims ran for {self!r}")

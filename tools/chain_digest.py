@@ -18,8 +18,8 @@ covers the catalogue's and the pipeline's chains alone.
 
 With --per-build a line per hashed build comes first: the group's name,
 its degree, the path that built and certified its chain
-(`PermGroup._build_path`: deterministic, seeded sweep, proven bound or
-randomized) and the sha256 of that chain alone.  Two commits' lists show
+(`PermGroup._build_path`: proven bound or deterministic) and the sha256 of
+that chain alone.  Two commits' lists show
 which chains moved and by which path they were built.
 
 Usage, from the repository root:

@@ -32,12 +32,12 @@ Every output is verified before writing: the covers by order, transitivity,
 rank 3 and cell structure, each R by the catalogue's load check.
 
 The searches draw random elements from stabilizer chains, and a chain
-depends on how it was built.  The catalogue builds a plinth with its order
-known, from random residues checked by the exact sweep, so `_coset_row`
-rebuilds each plinth, and `gen_3s6` its GammaL(3,4) on 63 points, with no
-order given: the deterministic pass alone, whose chains the files were
-searched with.  So the files regenerate byte for byte, however the
-catalogue certifies its orders.
+depends on how it was built.  The catalogue builds a matrix plinth from
+random residues up to its proven order bound, so `_coset_row` rebuilds each
+plinth, and `gen_3s6` its GammaL(3,4) on 63 points, with no order given:
+the deterministic pass alone, whose chains the files were searched with.
+So the files regenerate byte for byte, however the catalogue certifies its
+orders.
 
 Usage: python tools/gen_sporadic_data.py [outdir]
 writes every file of FILES to outdir, by default src/rank3pls/data.
@@ -78,12 +78,8 @@ def reduced_gens(G: PermGroup, rng: random.Random | None = None, tries: int = 30
                     cand.append(g)
             if not cand:
                 continue
-            try:
-                if PermGroup(G.degree, cand, expected_order=order,
-                             seed=G.seed).order == order:
-                    return cand
-            except AssertionError:
-                continue
+            if PermGroup(G.degree, cand, seed=G.seed).order == order:
+                return cand
     return list(G.gens)
 
 
@@ -113,7 +109,7 @@ def gen_3s6():
         img = [pos[int(g[p])] for p in pts]
         small_gens.append(perm_from_images(img))
     G = PermGroup(18, small_gens, name="3S6@18")
-    G = PermGroup(18, reduced_gens(G), expected_order=2160, name="3S6@18")
+    G = PermGroup(18, reduced_gens(G), name="3S6@18")
     assert G.order == 2160 and G.is_transitive() and G.rank() == 3
     st = G.stabilizer(0)
     assert sorted(len(o) for o in st.orbits()) == [1, 2, 15]
