@@ -55,12 +55,12 @@ transversal reps are read from) and `_row_orbit`, the orbit of one row of
 points with rows numbered in FIFO order, each BFS layer read in frontier
 slices of about _ORBIT_SLICE image entries, and per-generator image maps
 built only for the callers that ask for them (coset actions and the flag
-test).  Line orbits (`line_orbit`), coset actions (`coset_action`, on
-canonical coset elements read off the subgroup's chain) and block checks
-(`verify_block`, on the images of a block) are all `_row_orbit`, each with
-its own canonical form of a row.  So is Sigma, the one block system of an
-imprimitive rank 3 group (`sigma_partition`): no block lattice runs on the
-whole group.
+test).  Line orbits (`line_orbit`) and coset actions (`coset_action`, on
+canonical coset elements read off the subgroup's chain) are `_row_orbit`,
+each with its own canonical form of a row.  Block checks (`verify_block`)
+read the Schreier tree at a block's least point instead.  Sigma, the block
+system of an imprimitive rank 3 group (`sigma_partition`), is one checked
+block and its line orbit; no block lattice runs on the whole group.
 
 Sets of sorted point sets (lines, cells, samples) are sorted, deduplicated
 and searched through one key per row, `row_keys`: the row's lexicographic
@@ -422,10 +422,7 @@ class PermGroup:
         return self._levels
 
     def _chain_order(self) -> int:
-        out = 1
-        for lv in self._levels:
-            out *= len(lv.orbit)
-        return out
+        return math.prod(len(lv.orbit) for lv in self._levels)
 
     def _first_moved(self, g: np.ndarray) -> int:
         used = {lv.point for lv in self._levels}
@@ -561,20 +558,15 @@ class PermGroup:
         if len(g) != self.degree:
             return False
         self.order
-        if not self._levels:
-            return is_identity(g)
         return self._sift(g.astype(np.int32)) is None
-
-    def _gen_array(self) -> np.ndarray:
-        """The generators as one (m, degree) array."""
-        return np.asarray(self.gens, dtype=np.int32).reshape(len(self.gens), self.degree)
 
     def orbit_labels(self) -> np.ndarray:
         """The least point of each point's orbit: one merge of every x with
         its images g[x], made once and kept as a read-only array."""
         def make():
             x = identity(self.degree)
-            labels = merge(x, np.tile(x, len(self.gens)), self._gen_array().ravel())
+            images = np.asarray(self.gens, dtype=np.int32).ravel()
+            labels = merge(x, np.tile(x, len(self.gens)), images)
             labels.flags.writeable = False
             return labels
         return self._kept("labels", make)
@@ -591,8 +583,6 @@ class PermGroup:
         return not self.orbit_labels().any()
 
     def random_element(self, rng: random.Random) -> np.ndarray:
-        if not self.gens:
-            return identity(self.degree)
         self.order
         g = identity(self.degree)
         for lv in self._levels:
@@ -698,14 +688,25 @@ class PermGroup:
         return frozenset(np.flatnonzero(row == row[beta]).tolist())
 
     def verify_block(self, block) -> bool:
-        """Whether the distinct images of the block are pairwise disjoint,
-        i.e. no point lies on two rows of its line_orbit.  More than
-        degree // |block| distinct rows must share a point, so the orbit is
-        cut once it holds that many."""
-        block = sorted({int(x) for x in block})
-        rows, _ = line_orbit(self.gens, block,
-                             max_rows=self.degree // len(block))
-        return bool(np.bincount(rows.ravel()).max() <= 1)
+        """Whether the set B is a block inside the orbit of x = min(B),
+        decided on the kept Schreier tree at x and G_x's orbit labels: B must
+        lie in x's orbit, be a union of G_x-orbits, and be mapped onto itself
+        by the tree rep u_y (x^u_y = y) for the least point y of each.  That
+        suffices (Dixon & Mortimer, Thm 1.5A): G_x and each u_y fix B
+        setwise, and each z in B is y^h = x^(u_y h) for such a y and an h in
+        G_x, so B is x's orbit under an overgroup of G_x.  A set that leaves
+        x's orbit is False; ValueError for an empty set or a point off range(n)."""
+        pts = np.sort(np.fromiter({int(x) for x in block}, dtype=np.intp))
+        if not len(pts) or pts[0] < 0 or pts[-1] >= self.degree:
+            raise ValueError(f"verify_block needs a nonempty set in range({self.degree})")
+        tree = self.schreier_tree(int(pts[0]))
+        labels = self.stabilizer(int(pts[0])).orbit_labels()
+        inside = np.bincount(pts, minlength=self.degree).astype(bool)
+        if (tree.sv[pts] == -1).any() or (inside[labels] != inside).any():
+            return False
+        heads = pts[labels[pts] == pts]
+        rows = tree.to_root(np.tile(pts, (len(heads), 1)), heads)
+        return bool((np.sort(rows, axis=1) == pts).all())
 
     def all_blocks_through(self, beta: int) -> list[frozenset]:
         """Every nontrivial block of imprimitivity containing beta, for this
@@ -1044,7 +1045,7 @@ def _merge_at(old: np.ndarray, kept: np.ndarray, at: np.ndarray,
     return out
 
 
-def _row_orbit(gens, row, canon, max_rows=None, *, with_maps=False):
+def _row_orbit(gens, row, canon, *, with_maps=False):
     """Orbit of one row under <gens>, with per-generator image maps on
     request.
 
@@ -1066,9 +1067,7 @@ def _row_orbit(gens, row, canon, max_rows=None, *, with_maps=False):
     of first appearance, so rows, numbering and maps are those of one pass
     over the whole layer, while only one slice's image-wide temporaries are
     live at a time.  The row index of each seen key, which only the maps
-    read, is kept only when they are asked for.  The search stops after the
-    first layer that passes max_rows rows: rows is then a FIFO prefix of the
-    orbit, and maps cover the rows before that layer.
+    read, is kept only when they are asked for.
     """
     frontier, seen_keys = canon(np.array(row, ndmin=2))   # one key: sorted
     # the row index of each seen key, which only the maps read
@@ -1078,7 +1077,7 @@ def _row_orbit(gens, row, canon, max_rows=None, *, with_maps=False):
     layers = [frontier]
     maps = [[] for _ in gens] if with_maps else None
     total = 1
-    while len(gens) and len(frontier) and (max_rows is None or total <= max_rows):
+    while len(gens) and len(frontier):
         fresh_rows = []
         for lo in range(0, len(frontier), step):
             src = frontier[lo:lo + step]
@@ -1128,7 +1127,7 @@ def _row_orbit(gens, row, canon, max_rows=None, *, with_maps=False):
     return rows, None if maps is None else [np.concatenate(m) for m in maps]
 
 
-def line_orbit(gens, line, *, max_rows=None, with_maps=False):
+def line_orbit(gens, line, *, with_maps=False):
     """Orbit of a point set under <gens>, with per-generator image maps on
     request.
 
@@ -1137,8 +1136,8 @@ def line_orbit(gens, line, *, max_rows=None, with_maps=False):
     generator), row 0 the sorted base line.  limg is None unless with_maps
     is set; then limg[k] is an int32 array mapping line index -> image
     index under gens[k].  It is _row_orbit on sorted rows keyed by
-    row_keys; max_rows cuts the orbit as there.  A line with a repeated
-    point or a point outside range(n) raises ValueError.
+    row_keys.  A line with a repeated point or a point outside range(n)
+    raises ValueError.
     """
     base = np.sort(np.asarray(line, dtype=np.int32))
     if not len(gens):
@@ -1152,7 +1151,7 @@ def line_orbit(gens, line, *, max_rows=None, with_maps=False):
         rows.sort(axis=1)
         return rows, row_keys(rows, n)
 
-    return _row_orbit(gens, base, canon, max_rows, with_maps=with_maps)
+    return _row_orbit(gens, base, canon, with_maps=with_maps)
 
 
 def sigma_partition(G: PermGroup) -> np.ndarray:
@@ -1162,10 +1161,10 @@ def sigma_partition(G: PermGroup) -> np.ndarray:
 
     A block through 0 is {0} and a union of G_0-orbits (Dixon & Mortimer,
     Thm 1.5A), and at rank 3 only {0} | Delta for the smaller suborbit Delta
-    can have at most n/2 points.  That B is a block exactly when |B| divides
-    n and its line orbit, cut at n/|B| rows, has pairwise disjoint rows,
-    which are then the cells.  ValueError unless G is transitive of rank 3
-    and B is a block; nothing is kept then."""
+    can have at most n/2 points.  Once |B| divides n, B is checked by
+    verify_block; its line orbit, then n/|B| disjoint rows, gives the cells.
+    ValueError unless G is transitive of rank 3 and B is a block; nothing is
+    kept then."""
     return G._kept("sigma", lambda: _find_sigma(G))
 
 
@@ -1181,12 +1180,10 @@ def _find_sigma(G: PermGroup) -> np.ndarray:
     beta = roots[1 + np.argmin(np.bincount(labels)[roots[1:]])]
     block = np.flatnonzero((labels == 0) | (labels == beta))
     k = len(block)
-    if n % k == 0:
-        cells, _ = line_orbit(G.gens, block, max_rows=n // k)
-        if np.bincount(cells.ravel()).max() <= 1:
-            cells = sorted_rows(cells, n)[0]
-            cells.flags.writeable = False
-            return cells
+    if n % k == 0 and G.verify_block(block):
+        cells = sorted_rows(line_orbit(G.gens, block)[0], n)[0]
+        cells.flags.writeable = False
+        return cells
     raise ValueError(f"{G!r}: {{0}} and its smaller suborbit, {k} points, "
                      f"are not a block, so G is primitive")
 

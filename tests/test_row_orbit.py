@@ -72,18 +72,15 @@ def _set_orbit_slice(monkeypatch, rows, gens, width):
     monkeypatch.setattr(permcore, "_ORBIT_SLICE", size)
 
 
-@pytest.mark.parametrize("max_rows", [None, 40])
-def test_line_orbit_does_not_depend_on_the_slice_size(monkeypatch, max_rows):
+def test_line_orbit_does_not_depend_on_the_slice_size(monkeypatch):
     """Frontier slices of 1, 2 and 3 rows give the rows and image maps of
-    one slice per layer, for a whole line orbit and for one cut after
-    max_rows rows; with maps off the rows are the same."""
+    one slice per layer; with maps off the rows are the same."""
     G = get_builtin("GammaL2_4").group
     line = (0, 1, 2, 3)
 
     def orbit(rows, with_maps=True):
         _set_orbit_slice(monkeypatch, rows, G.gens, len(line))
-        return permcore.line_orbit(G.gens, line, max_rows=max_rows,
-                                   with_maps=with_maps)
+        return permcore.line_orbit(G.gens, line, with_maps=with_maps)
 
     want, want_maps = orbit(None)
     for rows in (1, 2, 3):
@@ -146,8 +143,11 @@ def _non_blocks(H, beta, carrier, blocks):
 
 
 @pytest.mark.parametrize("name", ["GammaL2_4", "PSL3_2_deg14", "M11_deg22",
-                                  "3S6_deg18"])
+                                  "3S6_deg18", "GammaL2_16", "PGL3_4_deg126"])
 def test_verify_block_against_the_exhaustive_oracle(name):
+    """Every block and non-block of each G_0-orbit, checked on G_0.  The
+    G_0 of GammaL2_16 and of PGL3_4_deg126 has an orbit off its first basic
+    orbit, so its stabilizer there takes the rebase branch of _stabilizer."""
     G = get_builtin(name).group
     H = G.stabilizer(0)
     seen = {"blocks": 0, "non_blocks": 0}
@@ -165,25 +165,45 @@ def test_verify_block_against_the_exhaustive_oracle(name):
     assert seen["blocks"] and seen["non_blocks"], seen
 
 
-def test_verify_block_stops_a_non_block_early(monkeypatch):
-    """A pair {0, x} with x off the cell of 0 is no block of GammaL2_16; its
-    row orbit is cut after the first layer that takes it past degree // 2
-    rows, well short of the full orbit."""
+def test_verify_block_edge_cases():
+    """The empty set raises; a set leaving the orbit of its least point and
+    a set that is no union of G_x-orbits are refused; {x} and x's whole
+    orbit are blocks."""
     G = get_builtin("GammaL2_16").group
     H = G.stabilizer(0)
-    far = max(H.orbits(), key=len)[0]
-    pair = (0, far)
-    full = len(permcore.line_orbit(G.gens, pair)[0])
-    bound = G.degree // 2
-    rows = []
-    real = permcore.line_orbit
+    with pytest.raises(ValueError, match="nonempty"):
+        G.verify_block(set())
+    with pytest.raises(ValueError, match="range"):
+        G.verify_block({0, G.degree})
+    swap = PermGroup(4, [np.array([1, 0, 3, 2], dtype=np.int32)])
+    assert not swap.verify_block({0, 2})   # its images {0, 2}, {1, 3} are disjoint
+    assert not H.verify_block({0, 1})      # 1 is off the orbit {0} of H
+    far = max(H.orbits(), key=len)
+    assert len(far) > 1 and not G.verify_block({0, far[0]})
+    for K, orbit in [(G, range(G.degree)), (H, H.orbit(1)), (swap, (0, 1))]:
+        x = min(orbit)
+        assert K.verify_block({x}) and K.verify_block(orbit)
+
+
+def test_block_checks_build_no_row_orbit(monkeypatch):
+    """verify_block over a whole lattice runs no _row_orbit, and Sigma on a
+    fresh group runs one, for its cells."""
+    calls = []
+    real = permcore._row_orbit
 
     def counted(*args, **kwargs):
-        out = real(*args, **kwargs)
-        rows.append(len(out[0]))
-        return out
+        calls.append(len(args[1]))
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(permcore, "line_orbit", counted)
-    assert not G.verify_block(pair)
-    assert len(rows) == 1
-    assert bound < rows[0] <= bound * (1 + len(G.gens)) < full
+    G = get_builtin("GammaL2_16").group
+    H = G.stabilizer(0)
+    beta = max(H.orbits(), key=len)[0]
+    blocks = H.all_blocks_through(beta)
+    assert blocks
+    monkeypatch.setattr(permcore, "_row_orbit", counted)
+    assert all(H.verify_block(b) for b in blocks)
+    assert calls == []
+    sigma_group = get_builtin("GammaL2_4").group
+    fresh = PermGroup(sigma_group.degree, sigma_group.gens)
+    cells = permcore.sigma_partition(fresh)
+    assert calls == [cells.shape[1]]
