@@ -40,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .gfield import SubfieldView, factorize
-from .incidence import IncidenceStructure, PairSummary, pair_summary
+from .incidence import IncidenceStructure, PairSummary, pair_keys
 from .matsemi import GroupSpec, Mat, gens_group, gens_sl, induced_order_bound, linear
 from .omega import OmegaSpace, build_omega, induce_action, omega_space
 from .permcore import PermGroup, identity, line_orbit, merge, row_keys, sorted_rows
@@ -234,15 +234,15 @@ class OrbitStructure(IncidenceStructure):
     @cached_property
     def _components(self) -> tuple[tuple[int, ...], ...]:
         """The component of 0 is the orbit of 0 under G_0 and one t_y for
-        each G_0-orbit of the points y collinear with 0; the others are its
-        images under G."""
+        each G_0-orbit of the points y collinear with 0, all read by one
+        to_root; the others are its images under G."""
         n, G = self.num_points, self.group
         labels = G.stabilizer(0).orbit_labels()
         collinear = np.zeros(n, dtype=bool)
         collinear[self._rows[:, 1:]] = True
-        reps = [self._at0.rep_to(y, n)
-                for y in sorted(set(labels[collinear].tolist()))]
-        comp = merge(labels, np.tile(identity(n), len(reps)), np.concatenate(reps))
+        heads = np.array(sorted(set(labels[collinear].tolist())), dtype=np.intp)
+        reps = self._at0.to_root(identity(n)[None], heads)
+        comp = merge(labels, np.tile(identity(n), len(reps)), reps.ravel())
         component = np.flatnonzero(comp == 0)
         if len(component) == n:
             return (tuple(range(n)),)
@@ -475,8 +475,9 @@ def _count_only(space, params, exp, base, gens, seed):
     walk = _random_walk(gens, base, SAMPLE_SIZE, random.Random(seed or 0xC0))
     rows, repeat = sorted_rows(np.sort(walk, axis=1), len(space))
     sample = rows[~repeat]
-    # local PLS check: no point pair on two sampled lines
-    if pair_summary(sample, len(space)).multiplicity > 1:
+    # local PLS check: no point pair on two sampled lines (no repeated key)
+    keys = pair_keys(sample, len(space))
+    if (keys[1:] == keys[:-1]).any():
         raise AssertionError("sampled lines violate the PLS property")
     return CountOnly(space, params, exp, base, list(map(tuple, sample.tolist())))
 

@@ -29,7 +29,9 @@ built by flat gathers, and each level below costs it one gather, where
 generator a step.  g u^-1 is the same array either way, and the first
 non-member of a batch, in the pair order of a one-at-a-time loop, is the one
 inserted, so the base, orbits, Schreier vectors and strong generators are
-exactly those of that loop.
+exactly those of that loop.  trace_back stays the chain's sift, as chain
+levels change between sifts; every other rep is read by `_Level.to_root`, a
+batch of rows walked up the tree in step, as u^-1.
 
 A chain is built once per group, and so is everything a group derives from
 it or from its generators: each `PermGroup` keeps its point stabilizers,
@@ -173,7 +175,7 @@ class _Level:
     """One level of a stabilizer chain: base point, level generators (all
     strong generators fixing the base prefix), Schreier tree."""
 
-    __slots__ = ("point", "gens", "inv_gens", "orbit", "sv")
+    __slots__ = ("point", "gens", "inv_gens", "orbit", "sv", "walk")
 
     def __init__(self, degree: int, point: int):
         self.point = point
@@ -182,6 +184,7 @@ class _Level:
         self.orbit: list[int] = [point]
         self.sv = np.full(degree, -1, dtype=np.int32)
         self.sv[point] = -2  # root marker
+        self.walk = None    # to_root's walk table, built at its first read
 
     def add_gen(self, g: np.ndarray):
         """Add the generator g and grow the orbit by it.  The orbit is closed
@@ -191,6 +194,7 @@ class _Level:
         over every generator."""
         self.gens.append(g)
         self.inv_gens.append(inverse(g))
+        self.walk = None
         self.extend_orbit(len(self.gens) - 1)
 
     def extend_orbit(self, first_gen: int = 0):
@@ -216,19 +220,6 @@ class _Level:
             frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
             first_gen = 0
 
-    def rep_to(self, point: int, degree: int) -> np.ndarray:
-        """A word u in the level generators with base^u = point; ValueError
-        for a point outside the orbit."""
-        u = identity(degree)
-        x = point
-        while x != self.point:
-            k = int(self.sv[x])
-            if k < 0:
-                raise ValueError(f"point {point} is not in the orbit of {self.point}")
-            u = compose(self.gens[k], u)
-            x = int(self.inv_gens[k][x])
-        return u
-
     def conjugate(self, u: np.ndarray, u_inv: np.ndarray) -> "_Level":
         """This level of the chain of u^-1 G u: point, orbit and Schreier tree
         moved by u, generators g -> u^-1 g u."""
@@ -239,6 +230,7 @@ class _Level:
         lv.orbit = u[self.orbit].tolist()
         lv.sv = np.empty_like(self.sv)
         lv.sv[u] = self.sv
+        lv.walk = None
         return lv
 
     def trace_back(self, g: np.ndarray):
@@ -255,24 +247,27 @@ class _Level:
         return g
 
     def to_root(self, rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Each row of point images mapped by u^-1 for the rep u taking the
-        base to its point: the tree walk of rep_to read backwards in the
-        inverse generators, all rows in step, one flat gather a step, the
-        rows already at the base mapped by the identity.  A row that is a
-        permutation g becomes g u^-1.  ValueError for a point outside the
-        orbit."""
-        n = len(self.sv)
+        """A new array: each row of point images (one per point, or one for
+        all) mapped by u^-1 for the rep u with base^u its point, all rows
+        walked up the tree in step, one flat gather a step; a row g becomes
+        g u^-1.  The walk table (the inverse generators and the identity,
+        stacked, and each point's offset in it) is kept until add_gen
+        changes the tree.  ValueError for a point outside the orbit."""
         off = points[self.sv[points] == -1]
         if len(off):
             raise ValueError(f"point {off[0]} is not in the orbit of {self.point}")
-        flat = np.concatenate([*self.inv_gens, identity(n)])
-        step = self.sv.astype(np.intp) * n      # the offset of each inverse
-        step[self.point] = len(self.inv_gens) * n
+        if self.walk is None:
+            n = len(self.sv)
+            step = self.sv.astype(np.intp) * n
+            step[self.point] = len(self.inv_gens) * n
+            self.walk = np.concatenate([*self.inv_gens, identity(n)]), step
+        flat, step = self.walk
         x = points
-        while (x != self.point).any():
+        while True:     # one step at least, so the rows are always new
             k = step[x]
             rows, x = flat[k[:, None] + rows], flat[k + x]
-        return rows
+            if (x == self.point).all():
+                return rows
 
 
 def _join_rows(rows: np.ndarray, images: np.ndarray) -> np.ndarray:
@@ -288,8 +283,8 @@ def _join_rows(rows: np.ndarray, images: np.ndarray) -> np.ndarray:
 
 class _InverseReps:
     """The inverse transversal reps of one level, as one table: row p is
-    u^-1 for the rep u with base^u = orbit[p], the same word rep_to builds,
-    and pos maps a point to its place in the orbit (-1 outside it)."""
+    u^-1 for the rep u with base^u = orbit[p], as to_root reads it, and
+    pos maps a point to its place in the orbit (-1 outside it)."""
 
     __slots__ = ("points", "pos", "rows")
 
@@ -343,7 +338,7 @@ def _sift_schreier_batch(lv: _Level, table: _InverseReps, xs: np.ndarray,
     Returns (first, residue): first is the row of the first non-member and
     residue its sift residue, or (len(xs), None) when every row is a member.
     One gather per level replaces g by g u^-1 for the rep u with
-    base^u = base^g; the same array trace_back reaches by its tree walk.
+    base^u = base^g, the array trace_back and to_root reach by tree walks.
     A row whose base image falls outside the orbit stops with its current
     value, and the rows after it are dropped, since they cannot come first.
     """
@@ -584,11 +579,12 @@ class PermGroup:
 
     def random_element(self, rng: random.Random) -> np.ndarray:
         self.order
-        g = identity(self.degree)
+        # the drawn reps' product, the deepest applied first, as its inverse
+        g_inv = identity(self.degree)
         for lv in self._levels:
             x = rng.choice(lv.orbit)
-            g = compose(lv.rep_to(x, self.degree), g)
-        return g
+            g_inv = lv.to_root(g_inv[None], np.array([x]))[0]
+        return inverse(g_inv)
 
     def stabilizer(self, x: int) -> "PermGroup":
         """The point stabilizer G_x, with order |G| / |x^G|: the same object
@@ -613,8 +609,8 @@ class PermGroup:
             if x == lv0.point:
                 levels = self._levels[1:]
             else:
-                u = lv0.rep_to(x, self.degree)
-                u_inv = inverse(u)
+                u_inv = lv0.to_root(identity(self.degree)[None], np.array([x]))[0]
+                u = inverse(u_inv)
                 levels = [lv.conjugate(u, u_inv) for lv in self._levels[1:]]
         elif len(orb := self.orbit(x)) == 1:
             sub_order, levels = order, self._levels       # G fixes x
@@ -646,14 +642,15 @@ class PermGroup:
     # Permutation Groups, Thm 1.5A).  A block is held as the orbit partition
     # of its H, a row of class roots.  The smallest block containing beta and
     # gamma is beta^<G_beta, u> for any u with beta^u = gamma: its row is
-    # G_beta's orbit labels merged with x ~ x^u for every x.  The join of two
+    # G_beta's orbit labels merged with x ~ x^u for every x, or with the
+    # u^-1 to_root reads, as <G_beta, u> = <G_beta, u^-1>.  The join of two
     # blocks is beta's class in the join of their rows.  Either is one merge,
     # with no closure rounds, and _join_rows makes one merge of a batch.
 
     def schreier_tree(self, beta: int) -> _Level:
         """A Schreier tree rooted at beta over the group's generators: its
-        orbit is beta's orbit and its rep_to(gamma) takes beta to gamma.
-        Made once per beta and kept, its sv read-only."""
+        orbit is beta's orbit, and to_root reads its reps u (beta^u = gamma)
+        as u^-1.  Made once per beta and kept, its sv read-only."""
         def make():
             tree = _Level(self.degree, beta)
             tree.gens = list(self.gens)
@@ -682,8 +679,8 @@ class PermGroup:
         if off.size:
             raise ValueError(f"point {int(off[0])} is not in the orbit of {beta}")
         labels = self.stabilizer(beta).orbit_labels()
-        reps = [tree.rep_to(x, self.degree) for x in sorted(set(labels[pts].tolist()))]
-        images = np.asarray(reps, dtype=np.int32).reshape(1, -1)
+        heads = np.array(sorted(set(labels[pts].tolist())), dtype=np.intp)
+        images = tree.to_root(identity(self.degree)[None], heads).reshape(1, -1)
         row = _join_rows(labels[None, :], images)[0]
         return frozenset(np.flatnonzero(row == row[beta]).tolist())
 
@@ -736,7 +733,7 @@ class PermGroup:
         labels = self.stabilizer(beta).orbit_labels()
         # the least point of each G_beta-orbit on the orbit of beta but {beta}
         roots = np.flatnonzero((labels == identity(deg)) & (tree.sv != -1))
-        roots = roots[roots != beta].tolist()
+        roots = roots[roots != beta]
 
         blocks: set[frozenset] = set()
 
@@ -753,7 +750,7 @@ class PermGroup:
 
         minimal = []
         for a in range(0, len(roots), batch):
-            reps = np.asarray([tree.rep_to(x, deg) for x in roots[a:a + batch]])
+            reps = tree.to_root(identity(deg)[None], roots[a:a + batch])
             rows = _join_rows(np.broadcast_to(labels, reps.shape), reps)
             minimal += fresh_blocks(rows)
         min_rows = np.asarray([row for _, row in minimal])
@@ -802,11 +799,11 @@ class PermGroup:
         n = self.degree
         levels = []
         for lv in sub._chain():
-            table = _InverseReps(n)
-            table.extend(lv)
-            fwd = np.empty_like(table.rows)
-            np.put_along_axis(fwd, table.rows, identity(n)[None, :], axis=1)
-            levels.append((table.points, fwd))
+            points = np.array(lv.orbit, dtype=np.intp)
+            inv = lv.to_root(identity(n)[None], points)
+            fwd = np.empty_like(inv)
+            np.put_along_axis(fwd, inv, identity(n)[None, :], axis=1)
+            levels.append((points, fwd))
 
         def canon(h: np.ndarray):
             for points, fwd in levels:
@@ -913,23 +910,25 @@ class PermGroup:
         stab = PermGroup(self.degree, [], seed=self.seed)
         counter = [0]
 
-        def search(level: int, h: np.ndarray):
+        def search(level: int, h_inv: np.ndarray):
+            # h, the reps chosen so far with the deepest applied first, as
+            # its inverse: h[x] lies in S iff x lies in h_inv[S]
             nonlocal stab
             counter[0] += 1
             if counter[0] > 2_000_000:
                 raise RuntimeError("setwise stabilizer search exceeded cap")
+            back = set(h_inv[list(S)].tolist())
             if level == len(chain):
-                if frozenset(int(h[x]) for x in S) == S and not is_identity(h) \
-                        and not stab.contains(h):
+                if back == S and not is_identity(h_inv) \
+                        and not stab.contains(h := inverse(h_inv)):
                     found.append(h)
                     stab = PermGroup(self.degree, list(found), seed=self.seed)
                 return
             lv = chain[level]
             want = lv.point in S
-            for x in lv.orbit:
-                if (int(h[x]) in S) != want:
-                    continue
-                search(level + 1, compose(lv.rep_to(x, self.degree), h))
+            xs = np.array([x for x in lv.orbit if (x in back) == want], dtype=np.intp)
+            for row in lv.to_root(h_inv[None], xs):
+                search(level + 1, row)
 
         search(0, identity(self.degree))
         return PermGroup(self.degree, list(found), seed=self.seed,

@@ -47,21 +47,20 @@ from .catalog import ALL_BUILTINS, get_builtin
 from .gfield import SubfieldView, factorize
 from .incidence import fingerprint, is_connected, is_proper, validate_pls
 from .omega import OmegaSpace
-from .permcore import PermGroup, classes, inverse, sigma_partition
+from .permcore import PermGroup, classes, identity, inverse, sigma_partition
 
 
 def flag_transitive_at_alpha(block: np.ndarray, t_beta: np.ndarray, at_beta,
                              in_delta: np.ndarray) -> bool:
     """Whether G_L is transitive on L = {0} | block, for t_beta in G taking
     beta to 0: whether L^(t_beta) minus 0 is a class of the block system of
-    block on Delta, the class through c being block^(u_c) for the rep u_c
-    from beta to c of the Schreier tree at_beta of G_0."""
+    block on Delta, the class through c being block^(u_c), that is whether
+    u_c^-1 from the Schreier tree at_beta of G_0 maps it back onto block."""
     pts = t_beta[np.r_[0, block]]
     rest = np.sort(pts[pts != 0])
     if not in_delta[rest].all():
         return False
-    u = at_beta.rep_to(int(rest[0]), len(in_delta))
-    return np.array_equal(rest, np.sort(u[block]))
+    return np.array_equal(np.sort(at_beta.to_root(rest[None], rest[:1])[0]), block)
 
 
 @dataclass
@@ -136,8 +135,8 @@ def devillers_enumerate(G: PermGroup, name: str = "",
     Each block B through beta = min(Delta) that passes the cell filter is
     decided orbit-locally (module docstring): L = {0} | B is flag-transitive
     iff L^(t_beta) minus 0 lies in Delta and equals B^(u_c), where t_beta
-    is the inverse of the rep from 0 to beta of G's Schreier tree at 0, c
-    is the least point of L^(t_beta) minus 0, and u_c is the rep from beta
+    is the inverse rep from 0 to beta that to_root reads off G's tree at 0,
+    c is the least point of L^(t_beta) minus 0, and u_c is the rep from beta
     to c of G_0's tree at beta.  A flag-transitive L becomes
     families.OrbitStructure(G, [L]), and AssertionError is raised unless
     its line count is an integer, validate_pls and is_proper find a proper
@@ -163,7 +162,7 @@ def devillers_enumerate(G: PermGroup, name: str = "",
         beta = orb[0]
         in_delta = labels == beta
         at_beta = Ga.schreier_tree(beta)
-        t_beta = inverse(at0.rep_to(beta, n))
+        t_beta = at0.to_root(identity(n)[None], np.array([beta]))[0]
         for block in Ga.all_blocks_through(beta):
             B = np.array(sorted(block), dtype=np.int32)
             line = np.concatenate(([0], B))

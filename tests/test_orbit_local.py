@@ -10,7 +10,7 @@ import pytest
 from rank3pls import families, pipeline
 from rank3pls.catalog import ALL_BUILTINS, get_builtin
 from rank3pls.incidence import components, fingerprint, is_connected, validate_pls
-from rank3pls.permcore import PermGroup, flag_transitive_on_line, inverse
+from rank3pls.permcore import PermGroup, flag_transitive_on_line, identity
 from rank3pls.pipeline import (devillers_enumerate, flag_transitive_at_alpha,
                                reproduce_table, run_pipeline)
 from tests_pipeline_oracle import reference_enumerate
@@ -116,7 +116,7 @@ def test_decision_matches_flag_test_on_every_block(name):
         if len(orb) <= 2:
             continue
         at_beta = Ga.schreier_tree(beta)
-        t_beta = inverse(at0.rep_to(beta, G.degree))
+        t_beta = at0.to_root(identity(G.degree)[None], np.array([beta]))[0]
         for block in Ga.all_blocks_through(beta):
             B = np.array(sorted(block), dtype=np.int32)
             got = flag_transitive_at_alpha(B, t_beta, at_beta, labels == beta)

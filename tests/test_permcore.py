@@ -218,53 +218,105 @@ def test_block_join_rejects_points_off_the_orbit():
     assert G.block_join(3, []) == frozenset({3})
 
 
-def test_rep_to_rejects_points_off_the_orbit():
-    """A tree walk from a point outside the orbit would read sv = -1 as a
-    generator index and never reach the root; run in a subprocess so that
-    a walk that does not return fails the test instead of hanging it."""
-    code = ("import numpy as np\n"
-            "from rank3pls.permcore import _Level\n"
-            "tree = _Level(6, 0)\n"
-            "tree.add_gen(np.array([1, 2, 0, 4, 5, 3], dtype=np.int32))\n"
-            "assert tree.rep_to(2, 6)[0] == 2\n"
-            "for x in (3, 4, 5):\n"
-            "    try:\n"
-            "        tree.rep_to(x, 6)\n"
-            "    except ValueError as exc:\n"
-            "        print(exc)\n")
+def _walk_apart(code: str) -> list[str]:
+    """The stdout lines of code run in a fresh interpreter.  A tree walk
+    that reads sv = -1, from a point off the orbit or off a stale walk
+    table, stays put and never reaches the root, so the run has a timeout
+    and a walk that does not return fails the test instead of hanging it."""
     src = str(Path(permcore.__file__).resolve().parents[1])
     try:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, timeout=30, env={**os.environ, "PYTHONPATH": src})
     except subprocess.TimeoutExpired:
-        pytest.fail("rep_to did not return for a point off the orbit")
+        pytest.fail("a to_root walk did not return")
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == [f"point {x} is not in the orbit of 0"
-                                       for x in (3, 4, 5)]
+    return out.stdout.splitlines()
 
 
 def test_to_root_rejects_points_off_the_orbit():
-    """to_root's walk, like rep_to's, would loop at sv = -1; in a subprocess
-    for the same reason.  Rows at orbit points map by u^-1."""
-    code = ("import numpy as np\n"
-            "from rank3pls.permcore import _Level\n"
-            "tree = _Level(6, 0)\n"
-            "tree.add_gen(np.array([1, 2, 0, 4, 5, 3], dtype=np.int32))\n"
-            "rows = np.array([[0, 1, 2], [3, 4, 5]], dtype=np.int32)\n"
-            "print(tree.to_root(rows, np.array([2, 0])).tolist())\n"
-            "try:\n"
-            "    tree.to_root(rows, np.array([0, 3]))\n"
-            "except ValueError as exc:\n"
-            "    print(exc)\n")
-    src = str(Path(permcore.__file__).resolve().parents[1])
-    try:
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, timeout=30, env={**os.environ, "PYTHONPATH": src})
-    except subprocess.TimeoutExpired:
-        pytest.fail("to_root did not return for a point off the orbit")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["[[1, 2, 0], [3, 4, 5]]",
-                                       "point 3 is not in the orbit of 0"]
+    """Rows at orbit points map by u^-1 (base^u = 2 for the identity row
+    at 2), and every point off the orbit raises."""
+    out = _walk_apart(
+        "import numpy as np\n"
+        "from rank3pls.permcore import _Level, identity\n"
+        "tree = _Level(6, 0)\n"
+        "tree.add_gen(np.array([1, 2, 0, 4, 5, 3], dtype=np.int32))\n"
+        "rows = np.array([[0, 1, 2], [3, 4, 5]], dtype=np.int32)\n"
+        "print(tree.to_root(rows, np.array([2, 0])).tolist())\n"
+        "assert tree.to_root(identity(6)[None], np.array([2]))[0, 2] == 0\n"
+        "for x in (3, 4, 5):\n"
+        "    try:\n"
+        "        tree.to_root(rows, np.array([0, x]))\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n")
+    assert out == ["[[1, 2, 0], [3, 4, 5]]"] + [f"point {x} is not in the orbit of 0"
+                                                for x in (3, 4, 5)]
+
+
+# Levels grown one short cycle at a time, so that most generators add
+# points to the orbit after to_root has built its walk table.
+_GROWN_LEVELS = (
+    "import random\n"
+    "import numpy as np\n"
+    "from rank3pls.permcore import _Level, identity\n"
+    "def cycles(rng):\n"
+    "    n = rng.randrange(4, 16)\n"
+    "    gens = []\n"
+    "    for _ in range(rng.randrange(2, 6)):\n"
+    "        g = identity(n)\n"
+    "        cyc = rng.sample(range(n), rng.randrange(2, 4))\n"
+    "        g[cyc] = np.roll(cyc, 1)\n"
+    "        gens.append(g)\n"
+    "    return n, gens\n"
+    "rng = random.Random(5)\n"
+    "grown = 0\n")
+
+
+def test_to_root_after_add_gen_matches_a_fresh_level():
+    """A level read by to_root between its add_gen calls walks as a level
+    given the same generators with no read between them: the walk table
+    goes with each change of the tree."""
+    out = _walk_apart(_GROWN_LEVELS + (
+        "for _ in range(40):\n"
+        "    n, gens = cycles(rng)\n"
+        "    lv, fresh = _Level(n, 0), _Level(n, 0)\n"
+        "    for g in gens:\n"
+        "        before = len(lv.orbit)\n"
+        "        lv.add_gen(g)\n"
+        "        fresh.add_gen(g)\n"
+        "        grown += len(lv.orbit) > before > 1\n"
+        "        lv.to_root(identity(n)[None], np.array(lv.orbit))\n"
+        "    pts = np.array(fresh.orbit)\n"
+        "    rows = np.array([rng.sample(range(n), n) for _ in pts], dtype=np.int32)\n"
+        "    assert lv.orbit == fresh.orbit\n"
+        "    assert np.array_equal(lv.to_root(rows, pts), fresh.to_root(rows, pts))\n"
+        "print(grown > 20)\n"))
+    assert out == ["True"]
+
+
+def test_batched_to_root_matches_one_point_at_a_time():
+    """One to_root over every orbit point, with a row per point or one row
+    for all, equals the rows read one point at a time as each point joins
+    the orbit (a point's rep does not change when the tree grows)."""
+    out = _walk_apart(_GROWN_LEVELS + (
+        "for _ in range(40):\n"
+        "    n, gens = cycles(rng)\n"
+        "    lv = _Level(n, 0)\n"
+        "    R = np.array([rng.sample(range(n), n) for _ in range(n)], dtype=np.int32)\n"
+        "    single = {0: lv.to_root(R[0][None], np.array([0]))[0]}\n"
+        "    for g in gens:\n"
+        "        before = len(lv.orbit)\n"
+        "        lv.add_gen(g)\n"
+        "        grown += len(lv.orbit) > before > 1\n"
+        "        for x in lv.orbit[before:]:\n"
+        "            single[x] = lv.to_root(R[x][None], np.array([x]))[0]\n"
+        "    pts = np.array(lv.orbit)\n"
+        "    want = np.array([single[x] for x in lv.orbit])\n"
+        "    assert np.array_equal(lv.to_root(R[pts], pts), want)\n"
+        "    inv = lv.to_root(identity(n)[None], pts)\n"
+        "    assert np.array_equal(np.take_along_axis(inv, R[pts], axis=1), want)\n"
+        "print(grown > 20)\n"))
+    assert out == ["True"]
 
 
 def test_coset_action_contract():

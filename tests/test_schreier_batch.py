@@ -116,8 +116,9 @@ def test_random_chains_match_reference(G, data):
 @given(st.one_of(groups(), intransitive_groups()), st.data())
 def test_trace_back_walks_to_the_rep_it_replaces(G, data):
     """On every level of a random chain, trace_back(g) is g u^-1 for the
-    rep u that rep_to builds to base^g, and None off the level's orbit; g
-    is a random permutation, so base^g falls off the orbit too."""
+    rep u with base^u = base^g, the row to_root walks g to, and None off
+    the level's orbit; g is a random permutation, so base^g falls off the
+    orbit too."""
     n = G.degree
     for lv in G._chain():
         g = np.array(data.draw(st.permutations(range(n))), dtype=np.int32)
@@ -126,6 +127,6 @@ def test_trace_back_walks_to_the_rep_it_replaces(G, data):
         if lv.sv[x] == -1:
             assert got is None
         else:
-            want = permcore.compose(g, permcore.inverse(lv.rep_to(x, n)))
+            want = lv.to_root(g[None], np.array([x]))[0]
             assert got.dtype == np.int32 and np.array_equal(got, want)
             assert got[lv.point] == lv.point
