@@ -483,6 +483,10 @@ def _count_only(space, params, exp, base, gens, seed):
 
 
 def _power_degree(q: int, q0: int) -> int:
+    """b with q = q0**b, or 0 when there is none (q0 < 2 has no power
+    past 1)."""
+    if q0 < 2:
+        return 0
     b = 0
     t = 1
     while t < q:

@@ -22,14 +22,11 @@ A structure's lines and point count are read-only, so its pair summary (the
 multiplicity, the number of collinear pairs and each point's concurrence;
 see pair_summary) and its components are built once, the first time a
 predicate needs them, and kept: validate_pls, is_proper and fingerprint read
-the summary.  No predicate holds an array as large as the line array or its
-pairs next to it.  The summary is read off the sorted pair keys one block
-of consecutive smaller points at a time (_pair_key_blocks; beyond a block
-of about _PAIR_BLOCK keys it keeps one int32 row index per line for each
-column not already in block order), and components and point_degrees merge
-and count the lines slice by slice (_line_slices).  Beyond its lines a
-structure keeps O(num_points) bytes; to_dot, which needs the pairs
-themselves, joins the blocks with pair_keys.
+the summary.  The summary is read off the sorted pair keys, which take 4 or
+8 bytes per point-pair incidence (uint32 or int64) while it is built;
+components and point_degrees merge and count the lines slice by slice
+(_line_slices), holding no array as large as the line array.  Beyond its
+lines a structure keeps O(num_points) bytes.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ import numpy as np
 from .permcore import _BATCH_ENTRIES, classes, merge, sorted_rows
 
 MAX_POINTS = 2**31 - 1  # the largest point count an int32 line array addresses
-_PAIR_BLOCK = _BATCH_ENTRIES << 1  # pair keys per block of pair_summary, about
 _LINE_SLICE = _BATCH_ENTRIES >> 2  # line entries per slice, at least
 
 
@@ -89,69 +85,26 @@ def _key_dtype(num_points: int) -> np.dtype:
     return np.dtype(np.uint32 if num_points**2 <= 2**32 else np.int64)
 
 
-def _pair_key_blocks(lines: np.ndarray, num_points: int):
-    """The keys of pair_keys, in increasing order, one block at a time.
-
-    A block holds every key whose smaller point a lies in one range of
-    consecutive points, so equal keys never straddle two blocks.  A point
-    in column i of a line is the smaller point of k - 1 - i of its pairs;
-    from those per-point counts each point is put in the block of the
-    _PAIR_BLOCK-key window its first key falls in, so a block holds about
-    _PAIR_BLOCK keys (more only when one point alone has more).  Each
-    column's rows are grouped by the block of their point with one stable
-    argsort of 8- or 16-bit block tags (a radix sort); a block gathers its
-    rows of each column i with one take, builds the keys of the pairs (i, j)
-    for j > i in one preallocated array and sorts it in place."""
-    n = num_points
-    dtype = _key_dtype(n)
-    lines = np.asarray(lines, dtype=np.int32)
-    if not lines.size:
-        return
-    k = lines.shape[1]
-    counts = [np.bincount(lines[:, i], minlength=n) for i in range(k - 1)]
-    per_point = sum((k - 1 - i) * c for i, c in enumerate(counts))
-    window = (np.cumsum(per_point) - per_point) // _PAIR_BLOCK
-    cuts = np.flatnonzero(window[1:] != window[:-1]) + 1
-    starts = np.r_[0, cuts]             # the first point of each block
-    tags = np.zeros(n, dtype=np.min_scalar_type(len(cuts)))
-    tags[cuts] = 1
-    np.cumsum(tags, out=tags)           # the block of each point
-    index = np.int32 if len(lines) < 2**31 else np.intp
-    groups = []         # per column: its rows in block order, each block's end
-    for i, c in enumerate(counts):
-        tag = tags[lines[:, i]]
-        order = (None if (tag[1:] >= tag[:-1]).all()    # column 0, when sorted
-                 else np.argsort(tag, kind="stable").astype(index))
-        groups.append((order, np.cumsum(np.add.reduceat(c, starts))))
-    del counts, tag
-    points = lines.view(np.uint32)     # the same bits: no cast in the keys
-    sizes = np.add.reduceat(per_point, starts)
-    for blk, size in enumerate(sizes.tolist()):
-        if not size:
-            continue
-        keys = np.empty(size, dtype=dtype)
-        at = 0
-        for i, (order, ends) in enumerate(groups):
-            part = slice(ends[blk - 1] if blk else 0, ends[blk])
-            rows = (points[part] if order is None
-                    else np.take(points, order[part], axis=0))
-            a = np.multiply(rows[:, i], n, dtype=dtype)
-            for j in range(i + 1, k):
-                np.add(a, rows[:, j], out=keys[at:at + len(a)])
-                at += len(a)
-        keys.sort()
-        yield keys
-
-
 def pair_keys(lines: np.ndarray, num_points: int) -> np.ndarray:
     """The point pairs a < b of every line as keys a * num_points + b, in
-    increasing order, a pair on m lines m times: the blocks of
-    _pair_key_blocks, concatenated.
+    increasing order, a pair on m lines m times: the keys of each column
+    pair i < j go into one preallocated array, which is sorted in place.
 
     The keys are uint32 when num_points**2 <= 2**32 (the largest key is
     num_points**2 - num_points - 1), int64 otherwise."""
-    blocks = _pair_key_blocks(lines, num_points)
-    return np.concatenate([np.empty(0, _key_dtype(num_points)), *blocks])
+    n = num_points
+    lines = np.asarray(lines, dtype=np.int32)
+    k = lines.shape[1] if lines.size else 0
+    keys = np.empty(len(lines) * (k * (k - 1) // 2), dtype=_key_dtype(n))
+    points = lines.view(np.uint32)     # the same bits: no cast in the keys
+    at = 0
+    for i in range(k - 1):
+        a = np.multiply(points[:, i], n, dtype=keys.dtype)
+        for j in range(i + 1, k):
+            np.add(a, points[:, j], out=keys[at:at + len(a)])
+            at += len(a)
+    keys.sort()
+    return keys
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -188,25 +141,22 @@ def _longest_run(keys: np.ndarray) -> int:
 
 
 def pair_summary(lines: np.ndarray, num_points: int) -> PairSummary:
-    """The PairSummary of the lines, read off the blocks of
-    _pair_key_blocks one at a time.  A block's distinct keys are its run
-    starts; the distinct pairs of each smaller point a lie between a * n
-    and (a + 1) * n (one searchsorted), and the larger points are counted
-    with one bincount."""
+    """The PairSummary of the lines, read off pair_keys.  The distinct keys
+    are the run starts; the distinct pairs of each smaller point a lie
+    between a * n and (a + 1) * n (one searchsorted), and the larger points,
+    the keys modulo n, are counted with one bincount."""
     n = num_points
-    concurrence = np.zeros(n, dtype=np.int64)
-    mult = pairs = 0
-    for keys in _pair_key_blocks(lines, n):
-        mult = max(mult, _longest_run(keys))
-        keys = np.compress(_run_starts(keys), keys)
-        pairs += len(keys)
-        lo, hi = int(keys[0] // n), int(keys[-1] // n) + 1
-        cuts = np.searchsorted(keys, np.arange(lo + 1, hi, dtype=keys.dtype) * n)
-        concurrence[lo:hi] += np.diff(cuts, prepend=0, append=len(keys))
-        # keys % n, spelt with // by a scalar, which numpy vectorizes
-        concurrence += np.bincount(keys - keys // n * n, minlength=n)
+    keys = pair_keys(lines, n)
+    if not len(keys):
+        concurrence, mult = np.zeros(n, dtype=np.intp), 0
+    else:
+        mult = _longest_run(keys)
+        keys = keys[_run_starts(keys)]
+        cuts = np.searchsorted(keys, np.arange(1, n, dtype=keys.dtype) * n)
+        concurrence = np.diff(cuts, prepend=0, append=len(keys))
+        concurrence += np.bincount(np.remainder(keys, n, out=keys), minlength=n)
     concurrence.flags.writeable = False
-    return PairSummary(mult, pairs, concurrence)
+    return PairSummary(mult, len(keys), concurrence)
 
 
 class IncidenceStructure:

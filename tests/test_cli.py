@@ -1,6 +1,10 @@
 """CLI surface: exit codes, outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -54,6 +58,21 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["family", "build", "--kind", "wrong"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("q0", ["1", "0"])
+def test_usub_without_a_subfield_power_is_one_line_error(q0):
+    """q0 <= 1 has no power equal to q: the run fails at once, in a fresh
+    interpreter whose timeout stops a run that loops."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "rank3pls.cli", "family", "build", "--kind",
+         "usub", "--q", "16", "--q0", q0],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=30)
+    assert out.returncode == 1
+    assert out.stderr == "error: USub needs q = q0^b with b > 1\n"
+    assert out.stdout == ""
 
 
 def test_missing_family_parameter_is_a_usage_error(capsys):

@@ -1,10 +1,10 @@
 """The output and chain digests, each in a fresh interpreter.
 
-tools/output_digest.py hashes the tables, the pipeline reports and the
-family outputs; tools/chain_digest.py hashes every stabilizer chain of the
-default tables run, or with --catalogue every chain but those of the family
-groups.  A change that moves either has to update the digest
-pinned here on purpose.
+tools/output_digest.py hashes the tables, the pipeline reports, the
+family outputs and `verify` of each family JSON; tools/chain_digest.py
+hashes every stabilizer chain of the default tables run, or with
+--catalogue every chain but those of the family groups.  A change that
+moves either has to update the digest pinned here on purpose.
 """
 
 import subprocess
@@ -24,8 +24,8 @@ def _digest(tool: str, *args: str) -> str:
 
 def test_output_digest():
     assert _digest("output_digest.py") == (
-        "7beaaf873300aced8a053818ae7ff6a0486774b39fe88b580efad9394259d53a"
-        "  rows=33 builtins=20 families=8")
+        "eaa8f1e64fde20ed2cf280ab9a5dbb0c9116c9df9770dc486e838d686ce4eccf"
+        "  rows=33 builtins=20 families=10")
 
 
 def test_chain_digest():
@@ -45,5 +45,5 @@ def test_catalogue_chain_digest():
 @pytest.mark.slow
 def test_slow_output_digest():
     assert _digest("output_digest.py", "--slow") == (
-        "3dcba6964a9ba7346c25793213cc0515913f12b8564193ec7599889d871b79d6"
-        "  rows=62 builtins=21 families=8")
+        "29839865b25dc0ca747e7d9291e737b6c24ac3f1813cc1f4a85ffa18d5aa74aa"
+        "  rows=62 builtins=21 families=10")

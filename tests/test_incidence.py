@@ -263,7 +263,7 @@ def test_pair_table_once_per_structure(seed):
 def test_pair_keys_at_the_dtype_boundary(n, key_dtype):
     """Keys are uint32 up to n = 2**16 and int64 past it; the largest key
     n**2 - n - 1 (the pair n-2, n-1) comes out exact either way, and so
-    does the summary read off the keys, in one slice or in many."""
+    does the summary read off the keys."""
     top = [n - 3, n - 2, n - 1]
     lines = np.array([[0, 1, n - 1], [1, n - 2, n - 1], [0, n - 2, n - 1],
                       top, [2, 3, n - 2]], dtype=np.int32)
@@ -274,53 +274,37 @@ def test_pair_keys_at_the_dtype_boundary(n, key_dtype):
     assert keys.tolist() == sorted(want.elements())
     assert keys[-1] == n * n - n - 1
     assert max(want.values()) == 3   # the pair (n-2, n-1) lies on three lines
-    for size in (incidence._PAIR_BLOCK, 2):
-        with unittest.mock.patch.object(incidence, "_PAIR_BLOCK", size):
-            got = _summary_fields(pair_summary(lines, n))
-        assert got == _reference_summary(lines.tolist(), n)
+    got = _summary_fields(pair_summary(lines, n))
+    assert got == _reference_summary(lines.tolist(), n)
 
 
 @st.composite
-def _line_sets_and_budgets(draw):
+def _line_sets(draw):
     """A small line set, possibly empty, on n points; some draws send many
-    lines through the pair (0, 1), so that point 0 alone has more pairs
-    than a block's budget; and a block budget of 1 to 9 keys."""
+    lines through the pair (0, 1)."""
     n = draw(st.integers(3, 12))
     k = draw(st.integers(2, min(n, 5)))
     pool = list(itertools.combinations(range(n), k))
     if draw(st.booleans()):
         pool = [l for l in pool if l[:2] == (0, 1)]
     lines = draw(st.lists(st.sampled_from(pool), max_size=20, unique=True))
-    return n, sorted(lines), draw(st.integers(1, 9))
+    return n, sorted(lines)
 
 
-# pair (0, 1) on 40 lines: point 0 alone has 80 pairs, many budgets' worth,
-# and its run of keys is longer than a budget; and the empty structure
-@example((50, [(0, 1, x) for x in range(2, 42)] + [(2, 3, 4), (5, 6, 7)], 3))
-@example((50, [(0, 1, x) for x in range(2, 42)] + [(2, 3, 4), (5, 6, 7)], 7))
-@example((5, [], 1))
+# pair (0, 1) on 40 lines, a run of 40 equal keys; and the empty structure
+@example((50, [(0, 1, x) for x in range(2, 42)] + [(2, 3, 4), (5, 6, 7)]))
+@example((5, []))
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(_line_sets_and_budgets())
+@given(_line_sets())
 def test_pair_summary_matches_np_unique(case):
-    """The summary read off the key blocks equals the one read off
-    np.unique of the whole key list, whatever the block budget: a point
-    whose own pairs exceed the budget and the empty structure included.
-    Each block is sorted, holds every key of its smaller points and no
-    other block's, and the blocks concatenated are pair_keys."""
-    n, lines, budget = case
+    """The summary read off the sorted pair keys equals the one read off
+    np.unique of the whole key list, a pair on many lines and the empty
+    structure included, and pair_keys are the sorted keys."""
+    n, lines = case
     want = sorted(a * n + b for l in lines for a, b in itertools.combinations(l, 2))
     D = IncidenceStructure(n, lines)
-    with unittest.mock.patch.object(incidence, "_PAIR_BLOCK", budget):
-        got = _summary_fields(pair_summary(D.lines, n))
-        blocks = [b.tolist() for b in incidence._pair_key_blocks(D.lines, n)]
-    assert got == _reference_summary(lines, n)
-    assert sum(blocks, []) == want
-    smaller = [{key // n for key in b} for b in blocks]
-    assert all(b == sorted(b) for b in blocks)
-    assert all(max(p) < min(q) for p, q in zip(smaller, smaller[1:]))
-    # a block goes past the budget only by the keys of its last point
-    for b, points in zip(blocks, smaller):
-        assert len(b) - sum(key // n == max(points) for key in b) < budget
+    assert _summary_fields(pair_summary(D.lines, n)) == _reference_summary(lines, n)
+    assert pair_keys(D.lines, n).tolist() == want
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -352,12 +336,16 @@ def test_line_slices_cover_the_lines_in_order(monkeypatch):
 
 def test_pair_table_memory_per_incidence():
     """tracemalloc peak above live memory, per point-pair incidence, of the
-    first validate_pls (which builds the pair summary from 4-byte keys, read
-    in blocks), of components (a merge over slices of lines) and of
+    first validate_pls (which builds the pair summary from 4-byte keys,
+    sorted in one array), of components (a merge over slices of lines) and of
     fingerprint reading the cached summary and components (its point
     degrees counted over slices of lines); after all three, the structure
-    keeps O(points) bytes beyond its lines, not its pairs."""
-    D = fam.ag_star(3, 9)
+    keeps O(points) bytes beyond its lines, not its pairs.  ag_star(3, 9)
+    is an orbit structure, which reads its pairs off its lines through 0, so
+    the test runs on a full-array copy of its lines."""
+    A = fam.ag_star(3, 9)
+    D = IncidenceStructure(A.num_points, A.lines)
+    del A
     incidences = D.num_lines * math.comb(D.line_size, 2)
 
     def peak_per_incidence(f):
@@ -383,20 +371,22 @@ def test_pair_table_memory_per_incidence():
 
 
 def test_family_build_memory_per_line_entry():
-    """tracemalloc peak above live memory of building delta(3,7), 19,152
-    lines of size 3, per entry of its line array: the row orbit builds no
-    image maps and reads each layer in slices, and ingestion drops the row
-    keys before it gathers the sorted rows."""
+    """tracemalloc peak above live memory of reading the line array of
+    delta(3,7), 19,152 lines of size 3, per entry of that array: the
+    structure builds its rows only when they are read, the row orbit builds
+    no image maps and reads each layer in slices, and ingestion drops the
+    row keys before it gathers the sorted rows."""
+    D = fam.delta(3, 7)
     gc.collect()
     tracemalloc.start()
     try:
         live = tracemalloc.get_traced_memory()[0]
-        D = fam.delta(3, 7)
+        lines = D.lines
         peak = tracemalloc.get_traced_memory()[1] - live
     finally:
         tracemalloc.stop()
-    assert D.lines.shape == (19152, 3)
-    assert peak / D.lines.size <= 29, peak / D.lines.size
+    assert lines.shape == (19152, 3)
+    assert peak / lines.size <= 29, peak / lines.size
 
 
 def test_ingesting_a_line_of_almost_every_point_stays_small():

@@ -9,10 +9,11 @@ of degree <= 300 (in name order) the `pipeline run` outputs:
 fingerprint.  With --slow, `PGammaL3_8_deg2044` is added to the builtins
 (run with slow=True) and the tables are run again with slow=True, every
 row included.  Last come the `family build` runs of FAMILY_RUNS (one
-instance per kind, the count-only USub(16,4) and a usage error): the
-arguments, exit code, stdout, stderr and `--out` JSON of each.  Two commits
-that print the same line give the same tables, reports, signatures and
-family outputs.  The line also gives the number of table rows, of builtins
+instance per kind, a second AG*(3,9) and DLSub, the count-only USub(16,4)
+and a usage error): the arguments, exit code, stdout, stderr and `--out`
+JSON of each, and of `verify` run on that JSON where one was written.  Two
+commits that print the same line give the same tables, reports,
+signatures, family outputs and verify outputs.  The line also gives the number of table rows, of builtins
 and of family runs hashed.
 
 Usage, from the repository root: python3 tools/output_digest.py [--slow]
@@ -39,23 +40,33 @@ FAMILY_RUNS = [
     ["--kind", "dlsub", "--q", "9", "--q0", "3", "--r", "2", "--j", "1"],
     ["--kind", "usub", "--q", "4", "--q0", "2"],
     ["--kind", "agustar", "--q", "4"],
+    ["--kind", "agstar", "--n", "3", "--q", "9"],  # 262,080 pair keys
+    ["--kind", "dlsub", "--q", "9", "--q0", "3", "--r", "2", "--j", "2"],  # not a PLS
     ["--kind", "usub", "--q", "16", "--q0", "4"],   # count-only
     ["--kind", "lsub", "--n", "2", "--q", "16", "--q0", "4"],  # usage error
 ]
 
 
-def family_run(args, tmp: Path) -> dict:
-    """Exit code, stdout, stderr and --out file of one `family build`, with
-    the temporary directory's name taken out of the output."""
-    out = tmp / "family.json"
+def cli_run(argv, tmp: Path) -> dict:
+    """Exit code, stdout and stderr of one CLI run, with the temporary
+    directory's name taken out of the output."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli_main(["family", "build", *args, "--out", str(out)])
-    text = out.read_text() if out.exists() else None
-    out.unlink(missing_ok=True)
-    return {"args": args, "exit": code, "json": text,
-            "stdout": stdout.getvalue().replace(str(tmp), "<tmp>"),
+        code = cli_main(argv)
+    return {"exit": code, "stdout": stdout.getvalue().replace(str(tmp), "<tmp>"),
             "stderr": stderr.getvalue()}
+
+
+def family_run(args, tmp: Path) -> dict:
+    """One `family build` with its --out file, and `verify` of that file."""
+    out = tmp / "family.json"
+    run = {"args": args,
+           **cli_run(["family", "build", *args, "--out", str(out)], tmp)}
+    run["json"] = out.read_text() if out.exists() else None
+    if out.exists():
+        run["verify"] = cli_run(["verify", str(out)], tmp)
+        out.unlink()
+    return run
 
 
 def main() -> None:
