@@ -4,7 +4,7 @@ Three construction routes:
   * omega: matrix/semilinear generators induced on the coset point set,
     the chain stopped at the bound computed from the generators
     (matsemi.induced_order_bound), which makes it exact, and its order
-    compared with the published one (matrix order / kernel size);
+    compared with the published one, an integer in the row's BuiltinMeta;
   * coset: the plinth G built from its generators, the point stabilizer
     G_0 taken, and the index-r subgroup R of G_0 read from the bundled file
     data/<row>.sub.grp and verified (R <= G_0, |G_0 : R| = r, then the
@@ -23,7 +23,6 @@ seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .gfield import field_make
 from .matsemi import (GroupSpec, Mat, SemilinearElem, gens_group, gens_sl,
-                      group_matrix_order, induced_order_bound, linear)
+                      induced_order_bound, linear)
 from .omega import (OmegaSpace, build_omega, induce_action, projective_points,
                     vector_action)
 from .permcore import (PermGroup, compose, identity, perm_from_images,
@@ -58,62 +57,41 @@ class Builtin:
     space: OmegaSpace | None = None
 
 
-def _kernel_size(spec: GroupSpec) -> int:
-    """|G cap Y| for the matrix group named by spec."""
-    q, r, n = spec.q, spec.r, spec.n
-    if spec.kind == "linear":
-        y = (q - 1) // r
-        if spec.shape in ("y_sl", "z_sl", "gl", "gammal", "z_sl_phi",
-                          "y_sl_phidiag", "y_sigmal"):
-            return y
-        # SL-shapes: scalars lambda I with lambda in <w^r>, lambda^n = 1
-        return math.gcd(n, y)
-    y = (q**2 - 1) // r
-    if spec.shape in ("z_su", "gammau"):
-        return y
-    # SU cap Y: lambda^{gcd(3, q+1)} = 1 within <w^r>
-    return math.gcd(math.gcd(3, q + 1), y)
-
-
-def induced_order(spec: GroupSpec) -> int:
-    """The published order of the group spec induces on its Omega, right
-    at the catalogue's parameters: BuiltinMeta.order."""
-    return group_matrix_order(spec) // _kernel_size(spec)
-
-
-def _omega_builtin(name, spec, gtype, slow=False) -> "BuiltinMeta":
+def _omega_builtin(name, spec, order, gtype, slow=False) -> "BuiltinMeta":
     q, r = spec.q, spec.r
     if spec.kind == "linear":
         sigma = (q**spec.n - 1) // (q - 1)
     else:
         sigma = q**3 + 1
-    return BuiltinMeta(name, sigma * r, induced_order(spec), sigma, r, gtype,
-                       "omega", spec, slow)
+    return BuiltinMeta(name, sigma * r, order, sigma, r, gtype, "omega", spec, slow)
 
 
-OMEGA_BUILTINS = {
+# each row's order is the published order of the group its spec induces on
+# Omega, a literal that get_builtin compares with the build
+OMEGA_BUILTINS = {meta.name: meta for meta in [
     # AG*(n,4) / Delta(n,4) rows (r = 3, Y = 1); for n = 2 only GammaL_2(4)
     # has rank 3, the SL-shapes are rank 3 from n >= 3 on (all of type sp at
     # n = 3 since Z <= SL_3(4) and r does not divide (q-1)/(n,q-1) = 1)
-    "GammaL2_4": _omega_builtin("GammaL2_4", GroupSpec("linear", 2, 4, 3, "gammal"), "it"),
-    "SLdiagphi3_4": _omega_builtin("SLdiagphi3_4", GroupSpec("linear", 3, 4, 3, "sl_diag_phi"), "sp"),
-    "SLphi3_4": _omega_builtin("SLphi3_4", GroupSpec("linear", 3, 4, 3, "sl_phi"), "sp"),
-    "GammaL3_4": _omega_builtin("GammaL3_4", GroupSpec("linear", 3, 4, 3, "gammal"), "sp"),
+    _omega_builtin("GammaL2_4", GroupSpec("linear", 2, 4, 3, "gammal"), 360, "it"),
+    _omega_builtin("SLdiagphi3_4", GroupSpec("linear", 3, 4, 3, "sl_diag_phi"), 120960, "sp"),
+    _omega_builtin("SLphi3_4", GroupSpec("linear", 3, 4, 3, "sl_phi"), 120960, "sp"),
+    _omega_builtin("GammaL3_4", GroupSpec("linear", 3, 4, 3, "gammal"), 362880, "sp"),
     # Delta(n,3) rows (r = 2, Y = 1)
-    "SL3_3": _omega_builtin("SL3_3", GroupSpec("linear", 3, 3, 2, "sl"), "qp"),
-    "GL3_3": _omega_builtin("GL3_3", GroupSpec("linear", 3, 3, 2, "gl"), "it"),
+    _omega_builtin("SL3_3", GroupSpec("linear", 3, 3, 2, "sl"), 5616, "qp"),
+    _omega_builtin("GL3_3", GroupSpec("linear", 3, 3, 2, "gl"), 11232, "it"),
     # LSub(n,16,4,5) rows
-    "GammaL2_16": _omega_builtin("GammaL2_16", GroupSpec("linear", 2, 16, 5, "gammal"), "it"),
-    "GammaL3_16": _omega_builtin("GammaL3_16", GroupSpec("linear", 3, 16, 5, "gammal"), "it"),
+    _omega_builtin("GammaL2_16", GroupSpec("linear", 2, 16, 5, "gammal"), 81600, "it"),
+    _omega_builtin("GammaL3_16", GroupSpec("linear", 3, 16, 5, "gammal"), 85542912000, "it"),
     # LSub(2,81,9,5) and LSub(2,25,5,3)
-    "ZSLphi2_81": _omega_builtin("ZSLphi2_81", GroupSpec("linear", 2, 81, 5, "z_sl_phi"), "it"),
-    "ZSLphi2_25": _omega_builtin("ZSLphi2_25", GroupSpec("linear", 2, 25, 3, "z_sl_phi"), "it"),
+    _omega_builtin("ZSLphi2_81", GroupSpec("linear", 2, 81, 5, "z_sl_phi"), 5313600, "it"),
+    _omega_builtin("ZSLphi2_25", GroupSpec("linear", 2, 25, 3, "z_sl_phi"), 46800, "it"),
     # DLSub(9,3,2,1)
-    "YSL2phidiag_9": _omega_builtin("YSL2phidiag_9", GroupSpec("linear", 2, 9, 2, "y_sl_phidiag"), "qp"),
+    _omega_builtin("YSL2phidiag_9", GroupSpec("linear", 2, 9, 2, "y_sl_phidiag"), 720, "qp"),
     # unitary rows
-    "GammaU3_4": _omega_builtin("GammaU3_4", GroupSpec("unitary", 3, 4, 3, "gammau"), "it"),
-    "GammaU3_16": _omega_builtin("GammaU3_16", GroupSpec("unitary", 3, 16, 5, "gammau"), "it", slow=True),
-}
+    _omega_builtin("GammaU3_4", GroupSpec("unitary", 3, 4, 3, "gammau"), 748800, "it"),
+    _omega_builtin("GammaU3_16", GroupSpec("unitary", 3, 16, 5, "gammau"), 171169382400, "it",
+                   slow=True),
+]}
 
 # parameter sets whose rank-3 arithmetic flag must come out false
 NEGATIVE_CONTROLS = [

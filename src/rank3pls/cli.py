@@ -27,21 +27,29 @@ from .permcore import DEFAULT_SEED, write_group_file
 from .pipeline import (devillers_enumerate, negative_controls, report_json,
                        reproduce_table)
 
+FAMILY_OPTIONS = ("n", "q", "q0", "r", "j")
+
+
 def cmd_family(args) -> int:
     builder = families.CONSTRUCTORS[args.kind]
-    # the constructor's parameters without defaults are the required options
-    names = [nm for nm, prm in inspect.signature(builder).parameters.items()
-             if prm.default is prm.empty]
-    missing = [nm for nm in names if getattr(args, nm) is None]
-    if missing:
+    params = inspect.signature(builder).parameters
+    given = {nm: getattr(args, nm) for nm in FAMILY_OPTIONS
+             if getattr(args, nm) is not None}
+    # the constructor's parameters without defaults are the required options;
+    # every option given must be one it takes
+    missing = [nm for nm, prm in params.items()
+               if prm.default is prm.empty and nm not in given]
+    extra = [nm for nm in given if nm not in params]
+    if missing or extra:
         # a usage error, reported the way argparse would: one line, exit 2
-        print(f"error: --{missing[0]} is required for --kind {args.kind}",
+        print(f"error: --{missing[0]} is required for --kind {args.kind}" if missing
+              else f"error: --{extra[0]} is not an option of --kind {args.kind}",
               file=sys.stderr)
         return 2
-    vals = [getattr(args, nm) for nm in names]
-    D = builder(*vals)
+    vals = tuple(given[nm] for nm in params if nm in given)
+    D = builder(**given)
     if isinstance(D, families.CountOnly):
-        print(f"{args.kind}{tuple(vals)}: count-only; "
+        print(f"{args.kind}{vals}: count-only; "
               f"{D.expected['lines']} lines by formula, "
               f"{len(D.sample_lines)} sampled lines pass local checks")
         if args.out:
@@ -57,7 +65,7 @@ def cmd_family(args) -> int:
           and rep.multiplicity == exp["multiplicity"]
           and D.num_lines == exp["lines"])
     flavor = "PLS" if rep.is_pls else f"multiplicity {rep.multiplicity}"
-    print(f"{args.kind}{tuple(vals)}: {D.num_points} points, {D.num_lines} "
+    print(f"{args.kind}{vals}: {D.num_points} points, {D.num_lines} "
           f"lines of size {sorted(D.line_sizes())}, {flavor}"
           + ("" if ok else "  [MISMATCH vs formulas]"))
     if args.out:
@@ -156,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     fsub = f.add_subparsers(dest="action", required=True)
     fb = fsub.add_parser("build")
     fb.add_argument("--kind", required=True, choices=sorted(families.CONSTRUCTORS))
-    for nm in ("n", "q", "q0", "r", "j"):
+    for nm in FAMILY_OPTIONS:
         fb.add_argument(f"--{nm}", type=int)
     fb.add_argument("--out")
     fb.set_defaults(fn=cmd_family)

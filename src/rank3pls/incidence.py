@@ -275,18 +275,6 @@ def validate_pls(D: IncidenceStructure) -> PLSReport:
                      deg_const, D.line_size, pairs.collinear_pairs)
 
 
-def multiplicity_bruteforce(D: IncidenceStructure) -> int:
-    """Independent per-pair scan; quadratic, for structures <= ~500 points."""
-    lines = D.lines.tolist()
-    best = 0
-    for i in range(D.num_points):
-        through = [set(l) for l in lines if i in l]
-        for j in range(i + 1, D.num_points):
-            c = sum(1 for s in through if j in s)
-            best = max(best, c)
-    return best
-
-
 def is_proper(D: IncidenceStructure, rep: PLSReport | None = None) -> bool:
     """Neither a linear space nor a graph: line size >= 3 and some point
     pair lies on no line.  `rep`, when given, must be validate_pls(D); it

@@ -190,9 +190,9 @@ def gens_sl(n: int, F: Field) -> list[SemilinearElem]:
     """Standard generators of SL_n(q): a transvection, a determinant-one
     basis cycle, and a torus element diag(w, w^{-1}, 1, ...).
 
-    The generated order is verified against the closed formula by the group
-    catalogue when the action is induced; tests cover every parameter set in
-    use.
+    The generated order is verified against the published order by the
+    group catalogue when the action is induced; tests cover every parameter
+    set in use.
     """
     if n < 2:
         raise ValueError("n >= 2")
@@ -327,30 +327,6 @@ def phi(F: Field, n: int) -> SemilinearElem:
     return SemilinearElem(1, Mat.identity(F, n))
 
 
-def singer_cycle(n: int, F: Field) -> SemilinearElem:
-    """A Singer cycle generator of GL_n(q): multiplication by a primitive
-    element of GF(q^n) on GF(q^n) viewed as GF(q)^n in the basis
-    {1, W, ..., W^{n-1}}."""
-    big = field_make(F.p, F.a * n)
-    view = SubfieldView(big, F.a)
-    # minimal polynomial of Omega over GF(q): prod (x - Omega^{q^i})
-    q = F.q
-    roots = [big.pow(big.omega, q**i) for i in range(n)]
-    poly = [1]  # ascending coefficients over big field
-    for r in roots:
-        nxt = [0] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i + 1] = big.add(nxt[i + 1], c)
-            nxt[i] = big.add(nxt[i], big.mul(big.neg(r), c))
-        poly = nxt
-    coeffs = [view.project(c) for c in poly[:-1]]  # x^n = -(c0 + c1 x + ...)
-    rows = []
-    for i in range(n - 1):
-        rows.append([1 if j == i + 1 else 0 for j in range(n)])
-    rows.append([F.neg(c) for c in coeffs])
-    return linear(Mat(F, rows))
-
-
 # -- named generator cosets for the catalogue ---------------------------------
 
 
@@ -432,46 +408,3 @@ def gens_group(spec: GroupSpec) -> list[SemilinearElem]:
     if spec.shape not in shapes:
         raise ValueError(f"unknown group shape {spec.shape!r} for kind {spec.kind!r}")
     return shapes[spec.shape]
-
-
-def group_matrix_order(spec: GroupSpec) -> int:
-    """The catalogue's published order of the matrix/semilinear group
-    built by gens_group, written per shape from |SL_n(q)|, |SU_3(q)| and
-    the image in GammaL/SL.  It is right at the catalogue's parameters and
-    wrong at some others; builds take their bound from induced_order_bound,
-    and this value is the independent cross-check.
-    """
-    F = matrix_field(spec)
-    n, q, r = spec.n, spec.q, spec.r
-    a = F.a
-    if spec.kind == "linear":
-        sl = sl_order(n, q)
-        p = F.p
-        sizes = {
-            "sl": sl,
-            "gl": sl * (q - 1),
-            "gammal": sl * (q - 1) * a,
-            "y_sl": sl * ((q - 1) // r) // math.gcd(n, (q - 1) // r),
-            "z_sl": sl * (q - 1) // math.gcd(n, q - 1),
-            "sl_phi": sl * a,
-            # image of D phi is ((w, phi)); its order is a(p-1) since
-            # (w,phi)^{am} has det-exponent (p^{am}-1)/(p-1) = 0 mod q-1
-            # exactly when (p-1) | m
-            "sl_diag_phi": sl * a * (p - 1),
-            "z_sl_phi": sl * (q - 1) // math.gcd(n, q - 1) * a,
-            # (phi diag(1,w))^2 = diag(1, w^{p+1}) lies in Y SL_2 for the
-            # catalogued (q, r) = (9, 2), giving index 2 over Y SL_2
-            "y_sl_phidiag": sl * ((q - 1) // r) // math.gcd(n, (q - 1) // r) * 2,
-            "y_sigmal": sl * ((q - 1) // r) // math.gcd(n, (q - 1) // r) * a,
-        }
-        return sizes[spec.shape]
-    q0 = field_make(F.p, F.a // 2).q
-    su = su3_order(q0)
-    if spec.shape == "su":
-        return su
-    if spec.shape == "z_su":
-        return (q0**2 - 1) * su // math.gcd(3, q0 + 1)
-    if spec.shape == "gammau":
-        # |Z GU_3(q)| = (q^2-1) |GU_3(q)| / (q+1) = (q^2-1) |SU_3(q)|
-        return (q0**2 - 1) * su * F.a
-    raise ValueError(spec.shape)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .gfield import Field, field_make, factorize, is_prime, is_primitive_prime_divisor
 from .matsemi import GroupSpec, UnitaryForm, induced_order_bound, scalar
-from .permcore import DEFAULT_SEED, PermGroup, perm_order
+from .permcore import DEFAULT_SEED, PermGroup
 
 
 class _Tables:
@@ -316,17 +316,6 @@ def induce_action(space: OmegaSpace, gens) -> list[np.ndarray]:
             raise ValueError(f"generator {g!r} does not preserve Sigma")
         perms.append(img)
     return perms
-
-
-def induced_kernel_facts(space: OmegaSpace) -> tuple[bool, int]:
-    """(w^r I acts trivially, order of the w I permutation) -- must be
-    (True, r) for every space."""
-    F = space.field
-    n = space.n
-    wr = scalar(F, F.exp[space.r % (F.q - 1)], n)
-    w1 = scalar(F, F.omega, n)
-    perm_wr, perm_w = induce_action(space, [wr, w1])
-    return bool((perm_wr == np.arange(len(space))).all()), perm_order(perm_w)
 
 
 def projective_points(F: Field, n: int, vectors: bool = False) -> CanonicalPoints:

@@ -122,22 +122,6 @@ def perm_power(g: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def perm_order(g: np.ndarray) -> int:
-    seen = np.zeros(len(g), dtype=bool)
-    order = 1
-    for i in range(len(g)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = int(g[j])
-            length += 1
-        order = math.lcm(order, length)
-    return order
-
-
 def merge(parent: np.ndarray, a, b) -> np.ndarray:
     """Join the classes of a[i] and b[i] for every i.
 
@@ -186,14 +170,14 @@ class _Level:
         self.sv[point] = -2  # root marker
         self.walk = None    # to_root's walk table, built at its first read
 
-    def add_gen(self, g: np.ndarray):
-        """Add the generator g and grow the orbit by it.  The orbit is closed
-        under the old generators, so only g can take an old point out of
-        it: the first round applies g alone (Seress, Permutation Group
-        Algorithms, 4.1), and the orbit order and sv are those of a round
-        over every generator."""
+    def add_gen(self, g: np.ndarray, g_inv: np.ndarray):
+        """Add the generator g, whose inverse is g_inv, and grow the orbit
+        by it.  The orbit is closed under the old generators, so only g can
+        take an old point out of it: the first round applies g alone
+        (Seress, Permutation Group Algorithms, 4.1), and the orbit order and
+        sv are those of a round over every generator."""
         self.gens.append(g)
-        self.inv_gens.append(inverse(g))
+        self.inv_gens.append(g_inv)
         self.walk = None
         self.extend_orbit(len(self.gens) - 1)
 
@@ -449,8 +433,9 @@ class PermGroup:
             m += 1
         if m == len(self._levels):
             self._levels.append(_Level(self.degree, self._first_moved(g)))
+        g_inv = inverse(g)
         for j in range(m + 1):
-            self._levels[j].add_gen(g)
+            self._levels[j].add_gen(g, g_inv)
         return m
 
     def _build_path(self) -> str:

@@ -196,12 +196,6 @@ def devillers_enumerate(G: PermGroup, name: str = "",
     return result
 
 
-def sigma_blocks(G: PermGroup, name: str = "") -> list[PipelineEntry]:
-    """Blocks of G_alpha on the cell of alpha minus alpha, with flag tests."""
-    res = devillers_enumerate(G, name=name)
-    return [e for e in res.entries if e.orbit == "cell"]
-
-
 # -- expected block inventories (Tables 4, 5, 6 made concrete) -----------------
 
 

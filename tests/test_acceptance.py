@@ -15,19 +15,19 @@ import numpy as np
 import pytest
 
 from rank3pls import families as fam
-from rank3pls.catalog import (NEGATIVE_CONTROLS, OMEGA_BUILTINS, get_builtin,
-                              induced_order)
+from rank3pls.catalog import NEGATIVE_CONTROLS, OMEGA_BUILTINS, get_builtin
 from rank3pls.gfield import field_make
 from rank3pls.incidence import (components, is_connected, is_proper,
-                                multiplicity_bruteforce, preserved_by,
-                                validate_pls)
-from rank3pls.matsemi import gens_group, induced_order_bound, singer_cycle
+                                preserved_by, validate_pls)
+from rank3pls.matsemi import gens_group, induced_order_bound
 from rank3pls.omega import build_omega, classify_action, induce_action
-from rank3pls.permcore import PermGroup, flag_transitive_on_line, perm_order
+from rank3pls.permcore import PermGroup, flag_transitive_on_line
 from rank3pls.pipeline import (FLAG_TRANSITIVE_EXPECT, classify_blocks,
                                expected_blocks_linear, expected_blocks_unitary,
                                negative_controls, reproduce_table, run_pipeline)
 from tests_block_oracle import bfs_orbit, exhaustive_blocks
+from tests_order_oracle import induced_order, perm_order, singer_cycle
+from tests_pipeline_oracle import multiplicity_bruteforce
 
 EXPECTED_DIR = Path(__file__).resolve().parent.parent / "expected"
 

@@ -26,8 +26,7 @@ ALLOWED = {
     # test oracles and tool helpers kept in src/ (ROADMAP Direction H)
     **{name: "test oracle or tool helper" for name in (
         "setwise_stabilizer", "normal_subgroup_of_index",
-        "multiplicity_bruteforce", "induced_kernel_facts", "singer_cycle",
-        "apply", "is_isotropic", "line_set", "sigma_blocks")},
+        "apply", "is_isotropic", "line_set")},
     # IncidenceStructure's Graphviz export, an output format for readers
     "to_dot": "Graphviz export",
 }

@@ -157,6 +157,28 @@ def test_family_options_come_from_the_constructor(kind, first, capsys):
     assert capsys.readouterr().err == f"error: --{first} is required for --kind {kind}\n"
 
 
+def test_a_family_option_with_a_default_reaches_the_constructor(capsys):
+    """usub's r has a default; given, it is passed on, and a wrong r fails
+    the build in one line."""
+    assert main(["family", "build", "--kind", "usub", "--q", "4", "--q0", "2",
+                 "--r", "5"]) == 1
+    assert capsys.readouterr().err == "error: USub has r = (q-1)/(q0-1) = 3\n"
+    assert main(["family", "build", "--kind", "usub", "--q", "4", "--q0", "2",
+                 "--r", "3"]) == 0
+    assert capsys.readouterr().out.startswith("usub(4, 2, 3): 195 points, ")
+
+
+@pytest.mark.parametrize("kind, args, option", [
+    ("usub", ["--q", "4", "--q0", "2", "--n", "3"], "n"),
+    ("delta", ["--n", "2", "--q", "4", "--j", "1"], "j")])
+def test_a_family_option_the_kind_does_not_take_is_a_usage_error(
+        capsys, kind, args, option):
+    assert main(["family", "build", "--kind", kind, *args]) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: --{option} is not an option of --kind {kind}\n"
+    assert out.out == ""
+
+
 def test_family_vector_off_omega_is_one_line_error(capsys, monkeypatch):
     """A base vector that is not a point (here (w, 0, 1), not isotropic)
     ends the build with the KeyError's message naming it, unquoted, and

@@ -174,7 +174,7 @@ def test_add_gen_matches_the_full_orbit_loop(G, data):
     sv[root] = -2
     ref_gens = []
     for g in gens:
-        lv.add_gen(g)
+        lv.add_gen(g, inverse(g))
         _full_orbit_add_gen(orbit, sv, ref_gens, g)
         assert (lv.orbit, lv.sv.tolist()) == (orbit, sv)
     u = np.asarray(data.draw(st.permutations(range(n))), dtype=np.int32)
@@ -184,7 +184,7 @@ def test_add_gen_matches_the_full_orbit_loop(G, data):
     more = [np.asarray(data.draw(st.permutations(range(n))), dtype=np.int32)
             for _ in range(data.draw(st.integers(1, 2)))]
     for g in more:
-        conj.add_gen(g)
+        conj.add_gen(g, inverse(g))
         _full_orbit_add_gen(orbit, sv, ref_gens, g)
         assert (conj.orbit, conj.sv.tolist()) == (orbit, sv)
 

@@ -18,10 +18,10 @@ from hypothesis import example, given, settings, strategies as st
 from rank3pls import families as fam, incidence
 from rank3pls.catalog import get_builtin
 from rank3pls.incidence import (IncidenceStructure, components, fingerprint,
-                                is_connected, is_proper, multiplicity_bruteforce,
-                                pair_keys, pair_summary, preserved_by, relabel,
-                                validate_pls)
+                                is_connected, is_proper, pair_keys, pair_summary,
+                                preserved_by, relabel, validate_pls)
 from rank3pls.permcore import _rank_table, row_keys
+from tests_pipeline_oracle import multiplicity_bruteforce
 
 
 def test_ingestion_rules():

@@ -6,11 +6,11 @@ import pytest
 
 from rank3pls.gfield import field_make
 from rank3pls.matsemi import (GroupSpec, Mat, SemilinearElem, UnitaryForm,
-                              gens_group, gens_sl, gens_su3, group_matrix_order,
-                              induced_order_bound, is_unitary, linear,
-                              singer_cycle, sl_order, su3_order)
+                              gens_group, gens_sl, gens_su3, induced_order_bound,
+                              is_unitary, linear, sl_order, su3_order)
 from rank3pls.omega import projective_points, vector_action
 from rank3pls.permcore import PermGroup
+from tests_order_oracle import group_matrix_order, singer_cycle
 
 
 def test_mat_basics():

@@ -1,23 +1,25 @@
 """matsemi.induced_order_bound: the proven bound a matrix-group chain stops at.
 
-It equals the catalogue's published order on every catalogue, negative
-control and family spec, and the old closed form of the det-restricted
-groups at every LSub and DLSub row; off the catalogue's parameters, where
-the published formulas are wrong, it equals the order the deterministic
-pass finds.  Generators that miss SL raise when the order is read, and a
-unitary generator that is not a semisimilitude raises at once."""
+It equals the published order on every catalogue, negative control and
+family spec, as the closed forms in tests_order_oracle give it, and the old
+closed form of the det-restricted groups at every LSub and DLSub row; off
+the catalogue's parameters, where the closed forms are wrong, it equals the
+order the deterministic pass finds.  Generators that miss SL raise when the
+order is read, and a unitary generator that is not a semisimilitude raises
+at once."""
 
 import math
 
 import pytest
 
 from rank3pls import families
-from rank3pls.catalog import NEGATIVE_CONTROLS, OMEGA_BUILTINS, get_builtin, induced_order
+from rank3pls.catalog import NEGATIVE_CONTROLS, OMEGA_BUILTINS, get_builtin
 from rank3pls.gfield import field_make
 from rank3pls.matsemi import (GroupSpec, Mat, UnitaryForm, gens_group, gens_su3,
                               induced_order_bound, linear, matrix_field, sl_order)
 from rank3pls.omega import build_omega, induce_action
 from rank3pls.permcore import PermGroup
+from tests_order_oracle import induced_order
 
 # the family groups of Table 2 ("gl" for AG* and Delta, "z_su" for USub and
 # AGU*), and of the slow USub(16,4,5) row

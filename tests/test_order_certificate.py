@@ -3,18 +3,20 @@
 A proven bound stops the build once reached, with no deterministic pass,
 and a run of CERTIFICATE_SIFTS members below it raises at once; a chain
 that jumps past it raises too.  With no bound the deterministic pass builds
-the chain, and the catalogue compares its order with the published one."""
+the chain.  Either way the catalogue compares the built order with the
+published one, an integer in the builtin's BuiltinMeta."""
 
 import dataclasses
 import time
 
 import pytest
 
-from rank3pls import catalog, families, permcore
-from rank3pls.catalog import get_builtin, induced_order
+from rank3pls import catalog, families, permcore, pipeline
+from rank3pls.catalog import get_builtin
 from rank3pls.matsemi import GroupSpec, gens_group
 from rank3pls.omega import build_omega, induce_action
 from rank3pls.permcore import PermGroup
+from tests_order_oracle import induced_order
 
 
 def test_a_target_above_the_order_fails_fast_in_one_line():
@@ -150,12 +152,37 @@ def test_matrix_builds_prove_their_bound_and_the_rest_run_the_deterministic_pass
     assert sorted(paths) == ["deterministic", "proven bound"]
 
 
+def test_every_proven_bound_of_the_tables_run_is_the_true_order(
+        monkeypatch, fresh_caches):
+    """A chain built by a proven bound stops wherever the bound says, so a
+    wrong bound would go unseen.  Every such chain the default tables run
+    builds (the matrix groups' induced_order_bound, a parent's order on a
+    rebase, the |G| of a faithful coset action and the 2|G| of a C2x double)
+    is rebuilt by the deterministic pass from its generators alone."""
+    built = []
+    build = PermGroup._build_bsgs
+
+    def recorded(self):
+        build(self)
+        if self._build_path() == "proven bound":
+            built.append(self)
+
+    monkeypatch.setattr(PermGroup, "_build_bsgs", recorded)
+    for t in range(2, 7):
+        pipeline.reproduce_table(t, max_degree=300)
+    pipeline.negative_controls()
+    assert len(built) > 30
+    assert [(G.name, PermGroup(G.degree, G.gens).order) for G in built] == [
+        (G.name, G.order) for G in built]
+
+
 @pytest.mark.parametrize("name, order", [("M11_deg22", 7920), ("3S6_deg18", 2160),
-                                         ("2M12_deg24", 190080)])
+                                         ("2M12_deg24", 190080), ("GammaL2_4", 360)])
 def test_a_wrong_published_order_is_refused(monkeypatch, fresh_caches, name, order):
     """M11 and the two covers read from files build with no bound, so the
     published order is checked only against the order the deterministic
-    pass finds."""
+    pass finds.  An omega builtin stops at the bound its generators prove,
+    and its published order, a literal, is compared with that."""
     meta = catalog.ALL_BUILTINS[name]
     assert meta.order == order
     monkeypatch.setitem(catalog.ALL_BUILTINS, name,

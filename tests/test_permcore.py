@@ -16,9 +16,9 @@ from rank3pls import permcore
 from rank3pls.catalog import get_builtin
 from rank3pls.permcore import (PermGroup, compose, flag_transitive_on_line,
                                identity, inverse, line_orbit, perm_from_images,
-                               perm_order, read_group_file, row_keys,
-                               write_group_file)
+                               read_group_file, row_keys, write_group_file)
 from tests_block_oracle import bfs_orbit
+from tests_order_oracle import perm_order
 
 
 def s4():
@@ -238,9 +238,10 @@ def test_to_root_rejects_points_off_the_orbit():
     at 2), and every point off the orbit raises."""
     out = _walk_apart(
         "import numpy as np\n"
-        "from rank3pls.permcore import _Level, identity\n"
+        "from rank3pls.permcore import _Level, identity, inverse\n"
         "tree = _Level(6, 0)\n"
-        "tree.add_gen(np.array([1, 2, 0, 4, 5, 3], dtype=np.int32))\n"
+        "g = np.array([1, 2, 0, 4, 5, 3], dtype=np.int32)\n"
+        "tree.add_gen(g, inverse(g))\n"
         "rows = np.array([[0, 1, 2], [3, 4, 5]], dtype=np.int32)\n"
         "print(tree.to_root(rows, np.array([2, 0])).tolist())\n"
         "assert tree.to_root(identity(6)[None], np.array([2]))[0, 2] == 0\n"
@@ -258,7 +259,7 @@ def test_to_root_rejects_points_off_the_orbit():
 _GROWN_LEVELS = (
     "import random\n"
     "import numpy as np\n"
-    "from rank3pls.permcore import _Level, identity\n"
+    "from rank3pls.permcore import _Level, identity, inverse\n"
     "def cycles(rng):\n"
     "    n = rng.randrange(4, 16)\n"
     "    gens = []\n"
@@ -282,8 +283,8 @@ def test_to_root_after_add_gen_matches_a_fresh_level():
         "    lv, fresh = _Level(n, 0), _Level(n, 0)\n"
         "    for g in gens:\n"
         "        before = len(lv.orbit)\n"
-        "        lv.add_gen(g)\n"
-        "        fresh.add_gen(g)\n"
+        "        lv.add_gen(g, inverse(g))\n"
+        "        fresh.add_gen(g, inverse(g))\n"
         "        grown += len(lv.orbit) > before > 1\n"
         "        lv.to_root(identity(n)[None], np.array(lv.orbit))\n"
         "    pts = np.array(fresh.orbit)\n"
@@ -306,7 +307,7 @@ def test_batched_to_root_matches_one_point_at_a_time():
         "    single = {0: lv.to_root(R[0][None], np.array([0]))[0]}\n"
         "    for g in gens:\n"
         "        before = len(lv.orbit)\n"
-        "        lv.add_gen(g)\n"
+        "        lv.add_gen(g, inverse(g))\n"
         "        grown += len(lv.orbit) > before > 1\n"
         "        for x in lv.orbit[before:]:\n"
         "            single[x] = lv.to_root(R[x][None], np.array([x]))[0]\n"

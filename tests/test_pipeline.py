@@ -18,7 +18,8 @@ from rank3pls.pipeline import (FLAG_TRANSITIVE_EXPECT, classify_blocks,
                                devillers_enumerate, expected_blocks_linear,
                                expected_blocks_unitary, negative_controls,
                                report_json, reproduce_table, run_pipeline,
-                               sigma_blocks, sigma_partition)
+                               sigma_partition)
+from tests_pipeline_oracle import sigma_blocks
 
 
 def test_sigma_partition_unique():

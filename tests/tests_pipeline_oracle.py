@@ -6,6 +6,10 @@ flag_transitive_on_line, and for a flag-transitive line the line_orbit and
 an IncidenceStructure with validate_pls, is_proper, components and
 fingerprint.  devillers_enumerate reads all of this off the lines through
 alpha; the tests compare the two.
+
+Also here: the blocks of the cell of alpha as devillers_enumerate reports
+them (sigma_blocks), and a per-pair multiplicity scan that shares no code
+with the pair summary validate_pls reads (multiplicity_bruteforce).
 """
 
 from dataclasses import dataclass
@@ -15,7 +19,7 @@ import numpy as np
 from rank3pls.incidence import (IncidenceStructure, PLSReport, components,
                                 fingerprint, is_proper, validate_pls)
 from rank3pls.permcore import PermGroup, flag_transitive_on_line, line_orbit
-from rank3pls.pipeline import PipelineEntry, sigma_partition
+from rank3pls.pipeline import PipelineEntry, devillers_enumerate, sigma_partition
 
 
 @dataclass
@@ -59,3 +63,21 @@ def reference_enumerate(G: PermGroup, name: str = "") -> list[ReferenceEntry]:
             entry.structure = D
             entry.connected = len(ref.components) == 1
     return out
+
+
+def sigma_blocks(G: PermGroup, name: str = "") -> list[PipelineEntry]:
+    """Blocks of G_alpha on the cell of alpha minus alpha, with flag tests."""
+    res = devillers_enumerate(G, name=name)
+    return [e for e in res.entries if e.orbit == "cell"]
+
+
+def multiplicity_bruteforce(D: IncidenceStructure) -> int:
+    """Independent per-pair scan; quadratic, for structures <= ~500 points."""
+    lines = D.lines.tolist()
+    best = 0
+    for i in range(D.num_points):
+        through = [set(l) for l in lines if i in l]
+        for j in range(i + 1, D.num_points):
+            c = sum(1 for s in through if j in s)
+            best = max(best, c)
+    return best
