@@ -157,7 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rank3pls", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="seed for all randomized internals")
+                   help="seed of the randomized group builds of `group` and "
+                   "`pipeline run`; `family build` and `tables reproduce` "
+                   "do not read it")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     f = sub.add_parser("family", help="build and check a family instance")

@@ -21,7 +21,9 @@ something reads `lines`, such as the file output of `family build`.
 
 DLSub is the union of the orbits of L and of its image under a diagonal map
 that normalizes G, so one OrbitStructure with two base rows.  USub above
-FULL_ENUMERATION_LIMIT lines is counted and sampled instead (CountOnly).
+FULL_ENUMERATION_LIMIT lines is counted by formula instead, and the lines a
+seeded random walk of its base line meets are checked as a partial linear
+space, deduplicated on their first two points (CountOnly, _count_only).
 CONSTRUCTORS maps each family kind to its constructor; the command line and
 the table reproduction build through it.  Non-PLS parameter sets construct
 fine on purpose; the validator reports their multiplicity.
@@ -138,7 +140,9 @@ def expected_counts(family: str, n: int = 0, q: int = 0, q0: int = 0,
 
 class CountOnly:
     """Result of a constructor whose full line set exceeds the enumeration
-    limit: closed-form counts plus sampled lines with local PLS checks."""
+    limit: the closed-form counts (expected) and sample_lines, the distinct
+    lines a random walk of base_line meets, as sorted tuples in
+    lexicographic order, no two of them sharing two points."""
 
     def __init__(self, space: OmegaSpace, params: FamilyParams, expected: dict,
                  base_line, sample_lines):
@@ -415,8 +419,10 @@ def dlsub(q: int, q0: int, r: int, j: int) -> IncidenceStructure:
 def usub(q: int, q0: int, r: int | None = None, seed: int = 0):
     """Unitary subfield structure USub(q, q0, r) with r = (q-1)/(q0-1) odd.
 
-    Returns an IncidenceStructure, or a CountOnly summary of SAMPLE_SIZE
-    walk steps when the line set exceeds FULL_ENUMERATION_LIMIT.
+    Returns an IncidenceStructure or, when the line set exceeds
+    FULL_ENUMERATION_LIMIT, a CountOnly of the closed-form counts and the
+    lines a SAMPLE_SIZE-step random walk of the base line meets, drawn from
+    random.Random(seed or 0xC0) (_count_only).
     """
     b = _power_degree(q, q0)
     if b < 2:
@@ -455,31 +461,63 @@ def agu_star(q: int) -> IncidenceStructure:
     return _counted(space, "z_su", [base], FamilyParams("agustar", 3, q, r=r), exp)
 
 
+def _randranges(rng: random.Random, m: int, count: int) -> np.ndarray:
+    """[rng.randrange(m) for _ in range(count)] as a uint32 array, in a few
+    getrandbits calls.  CPython's randrange(m) keeps the top m.bit_length()
+    bits of one 32-bit Mersenne Twister word and draws again while that is
+    >= m; getrandbits(32 w) is w such words, the first in the low bits, so
+    the same filter over them gives the same values.  m >= 2**(k-1) for
+    k = m.bit_length(), so at least half the words are kept on average and
+    2 * count words mostly suffice; the rest are drawn again."""
+    shift = 32 - m.bit_length()
+    picks = np.empty(0, dtype=np.uint32)
+    while len(picks) < count:
+        words = 2 * (count - len(picks))
+        draw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"),
+                             dtype="<u4") >> shift
+        picks = np.concatenate((picks, draw[draw < m]))
+    return picks[:count]
+
+
 def _random_walk(gens, base, steps: int, rng: random.Random) -> np.ndarray:
     """(steps + 1, k) int32: base, then each row's image under a generator
-    drawn by rng.  All draws come first, then each point walks along them
-    through memoryviews of the int32 generators, which copy nothing."""
+    drawn as rng.choice(gens) would draw it (_randranges).  Each point walks
+    along the draws through memoryviews of the int32 generators, which copy
+    nothing, and its walk goes into one row of an int32 array at once."""
     images = [memoryview(g) for g in gens]
-    picks = [rng.choice(images) for _ in range(steps)]
-    walks = [[x] for x in base]
-    for walk in walks:
-        x = walk[0]
-        for g in picks:
-            x = g[x]
-            walk.append(x)
-    return np.array(walks, dtype=np.int32).T
+    picks = [images[i] for i in _randranges(rng, len(gens), steps).tolist()]
+    walk = np.empty((len(base), steps + 1), dtype=np.int32)
+    for row, x in zip(walk, base):
+        row[0] = x
+        row[1:] = [x := g[x] for g in picks]
+    return walk.T
+
+
+def _distinct_lines(rows: np.ndarray, n: int) -> np.ndarray:
+    """The distinct rows of an (m, k) array of strictly increasing rows of
+    points in range(n), in lexicographic order, checked as lines of a
+    partial linear space.  Two such lines share at most one point, so a
+    line is known by its first two points a < b: the rows are sorted and
+    deduplicated on the key a n + b, and rows with one key that differ, or
+    a point pair on two kept rows (pair_keys), raise AssertionError."""
+    keys = rows[:, 0].astype(np.int64) * n + rows[:, 1]
+    order = np.argsort(keys)
+    rows, keys = rows[order], keys[order]
+    repeat = keys[1:] == keys[:-1]
+    lines = rows[np.concatenate(([True], ~repeat))]
+    pairs = pair_keys(lines, n)
+    if (rows[1:][repeat] != rows[:-1][repeat]).any() or (pairs[1:] == pairs[:-1]).any():
+        raise AssertionError("sampled lines violate the PLS property")
+    return lines
 
 
 def _count_only(space, params, exp, base, gens, seed):
-    # a random walk over the generators suffices for sampling lines
+    """The CountOnly result: the distinct lines met by a SAMPLE_SIZE-step
+    random walk of the base line, seeded by seed (0xC0 for 0), checked as a
+    partial linear space by _distinct_lines."""
     walk = _random_walk(gens, base, SAMPLE_SIZE, random.Random(seed or 0xC0))
-    rows, repeat = sorted_rows(np.sort(walk, axis=1), len(space))
-    sample = rows[~repeat]
-    # local PLS check: no point pair on two sampled lines (no repeated key)
-    keys = pair_keys(sample, len(space))
-    if (keys[1:] == keys[:-1]).any():
-        raise AssertionError("sampled lines violate the PLS property")
-    return CountOnly(space, params, exp, base, list(map(tuple, sample.tolist())))
+    sample = _distinct_lines(np.sort(walk, axis=1), len(space))
+    return CountOnly(space, params, exp, base, list(zip(*sample.T.tolist())))
 
 
 def _power_degree(q: int, q0: int) -> int:

@@ -113,7 +113,9 @@ class CanonicalPoints:
         order = np.argsort(keys, axis=None)
         if (np.diff(keys.ravel()[order]) == 0).any():
             raise AssertionError("cell members collide")
-        pos = np.argsort(order).reshape(keys.shape)     # the rank of each key
+        pos = np.empty(order.size, dtype=np.intp)        # the rank of each key
+        pos[order] = np.arange(order.size)
+        pos = pos.reshape(keys.shape)
         self._place = field.q ** np.arange(reps.shape[1], dtype=np.int64)
         rep_keys = reps @ self._place
         by_key = np.argsort(rep_keys)

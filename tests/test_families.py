@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from rank3pls import families as fam
 from rank3pls.incidence import is_connected, is_proper, validate_pls
 from rank3pls.matsemi import GroupSpec, gens_group
 from rank3pls.omega import induce_action
+from rank3pls.permcore import DEFAULT_SEED
 
 
 def test_lsub_params():
@@ -170,19 +172,62 @@ def _elements(G):
     return list(seen.values())
 
 
-def test_count_only_mode():
-    C = fam.usub(16, 4, 5)
+@pytest.mark.parametrize("seed, rng_seed, sampled", [
+    (0, 0xC0, 8795),                  # the tables and CLI path
+    (7, 7, 8772),
+    (DEFAULT_SEED, DEFAULT_SEED, 8778),   # the perfbench path
+])
+def test_count_only_mode(seed, rng_seed, sampled):
+    C = fam.usub(16, 4, 5, seed=seed)
     assert isinstance(C, fam.CountOnly)
     assert C.expected["lines"] == 20976640
     assert len(C.sample_lines) > 1000
+    assert len(C.sample_lines) == sampled
     assert all(len(l) == 5 for l in C.sample_lines)
     # the sample is the seeded walk replayed with array gathers
-    rng = random.Random(0xC0)
+    rng = random.Random(rng_seed)
     gens = induce_action(C.space, gens_group(GroupSpec("unitary", 3, 16, 5, "z_su")))
     walk = [np.array(C.base_line)]
     for _ in range(10000):
         walk.append(gens[rng.randrange(len(gens))][walk[-1]])
     assert C.sample_lines == sorted(set(map(tuple, np.sort(walk, axis=1).tolist())))
+
+
+class _CountingRandom(random.Random):
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+def test_bulk_draw_is_randrange():
+    """_randranges gives exactly rng.randrange's values: a change to CPython's
+    random module fails here, not as a silently different sample."""
+    calls = Counter()
+    for m in (1, 2, 3, 5, 7, 8, 9, 16, 17):
+        for seed in (0xC0, 7, DEFAULT_SEED):
+            for count in [*range(1, 33), 10000]:
+                rng = _CountingRandom(seed)
+                got = fam._randranges(rng, m, count)
+                ref = random.Random(seed)
+                assert got.tolist() == [ref.randrange(m) for _ in range(count)]
+                calls[rng.calls] += 1
+    assert calls[2] and max(calls) >= 3     # one refill, and several
+
+
+def test_distinct_lines():
+    D = fam.delta(2, 4)
+    lines = D.lines
+    picks = np.random.default_rng(5).integers(0, len(lines), 3 * len(lines))
+    rows = lines[picks]
+    assert rows.shape[0] > len(set(map(tuple, rows.tolist()))) > 1
+    got = fam._distinct_lines(rows, D.num_points)
+    assert list(map(tuple, got.tolist())) == sorted(set(map(tuple, rows.tolist())))
+    # two lines on the first two points, and two on a later pair
+    for bad in ([[0, 1, 2], [0, 1, 3]], [[0, 2, 3], [1, 2, 3]]):
+        with pytest.raises(AssertionError, match="violate the PLS property"):
+            fam._distinct_lines(np.array(bad, dtype=np.int32), 4)
 
 
 def test_agu_star_8_builds_but_is_not_rank3():
