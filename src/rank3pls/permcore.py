@@ -53,16 +53,23 @@ beta is the beta-class of the orbit partition of an overgroup of G_beta),
 flag orbits and the components of an incidence structure are all merges.
 Two BFS loops stay, because they need what a partition does not keep: the
 Schreier tree of `_Level.extend_orbit` (BFS order and `sv`, which the
-transversal reps are read from) and `_row_orbit`, the orbit of one row of
-points with rows numbered in FIFO order, each BFS layer read in frontier
-slices of about _ORBIT_SLICE image entries, and per-generator image maps
-built only for the callers that ask for them (coset actions and the flag
-test).  Line orbits (`line_orbit`) and coset actions (`coset_action`, on
-canonical coset elements read off the subgroup's chain) are `_row_orbit`,
-each with its own canonical form of a row.  Block checks (`verify_block`)
-read the Schreier tree at a block's least point instead.  Sigma, the block
-system of an imprimitive rank 3 group (`sigma_partition`), is one checked
-block and its line orbit; no block lattice runs on the whole group.
+transversal reps are read from) and the orbit of one row of points with
+rows numbered in FIFO order.  Each loop sizes a layer by its image entries,
+frontier rows x generators x row width: below _PYTHON_LAYER the layer runs
+in plain Python over memoryviews of the int32 generators, since a numpy
+call costs more than a handful of points, and from there on in numpy.  The
+two give the same points in the same order.  extend_orbit decides round by
+round.  A line orbit without maps (`line_orbit`) runs Python layers on
+sorted tuples from its base line and hands the rows found so far, with the
+first large layer as the frontier, to `_row_orbit`, which goes on in numpy,
+each layer read in frontier slices of about _ORBIT_SLICE image entries.
+Line orbits with per-generator image maps (the flag test) and coset actions
+(`coset_action`, on canonical coset elements read off the subgroup's chain)
+are `_row_orbit` from the start, as their canonical forms are array-only.
+Block checks (`verify_block`) read the Schreier tree at a block's least
+point instead.  Sigma, the block system of an imprimitive rank 3 group
+(`sigma_partition`), is one checked block and its line orbit; no block
+lattice runs on the whole group.
 
 Sets of sorted point sets (lines, cells, samples) are sorted, deduplicated
 and searched through one key per row, `row_keys`: the row's lexicographic
@@ -83,6 +90,7 @@ DEFAULT_SEED = 0x52334C53  # "R3LS"
 CERTIFICATE_SIFTS = 40  # members in a row that stop a build below its bound
 _BATCH_ENTRIES = 1 << 16  # array entries per batch of the deterministic pass
 _ORBIT_SLICE = _BATCH_ENTRIES << 2  # image entries per frontier slice of _row_orbit
+_PYTHON_LAYER = 512  # a BFS layer of fewer image entries runs in plain Python
 
 
 def identity(degree: int) -> np.ndarray:
@@ -175,33 +183,53 @@ class _Level:
         by it.  The orbit is closed under the old generators, so only g can
         take an old point out of it: the first round applies g alone
         (Seress, Permutation Group Algorithms, 4.1), and the orbit order and
-        sv are those of a round over every generator."""
-        self.gens.append(g)
-        self.inv_gens.append(g_inv)
+        sv are those of a round over every generator.  Both are kept as
+        C-contiguous int32, the layout extend_orbit's memoryviews read."""
+        self.gens.append(np.ascontiguousarray(g, dtype=np.int32))
+        self.inv_gens.append(np.ascontiguousarray(g_inv, dtype=np.int32))
         self.walk = None
         self.extend_orbit(len(self.gens) - 1)
 
     def extend_orbit(self, first_gen: int = 0):
         """Breadth-first growth of the orbit from all of its points, the
         first round by the generators from first_gen on, every later round
-        by all of them on the points the round before added."""
+        by all of them on the points the round before added.  Each
+        generator in turn adds its unmarked images, ascending, so a point it
+        marks is not fresh for the generators after it.  A round of fewer
+        than _PYTHON_LAYER images runs in plain Python over memoryviews,
+        a larger one in numpy; both add the same points in the same order."""
         sv = self.sv
         if len(self.orbit) == len(sv):
             return                          # every point: nothing to add
-        frontier = np.array(self.orbit, dtype=np.int32)
-        while frontier.size:
-            parts = []
-            for k in range(first_gen, len(self.gens)):
-                img = self.gens[k].take(frontier)
-                fresh = img[sv[img] == -1]
-                if fresh.size:
-                    # ascending and distinct: the orbit order chains keep
-                    fresh = np.sort(fresh)
-                    fresh = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
-                    sv[fresh] = k
-                    self.orbit.extend(fresh.tolist())
-                    parts.append(fresh)
-            frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int32)
+        # a list, or an array after a numpy round; the orbit itself at
+        # first, which each round reads in full before extending it
+        frontier = self.orbit
+        while len(frontier):
+            if len(frontier) * (len(self.gens) - first_gen) < _PYTHON_LAYER:
+                if isinstance(frontier, np.ndarray):
+                    frontier = frontier.tolist()
+                marks, layer = memoryview(sv), []
+                for k in range(first_gen, len(self.gens)):
+                    img = memoryview(self.gens[k])
+                    fresh = sorted({y for y in map(img.__getitem__, frontier)
+                                    if marks[y] == -1})
+                    for y in fresh:
+                        marks[y] = k
+                    layer += fresh
+                self.orbit += layer
+            else:
+                points, layer = np.asarray(frontier, dtype=np.int32), []
+                for k in range(first_gen, len(self.gens)):
+                    img = self.gens[k].take(points)
+                    fresh = img[sv[img] == -1]
+                    if fresh.size:
+                        fresh = np.sort(fresh)
+                        fresh = fresh[np.concatenate(([True], fresh[1:] != fresh[:-1]))]
+                        sv[fresh] = k
+                        self.orbit += fresh.tolist()
+                        layer.append(fresh)
+                layer = np.concatenate(layer) if layer else []
+            frontier = layer
             first_gen = 0
 
     def conjugate(self, u: np.ndarray, u_inv: np.ndarray) -> "_Level":
@@ -796,7 +824,7 @@ class PermGroup:
             be = np.ascontiguousarray(h, dtype=">i4")
             return h, be.view(np.dtype((np.void, 4 * n))).ravel()
 
-        cosets, new_gens = _row_orbit(self.gens, identity(n), canon,
+        cosets, new_gens = _row_orbit(self.gens, identity(n), 0, canon,
                                       with_maps=True)
         if len(cosets) != index:
             raise AssertionError(
@@ -1029,20 +1057,24 @@ def _merge_at(old: np.ndarray, kept: np.ndarray, at: np.ndarray,
     return out
 
 
-def _row_orbit(gens, row, canon, *, with_maps=False):
-    """Orbit of one row under <gens>, with per-generator image maps on
-    request.
+def _row_orbit(gens, rows, start, canon, *, with_maps=False):
+    """Orbit of a row under <gens>, continuing a BFS from it, with
+    per-generator image maps on request.
 
     canon maps an (m, w) array of image rows to (canonical rows, one
-    sortable key per row).  Returns (rows, maps): the canonical rows in FIFO
-    order (by BFS layer, then by source row, then by generator), row 0
-    canon of `row`; maps is None unless with_maps is set, and then maps[k]
-    takes row index -> image index under gens[k].
+    sortable key per row).  rows is the BFS so far, an (m, w) array in FIFO
+    order whose last layer, rows[start:], is the frontier; a fresh start is
+    one row and start 0.  Their canon gives the first rows and the seen
+    keys.  Returns (rows, maps): the canonical rows in FIFO order (by BFS
+    layer, then by source row, then by generator), continuing those given;
+    maps is None unless with_maps is set, and then maps[k] takes row index
+    -> image index under gens[k] for every row from the frontier on, so
+    a caller that wants whole maps starts from one row.
 
     A layer is processed in consecutive slices of its frontier, about
     _ORBIT_SLICE image entries each, in source-row order.  A slice gathers
     its images source-major into one new (m, len(gens), w) block, which
-    canon may sort in place (row itself is passed as a copy), and sorts
+    canon may sort in place (rows itself is passed as a copy), and sorts
     their keys once (default unstable argsort); runs of equal keys are
     looked up in the sorted seen keys with one searchsorted, and a run is
     numbered by its least image index, so ties sort in any order.  The
@@ -1053,14 +1085,18 @@ def _row_orbit(gens, row, canon, *, with_maps=False):
     live at a time.  The row index of each seen key, which only the maps
     read, is kept only when they are asked for.
     """
-    frontier, seen_keys = canon(np.array(row, ndmin=2))   # one key: sorted
+    rows, keys = canon(np.array(rows, ndmin=2))
+    order = np.argsort(keys)
+    seen_keys = keys[order]
     # the row index of each seen key, which only the maps read
-    seen_ids = np.zeros(1, dtype=np.int32) if with_maps else None
+    seen_ids = order.astype(np.int32) if with_maps else None
+    del keys, order
+    frontier = rows[start:]
     w = frontier.shape[1]
     step = max(1, _ORBIT_SLICE // (max(1, len(gens)) * w))   # frontier rows
-    layers = [frontier]
+    layers = [rows]
     maps = [[] for _ in gens] if with_maps else None
-    total = 1
+    total = len(rows)
     while len(gens) and len(frontier):
         fresh_rows = []
         for lo in range(0, len(frontier), step):
@@ -1119,9 +1155,16 @@ def line_orbit(gens, line, *, with_maps=False):
     point sets in FIFO order (by BFS layer, then by source line, then by
     generator), row 0 the sorted base line.  limg is None unless with_maps
     is set; then limg[k] is an int32 array mapping line index -> image
-    index under gens[k].  It is _row_orbit on sorted rows keyed by
-    row_keys.  A line with a repeated point or a point outside range(n)
-    raises ValueError.
+    index under gens[k].  A line with a repeated point or a point outside
+    range(n) raises ValueError.
+
+    With maps it is _row_orbit on sorted rows keyed by row_keys.  Without,
+    a BFS layer of fewer than _PYTHON_LAYER image entries (frontier rows x
+    generators x line size) runs in plain Python on sorted tuples, read
+    through memoryviews of the int32 generators, from the base line while
+    the layers stay that small; the rows found so far, with the first larger
+    layer as the frontier, then go to _row_orbit, which goes on in numpy in
+    the same FIFO order.
     """
     base = np.sort(np.asarray(line, dtype=np.int32))
     if not len(gens):
@@ -1130,12 +1173,29 @@ def line_orbit(gens, line, *, with_maps=False):
     if (np.diff(base) <= 0).any() or ((base < 0) | (base >= n)).any():
         raise ValueError(f"line {tuple(base.tolist())} is not a set of "
                          f"points in range({n})")
+    gens = [np.ascontiguousarray(g, dtype=np.int32) for g in gens]
 
     def canon(rows):
         rows.sort(axis=1)
         return rows, row_keys(rows, n)
 
-    return _row_orbit(gens, base, canon, with_maps=with_maps)
+    if with_maps:
+        return _row_orbit(gens, base, 0, canon, with_maps=True)
+    takes = [memoryview(g).__getitem__ for g in gens]
+    rows = [tuple(base.tolist())]
+    seen = set(rows)
+    start, width = 0, len(gens) * len(base)     # image entries per frontier row
+    while start < len(rows) and (len(rows) - start) * width < _PYTHON_LAYER:
+        frontier, start = rows[start:], len(rows)
+        for row in frontier:
+            for take in takes:
+                image = tuple(sorted(map(take, row)))
+                if image not in seen:
+                    seen.add(image)
+                    rows.append(image)
+    if start == len(rows):
+        return np.array(rows, dtype=np.int32), None
+    return _row_orbit(gens, np.array(rows, dtype=np.int32), start, canon)
 
 
 def sigma_partition(G: PermGroup) -> np.ndarray:
@@ -1210,6 +1270,8 @@ def read_group_file(path):
     if not raw[0].isdigit():
         raise ValueError(f"{path}: the first line must be the degree, got {raw[0]!r}")
     degree = int(raw[0])
+    if degree < 1:
+        raise ValueError(f"{path}: the degree must be at least 1, got {degree}")
     gens = []
     for ln in raw[1:]:
         imgs = [int(t) for t in ln.split()]

@@ -118,6 +118,7 @@ def test_tables_command(capsys):
     "4\n1 2 3 0\n1 0\n",              # short generator line
     "4\n1 1 2 3\n",                   # not a permutation
     "four\n1 2 3 0\n",                # degree line is not an integer
+    "0\n",                            # degree 0: no points to act on
 ])
 def test_bad_group_file_is_one_line_error(tmp_path, capsys, text):
     path = tmp_path / "bad.grp"

@@ -159,12 +159,29 @@ from test_merge_properties import groups  # noqa: E402
 from test_schreier_batch import intransitive_groups  # noqa: E402
 
 
+def _affine_1024() -> PermGroup:
+    """x -> 3x and x -> x + 1 on Z/1024.  From an odd root the orbit under
+    3x has 256 points, and adding x + 1 grows BFS layers past the default
+    _PYTHON_LAYER, so one add_gen runs both kinds of layer."""
+    x = np.arange(1024, dtype=np.int32)
+    return PermGroup(1024, [(3 * x) % 1024, (x + 1) % 1024], name="affine1024")
+
+
+@pytest.mark.parametrize("layer", [0, 1 << 30, permcore._PYTHON_LAYER],
+                         ids=["numpy", "python", "default"])
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.one_of(groups(), intransitive_groups()), st.data())
-def test_add_gen_matches_the_full_orbit_loop(G, data):
+@given(st.one_of(groups(), intransitive_groups(), st.just(_affine_1024())), st.data())
+def test_add_gen_matches_the_full_orbit_loop(layer, G, data):
     """After each add_gen the orbit (in order) and sv equal those of the
     reference loop, for a tree grown from its root and for a conjugated
-    level grown further."""
+    level grown further, with every BFS round in numpy, every round in
+    plain Python, and at the default crossover."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permcore, "_PYTHON_LAYER", layer)
+        _check_add_gen(G, data)
+
+
+def _check_add_gen(G, data):
     n = G.degree
     gens = G.gens + [np.asarray(data.draw(st.permutations(range(n))), dtype=np.int32)
                      for _ in range(data.draw(st.integers(0, 2)))]

@@ -91,6 +91,49 @@ def test_line_orbit_does_not_depend_on_the_slice_size(monkeypatch):
         assert got.tolist() == want.tolist() and maps is None
 
 
+def _dihedral_1000():
+    x = np.arange(1000, dtype=np.int32)
+    return [(x + 1) % 1000, (1000 - x) % 1000], (0, 1, 2, 5)
+
+
+def _gammal2_16():
+    return get_builtin("GammaL2_16").group.gens, (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("case", [_gammal2_16, _dihedral_1000])
+def test_line_orbit_hands_its_frontier_to_numpy(monkeypatch, case):
+    """With _PYTHON_LAYER set so that the base layer alone, then the first
+    two layers, run in plain Python, _row_orbit takes over at the next
+    layer: its rows are those found so far and its frontier starts where
+    that layer does.  The orbit equals a numpy-only and a Python-only run.
+    At degree 1000, one call runs both kinds of layer."""
+    gens, line = case()
+    handoffs = []
+    real = permcore._row_orbit
+
+    def recorded(gens, rows, start, canon, **kwargs):
+        handoffs.append((len(rows), start))
+        return real(gens, rows, start, canon, **kwargs)
+
+    monkeypatch.setattr(permcore, "_row_orbit", recorded)
+
+    def orbit(layer):
+        monkeypatch.setattr(permcore, "_PYTHON_LAYER", layer)
+        rows, maps = permcore.line_orbit(gens, line)
+        assert maps is None and rows.dtype == np.int32
+        return rows.tolist()
+
+    want = orbit(0)
+    assert handoffs == [(1, 0)]
+    assert orbit(1 << 30) == want and len(handoffs) == 1
+    entries = len(gens) * len(line)             # image entries per frontier row
+    assert orbit(entries + 1) == want           # layer 0 in Python
+    rows1, start1 = handoffs[-1]
+    assert start1 == 1
+    assert orbit((rows1 - 1) * entries + 1) == want     # layers 0 and 1
+    assert handoffs[-1][1] == rows1 and len(handoffs) == 3
+
+
 @pytest.mark.parametrize("pair", [_psl32_index2, _m11_index2])
 def test_coset_action_does_not_depend_on_the_slice_size(monkeypatch, pair):
     """The coset action's generators, the maps of its row orbit, are the
@@ -186,10 +229,12 @@ def test_verify_block_edge_cases():
 
 
 def test_block_checks_build_no_row_orbit(monkeypatch):
-    """verify_block over a whole lattice runs no _row_orbit, and Sigma on a
-    fresh group runs one, for its cells."""
+    """verify_block over a whole lattice builds no line orbit, and Sigma on
+    a fresh group builds one, for its cells.  The count is taken at
+    line_orbit, as a small orbit ends in plain Python layers before any
+    _row_orbit."""
     calls = []
-    real = permcore._row_orbit
+    real = permcore.line_orbit
 
     def counted(*args, **kwargs):
         calls.append(len(args[1]))
@@ -200,7 +245,7 @@ def test_block_checks_build_no_row_orbit(monkeypatch):
     beta = max(H.orbits(), key=len)[0]
     blocks = H.all_blocks_through(beta)
     assert blocks
-    monkeypatch.setattr(permcore, "_row_orbit", counted)
+    monkeypatch.setattr(permcore, "line_orbit", counted)
     assert all(H.verify_block(b) for b in blocks)
     assert calls == []
     sigma_group = get_builtin("GammaL2_4").group
