@@ -17,8 +17,8 @@ Three construction routes:
   * file: bundled generator files for the two covers that are not derivable
     from the matrix layer.
 
-Groups are cached per (name, seed); every build is deterministic for a fixed
-seed.
+Groups are cached per name: every chain is certified and draws its random
+elements from one fixed stream (permcore.PermGroup), the same on every run.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ SPORADIC_METAS = {
 
 ALL_BUILTINS = {**OMEGA_BUILTINS, **SPORADIC_METAS}
 
-_CACHE: dict[tuple[str, int], Builtin] = {}
+_CACHE: dict[str, Builtin] = {}
 _DATA = resources.files("rank3pls.data")
 
 
@@ -138,38 +138,39 @@ def builtin_names() -> list[str]:
 
 
 def get_builtin(name: str, seed: int = DEFAULT_SEED) -> Builtin:
-    if (name, seed) in _CACHE:
-        return _CACHE[name, seed]
+    """The builtin row `name`, built once and cached.  seed is ignored; it
+    exists only because perfbench/workloads.py passes it."""
+    if name in _CACHE:
+        return _CACHE[name]
     if name not in ALL_BUILTINS:
         raise KeyError(f"unknown builtin group {name!r}; "
                        f"known: {', '.join(builtin_names())}")
     meta = ALL_BUILTINS[name]
     if meta.route == "omega":
-        built = _build_omega_group(meta, seed)
+        built = _build_omega_group(meta)
     elif meta.route == "coset":
-        built = _build_coset_group(meta, seed)
+        built = _build_coset_group(meta)
     else:
-        built = _build_file_group(meta, seed)
+        built = _build_file_group(meta)
     G = built.group
     if G.degree != meta.degree or G.order != meta.order:
         raise AssertionError(f"{name}: built degree/order "
                              f"{G.degree}/{G.order}, expected "
                              f"{meta.degree}/{meta.order}")
-    _CACHE[name, seed] = built
+    _CACHE[name] = built
     return built
 
 
-def _build_omega_group(meta: BuiltinMeta, seed: int) -> Builtin:
+def _build_omega_group(meta: BuiltinMeta) -> Builtin:
     spec = meta.spec
     space = build_omega(spec.kind, spec.n, spec.q, spec.r)
     gens = gens_group(spec)
-    G = PermGroup(len(space), induce_action(space, gens),
-                  order_bound=induced_order_bound(gens, spec.r, space.form),
-                  seed=seed, name=meta.name)
+    G = PermGroup(len(space), induce_action(space, gens), name=meta.name,
+                  order_bound=induced_order_bound(gens, spec.r, space.form))
     return Builtin(meta, G, space)
 
 
-def projective_action(F, n, gens, seed=DEFAULT_SEED, name="proj"):
+def projective_action(F, n, gens, name="proj"):
     """Action of (semi)linear generators on the 1-spaces of F^n, its chain
     stopped at induced_order_bound with r = 1 (the scalars are its kernel),
     so the order is read for generators whose group contains SL_n(q).
@@ -179,15 +180,15 @@ def projective_action(F, n, gens, seed=DEFAULT_SEED, name="proj"):
     points = projective_points(F, n)
     perms = [points.image(g) for g in gens]
     return PermGroup(len(points), perms, order_bound=induced_order_bound(gens, 1),
-                     base_hint=[0], seed=seed, name=name)
+                     base_hint=[0], name=name)
 
 
-def _build_coset_group(meta: BuiltinMeta, seed: int) -> Builtin:
+def _build_coset_group(meta: BuiltinMeta) -> Builtin:
     if meta.name.startswith("C2x"):
-        return Builtin(meta, _double_by_cell_swap(meta, seed))
-    G = _plinth(meta.name, seed)
+        return Builtin(meta, _double_by_cell_swap(meta))
+    G = _plinth(meta.name)
     H = G.stabilizer(0)
-    R = PermGroup(*_read_data(f"{meta.name}.sub.grp"), seed=H.seed)
+    R = PermGroup(*_read_data(f"{meta.name}.sub.grp"))
     try:
         image = _verified_coset_action(G, H, R, meta)
     except (AssertionError, ValueError) as exc:
@@ -222,20 +223,20 @@ _PROJECTIVE_PLINTHS = {
 }
 
 
-def _plinth(name: str, seed: int) -> PermGroup:
+def _plinth(name: str) -> PermGroup:
     """The plinth G of a coset row, with point 0 leading its base: PSL(3,2)
     on the 7 nonzero vectors of GF(2)^3, M11 by its classical generators on
     11 points, or a projective group."""
     if name == "PSL3_2_deg14":
         F = field_make(2, 1)
-        return vector_action(F, 3, gens_sl(3, F), seed=seed)[0]
+        return vector_action(F, 3, gens_sl(3, F))[0]
     if name == "M11_deg22":
         a = perm_from_images([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0])
         b = np.arange(11, dtype=np.int32)
         for cyc in [(2, 6, 10, 7), (3, 9, 4, 5)]:
             for i in range(len(cyc)):
                 b[cyc[i]] = cyc[(i + 1) % len(cyc)]
-        return PermGroup(11, [a, b], seed=seed, name="M11")
+        return PermGroup(11, [a, b], name="M11")
     p, a, n, group = _PROJECTIVE_PLINTHS[name]
     F = field_make(p, a)
     gens = gens_sl(n, F)
@@ -243,17 +244,17 @@ def _plinth(name: str, seed: int) -> PermGroup:
         gens.append(linear(Mat.diag(F, [F.omega] + [1] * (n - 1))))
     if group == "PGammaL":
         gens.append(SemilinearElem(1, Mat.identity(F, n)))
-    return projective_action(F, n, gens, seed=seed,
+    return projective_action(F, n, gens,
                              name=f"{group}{n}({F.q})@{(F.q**n - 1) // (F.q - 1)}")
 
 
-def _double_by_cell_swap(meta: BuiltinMeta, seed: int) -> PermGroup:
+def _double_by_cell_swap(meta: BuiltinMeta) -> PermGroup:
     """C2 x G for the base row G (r = 2): G and the involution z swapping
     the two points of each Sigma-cell.  z is checked to centralize G and
     to lie outside it, which proves the order 2|G|, the chain's proven
     bound."""
     try:
-        G = get_builtin(meta.name.removeprefix("C2x"), seed).group
+        G = get_builtin(meta.name.removeprefix("C2x")).group
     except AssertionError as exc:
         raise AssertionError(f"{meta.name}: {exc}") from None
     cells = sigma_partition(G)
@@ -265,7 +266,7 @@ def _double_by_cell_swap(meta: BuiltinMeta, seed: int) -> PermGroup:
         raise AssertionError(f"{meta.name}: the cell swap is not a fresh "
                              f"centralizing involution")
     return PermGroup(G.degree, G.gens + [z], order_bound=2 * G.order,
-                     seed=seed, name=f"C2x{G.name}")
+                     name=f"C2x{G.name}")
 
 
 def _read_data(filename: str):
@@ -274,19 +275,19 @@ def _read_data(filename: str):
         return read_group_file(path)
 
 
-def _build_file_group(meta: BuiltinMeta, seed: int) -> Builtin:
-    G = PermGroup(*_read_data(f"{meta.name}.grp"), seed=seed, name=meta.name)
+def _build_file_group(meta: BuiltinMeta) -> Builtin:
+    G = PermGroup(*_read_data(f"{meta.name}.grp"), name=meta.name)
     return Builtin(meta, G)
 
 
-def load_group_argument(arg: str, seed: int = DEFAULT_SEED) -> Builtin:
+def load_group_argument(arg: str) -> Builtin:
     """Resolve a CLI --group argument: builtin:<name> or file:<path>."""
     if arg.startswith("builtin:"):
-        return get_builtin(arg.split(":", 1)[1], seed)
+        return get_builtin(arg.split(":", 1)[1])
     if arg.startswith("file:"):
         path = arg.split(":", 1)[1]
         degree, gens = read_group_file(path)
-        G = PermGroup(degree, gens, seed=seed, name=path)
+        G = PermGroup(degree, gens, name=path)
         meta = BuiltinMeta(path, degree, G.order, 0, 0, "?", "file")
         return Builtin(meta, G)
     raise ValueError("--group must be builtin:<name> or file:<path>")

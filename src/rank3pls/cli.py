@@ -23,7 +23,7 @@ from .catalog import builtin_names, load_group_argument
 from .incidence import (IncidenceStructure, components, fingerprint, is_proper,
                         validate_pls)
 from .omega import build_omega
-from .permcore import DEFAULT_SEED, write_group_file
+from .permcore import write_group_file
 from .pipeline import (devillers_enumerate, negative_controls, report_json,
                        reproduce_table)
 
@@ -88,7 +88,7 @@ def cmd_omega(args) -> int:
 
 
 def cmd_group(args) -> int:
-    b = load_group_argument(args.group, seed=args.seed)
+    b = load_group_argument(args.group)
     G = b.group
     rank = G.rank() if G.is_transitive() else None
     print(f"{b.meta.name}: degree {G.degree}, order {G.order}, "
@@ -100,7 +100,7 @@ def cmd_group(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    b = load_group_argument(args.group, seed=args.seed)
+    b = load_group_argument(args.group)
     if b.meta.slow and not args.slow:
         print(f"{b.meta.name} is a slow case; pass --slow to run it",
               file=sys.stderr)
@@ -156,10 +156,7 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="rank3pls", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help="seed of the randomized group builds of `group` and "
-                   "`pipeline run`; `family build` and `tables reproduce` "
-                   "do not read it")
+    p.add_argument("--seed", type=int, help="accepted; changes no output")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     f = sub.add_parser("family", help="build and check a family instance")

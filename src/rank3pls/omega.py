@@ -27,7 +27,7 @@ import numpy as np
 
 from .gfield import Field, field_make, factorize, is_prime, is_primitive_prime_divisor
 from .matsemi import GroupSpec, UnitaryForm, induced_order_bound, scalar
-from .permcore import DEFAULT_SEED, PermGroup
+from .permcore import PermGroup
 
 
 class _Tables:
@@ -331,8 +331,7 @@ def projective_points(F: Field, n: int, vectors: bool = False) -> CanonicalPoint
     return CanonicalPoints(F, r, reps, _scalings(F, reps, r) @ F.q ** np.arange(n))
 
 
-def vector_action(F: Field, n: int, gens,
-                  seed: int = DEFAULT_SEED) -> tuple[PermGroup, np.ndarray]:
+def vector_action(F: Field, n: int, gens) -> tuple[PermGroup, np.ndarray]:
     """Permutation action of semilinear elements on all q^n - 1 nonzero
     vectors, with the (q^n - 1, n) array whose row i is point i; used for
     PSL(3,2)'s plinth and for order checks of generator sets that contain
@@ -340,8 +339,7 @@ def vector_action(F: Field, n: int, gens,
     stops at induced_order_bound; reading the order of a set that misses
     SL_n(q) raises "below the proven bound"."""
     vecs = projective_points(F, n, vectors=True)
-    return PermGroup(len(vecs), [vecs.image(g) for g in gens],
-                     name="vector-action", seed=seed,
+    return PermGroup(len(vecs), [vecs.image(g) for g in gens], name="vector-action",
                      order_bound=induced_order_bound(gens, F.q - 1)), vecs.vectors
 
 
@@ -382,7 +380,6 @@ def classify_action(n: int, q: int, r: int, G: PermGroup, spec: GroupSpec,
             dets = [g.mat.det() for g in gens_group(spec)]
             stride = math.gcd(2, q - 1)  # the squares are <w^stride>
             arith = any(F.log[d] % stride for d in dets)
-        flags["rank3"] = flags.get("rank3", arith)
     else:
         flags["innately_transitive"] = ((q**2 - 1) // math.gcd(3, q + 1)) % r == 0
         contains_zsu = spec.shape in ("z_su", "gammau")
@@ -390,7 +387,7 @@ def classify_action(n: int, q: int, r: int, G: PermGroup, spec: GroupSpec,
                  and (q - 1) % r == 0
                  and is_primitive_prime_divisor(r, p, r - 1)
                  and math.gcd(r - 1, spec.j) == 1)
-        flags["rank3"] = arith
+    flags["rank3"] = arith
     # quasiprimitive: innately transitive and G meets Z/Y trivially
     qp = flags["innately_transitive"]
     if qp and space is not None:

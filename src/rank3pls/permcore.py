@@ -389,11 +389,12 @@ class PermGroup:
     request and kept in the group's own store.  order_bound is an upper
     bound on the order that the caller has proven and expects reached;
     without one the chain comes from the deterministic pass (module
-    docstring).
+    docstring).  A proven-bound build draws its random elements from
+    random.Random(DEFAULT_SEED) alone.
     """
 
     def __init__(self, degree: int, gens, *, order_bound: int | None = None,
-                 base_hint=None, seed: int = DEFAULT_SEED, name: str = ""):
+                 base_hint=None, name: str = ""):
         self.degree = degree
         self.gens = []
         for g in gens:
@@ -404,7 +405,6 @@ class PermGroup:
                 self.gens.append(arr)
         self.order_bound = order_bound
         self.base_hint = list(base_hint) if base_hint else []
-        self.seed = seed
         self.name = name
         self._levels: list[_Level] | None = None
         self._order: int | None = None
@@ -479,6 +479,8 @@ class PermGroup:
         bound raises ValueError."""
         self._levels = []
         if not self.gens:
+            if (bound := self.order_bound or 1) > 1:
+                raise AssertionError(f"{self!r}: order 1 below the proven bound {bound}")
             self._order = 1
             return
         first = next((b for b in self.base_hint
@@ -499,7 +501,7 @@ class PermGroup:
             self._order = self._chain_order()
             return
         bound = self.order_bound
-        shaker = _Shaker(self.gens, random.Random(self.seed))
+        shaker = _Shaker(self.gens, random.Random(DEFAULT_SEED))
         members = 0
         while self._chain_order() < bound:
             residue = self._sift(shaker.element())
@@ -630,14 +632,14 @@ class PermGroup:
         else:
             sub_order = order // len(orb)
             rebased = PermGroup(self.degree, self.gens, order_bound=order,
-                                base_hint=[x] + self.base_hint, seed=self.seed,
+                                base_hint=[x] + self.base_hint,
                                 name=f"{self.name}|rebase{x}")
             levels = rebased._chain()[1:]
         if math.prod(len(lv.orbit) for lv in levels) != sub_order:
             raise AssertionError(f"{self!r}: stabilizer chain order mismatch")
         gens = {g.tobytes(): g for g in levels[0].gens} if levels else {}
-        stab = PermGroup(self.degree, list(gens.values()), base_hint=[lv.point for lv in levels],
-                         seed=self.seed, name=f"{self.name}_{x}")
+        stab = PermGroup(self.degree, list(gens.values()),
+                         base_hint=[lv.point for lv in levels], name=f"{self.name}_{x}")
         stab._levels = levels
         stab._order = sub_order
         return stab
@@ -829,22 +831,21 @@ class PermGroup:
         if len(cosets) != index:
             raise AssertionError(
                 f"coset enumeration found {len(cosets)} cosets, index is {index}")
-        return PermGroup(index, new_gens, seed=self.seed,
-                         order_bound=self.order if faithful else None,
+        return PermGroup(index, new_gens, order_bound=self.order if faithful else None,
                          name=f"{self.name}/cosets")
 
     # -- subgroup search -----------------------------------------------------------
 
     def normal_closure(self, seeds) -> "PermGroup":
         gens: list[np.ndarray] = []
-        K = PermGroup(self.degree, [], seed=self.seed)
+        K = PermGroup(self.degree, [])
         queue = [s for s in seeds if not is_identity(s)]
         while queue:
             x = queue.pop()
             if K.contains(x):
                 continue
             gens.append(x)
-            K = PermGroup(self.degree, gens, seed=self.seed)
+            K = PermGroup(self.degree, gens)
             for h in self.gens:
                 queue.append(compose(compose(inverse(h), x), h))
         return K
@@ -859,7 +860,7 @@ class PermGroup:
         the PSL3_2_deg14 and M11_deg22 rows to the catalogue's data, and by
         the tests; no catalogue load calls it.
         """
-        rng = random.Random(self.seed ^ 0xC0117)
+        rng = random.Random(DEFAULT_SEED ^ 0xC0117)
         seeds = []
         for a in self.gens:
             for b in self.gens:
@@ -895,14 +896,14 @@ class PermGroup:
         if self.order % r:
             raise ValueError(f"index {r} does not divide the group order")
         target = self.order // r
-        rng = rng or random.Random(self.seed ^ 0x5B6)
+        rng = rng or random.Random(DEFAULT_SEED ^ 0x5B6)
         for _ in range(2000):
             xs = [self.random_element(rng) for _ in range(2)]
-            S = PermGroup(self.degree, xs, seed=self.seed)
+            S = PermGroup(self.degree, xs)
             o = S.order
             if o != target and target % o == 0 and o > 1:
                 xs.append(self.random_element(rng))
-                S = PermGroup(self.degree, xs, seed=self.seed)
+                S = PermGroup(self.degree, xs)
                 o = S.order
             if o != target:
                 continue
@@ -916,11 +917,11 @@ class PermGroup:
         """Backtracking setwise stabilizer; meant for degree <= a few hundred."""
         S = frozenset(int(p) for p in points)
         rebased = PermGroup(self.degree, self.gens, base_hint=sorted(S),
-                            seed=self.seed, name=f"{self.name}|setstab")
+                            name=f"{self.name}|setstab")
         rebased.order
         chain = rebased._levels
         found: list[np.ndarray] = []
-        stab = PermGroup(self.degree, [], seed=self.seed)
+        stab = PermGroup(self.degree, [])
         counter = [0]
 
         def search(level: int, h_inv: np.ndarray):
@@ -935,7 +936,7 @@ class PermGroup:
                 if back == S and not is_identity(h_inv) \
                         and not stab.contains(h := inverse(h_inv)):
                     found.append(h)
-                    stab = PermGroup(self.degree, list(found), seed=self.seed)
+                    stab = PermGroup(self.degree, list(found))
                 return
             lv = chain[level]
             want = lv.point in S
@@ -944,8 +945,7 @@ class PermGroup:
                 search(level + 1, row)
 
         search(0, identity(self.degree))
-        return PermGroup(self.degree, list(found), seed=self.seed,
-                         name=f"{self.name}_setstab")
+        return PermGroup(self.degree, list(found), name=f"{self.name}_setstab")
 
 
 class _Shaker:
@@ -1155,8 +1155,8 @@ def line_orbit(gens, line, *, with_maps=False):
     point sets in FIFO order (by BFS layer, then by source line, then by
     generator), row 0 the sorted base line.  limg is None unless with_maps
     is set; then limg[k] is an int32 array mapping line index -> image
-    index under gens[k].  A line with a repeated point or a point outside
-    range(n) raises ValueError.
+    index under gens[k].  An empty line, or one with a repeated point or a
+    point outside range(n), raises ValueError.
 
     With maps it is _row_orbit on sorted rows keyed by row_keys.  Without,
     a BFS layer of fewer than _PYTHON_LAYER image entries (frontier rows x
@@ -1167,6 +1167,8 @@ def line_orbit(gens, line, *, with_maps=False):
     the same FIFO order.
     """
     base = np.sort(np.asarray(line, dtype=np.int32))
+    if not len(base):
+        raise ValueError("an empty line has no line orbit")
     if not len(gens):
         return base[None, :], [] if with_maps else None
     n = len(gens[0])

@@ -93,6 +93,25 @@ def test_pipeline_report_deterministic(tmp_path, capsys):
     assert "signature [(15, 4), (30, 3)]" in out
 
 
+def test_seed_changes_no_output(tmp_path, capsys, fresh_caches):
+    """--seed is accepted and ignored: three seeds, each run on empty
+    caches, write the same group file and report and print the same lines
+    apart from the "wrote" lines."""
+    outputs = []
+    for seed in ("0", "7", "12345"):
+        fresh_caches()
+        grp, report = tmp_path / f"g{seed}.grp", tmp_path / f"r{seed}.json"
+        assert main(["--seed", seed, "group", "--group", "builtin:GammaL2_4",
+                     "--out", str(grp)]) == 0
+        assert main(["--seed", seed, "pipeline", "run", "--group", "builtin:GammaL2_4",
+                     "--report", str(report)]) == 0
+        stdout = [line for line in capsys.readouterr().out.splitlines()
+                  if not line.startswith("wrote ")]
+        outputs.append((grp.read_bytes(), report.read_bytes(), stdout))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert "signature [(15, 4), (30, 3)]" in outputs[0][2][-1]
+
+
 def test_pipeline_slow_refused_without_flag(capsys):
     assert main(["pipeline", "run", "--group", "builtin:GammaU3_16"]) == 1
     assert "--slow" in capsys.readouterr().err

@@ -109,20 +109,14 @@ def test_a_returned_lattice_is_the_callers_own():
     assert G0.all_blocks_through(beta) is not G0.all_blocks_through(beta)
 
 
-def test_two_seeds_give_independent_stores():
-    """The same builtin built with two seeds is two groups, each with its
-    own stabilizers and Sigma, equal in value."""
+def test_one_group_per_name_whatever_the_seed():
+    """get_builtin ignores its seed: every seed gets the one group, with
+    its one store of stabilizers, lattices and Sigma."""
     G = catalog.get_builtin("GammaL2_4").group
-    H = catalog.get_builtin("GammaL2_4", seed=7).group
-    assert G is not H and H.seed == 7
-    G0, H0 = G.stabilizer(0), H.stabilizer(0)
-    assert G0 is not H0 and H0.seed == 7
-    assert G0.orbits() == H0.orbits()
-    beta = G0.orbits()[1][0]
-    assert G0.all_blocks_through(beta) == H0.all_blocks_through(beta)
-    assert sigma_partition(G) is not sigma_partition(H)
-    assert np.array_equal(sigma_partition(G), sigma_partition(H))
-    assert G._store is not H._store
+    G0, cells = G.stabilizer(0), sigma_partition(G)
+    for seed in (0, 7, 12345):
+        H = catalog.get_builtin("GammaL2_4", seed=seed).group
+        assert H is G and H.stabilizer(0) is G0 and sigma_partition(H) is cells
 
 
 def test_no_sigma_is_kept_for_a_primitive_group():

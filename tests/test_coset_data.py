@@ -38,11 +38,6 @@ def test_tool_regenerates_bundled_subgroup(filename, tmp_path):
         catalog._DATA.joinpath(filename).read_bytes()
 
 
-@pytest.mark.parametrize("name", ["PSL3_2_deg14", "C2xPSL3_2_deg14", "M11_deg22"])
-def test_seed_reaches_the_plinth(name, fresh_caches):
-    assert catalog.get_builtin(name, 11).group.seed == 11
-
-
 @pytest.mark.parametrize("name", ["C2xPSL3_2_deg14", "C2xM11_deg22"])
 def test_c2x_row_doubles_its_base_row(name):
     """A C2x row is its base row's generators and the swap of the two

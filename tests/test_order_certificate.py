@@ -50,6 +50,32 @@ def test_expected_order_is_gone():
     assert PermGroup(4, [[1, 2, 3, 0]], order_bound=4)._build_path() == "proven bound"
 
 
+def test_a_group_takes_no_seed():
+    """Every proven-bound build draws from Random(DEFAULT_SEED)."""
+    with pytest.raises(TypeError):
+        PermGroup(4, [], seed=1)
+    assert not hasattr(PermGroup(4, [[1, 2, 3, 0]]), "seed")
+
+
+def test_no_generators_below_a_bound_raises():
+    """The empty generator set gives a chain of order 1, which is checked
+    against the bound like any other chain."""
+    with pytest.raises(AssertionError, match="order 1 below the proven bound 10"):
+        PermGroup(5, [], order_bound=10).order
+    assert PermGroup(5, [], order_bound=1).order == 1
+
+
+def test_a_coset_action_on_one_coset_is_not_faithful():
+    """S_4 on the one coset of itself is trivial: a faithful action would
+    have order 24, so the image's empty chain raises."""
+    S4 = PermGroup(4, [[1, 2, 3, 0], [1, 0, 2, 3]])
+    image = S4.coset_action(S4, faithful=True)
+    assert image.degree == 1 and not image.gens
+    with pytest.raises(AssertionError, match="order 1 below the proven bound 24"):
+        image.order
+    assert S4.coset_action(S4).order == 1
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("name", ["PGammaL3_8_deg2044", "ZSLphi2_81", "GammaL3_16"])
 def test_proven_bound_orders_match_the_deterministic_pass(name):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rank3pls import permcore
+from rank3pls import catalog, permcore
 from rank3pls.catalog import get_builtin
 from rank3pls.permcore import (PermGroup, compose, flag_transitive_on_line,
                                identity, inverse, line_orbit, perm_from_images,
@@ -68,7 +68,7 @@ def test_bsgs_base_invariance():
         G = get_builtin(name).group
         for _ in range(5):
             base = rng.sample(range(G.degree), min(4, G.degree))
-            H = PermGroup(G.degree, G.gens, base_hint=base, seed=rng.randrange(10**6))
+            H = PermGroup(G.degree, G.gens, base_hint=base)
             assert H.order == G.order
 
 
@@ -457,11 +457,19 @@ def test_line_orbit_ties_number_lines_by_first_appearance(kind):
         assert limg[k].tolist() == [maps[k][i] for i in range(len(rows))]
 
 
-def test_line_orbit_rejects_what_is_not_a_point_set():
+@pytest.mark.parametrize("with_maps", [False, True])
+def test_line_orbit_rejects_what_is_not_a_point_set(with_maps):
     gens = [np.roll(np.arange(6, dtype=np.int32), 1)]
     for bad in [(0, 0, 1), (0, 1, 6), (-1, 2, 3)]:
         with pytest.raises(ValueError, match="not a set of points"):
-            line_orbit(gens, bad)
+            line_orbit(gens, bad, with_maps=with_maps)
+    with pytest.raises(ValueError, match="^an empty line has no line orbit$"):
+        line_orbit(gens, [], with_maps=with_maps)
+
+
+def test_flag_test_refuses_an_empty_line():
+    with pytest.raises(ValueError, match="empty line"):
+        flag_transitive_on_line(s4(), [])
 
 
 def _lex_rank(row, n):
@@ -506,11 +514,11 @@ def test_row_keys_on_both_sides_of_the_int64_boundary(k):
             assert keys.dtype.kind == "V"
 
 
-def test_catalog_cache_keys_on_seed():
+def test_catalog_cache_keys_on_name(fresh_caches):
     a = get_builtin("GammaL2_4", seed=11)
-    b = get_builtin("GammaL2_4", seed=12)
-    assert (a.group.seed, b.group.seed) == (11, 12)
-    assert get_builtin("GammaL2_4", seed=11) is a
+    assert get_builtin("GammaL2_4", seed=12) is a
+    assert get_builtin("GammaL2_4") is a
+    assert list(catalog._CACHE) == ["GammaL2_4"]
 
 
 def test_group_file_roundtrip(tmp_path):

@@ -50,7 +50,7 @@ def _psl32_index2():
 
 
 def _m11_index2():
-    G = catalog._plinth("M11_deg22", permcore.DEFAULT_SEED)
+    G = catalog._plinth("M11_deg22")
     return G, G.stabilizer(0).normal_subgroup_of_index(2)
 
 

@@ -7,10 +7,11 @@ Schreier-Sims build (`PermGroup._build_bsgs`) in it is hashed in call order:
 the degree, then per level the base point, the orbit in its BFS order, the
 Schreier vector `sv` and the level's strong generators in order.  The
 PGammaL3_8 generator bytes come last.  Two commits that print the same
-digest built byte-identical chains, so every seeded random element and
-`group --out` file downstream of them agrees.  The coset rows read their
-subgroups from bundled data, so no subgroup search runs in it.  The line
-also gives the number of chains the tables built and the number in all.
+digest built byte-identical chains, so every random element read off
+them (`PermGroup.random_element`) and every `group --out` file downstream
+of them agrees.  The coset rows read their subgroups from bundled data, so
+no subgroup search runs in it.  The line also gives the number of chains
+the tables built and the number in all.
 
 With --catalogue the chains built by `families._family_group` (the groups
 the Table 2 family structures are orbits of) are left out, so the line

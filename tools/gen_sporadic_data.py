@@ -64,7 +64,7 @@ def reduced_gens(G: PermGroup, rng: random.Random | None = None, tries: int = 30
     """A small generating set of G with the same order (random subproducts)."""
     if not G.gens:
         return []
-    rng = rng or random.Random(G.seed ^ 0x9E3779B9)
+    rng = rng or random.Random(DEFAULT_SEED ^ 0x9E3779B9)
     order = G.order
     for k in (2, 3, 4):
         for _ in range(tries):
@@ -78,7 +78,7 @@ def reduced_gens(G: PermGroup, rng: random.Random | None = None, tries: int = 30
                     cand.append(g)
             if not cand:
                 continue
-            if PermGroup(G.degree, cand, seed=G.seed).order == order:
+            if PermGroup(G.degree, cand).order == order:
                 return cand
     return list(G.gens)
 
@@ -291,8 +291,8 @@ SEARCH_SEEDS = {
 def _coset_row(name):
     """(row meta, plinth G, G_0), G's chain built by the deterministic pass
     alone (module docstring)."""
-    meta, P = catalog.ALL_BUILTINS[name], catalog._plinth(name, DEFAULT_SEED)
-    G = PermGroup(P.degree, P.gens, base_hint=P.base_hint, seed=P.seed, name=P.name)
+    meta, P = catalog.ALL_BUILTINS[name], catalog._plinth(name)
+    G = PermGroup(P.degree, P.gens, base_hint=P.base_hint, name=P.name)
     assert G.order == meta.order, G.order
     return meta, G, G.stabilizer(0)
 
