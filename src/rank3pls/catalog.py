@@ -1,10 +1,11 @@
 """Builtin permutation groups: every desk-scale row of the rank-3 catalogue.
 
 Three construction routes:
-  * omega: matrix/semilinear generators induced on the coset point set,
-    the chain stopped at the bound computed from the generators
-    (matsemi.induced_order_bound), which makes it exact, and its order
-    compared with the published one, an integer in the row's BuiltinMeta;
+  * omega: the row's shape induced on the coset point set (omega.omega_group,
+    shared with a family on the same space and shape), the chain stopped at
+    the bound computed from the generators (matsemi.induced_order_bound),
+    which makes it exact, and its order compared with the published one, an
+    integer in the row's BuiltinMeta;
   * coset: the plinth G built from its generators, the point stabilizer
     G_0 taken, and the index-r subgroup R of G_0 read from the bundled file
     data/<row>.sub.grp and verified (R <= G_0, |G_0 : R| = r, then the
@@ -17,8 +18,9 @@ Three construction routes:
   * file: bundled generator files for the two covers that are not derivable
     from the matrix layer.
 
-Groups are cached per name: every chain is certified and draws its random
-elements from one fixed stream (permcore.PermGroup), the same on every run.
+Groups are cached per name (omega groups per (space, shape)): every chain is
+certified and draws its random elements from one fixed stream
+(permcore.PermGroup), the same on every run.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from importlib import resources
 import numpy as np
 
 from .gfield import field_make
-from .matsemi import (GroupSpec, Mat, SemilinearElem, gens_group, gens_sl,
-                      induced_order_bound, linear)
-from .omega import (OmegaSpace, build_omega, induce_action, projective_points,
-                    vector_action)
+from .matsemi import GroupSpec, Mat, SemilinearElem, gens_sl, linear
+from .omega import (OmegaSpace, build_omega, induced_group, omega_group,
+                    projective_points)
 from .permcore import (PermGroup, compose, identity, perm_from_images,
                        read_group_file, sigma_partition, DEFAULT_SEED)
 
@@ -164,23 +165,7 @@ def get_builtin(name: str, seed: int = DEFAULT_SEED) -> Builtin:
 def _build_omega_group(meta: BuiltinMeta) -> Builtin:
     spec = meta.spec
     space = build_omega(spec.kind, spec.n, spec.q, spec.r)
-    gens = gens_group(spec)
-    G = PermGroup(len(space), induce_action(space, gens), name=meta.name,
-                  order_bound=induced_order_bound(gens, spec.r, space.form))
-    return Builtin(meta, G, space)
-
-
-def projective_action(F, n, gens, name="proj"):
-    """Action of (semi)linear generators on the 1-spaces of F^n, its chain
-    stopped at induced_order_bound with r = 1 (the scalars are its kernel),
-    so the order is read for generators whose group contains SL_n(q).
-
-    Point 0 leads the base, so the stabilizer of 0 is read off the group's
-    own chain."""
-    points = projective_points(F, n)
-    perms = [points.image(g) for g in gens]
-    return PermGroup(len(points), perms, order_bound=induced_order_bound(gens, 1),
-                     base_hint=[0], name=name)
+    return Builtin(meta, omega_group(space, spec.shape), space)
 
 
 def _build_coset_group(meta: BuiltinMeta) -> Builtin:
@@ -229,7 +214,8 @@ def _plinth(name: str) -> PermGroup:
     11 points, or a projective group."""
     if name == "PSL3_2_deg14":
         F = field_make(2, 1)
-        return vector_action(F, 3, gens_sl(3, F))[0]
+        return induced_group(projective_points(F, 3, vectors=True), gens_sl(3, F),
+                             name="vector-action")
     if name == "M11_deg22":
         a = perm_from_images([1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0])
         b = np.arange(11, dtype=np.int32)
@@ -244,8 +230,8 @@ def _plinth(name: str) -> PermGroup:
         gens.append(linear(Mat.diag(F, [F.omega] + [1] * (n - 1))))
     if group == "PGammaL":
         gens.append(SemilinearElem(1, Mat.identity(F, n)))
-    return projective_action(F, n, gens,
-                             name=f"{group}{n}({F.q})@{(F.q**n - 1) // (F.q - 1)}")
+    return induced_group(projective_points(F, n), gens, base_hint=[0],
+                         name=f"{group}{n}({F.q})@{(F.q**n - 1) // (F.q - 1)}")
 
 
 def _double_by_cell_swap(meta: BuiltinMeta) -> PermGroup:

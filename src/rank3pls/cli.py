@@ -49,6 +49,10 @@ def cmd_family(args) -> int:
     vals = tuple(given[nm] for nm in params if nm in given)
     D = builder(**given)
     if isinstance(D, families.CountOnly):
+        if args.out and args.out.endswith(".csv"):
+            print("error: a count-only result has no lines to write as CSV; "
+                  "give --out a .json path", file=sys.stderr)
+            return 1
         print(f"{args.kind}{vals}: count-only; "
               f"{D.expected['lines']} lines by formula, "
               f"{len(D.sample_lines)} sampled lines pass local checks")

@@ -5,8 +5,9 @@ with one OmegaSpace.points_of call and builds its structure, the line orbit
 L^G, as an OrbitStructure over its defining group G, whose line count is
 checked against the closed-form count computed independently in
 expected_counts.  G (the catalogue's GL or Z SU generators, or the
-det-restricted group of LSub) is built once per (space, shape), its chain
-stopped at the bound computed from its generators
+det-restricted group of LSub) is omega.omega_group's, built once per
+(space, shape) and shared with the catalogue (Delta(3, 3) and GL3_3), its
+chain stopped at the bound computed from its generators
 (matsemi.induced_order_bound), which makes it exact, and is transitive.
 
 So every count the validators read follows from S, the lines through 0:
@@ -43,8 +44,8 @@ import numpy as np
 
 from .gfield import SubfieldView, factorize
 from .incidence import IncidenceStructure, PairSummary, pair_keys
-from .matsemi import GroupSpec, Mat, gens_group, gens_sl, induced_order_bound, linear
-from .omega import OmegaSpace, build_omega, induce_action, omega_space
+from .matsemi import GroupSpec, Mat, gens_group, linear
+from .omega import OmegaSpace, build_omega, induce_action, omega_group, omega_space
 from .permcore import PermGroup, identity, line_orbit, merge, row_keys, sorted_rows
 
 FULL_ENUMERATION_LIMIT = 10**7  # lines; above it usub counts and samples
@@ -272,34 +273,12 @@ class OrbitStructure(IncidenceStructure):
         return self._keys[at] == keys
 
 
-_GROUPS: dict[tuple, PermGroup] = {}
-
-
-def _family_group(space: OmegaSpace, shape) -> PermGroup:
-    """The group a family orbits its base rows with, on the space: the
-    catalogue group of shape "gl" or "z_su", or, for an int shape t, the
-    det-restricted group of _det_restricted_gens.  Built once per (space,
-    shape), its chain stopped at the bound its generators prove."""
-    key = (space.kind, space.n, space.q, space.r, shape)
-    if key not in _GROUPS:
-        if isinstance(shape, int):
-            gens = _det_restricted_gens(space, shape)
-            name = f"G1(det in <w^{shape}>)"
-        else:
-            gens = gens_group(GroupSpec(space.kind, space.n, space.q, space.r, shape))
-            name = f"{shape}{key[1:4]}"
-        G = PermGroup(len(space), induce_action(space, gens), name=name,
-                      order_bound=induced_order_bound(gens, space.r, space.form))
-        G.order         # the chain, built and certified here
-        _GROUPS[key] = G
-    return _GROUPS[key]
-
-
 def _counted(space: OmegaSpace, shape, bases, params: FamilyParams,
              exp: dict) -> OrbitStructure:
-    """The orbit structure of the bases under the family group, its line
-    count checked against the closed-form count exp."""
-    D = OrbitStructure(_family_group(space, shape), bases, params.as_dict())
+    """The orbit structure of the bases under the group of the shape on the
+    space (omega_group), its line count checked against the closed-form
+    count exp."""
+    D = OrbitStructure(omega_group(space, shape), bases, params.as_dict())
     if D.num_lines != exp["lines"]:
         args = ", ".join(f"{k}={v}" for k, v in D.params.items() if k != "family")
         raise AssertionError(f"{params.family}({args}): {D.num_lines} lines, "
@@ -349,18 +328,6 @@ def delta(n: int, q: int) -> IncidenceStructure:
     return _counted(space, "gl", [base], FamilyParams("delta", n, q), exp)
 
 
-def _det_restricted_gens(space: OmegaSpace, t: int):
-    """Semilinear generators of G_1 = {g in GL_n(q) : det g in <w^t>} =
-    <SL_n(q), diag(w^t, 1, ..., 1)>; determinant surjectivity makes the two
-    descriptions agree."""
-    F = space.field
-    gens = gens_sl(space.n, F)
-    if t % (F.q - 1):
-        gens = gens + [linear(Mat.diag(F, [F.exp[t % (F.q - 1)]]
-                                       + [1] * (space.n - 1)))]
-    return gens
-
-
 def _subfield(F, q0: int) -> SubfieldView:
     fac = factorize(q0)
     if set(fac) != {F.p}:
@@ -403,11 +370,10 @@ def dlsub(q: int, q0: int, r: int, j: int) -> IncidenceStructure:
     k, t = lsub_params(q, q0, r)
     if not 0 < j < t:
         raise ValueError(f"DLSub needs 0 < j < t = {t}")
-    L = lsub(2, q, q0, r)
-    (base,) = L.bases
+    (base,) = lsub(2, q, q0, r).bases
     space = build_omega("linear", 2, q, r)
     params = FamilyParams("dlsub", 2, q, q0, r, j=j, k=k, t=t)
-    D = OrbitStructure(L.group, [base, diagonal_map(space, j)[base]],
+    D = OrbitStructure(omega_group(space, t), [base, diagonal_map(space, j)[base]],
                        params.as_dict())
     D.params["disjoint_union"] = len(D.bases) == 2
     return D

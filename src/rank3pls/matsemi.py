@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gfield import Field, SubfieldView, field_make
+from .gfield import Field, SubfieldView, factorize, field_make
 
 
 class Mat:
@@ -358,7 +358,6 @@ class GroupSpec:
 
 
 def matrix_field(spec: GroupSpec) -> Field:
-    from .gfield import factorize
     fac = factorize(spec.q)
     if len(fac) != 1:
         raise ValueError(f"q = {spec.q} is not a prime power")
@@ -408,3 +407,13 @@ def gens_group(spec: GroupSpec) -> list[SemilinearElem]:
     if spec.shape not in shapes:
         raise ValueError(f"unknown group shape {spec.shape!r} for kind {spec.kind!r}")
     return shapes[spec.shape]
+
+
+def gens_det_restricted(n: int, F: Field, t: int) -> list[SemilinearElem]:
+    """Generators of LSub's group G_1 = {g in GL_n(q) : det g in <w^t>} =
+    <SL_n(q), diag(w^t, 1, ..., 1)>; determinant surjectivity makes the two
+    descriptions agree."""
+    gens = gens_sl(n, F)
+    if t % (F.q - 1):
+        gens = gens + [linear(Mat.diag(F, [F.exp[t % (F.q - 1)]] + [1] * (n - 1)))]
+    return gens

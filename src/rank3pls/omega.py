@@ -15,6 +15,12 @@ It maps cells to cells, so it acts on the N = r m points through the m
 cell reps: w^i u goes to w^(i p^k + s) u' when u goes to w^s u'.  The same
 kernel gives the projective action (r = 1) and the action on nonzero
 vectors (r = q - 1).
+
+induced_group is the one builder of such a group: its chain stops at the
+bound the generators prove (matsemi.induced_order_bound), which makes it
+exact.  omega_group keeps one per (kind, n, q, r, shape) of an Omega space,
+so a catalogue row and a family on one space and shape (GL3_3 and
+Delta(3, 3)) share one group, chain and store.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from .gfield import Field, field_make, factorize, is_prime, is_primitive_prime_divisor
-from .matsemi import GroupSpec, UnitaryForm, induced_order_bound, scalar
+from .matsemi import (GroupSpec, UnitaryForm, gens_det_restricted, gens_group,
+                      induced_order_bound, scalar)
 from .permcore import PermGroup
 
 
@@ -106,10 +113,12 @@ class CanonicalPoints:
     q - 1 nonzero vectors.  Points are numbered in the order of their keys,
     keys[u, i] for w^i u: point pos[u, i], row pos[u, i] of vectors.  A
     vector is found by its projective form's key sum v_j q^j in the sorted
-    keys of the reps and the log of its first nonzero coordinate mod r."""
+    keys of the reps and the log of its first nonzero coordinate mod r.
+    `cells` has one sorted row of points per 1-space, in order of least
+    points, and `cell_of` each point's cell; `form` is None off Omega."""
 
     def __init__(self, field: Field, r: int, reps: np.ndarray, keys: np.ndarray):
-        self.field, self.r = field, r
+        self.field, self.r, self.form = field, r, None
         order = np.argsort(keys, axis=None)
         if (np.diff(keys.ravel()[order]) == 0).any():
             raise AssertionError("cell members collide")
@@ -124,6 +133,10 @@ class CanonicalPoints:
         self.pos = pos[by_key]
         self.vectors = np.empty((pos.size, reps.shape[1]), dtype=np.int64)
         self.vectors[self.pos] = _scalings(field, self.reps, r)
+        cells = np.sort(self.pos, axis=1)
+        self.cells = cells = cells[np.argsort(cells[:, 0])]
+        self.cell_of = np.empty(len(self), dtype=np.int32)
+        self.cell_of[cells] = np.arange(len(cells), dtype=np.int32)[:, None]
 
     def __len__(self):
         return len(self.vectors)
@@ -164,8 +177,7 @@ class OmegaSpace(CanonicalPoints):
     Sigma.
 
     The space is held as arrays: `vectors` (row i is point i), `reps`,
-    `pos` (see CanonicalPoints) and `cells` (Sigma, one sorted row of point
-    indices per cell, the cells in order of their least points).  `points`
+    `pos` and `cells` (Sigma; see CanonicalPoints).  `points`
     (the vectors as tuples) and `sigma` (the cells as lists) are built from
     them the first time they are read and kept; the library itself reads
     only the arrays."""
@@ -175,10 +187,6 @@ class OmegaSpace(CanonicalPoints):
         # field is the matrix field: GF(q) linear, GF(q^2) unitary
         super().__init__(field, r, reps, keys)
         self.kind, self.n, self.q, self.form = kind, n, q, form
-        cells = np.sort(self.pos, axis=1)
-        self.cells = cells = cells[np.argsort(cells[:, 0])]
-        self.cell_of = np.empty(len(self), dtype=np.int32)
-        self.cell_of[cells] = np.arange(len(cells), dtype=np.int32)[:, None]
 
     @cached_property
     def points(self) -> list[tuple]:
@@ -302,10 +310,11 @@ def _isotropic_reps(F: Field, form: UnitaryForm) -> np.ndarray:
     return reps
 
 
-def induce_action(space: OmegaSpace, gens) -> list[np.ndarray]:
-    """Permutations induced on Omega by semilinear elements.
+def induce_action(space: CanonicalPoints, gens) -> list[np.ndarray]:
+    """Permutations induced on the points by semilinear elements.
 
-    Raises if a generator fails to permute Omega or to preserve Sigma.
+    Raises if a generator fails to permute the points or to preserve their
+    cells (Sigma, on Omega).
     """
     ends = space.cells[:, [0, -1]]
     perms = []
@@ -331,16 +340,35 @@ def projective_points(F: Field, n: int, vectors: bool = False) -> CanonicalPoint
     return CanonicalPoints(F, r, reps, _scalings(F, reps, r) @ F.q ** np.arange(n))
 
 
-def vector_action(F: Field, n: int, gens) -> tuple[PermGroup, np.ndarray]:
-    """Permutation action of semilinear elements on all q^n - 1 nonzero
-    vectors, with the (q^n - 1, n) array whose row i is point i; used for
-    PSL(3,2)'s plinth and for order checks of generator sets that contain
-    SL_n(q). The action is faithful (r = q - 1, so Y = 1) and its chain
-    stops at induced_order_bound; reading the order of a set that misses
-    SL_n(q) raises "below the proven bound"."""
-    vecs = projective_points(F, n, vectors=True)
-    return PermGroup(len(vecs), [vecs.image(g) for g in gens], name="vector-action",
-                     order_bound=induced_order_bound(gens, F.q - 1)), vecs.vectors
+def induced_group(points: CanonicalPoints, gens, name: str = "",
+                  base_hint=None) -> PermGroup:
+    """The group the semilinear generators induce on the points, its chain
+    stopped at the bound they prove (matsemi.induced_order_bound); reading
+    the order of a set that misses SL_n(q) (SU_3(q)) raises."""
+    return PermGroup(len(points), induce_action(points, gens), name=name,
+                     order_bound=induced_order_bound(gens, points.r, points.form),
+                     base_hint=base_hint)
+
+
+_GROUP_CACHE: dict[tuple, PermGroup] = {}
+
+
+def omega_group(space: OmegaSpace, shape) -> PermGroup:
+    """The group of the shape induced on the space, built once per (kind, n,
+    q, r, shape) and named by its shape and (n, q, r): a GroupSpec shape, or
+    for an int t LSub's det-restricted group."""
+    key = (space.kind, space.n, space.q, space.r, shape)
+    if key not in _GROUP_CACHE:
+        if isinstance(shape, int):
+            gens = gens_det_restricted(space.n, space.field, shape)
+            label = f"det<w^{shape}>"
+        else:
+            gens = gens_group(GroupSpec(space.kind, space.n, space.q, space.r, shape))
+            label = shape
+        G = induced_group(space, gens, name=f"{label}{key[1:4]}")
+        G.order         # the chain, built and certified here
+        _GROUP_CACHE[key] = G
+    return _GROUP_CACHE[key]
 
 
 # -- the semiprimitive / innately transitive / quasiprimitive / rank-3 flags --
@@ -376,7 +404,6 @@ def classify_action(n: int, q: int, r: int, G: PermGroup, spec: GroupSpec,
             # matrix part must have a non-square determinant (w I only
             # swaps the two points of a cell, so Z SL_2(q) has rank 4)
             F = space.field if space is not None else field_make(p, a)
-            from .matsemi import gens_group
             dets = [g.mat.det() for g in gens_group(spec)]
             stride = math.gcd(2, q - 1)  # the squares are <w^stride>
             arith = any(F.log[d] % stride for d in dets)

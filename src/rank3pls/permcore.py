@@ -10,12 +10,13 @@ Algorithms, 4.1-4.2); a chain's order never exceeds the true order:
     so a chain that reaches it is complete.  Sift residues of random
     elements (product replacement) are inserted until it does; a run of
     CERTIFICATE_SIFTS members below it raises.  Every group built from
-    matrices proves one from its generators (matsemi.induced_order_bound:
-    the omega builtins, the matrix plinths and the family groups), and so
-    do a stabilizer's rebase (the generators of a certified G), a faithful
-    coset action (its image has at most |G| elements) and the catalogue's
-    C2x doubles (G x <z> once z is checked to centralize G and to lie
-    outside it).
+    matrices proves one from its generators (omega.induced_group, through
+    matsemi.induced_order_bound: the matrix plinths, and the omega builtins
+    and family groups, one per space and shape by omega.omega_group), and
+    so do a stabilizer's rebase (the generators of a certified G), a
+    faithful coset action (its image has at most |G| elements) and the
+    catalogue's C2x doubles (G x <z> once z is checked to centralize G and
+    to lie outside it).
   * deterministic (no bound): full Schreier-generator processing, whose
     chain is complete whatever it started from, up to DETERMINISTIC_DEGREE.
     A larger group needs a proven bound.

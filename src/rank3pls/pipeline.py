@@ -368,15 +368,12 @@ TABLE45_CASES = {
     6: ["GammaU3_4", "GammaU3_16"],
 }
 
-_PIPE_CACHE: dict[tuple[str, bool], PipelineResult] = {}
-
-
 def run_pipeline(builtin_name: str, slow: bool = False) -> PipelineResult:
-    key = (builtin_name, slow)
-    if key not in _PIPE_CACHE:
-        b = get_builtin(builtin_name)
-        _PIPE_CACHE[key] = devillers_enumerate(b.group, name=builtin_name, slow=slow)
-    return _PIPE_CACHE[key]
+    """devillers_enumerate on a builtin row, run once per slow and kept in
+    the row's group's own store."""
+    G = get_builtin(builtin_name).group
+    return G._kept(("pipeline", slow),
+                   lambda: devillers_enumerate(G, name=builtin_name, slow=slow))
 
 
 def _normalizes(gens, N: PermGroup) -> bool:

@@ -10,17 +10,16 @@ def pytest_addoption(parser):
 
 @pytest.fixture
 def fresh_caches(monkeypatch):
-    """Empty the builtin, pipeline, Omega and family-group caches for one
-    test, so every group and space it reads is built anew; the caches come
-    back when the test ends.  The fixture's value, called, empties them
-    again."""
-    from rank3pls import catalog, families, omega, pipeline
+    """Empty the builtin, Omega-space and Omega-group caches for one test,
+    so every group and space it reads is built anew, and with them every
+    pipeline result kept in a group's store; the caches come back when the
+    test ends.  The fixture's value, called, empties them again."""
+    from rank3pls import catalog, omega
 
     def empty():
         monkeypatch.setattr(catalog, "_CACHE", {})
-        monkeypatch.setattr(pipeline, "_PIPE_CACHE", {})
         monkeypatch.setattr(omega, "_SPACE_CACHE", {})
-        monkeypatch.setattr(families, "_GROUPS", {})
+        monkeypatch.setattr(omega, "_GROUP_CACHE", {})
 
     empty()
     return empty

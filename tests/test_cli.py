@@ -29,6 +29,23 @@ def test_family_csv(tmp_path):
     assert out.read_text().count("\n") == 16
 
 
+def test_count_only_refuses_a_csv_path(tmp_path, capsys):
+    """A count-only result has no lines: a .csv --out is one error line and
+    exit 1, and no file is made; a .json --out gets the counts."""
+    args = ["family", "build", "--kind", "usub", "--q", "16", "--q0", "4", "--out"]
+    csv = tmp_path / "x.csv"
+    assert main(args + [str(csv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: a count-only result has no lines to write "
+                            "as CSV; give --out a .json path\n")
+    assert captured.out == ""
+    assert not csv.exists()
+    js = tmp_path / "x.json"
+    assert main(args + [str(js)]) == 0
+    data = json.loads(js.read_text())
+    assert data["count_only"] is True and data["expected"]["lines"] > 10**7
+
+
 def test_verify_flags_non_pls(tmp_path):
     from rank3pls import families as fam
     bad = fam.dlsub(9, 3, 2, 2)

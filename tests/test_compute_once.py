@@ -1,13 +1,14 @@
 """Each group computes its stabilizers, Schreier trees, orbit partition,
-block lattices and Sigma once, and keeps them where no caller can change
-them; Schreier trees grow by the new generator only."""
+block lattices, Sigma and pipeline result once, and keeps them where no
+caller can change them; Schreier trees grow by the new generator only.  A
+catalogue row and a family on one Omega space and shape share one group."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from rank3pls import catalog, permcore, pipeline
+from rank3pls import catalog, families, omega, permcore, pipeline
 from rank3pls.permcore import PermGroup, _Level, inverse, line_orbit, sigma_partition
 
 
@@ -117,6 +118,44 @@ def test_one_group_per_name_whatever_the_seed():
     for seed in (0, 7, 12345):
         H = catalog.get_builtin("GammaL2_4", seed=seed).group
         assert H is G and H.stabilizer(0) is G0 and sigma_partition(H) is cells
+
+
+@pytest.mark.parametrize("row_first", [True, False], ids=["row-first", "family-first"])
+def test_a_row_and_a_family_on_one_space_and_shape_share_a_group(
+        fresh_caches, monkeypatch, row_first):
+    """GL3_3 and Delta(3, 3) are both GL_3(3) on Omega(linear, 3, 3, 2):
+    one group, named by its shape whichever is built first, with one chain
+    and one G_0."""
+    built = []
+    real = PermGroup._build_bsgs
+
+    def recorded(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(PermGroup, "_build_bsgs", recorded)
+    if row_first:
+        G = catalog.get_builtin("GL3_3").group
+        D = families.delta(3, 3)
+    else:
+        D = families.delta(3, 3)
+        G = catalog.get_builtin("GL3_3").group
+    assert D.group is G
+    assert G.name == "gl(3, 3, 2)"
+    assert sum(H is G for H in built) == 1
+    assert omega.omega_group(catalog.get_builtin("GL3_3").space, "gl") is G
+
+
+def test_a_pipeline_result_is_kept_by_its_group(fresh_caches):
+    """run_pipeline runs once per row and slow, its result kept in the
+    row's group; fresh caches mean a fresh group and a fresh run."""
+    res = pipeline.run_pipeline("GammaL2_4")
+    assert pipeline.run_pipeline("GammaL2_4") is res
+    slow = pipeline.run_pipeline("GammaL2_4", slow=True)
+    assert slow is not res and pipeline.run_pipeline("GammaL2_4", slow=True) is slow
+    fresh_caches()
+    again = pipeline.run_pipeline("GammaL2_4")
+    assert again is not res and again.report() == res.report()
 
 
 def test_no_sigma_is_kept_for_a_primitive_group():

@@ -8,7 +8,7 @@ from rank3pls.gfield import field_make
 from rank3pls.matsemi import (GroupSpec, Mat, SemilinearElem, UnitaryForm,
                               gens_group, gens_sl, gens_su3, induced_order_bound,
                               is_unitary, linear, sl_order, su3_order)
-from rank3pls.omega import projective_points, vector_action
+from rank3pls.omega import induced_group, projective_points
 from rank3pls.permcore import PermGroup
 from tests_order_oracle import group_matrix_order, singer_cycle
 
@@ -62,7 +62,7 @@ def test_gens_sl_orders(n, q, expect):
         assert want == expect
     if q**n - 1 > 20000:
         pytest.skip("vector action too large for the default suite")
-    G, _ = vector_action(F, n, gens_sl(n, F))
+    G = induced_group(projective_points(F, n, vectors=True), gens_sl(n, F))
     assert G.order == want
 
 
@@ -88,7 +88,7 @@ def test_singer_cycle_orders():
     for n, (p, a) in [(2, (2, 2)), (2, (3, 1)), (3, (2, 1))]:
         F = field_make(p, a)
         s = singer_cycle(n, F)
-        G, _ = vector_action(F, n, [s])
+        G = induced_group(projective_points(F, n, vectors=True), [s])
         assert PermGroup(G.degree, G.gens).order == F.q**n - 1
         with pytest.raises(AssertionError, match="below the proven bound"):
             G.order

@@ -5,13 +5,12 @@ import random
 import numpy as np
 import pytest
 
-from rank3pls.catalog import (NEGATIVE_CONTROLS, OMEGA_BUILTINS, get_builtin,
-                              projective_action)
+from rank3pls.catalog import NEGATIVE_CONTROLS, OMEGA_BUILTINS, get_builtin
 from rank3pls.gfield import _CONWAY, field_make
 from rank3pls.matsemi import (GroupSpec, Mat, SemilinearElem, gens_group,
                               gens_sl, induced_order_bound, linear, scalar)
 from rank3pls.omega import (_tables, build_omega, classify_action, induce_action,
-                            projective_points, semilinear_image, vector_action)
+                            induced_group, projective_points, semilinear_image)
 from rank3pls.permcore import PermGroup
 from tests_order_oracle import induced_kernel_facts, induced_order, perm_order
 
@@ -161,7 +160,7 @@ def test_projective_and_vector_actions_match_scalar_loops():
         c = next(x for x in v if x != 0)
         return tuple(F.mul(F.inv(c), x) for x in v)
 
-    G = projective_action(F, 3, gens)
+    G = induced_group(projective_points(F, 3), gens)
     assert G.order == 49448448
     for g, perm in zip(gens, G.gens):
         assert perm.tolist() == [index[normalize(g.apply(v))] for v in reps]
@@ -170,8 +169,9 @@ def test_projective_and_vector_actions_match_scalar_loops():
     vecs = [(k % 4, k // 4 % 4, k // 16) for k in range(1, 64)]
     vindex = {v: i for i, v in enumerate(vecs)}
     gens4 = gens_sl(3, F4)
-    G4, rows = vector_action(F4, 3, gens4)
-    assert rows.tolist() == [list(v) for v in vecs]
+    points4 = projective_points(F4, 3, vectors=True)
+    G4 = induced_group(points4, gens4)
+    assert points4.vectors.tolist() == [list(v) for v in vecs]
     for g, perm in zip(gens4, G4.gens):
         assert perm.tolist() == [vindex[g.apply(v)] for v in vecs]
 
@@ -354,15 +354,17 @@ def test_cell_image_and_locate_match_all_points_on_every_builtin(name):
 @pytest.mark.parametrize("p, a, n", [(2, 3, 3), (2, 2, 3), (2, 1, 4), (3, 1, 3),
                                      (5, 1, 2)])
 def test_cell_image_and_locate_match_all_points_on_vectors_and_1_spaces(p, a, n):
-    """The projective action (r = 1) and vector_action's points
-    (r = q - 1), with the frob generator of PGammaL3(8) among them."""
+    """The projective action (r = 1) and the nonzero vectors (r = q - 1),
+    with the frob generator of PGammaL3(8) among them, and the group
+    induced_group builds on the vectors."""
     F = field_make(p, a)
     gens = gens_sl(n, F) + [linear(Mat.diag(F, [F.omega] + [1] * (n - 1))),
                             SemilinearElem(1, Mat.identity(F, n))]
     for vectors in (False, True):
         _agrees_with_reference(projective_points(F, n, vectors), gens)
-    G, rows = vector_action(F, n, gens)
-    assert rows.tolist() == [[k // F.q**j % F.q for j in range(n)]
+    vecs = projective_points(F, n, vectors=True)
+    G = induced_group(vecs, gens)
+    assert vecs.vectors.tolist() == [[k // F.q**j % F.q for j in range(n)]
                              for k in range(1, F.q**n)]
     assert all(np.array_equal(h, _AllPoints(projective_points(F, n, True)).image(g))
                for g, h in zip(gens, G.gens))

@@ -15,8 +15,9 @@ import pytest
 from rank3pls import families
 from rank3pls.catalog import NEGATIVE_CONTROLS, OMEGA_BUILTINS, get_builtin
 from rank3pls.gfield import field_make
-from rank3pls.matsemi import (GroupSpec, Mat, UnitaryForm, gens_group, gens_su3,
-                              induced_order_bound, linear, matrix_field, sl_order)
+from rank3pls.matsemi import (GroupSpec, Mat, UnitaryForm, gens_det_restricted,
+                              gens_group, gens_su3, induced_order_bound, linear,
+                              matrix_field, sl_order)
 from rank3pls.omega import build_omega, induce_action
 from rank3pls.permcore import PermGroup
 from tests_order_oracle import induced_order
@@ -60,7 +61,7 @@ def _det_restricted_order(n: int, q: int, r: int, t: int) -> int:
 def test_the_bound_is_the_det_restricted_closed_form(n, q, q0, r):
     _, t = families.lsub_params(q, q0, r)
     space = build_omega("linear", n, q, r)
-    gens = families._det_restricted_gens(space, t)
+    gens = gens_det_restricted(n, space.field, t)
     assert induced_order_bound(gens, r) == _det_restricted_order(n, q, r, t)
 
 

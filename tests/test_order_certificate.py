@@ -169,9 +169,9 @@ def test_matrix_builds_prove_their_bound_and_the_rest_run_the_deterministic_pass
     families.lsub(2, 25, 5, 3)
     families.agu_star(4)
     assert sorted(paths["proven bound"]) == [
-        "C2xM11/cosets", "C2xvector-action/cosets", "G1(det in <w^2>)",
-        "GammaU3_4", "M11/cosets", "PSL3(3)@13", "PSL3(3)@13/cosets",
-        "S2xC3|rebase2", "vector-action", "vector-action/cosets",
+        "C2xM11/cosets", "C2xvector-action/cosets", "M11/cosets", "PSL3(3)@13",
+        "PSL3(3)@13/cosets", "S2xC3|rebase2", "det<w^2>(2, 25, 3)",
+        "gammau(3, 4, 3)", "vector-action", "vector-action/cosets",
         "z_su(3, 4, 3)"]
     assert sorted(paths["deterministic"]) == [
         "", "", "", "2M12_deg24", "3S6_deg18", "M11", "S2xC3"]

@@ -87,12 +87,13 @@ def test_stabilizer_examples():
     # PSL3(2) on 7 points: stabilizer order 24
     from rank3pls.gfield import field_make
     from rank3pls.matsemi import gens_sl
-    from rank3pls.omega import vector_action
-    G7, _ = vector_action(field_make(2, 1), 3, gens_sl(3, field_make(2, 1)))
+    from rank3pls.omega import induced_group, projective_points
+    F2 = field_make(2, 1)
+    G7 = induced_group(projective_points(F2, 3, vectors=True), gens_sl(3, F2))
     assert G7.order == 168
     assert G7.stabilizer(0).order == 24
-    from rank3pls.catalog import projective_action
-    G13 = projective_action(field_make(3, 1), 3, gens_sl(3, field_make(3, 1)))
+    G13 = induced_group(projective_points(field_make(3, 1), 3),
+                        gens_sl(3, field_make(3, 1)))
     assert G13.order == 5616
     assert G13.stabilizer(0).order == 432
 

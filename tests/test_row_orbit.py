@@ -42,9 +42,9 @@ def _s4_on_g0():
 def _psl32_index2():
     from rank3pls.gfield import field_make
     from rank3pls.matsemi import gens_sl
-    from rank3pls.omega import vector_action
+    from rank3pls.omega import induced_group, projective_points
     F = field_make(2, 1)
-    G, _ = vector_action(F, 3, gens_sl(3, F))
+    G = induced_group(projective_points(F, 3, vectors=True), gens_sl(3, F))
     assert G.order == 168
     return G, G.stabilizer(0).normal_subgroup_of_index(2)
 

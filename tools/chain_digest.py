@@ -13,9 +13,12 @@ of them agrees.  The coset rows read their subgroups from bundled data, so
 no subgroup search runs in it.  The line also gives the number of chains
 the tables built and the number in all.
 
-With --catalogue the chains built by `families._family_group` (the groups
-the Table 2 family structures are orbits of) are left out, so the line
-covers the catalogue's and the pipeline's chains alone.
+With --catalogue the chains first built for a family structure (the family
+constructors' calls of `omega.omega_group`, through the name
+`families.omega_group`) are left out, so the line covers the chains the
+catalogue and the pipeline build and no family built before them.  A
+catalogue row whose group a family built first (GL3_3 after Delta(3, 3))
+reuses that chain, so it adds no line.
 
 With --per-build a line per hashed build comes first: the group's name,
 its degree, the path that built and certified its chain
@@ -43,7 +46,7 @@ def main() -> None:
     digest = hashlib.sha256()
     builds = [0]
     build = PermGroup._build_bsgs
-    family_group = families._family_group
+    family_group = families.omega_group
     in_family = [False]
 
     per_build = []
@@ -74,7 +77,7 @@ def main() -> None:
 
     PermGroup._build_bsgs = hashed_build
     if "--catalogue" in sys.argv[1:]:
-        families._family_group = unhashed_family_group
+        families.omega_group = unhashed_family_group
     try:
         for t in range(2, 7):
             pipeline.reproduce_table(t, max_degree=300)
@@ -84,7 +87,7 @@ def main() -> None:
             digest.update(g.tobytes())
     finally:
         PermGroup._build_bsgs = build
-        families._family_group = family_group
+        families.omega_group = family_group
     if "--per-build" in sys.argv[1:]:
         print("\n".join(per_build))
     print(f"{digest.hexdigest()}  tables={chains} chains={builds[0]}")

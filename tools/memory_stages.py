@@ -4,7 +4,7 @@ workload, then of the full-array path on the same structure.
 
 The first calls are those of perfbench's `families` workload, in its order:
 `usub(16, 4)` (count-only), then `lsub(3, 25, 5, 3)`, split into the
-stages it runs: the chain of its group (`_family_group`) and the lines
+stages it runs: the chain of its group (`omega_group`) and the lines
 through 0 (the `OrbitStructure` it builds), then `validate_pls`,
 `components` and `fingerprint` on that structure (`is_proper` is not
 called: the structure is not a partial linear space).  None of them builds
@@ -56,7 +56,7 @@ def main() -> int:
         return call
 
     # lsub reaches its chain and its lines through 0 through these two names
-    families._family_group = measured("chain", families._family_group)
+    families.omega_group = measured("chain", families.omega_group)
     families.OrbitStructure = measured("rows through 0", families.OrbitStructure)
     tracemalloc.start()
     try:
