@@ -49,13 +49,15 @@ generator alone on its old points, which the old generators already keep
 inside the orbit (`_Level.add_gen`).
 
 `merge` is the one union-find: a partition is an array of class roots, each
-class rooted at its least point.  Orbits, the block lattice (a block through
+class rooted at its least point.  Orbits, single block joins (a block through
 beta is the beta-class of the orbit partition of an overgroup of G_beta),
-flag orbits and the components of an incidence structure are all merges.
-Two BFS loops stay, because they need what a partition does not keep: the
-Schreier tree of `_Level.extend_orbit` (BFS order and `sv`, which the
-transversal reps are read from) and the orbit of one row of points with
-rows numbered in FIFO order.  Each loop sizes a layer by its image entries,
+flag orbits and the components of an incidence structure are all merges; the
+block lattice through beta closes sets of G_beta-orbits over k^3 bits read
+off the reps of its k suborbit heads, with no merge.  Two BFS loops over
+points stay, because they need what a partition does not keep: the Schreier
+tree of `_Level.extend_orbit` (BFS order and `sv`, which the transversal
+reps are read from) and the orbit of one row of points with rows numbered
+in FIFO order.  Each loop sizes a layer by its image entries,
 frontier rows x generators x row width: below _PYTHON_LAYER the layer runs
 in plain Python over memoryviews of the int32 generators, since a numpy
 call costs more than a handful of points, and from there on in numpy.  The
@@ -281,17 +283,6 @@ class _Level:
             rows, x = flat[k[:, None] + rows], flat[k + x]
             if (x == self.point).all():
                 return rows
-
-
-def _join_rows(rows: np.ndarray, images: np.ndarray) -> np.ndarray:
-    """Partitions joined row by row, in one merge: row i of rows, an (m, n)
-    array of class roots, merged with x ~ images[i, j * n + x] for every x
-    and j.  The rows are stacked at offsets i * n, so each stays apart."""
-    m, n = rows.shape
-    off = np.arange(0, m * n, n, dtype=np.int32)[:, None]
-    points = np.tile(identity(n), images.shape[1] // n)
-    parent = merge((rows + off).ravel(), (points + off).ravel(), (images + off).ravel())
-    return parent.reshape(m, n) - off
 
 
 class _InverseReps:
@@ -654,14 +645,13 @@ class PermGroup:
     # -- blocks of imprimitivity ----------------------------------------------
     #
     # The blocks through beta are the orbits beta^H of the overgroups
-    # G_beta <= H <= G, one block per overgroup (Dixon & Mortimer,
-    # Permutation Groups, Thm 1.5A).  A block is held as the orbit partition
-    # of its H, a row of class roots.  The smallest block containing beta and
-    # gamma is beta^<G_beta, u> for any u with beta^u = gamma: its row is
-    # G_beta's orbit labels merged with x ~ x^u for every x, or with the
-    # u^-1 to_root reads, as <G_beta, u> = <G_beta, u^-1>.  The join of two
-    # blocks is beta's class in the join of their rows.  Either is one merge,
-    # with no closure rounds, and _join_rows makes one merge of a batch.
+    # G_beta <= H <= G, one per overgroup (Dixon & Mortimer, Permutation
+    # Groups, Thm 1.5A), so each is a union of suborbits, the orbits of
+    # G_beta.  The smallest block containing beta and gamma is
+    # beta^<G_beta, u> for any u with beta^u = gamma, beta's component in
+    # the orbital graph of (beta, gamma) (D. G. Higman, J. Algebra 6, 1967).
+    # block_join merges G_beta's orbit labels with x ~ x^(u^-1); the lattice
+    # closes sets of suborbits over a table of those graphs' edges.
 
     def schreier_tree(self, beta: int) -> _Level:
         """A Schreier tree rooted at beta over the group's generators: its
@@ -696,8 +686,8 @@ class PermGroup:
             raise ValueError(f"point {int(off[0])} is not in the orbit of {beta}")
         labels = self.stabilizer(beta).orbit_labels()
         heads = np.array(sorted(set(labels[pts].tolist())), dtype=np.intp)
-        images = tree.to_root(identity(self.degree)[None], heads).reshape(1, -1)
-        row = _join_rows(labels[None, :], images)[0]
+        images = tree.to_root(identity(self.degree)[None], heads)
+        row = merge(labels, np.tile(identity(self.degree), len(heads)), images.ravel())
         return frozenset(np.flatnonzero(row == row[beta]).tolist())
 
     def verify_block(self, block) -> bool:
@@ -731,61 +721,70 @@ class PermGroup:
                                lambda: tuple(self._blocks_through(int(beta)))))
 
     def _blocks_through(self, beta: int) -> list[frozenset]:
-        """The lattice of all_blocks_through, computed afresh.
-
-        Any block through beta is a union of orbits of the point stabilizer
-        G_beta and the join of the minimal blocks it contains, and
-        minimal_block(beta, -) is constant on those orbits.  So the minimal
-        blocks from one point per G_beta-orbit are joined to the blocks of
-        the last layer until a layer finds no new block.  Rows go through
-        _join_rows in batches of max(1, _BATCH_ENTRIES // degree).
-        """
+        """The lattice of all_blocks_through, computed afresh.  A block is
+        held as its set of suborbits D_a, the orbits of G_beta on the orbit
+        D of beta, with heads h_a (least points) and tree reps u_a.  One
+        to_root read of the u_c^-1, in batches of max(1, _BATCH_ENTRIES //
+        degree) rows, fills the relation table: bit b of table[a, c] is set
+        when D_a^(u_c) meets D_b, an edge from D_c into D_b in the orbital
+        graph of (beta, h_a).  It takes k * k * ceil(k / 64) words:
+        8 k^2 bytes up to k = 64, about k^3 / 8 past it (0.8 MB at k = 182).
+        A minimal block is beta's component in one such graph, and a join is
+        reached along the relations that made its two blocks.  The minimal
+        blocks join each block of the last layer until a layer finds no new
+        block; verify_block checks every block returned."""
         tree = self.schreier_tree(beta)
-        n = len(tree.orbit)
-        if n <= 2:
+        orbit = np.flatnonzero(tree.sv != -1)
+        if len(orbit) <= 2:
             return []
-        deg = self.degree
-        batch = max(1, _BATCH_ENTRIES // deg)
         labels = self.stabilizer(beta).orbit_labels()
-        # the least point of each G_beta-orbit on the orbit of beta but {beta}
-        roots = np.flatnonzero((labels == identity(deg)) & (tree.sv != -1))
-        roots = roots[roots != beta]
+        heads = orbit[labels[orbit] == orbit]
+        k, words = len(heads), (len(heads) + 63) // 64
+        index = np.zeros(self.degree, dtype=np.intp)
+        index[heads] = np.arange(k)
+        index = index[labels]           # each orbit point's suborbit
+        sub = index[orbit]
+        table = np.empty((k, k, words), dtype=np.uint64)
+        batch = max(1, _BATCH_ENTRIES // self.degree)
+        for c in range(0, k, batch):
+            reps = tree.to_root(identity(self.degree)[None], heads[c:c + batch])
+            hit = np.zeros((len(reps), k, 64 * words), dtype=bool)
+            hit[np.arange(len(reps))[:, None], index[reps[:, orbit]], sub] = True
+            bits = np.packbits(hit, axis=2, bitorder="little").view(np.uint64)
+            table[:, c:c + batch] = bits.swapaxes(0, 1)
+        found = {}
 
-        blocks: set[frozenset] = set()
-
-        def fresh_blocks(rows):
-            """(block, row) for the rows whose beta-class is a new block
-            other than {beta} and the whole orbit; adds it to blocks."""
-            out = []
-            for row in rows:
-                blk = frozenset(np.flatnonzero(row == row[beta]).tolist())
-                if 1 < len(blk) < n and blk not in blocks:
-                    blocks.add(blk)
-                    out.append((blk, row))
-            return out
+        def add(layer, seen, steps):
+            # reach from each row of seen, each step from the suborbits the last
+            # one added (bit b of steps[i, c]: D_c -> D_b); keep the new blocks
+            new, flat = seen, steps.reshape(-1, words)
+            while len(at := np.flatnonzero(new)):
+                bits = np.zeros((len(steps), words), dtype=np.uint64)
+                np.bitwise_or.at(bits, at // k, flat[at])
+                new = np.unpackbits(bits.view(np.uint8), axis=1, count=k,
+                                    bitorder="little") > seen
+                seen = seen | new
+            for blk, step, whole in zip(seen, steps, seen.all(axis=1)):
+                if not whole and found.setdefault(blk.tobytes(), blk) is blk:
+                    if len(found) > MAX_BLOCKS:
+                        raise RuntimeError(f"block lattice exceeded cap {MAX_BLOCKS}")
+                    layer.append((blk, step))
 
         minimal = []
-        for a in range(0, len(roots), batch):
-            reps = tree.to_root(identity(deg)[None], roots[a:a + batch])
-            rows = _join_rows(np.broadcast_to(labels, reps.shape), reps)
-            minimal += fresh_blocks(rows)
-        min_rows = np.asarray([row for _, row in minimal])
+        start = np.arange(k) == index[beta]
+        add(minimal, start[None].repeat(k - 1, axis=0), table[~start])
+        min_sets = np.array([blk for blk, _ in minimal])
+        min_steps = np.array([step for _, step in minimal])
         frontier = minimal
         while frontier:
-            if len(blocks) > MAX_BLOCKS:
-                raise RuntimeError(f"block lattice exceeded cap {MAX_BLOCKS}")
-            pairs = np.array([(i, j) for i, (b1, _) in enumerate(frontier)
-                              for j, (b2, _) in enumerate(minimal) if not b2 <= b1],
-                             dtype=np.intp).reshape(-1, 2)
-            front_rows = np.asarray([row for _, row in frontier])
-            nxt = []
-            for a in range(0, len(pairs), batch):
-                i, j = pairs[a:a + batch].T
-                nxt += fresh_blocks(_join_rows(front_rows[i], min_rows[j]))
-            frontier = nxt
+            layer = []
+            for blk, step in frontier:
+                add(layer, min_sets | blk, min_steps | step)
+            frontier = layer
+        blocks = [frozenset(orbit[blk[sub]].tolist()) for blk in found.values()]
         out = sorted(blocks, key=lambda b: (len(b), sorted(b)))
         for b in out:
-            if n % len(b) != 0 or not self.verify_block(b):
+            if len(orbit) % len(b) != 0 or not self.verify_block(b):
                 raise AssertionError(f"non-block of size {len(b)} escaped the lattice")
         return out
 

@@ -1,10 +1,11 @@
 """Property tests of the union-find kernel on random small groups.
 
-Orbits, minimal blocks, block lattices, components and the flag test all
-read their classes from permcore.merge.  Each is compared here with an
-oracle that does not: networkx connected components, the exhaustive block
-search of tests_block_oracle and the backtracking setwise stabilizer.  The
-runs are derandomized, so every run draws the same examples.
+Orbits, minimal blocks, components and the flag test read their classes
+from permcore.merge, and block lattices close over suborbits.  Each is
+compared here with an oracle that does neither: networkx connected
+components, the exhaustive block search of tests_block_oracle and the
+backtracking setwise stabilizer.  The runs are derandomized, so every run
+draws the same examples.
 """
 
 import numpy as np

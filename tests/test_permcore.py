@@ -12,12 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rank3pls import catalog, permcore
+from rank3pls import catalog, permcore, pipeline
 from rank3pls.catalog import get_builtin
 from rank3pls.permcore import (PermGroup, compose, flag_transitive_on_line,
                                identity, inverse, line_orbit, perm_from_images,
                                read_group_file, row_keys, write_group_file)
-from tests_block_oracle import bfs_orbit
+from tests_block_oracle import bfs_orbit, join_lattice
 from tests_order_oracle import perm_order
 
 
@@ -169,30 +169,78 @@ def test_block_lattice_cap(monkeypatch):
         _cyclic(8).all_blocks_through(0)
 
 
+class _CountingCap(int):
+    """A MAX_BLOCKS that records each block count compared with it: for
+    `count > cap`, Python asks the int subclass's reflected __lt__ first."""
+
+    def __new__(cls, value, counts):
+        cap = super().__new__(cls, value)
+        cap.counts = counts
+        return cap
+
+    def __lt__(self, count):
+        self.counts.append(count)
+        return int(self) < count
+
+
+def test_block_lattice_cap_is_checked_per_block(monkeypatch):
+    """C_2^4's 15 minimal blocks fill a cap of 15, and its first join layer
+    would add 35 more: the lattice stops at the 16th block it finds, not at
+    the end of that layer."""
+    counts = []
+    monkeypatch.setattr(permcore, "MAX_BLOCKS", _CountingCap(15, counts))
+    with pytest.raises(RuntimeError, match="block lattice exceeded cap 15"):
+        _elementary_abelian(4).all_blocks_through(0)
+    assert max(counts) == 16
+
+
 def _elementary_abelian(k):
     """C_2^k acting regularly on 2^k points, x -> x xor 2^i."""
     x = np.arange(1 << k, dtype=np.int32)
     return PermGroup(1 << k, [x ^ (1 << i) for i in range(k)], name=f"2^{k}")
 
 
-def test_lattice_with_three_join_layers(monkeypatch):
-    """In C_2^4 acting regularly every minimal block has 2 points, so the
-    blocks of 4 and 8 points come from the first two join layers, and a
-    third layer finds nothing new.  Both lattices equal the exhaustive
-    search."""
+def test_lattice_with_three_join_layers():
+    """In C_2^4 acting regularly the minimal blocks are its 15 subgroups of
+    order 2, so the blocks of 4 and 8 points come from the first two join
+    layers, and a third layer finds nothing new.  Both lattices equal the
+    exhaustive search."""
     from tests_block_oracle import exhaustive_blocks
     G = _elementary_abelian(4)
-    assert {len(G.minimal_block(0, g)) for g in range(1, 16)} == {2}
-    merges = []
-    join = permcore._join_rows
-    monkeypatch.setattr(permcore, "_join_rows",
-                        lambda *args: merges.append(1) or join(*args))
+    minimal = {G.minimal_block(0, g) for g in range(1, 16)}
+    assert len(minimal) == 15 and {len(b) for b in minimal} == {2}
     blocks = G.all_blocks_through(0)
-    assert len(merges) == 4     # the minimal blocks, then three layers
     assert Counter(len(b) for b in blocks) == {2: 15, 4: 35, 8: 15}
     assert set(blocks) == exhaustive_blocks(G, 0, range(16))
     C24 = _cyclic(24)
     assert set(C24.all_blocks_through(0)) == exhaustive_blocks(C24, 0, range(24))
+
+
+def test_default_lattices_match_the_join_lattice(fresh_caches, monkeypatch):
+    """Every lattice that Tables 2-6 and the negative controls compute, on
+    each suborbit the pipeline reads, equals the lattice by point merges,
+    blocks and order."""
+    runs = []
+    real = PermGroup._blocks_through
+    monkeypatch.setattr(PermGroup, "_blocks_through",
+                        lambda H, beta: runs.append((H, beta)) or real(H, beta))
+    for t in range(2, 7):
+        pipeline.reproduce_table(t, max_degree=300)
+    pipeline.negative_controls()
+    assert len(runs) == 24
+    for H, beta in runs:
+        assert H.all_blocks_through(beta) == join_lattice(H, beta), (H.name, beta)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, k", [("GammaU3_16", 59), ("PGammaL3_8_deg2044", 182)])
+def test_large_lattices_match_the_join_lattice(name, k):
+    """The lattices on the largest G_0-orbit, with k suborbits."""
+    G0 = get_builtin(name).group.stabilizer(0)
+    beta = max(G0.orbits(), key=len)[0]
+    labels = G0.stabilizer(beta).orbit_labels()
+    assert len(set(labels[G0.orbit(beta)].tolist())) == k
+    assert G0.all_blocks_through(beta) == join_lattice(G0, beta)
 
 
 def test_block_lattice_does_not_depend_on_batch_size(monkeypatch):

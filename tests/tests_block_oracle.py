@@ -1,10 +1,11 @@
 """Independent oracles: an exhaustive block search for small orbits and a
-plain breadth-first orbit.
+plain breadth-first orbit, plus a reference block lattice.
 
 Kept separate from the library on purpose: a fresh union-find, minimal
 blocks for every point of the carrier (no stabilizer-orbit shortcut), a
 fixpoint join closure, and an orbit that does not go through
-`permcore.merge`.
+`permcore.merge`.  `join_lattice` is the lattice by point merges, one
+`block_join` per block, for orbits too large for the exhaustive search.
 """
 
 
@@ -58,3 +59,20 @@ def exhaustive_blocks(H, beta, carrier):
                     blocks.add(grown)
                     changed = True
     return blocks
+
+
+def join_lattice(H, beta):
+    """Every nontrivial block through beta, in all_blocks_through's order:
+    the minimal block through beta and each least point of a G_beta-orbit
+    on beta's orbit, then the joins of the last layer's blocks with the
+    minimal ones, each by H.block_join, until a layer finds no new block."""
+    labels = H.stabilizer(beta).orbit_labels()
+    orbit = H.orbit(beta)
+    roots = sorted({int(labels[x]) for x in orbit} - {beta})
+    minimal = {H.block_join(beta, [r]) for r in roots} - {frozenset(orbit)}
+    blocks, layer = set(minimal), minimal
+    while layer:
+        layer = {H.block_join(beta, b1 | b2) for b1 in layer for b2 in minimal
+                 if not b2 <= b1} - blocks - {frozenset(orbit)}
+        blocks |= layer
+    return sorted(blocks, key=lambda b: (len(b), sorted(b)))
