@@ -16,9 +16,10 @@ rows L^(t_x).  Each point lies on |S| lines, there are n |S| / k lines of
 size k, the most lines through a point pair is the most rows of S through
 one y != 0, and each point is collinear with the number of such y.  The
 component of 0 is the orbit of 0 under G_0 and one t_y for each G_0-orbit
-of those y, and the other components are its images under G.  The line
-array (permcore.line_orbit, ingested as any line set) is built only when
-something reads `lines`, such as the file output of `family build`.
+of those y (PermGroup.block_join), and the other components are its images
+under G.  The line array (permcore.line_orbit, ingested as any line set) is
+built only when something reads `lines`, such as the file output of
+`family build`.
 
 DLSub is the union of the orbits of L and of its image under a diagonal map
 that normalizes G, so one OrbitStructure with two base rows.  USub above
@@ -46,7 +47,7 @@ from .gfield import SubfieldView, factorize
 from .incidence import IncidenceStructure, PairSummary, pair_keys
 from .matsemi import GroupSpec, Mat, gens_group, linear
 from .omega import OmegaSpace, build_omega, induce_action, omega_group, omega_space
-from .permcore import PermGroup, identity, line_orbit, merge, row_keys, sorted_rows
+from .permcore import PermGroup, line_orbit, row_keys, sorted_rows
 
 FULL_ENUMERATION_LIMIT = 10**7  # lines; above it usub counts and samples
 SAMPLE_SIZE = 10000  # steps of a count-only result's random walk
@@ -238,20 +239,16 @@ class OrbitStructure(IncidenceStructure):
 
     @cached_property
     def _components(self) -> tuple[tuple[int, ...], ...]:
-        """The component of 0 is the orbit of 0 under G_0 and one t_y for
-        each G_0-orbit of the points y collinear with 0, all read by one
-        to_root; the others are its images under G."""
+        """The component of 0 is the smallest block of G holding 0 and every
+        point collinear with it (`PermGroup.block_join`); the others are its
+        images under G."""
         n, G = self.num_points, self.group
-        labels = G.stabilizer(0).orbit_labels()
         collinear = np.zeros(n, dtype=bool)
         collinear[self._rows[:, 1:]] = True
-        heads = np.array(sorted(set(labels[collinear].tolist())), dtype=np.intp)
-        reps = self._at0.to_root(identity(n)[None], heads)
-        comp = merge(labels, np.tile(identity(n), len(reps)), reps.ravel())
-        component = np.flatnonzero(comp == 0)
+        component = G.block_join(0, np.flatnonzero(collinear))
         if len(component) == n:
             return (tuple(range(n)),)
-        cells = line_orbit(G.gens, component)[0]
+        cells = line_orbit(G.gens, sorted(component))[0]
         if len(cells) * len(component) != n:
             raise AssertionError(f"components of {len(component)} points do "
                                  f"not tile {n} points")

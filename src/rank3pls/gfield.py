@@ -7,8 +7,10 @@ primitive element omega, so multiplicative work is table lookups.
 
 Moduli come from an embedded Conway-polynomial table, which makes omega (the
 residue class of x, or a fixed primitive root when a = 1) identical across
-runs and machines.  Construction re-checks irreducibility and the order of
-omega, so a corrupted table entry fails loudly rather than silently.
+runs and machines.  Construction checks that the powers of omega are the
+q - 1 nonzero elements, each once.  That holds exactly when the modulus is
+irreducible and omega primitive, so a corrupted table entry fails loudly
+rather than silently.
 """
 
 from __future__ import annotations
@@ -124,7 +126,6 @@ class Field:
         self.modulus = _CONWAY[(p, a)]
         self._pow_p = [p**i for i in range(a)]
         self._build_tables()
-        self._check()
 
     # -- table construction -------------------------------------------------
 
@@ -178,17 +179,6 @@ class Field:
         for pw in self._pow_p:
             out += (((x // pw) * c) % p) * pw
         return out
-
-    def _check(self):
-        # irreducibility: gcd(x^{p^d} - x, modulus) = 1 for proper divisors d
-        # is implied by omega having order q - 1 together with the modulus
-        # being the minimal polynomial of omega; order was checked above, and
-        # a reducible modulus would have produced a zero divisor (exp table
-        # collision).  Double-check order directly against the factorization.
-        q = self.q
-        for r in factorize(q - 1):
-            if self.pow(self.omega, (q - 1) // r) == 1:
-                raise ArithmeticError(f"omega not primitive in GF({self.p}^{self.a})")
 
     # -- packed-int arithmetic ----------------------------------------------
 
@@ -250,7 +240,7 @@ class SubfieldView:
 
     s = (q - 1)/(q0 - 1), so the embedded subfield is the set of elements
     whose discrete log is divisible by s (plus 0).  No implicit coercion:
-    callers go through embed/project.
+    callers go through embed.
     """
 
     def __init__(self, big: Field, a0: int):
@@ -266,51 +256,3 @@ class SubfieldView:
         if x0 == 0:
             return 0
         return self.big.exp[self.sub.log[x0] * self.stride]
-
-    def contains(self, x: int) -> bool:
-        return x == 0 or self.big.log[x] % self.stride == 0
-
-    def project(self, x: int) -> int:
-        if x == 0:
-            return 0
-        d = self.big.log[x]
-        if d % self.stride:
-            raise ValueError("element does not lie in the subfield")
-        return self.sub.exp[(d // self.stride) % (self.q0 - 1)]
-
-    def relative_frobenius(self, x: int) -> int:
-        """x -> x^{q0}, generator of Gal(big/sub)."""
-        return self.big.pow(x, self.q0)
-
-    def trace(self, x: int) -> int:
-        """Relative trace into the subfield, returned as a big-field element."""
-        out = x
-        t = x
-        for _ in range(self.degree - 1):
-            t = self.relative_frobenius(t)
-            out = self.big.add(out, t)
-        return out
-
-
-def trace_to_subfield(view: SubfieldView, x: int) -> int:
-    """Tr(x) = x + x^q for a quadratic view GF(q^2)/GF(q), as a GF(q) element.
-
-    Requires the view to be quadratic; the kernel facts (size q, equal to
-    omega^{(q+1)/2} GF(q) for odd q and GF(q) for even q) are exercised in the
-    test suite.
-    """
-    if view.degree != 2:
-        raise ValueError("trace_to_subfield expects a quadratic view")
-    return view.project(view.trace(x))
-
-
-def coset_index(F: Field, r: int, x: int) -> int:
-    """The unique i in [0, r) with x in <omega^r> * omega^i.
-
-    r must divide q - 1 and x must be nonzero.
-    """
-    if x == 0:
-        raise ValueError("coset_index of 0")
-    if r <= 0 or (F.q - 1) % r != 0:
-        raise ValueError(f"r = {r} does not divide q - 1 = {F.q - 1}")
-    return F.log[x] % r

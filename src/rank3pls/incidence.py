@@ -208,9 +208,6 @@ class IncidenceStructure:
     def line_sizes(self) -> set[int]:
         return {self.line_size} if self.num_lines else set()
 
-    def line_set(self) -> frozenset:
-        return frozenset(map(tuple, self.lines.tolist()))
-
     def point_degrees(self) -> np.ndarray:
         deg = np.zeros(self.num_points, dtype=np.intp)
         for part in _line_slices(self.lines, self.num_points):
@@ -243,15 +240,6 @@ class IncidenceStructure:
         out.write(f"# points={self.num_points}\n")
         np.savetxt(out, self.lines, fmt="%d", delimiter=",")
         return out.getvalue()
-
-    def to_dot(self) -> str:
-        """Collinearity graph for small instances."""
-        if self.num_points > 200:
-            raise ValueError("DOT export is limited to 200 points")
-        keys = pair_keys(self.lines, self.num_points)
-        a, b = np.divmod(keys[_run_starts(keys)], self.num_points)
-        body = "\n".join(map("  {} -- {};".format, a.tolist(), b.tolist()))
-        return "graph collinearity {\n" + body + "\n}\n"
 
 
 @dataclass
@@ -308,20 +296,3 @@ def fingerprint(D: IncidenceStructure) -> tuple:
     return (D.num_points, D.num_lines, tuple(sorted(D.line_sizes())),
             tuple(np.sort(D.point_degrees()).tolist()),
             tuple(np.sort(D._pair_summary.concurrence).tolist()), comp_sizes)
-
-
-def preserved_by(D: IncidenceStructure, gens) -> bool:
-    """True iff each generator (a permutation of the points) maps the line
-    set onto itself."""
-    for g in gens:
-        if len(g) != D.num_points:
-            raise ValueError("generator degree does not match the point count")
-        if not np.array_equal(relabel(D, g).lines, D.lines):
-            return False
-    return True
-
-
-def relabel(D: IncidenceStructure, perm) -> IncidenceStructure:
-    """The image of D under the point permutation perm."""
-    return IncidenceStructure(
-        D.num_points, np.sort(np.asarray(perm)[D.lines], axis=1), D.params)

@@ -89,20 +89,6 @@ class Mat:
                         m[r][c] = F.sub(m[r][c], F.mul(factor, m[col][c]))
         return det
 
-    def apply_row(self, v) -> tuple:
-        F = self.field
-        n = self.n
-        out = [0] * n
-        for i in range(n):
-            a = v[i]
-            if a == 0:
-                continue
-            row = self.rows[i]
-            for j in range(n):
-                if row[j]:
-                    out[j] = F.add(out[j], F.mul(a, row[j]))
-        return tuple(out)
-
     def __eq__(self, other):
         return isinstance(other, Mat) and self.field is other.field and self.rows == other.rows
 
@@ -125,12 +111,6 @@ class SemilinearElem:
     @property
     def field(self) -> Field:
         return self.mat.field
-
-    def apply(self, v) -> tuple:
-        F = self.field
-        if self.frob:
-            v = tuple(F.frob_iter(x, self.frob) for x in v)
-        return self.mat.apply_row(v)
 
     def __mul__(self, other: "SemilinearElem") -> "SemilinearElem":
         e = self.field.a
@@ -166,16 +146,6 @@ class UnitaryForm:
 
     def conj(self, x: int) -> int:
         return self.field.pow(x, self.q)
-
-    def product(self, u, v) -> int:
-        """(u, v) = u_e v_f^q + u_x v_x^q + u_f v_e^q."""
-        F = self.field
-        out = F.mul(u[0], self.conj(v[2]))
-        out = F.add(out, F.mul(u[1], self.conj(v[1])))
-        return F.add(out, F.mul(u[2], self.conj(v[0])))
-
-    def is_isotropic(self, v) -> bool:
-        return self.product(v, v) == 0
 
 
 def is_unitary(A: Mat, form: UnitaryForm) -> bool:

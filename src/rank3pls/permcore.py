@@ -122,17 +122,6 @@ def perm_from_images(images) -> np.ndarray:
     return g
 
 
-def perm_power(g: np.ndarray, e: int) -> np.ndarray:
-    out = identity(len(g))
-    base = g
-    while e:
-        if e & 1:
-            out = compose(out, base)
-        base = compose(base, base)
-        e >>= 1
-    return out
-
-
 def merge(parent: np.ndarray, a, b) -> np.ndarray:
     """Join the classes of a[i] and b[i] for every i.
 
@@ -836,53 +825,6 @@ class PermGroup:
 
     # -- subgroup search -----------------------------------------------------------
 
-    def normal_closure(self, seeds) -> "PermGroup":
-        gens: list[np.ndarray] = []
-        K = PermGroup(self.degree, [])
-        queue = [s for s in seeds if not is_identity(s)]
-        while queue:
-            x = queue.pop()
-            if K.contains(x):
-                continue
-            gens.append(x)
-            K = PermGroup(self.degree, gens)
-            for h in self.gens:
-                queue.append(compose(compose(inverse(h), x), h))
-        return K
-
-    def normal_subgroup_of_index(self, r: int) -> "PermGroup":
-        """A verified normal subgroup of index r.
-
-        Built as the normal closure of commutators of generator pairs and
-        r-th powers of a growing sample of elements; works whenever the
-        quotient witnessing the index is abelian of exponent r.  Called by
-        tools/gen_sporadic_data.py, which writes the index-2 subgroups of
-        the PSL3_2_deg14 and M11_deg22 rows to the catalogue's data, and by
-        the tests; no catalogue load calls it.
-        """
-        rng = random.Random(DEFAULT_SEED ^ 0xC0117)
-        seeds = []
-        for a in self.gens:
-            for b in self.gens:
-                seeds.append(compose(compose(a, b), inverse(compose(b, a))))
-        for g in self.gens:
-            seeds.append(perm_power(g, r))
-        N = self.normal_closure(seeds)
-        tries = 0
-        while self.order // N.order > r and tries < 48:
-            g = self.random_element(rng)
-            N = self.normal_closure(N.gens + [perm_power(g, r)])
-            tries += 1
-        if self.order // N.order != r:
-            raise RuntimeError(
-                f"no normal subgroup of index {r} found (index reached "
-                f"{self.order // N.order})")
-        for g in N.gens:
-            for h in self.gens:
-                if not N.contains(compose(compose(inverse(h), g), h)):
-                    raise AssertionError("normality verification failed")
-        return N
-
     def subgroup_of_index(self, r: int, rng: random.Random | None = None,
                           accept=None) -> "PermGroup":
         """Search for an index-r subgroup by sampling small generating sets.
@@ -910,42 +852,6 @@ class PermGroup:
             if accept is None or accept(S):
                 return S
         raise RuntimeError(f"no index-{r} subgroup found in 2000 attempts")
-
-    # -- setwise stabilizer (oracle) ----------------------------------------------
-
-    def setwise_stabilizer(self, points) -> "PermGroup":
-        """Backtracking setwise stabilizer; meant for degree <= a few hundred."""
-        S = frozenset(int(p) for p in points)
-        rebased = PermGroup(self.degree, self.gens, base_hint=sorted(S),
-                            name=f"{self.name}|setstab")
-        rebased.order
-        chain = rebased._levels
-        found: list[np.ndarray] = []
-        stab = PermGroup(self.degree, [])
-        counter = [0]
-
-        def search(level: int, h_inv: np.ndarray):
-            # h, the reps chosen so far with the deepest applied first, as
-            # its inverse: h[x] lies in S iff x lies in h_inv[S]
-            nonlocal stab
-            counter[0] += 1
-            if counter[0] > 2_000_000:
-                raise RuntimeError("setwise stabilizer search exceeded cap")
-            back = set(h_inv[list(S)].tolist())
-            if level == len(chain):
-                if back == S and not is_identity(h_inv) \
-                        and not stab.contains(h := inverse(h_inv)):
-                    found.append(h)
-                    stab = PermGroup(self.degree, list(found))
-                return
-            lv = chain[level]
-            want = lv.point in S
-            xs = np.array([x for x in lv.orbit if (x in back) == want], dtype=np.intp)
-            for row in lv.to_root(h_inv[None], xs):
-                search(level + 1, row)
-
-        search(0, identity(self.degree))
-        return PermGroup(self.degree, list(found), name=f"{self.name}_setstab")
 
 
 class _Shaker:

@@ -25,9 +25,9 @@ has_lines) read it off those lines through 0, and its line array is built
 only when something reads `lines`.  Outside slow runs a structure of more
 than MAX_LINE_ORBIT lines raises RuntimeError.  The pipeline itself never
 builds that array, so the cap saves no memory of the run; it bounds the
-array that a later reader of `lines` builds (the JSON and CSV exports,
-`relabel`, `preserved_by`), at most MAX_LINE_ORBIT rows of k points
-for a structure a run without `slow` hands back.
+array that a later reader of `lines` builds (the JSON and CSV exports),
+at most MAX_LINE_ORBIT rows of k points for a structure a run without
+`slow` hands back.
 
 classify_blocks materializes the expected block inventories from their
 vector formulas at test time, so they survive any change of field modulus

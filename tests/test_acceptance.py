@@ -17,8 +17,7 @@ import pytest
 from rank3pls import families as fam
 from rank3pls.catalog import NEGATIVE_CONTROLS, OMEGA_BUILTINS, get_builtin
 from rank3pls.gfield import field_make
-from rank3pls.incidence import (components, is_connected, is_proper,
-                                preserved_by, validate_pls)
+from rank3pls.incidence import components, is_connected, is_proper, validate_pls
 from rank3pls.matsemi import gens_group, induced_order_bound
 from rank3pls.omega import build_omega, classify_action, induce_action
 from rank3pls.permcore import PermGroup, flag_transitive_on_line
@@ -26,8 +25,10 @@ from rank3pls.pipeline import (FLAG_TRANSITIVE_EXPECT, classify_blocks,
                                expected_blocks_linear, expected_blocks_unitary,
                                negative_controls, reproduce_table, run_pipeline)
 from tests_block_oracle import bfs_orbit, exhaustive_blocks
+from tests_geometry_oracle import line_set, preserved_by
 from tests_order_oracle import induced_order, perm_order, singer_cycle
 from tests_pipeline_oracle import multiplicity_bruteforce
+from tests_sporadic_tool import normal_closure, setwise_stabilizer
 
 EXPECTED_DIR = Path(__file__).resolve().parent.parent / "expected"
 
@@ -54,7 +55,7 @@ def test_criterion_02_delta24_singer_split():
     D = fam.delta(2, 4)
     space = build_omega("linear", 2, 4, 3)
     s = induce_action(space, [singer_cycle(2, field_make(2, 2))])[0]
-    lines = set(D.line_set())
+    lines = set(line_set(D))
     orbit_sizes = []
     while lines:
         line = lines.pop()
@@ -296,7 +297,7 @@ def _sporadic_type_witnesses() -> bool:
         from rank3pls.permcore import compose, inverse
         comms = [compose(compose(a, b), inverse(compose(b, a)))
                  for a in G.gens for b in G.gens]
-        soc = G.normal_closure(comms)
+        soc = normal_closure(G, comms)
         ok &= len(soc.orbit(0)) == G.degree
     return ok
 
@@ -340,7 +341,7 @@ def test_criterion_14_kernel_property_suites():
         orb = max(Ga.orbits(), key=len)
         for blk in Ga.all_blocks_through(orb[0]):
             line = tuple(sorted(set(blk) | {0}))
-            stab = G.setwise_stabilizer(line)
+            stab = setwise_stabilizer(G, line)
             oracle = bfs_orbit(stab.gens, line[0]) >= set(line)
             ok &= flag_transitive_on_line(G, line) == oracle
             checked += 1

@@ -1,35 +1,34 @@
-"""Every function, method and class in the library has a caller in src/.
+"""Every function, method and class in the library is reached from its entry
+points.
 
-A function or class under src/rank3pls/ passes when its name appears
-somewhere in src/ as a bare name or as an attribute (`x.name`); a method or
-property (a def directly in a class body) passes only through an attribute,
-since a bare name of the same spelling calls something else.  Either passes
-when it is on the allow-list below.  Special methods (`__init__`, `__eq__`,
-...) are called by the language and are skipped.  A new definition that
-nothing in the library uses either gets a caller, goes, or joins an
-allow-list group with a reason.
+The roots are the command line (`cli.main`), the public `rank3pls.__all__`,
+the allow-list below and the module-level code of every module; a root name
+reaches every definition of that name.  A definition is live when a live
+definition or module-level code mentions it: a function or class through its
+bare name or an attribute (`x.name`), a method or property (a def directly in
+a class body) only through an attribute, since a bare name of the same
+spelling calls something else.  Mentions are matched by spelling, not scope.
+Special methods (`__init__`, `__eq__`, ...) are called by the language, so
+their bodies count as their class's.  A definition that no root reaches is
+flagged, and so is everything only it mentions: it gets a live caller, goes,
+or joins the allow-list with a reason.
 """
 
 import ast
+import collections
 from pathlib import Path
+from typing import NamedTuple
 
 import rank3pls
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "rank3pls"
 
 ALLOWED = {
-    # the package's public API, for readers of the library
-    **{name: "rank3pls.__all__" for name in rank3pls.__all__},
     # perfbench/tracer.py wraps these by name and fails to install without them
     "minimal_block": "wrapped by perfbench/tracer.py",
     "subgroup_of_index": "wrapped by perfbench/tracer.py",
-    # test oracles and tool helpers kept in src/ (ROADMAP Direction H)
-    **{name: "test oracle or tool helper" for name in (
-        "setwise_stabilizer", "normal_subgroup_of_index",
-        "apply", "is_isotropic", "line_set")},
-    # IncidenceStructure's Graphviz export, an output format for readers
-    "to_dot": "Graphviz export",
 }
+ROOTS = {"main", *rank3pls.__all__}
 
 
 def _trees():
@@ -37,41 +36,95 @@ def _trees():
             for path in sorted(SRC.glob("*.py"))}
 
 
-def _definitions(tree):
-    """(name, line, is_method) for every def and class but special methods."""
-    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-               for node in cls.body}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if not (node.name.startswith("__") and node.name.endswith("__")):
-                yield node.name, node.lineno, id(node) in methods
+class _Unit(NamedTuple):
+    """A def or class but a special method, or a module's own code (line 0,
+    name None), with the bare names and attributes it mentions outside the
+    units nested in it."""
+    module: str
+    line: int
+    name: str | None
+    is_method: bool
+    names: set
+    attrs: set
 
 
-def _uncalled(trees):
-    """(module, line, name) of every definition src/ never refers to."""
-    names, attrs = set(), set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                attrs.add(node.attr)
-    return [(module, line, name)
-            for module, tree in trees.items()
-            for name, line, is_method in _definitions(tree)
-            if name not in attrs and (is_method or name not in names)]
+def _units(trees) -> list[_Unit]:
+    units = []
+
+    def visit(node, unit, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    and not (in_class and child.name.startswith("__")
+                             and child.name.endswith("__")):
+                sub = _Unit(unit.module, child.lineno, child.name, in_class, set(), set())
+                units.append(sub)
+                visit(child, sub, isinstance(child, ast.ClassDef))
+                continue
+            if isinstance(child, ast.Name):
+                unit.names.add(child.id)
+            elif isinstance(child, ast.Attribute):
+                unit.attrs.add(child.attr)
+            visit(child, unit, in_class and not isinstance(child, ast.FunctionDef))
+
+    for module, tree in trees.items():
+        units.append(_Unit(module, 0, None, False, set(), set()))
+        visit(tree, units[-1], False)
+    return units
+
+
+def _unreached(trees, roots):
+    """(module, line, name) of every definition no root reaches."""
+    units = _units(trees)
+    by_name = collections.defaultdict(list)
+    for i, unit in enumerate(units):
+        by_name[unit.name].append(i)
+    live = [i for i, unit in enumerate(units) if unit.line == 0 or unit.name in roots]
+    seen = set(live)
+    while live:
+        unit = units[live.pop()]
+        reached = [i for name in unit.names for i in by_name.get(name, ())
+                   if not units[i].is_method]
+        reached += [i for attr in unit.attrs for i in by_name.get(attr, ())]
+        for i in set(reached) - seen:
+            seen.add(i)
+            live.append(i)
+    return sorted(unit[:3] for i, unit in enumerate(units) if i not in seen)
 
 
 def test_every_definition_has_a_caller_in_src():
-    uncalled = [f"{module}:{line} {name}"
-                for module, line, name in _uncalled(_trees())
-                if name not in ALLOWED]
-    assert uncalled == []
+    unreached = [f"{module}:{line} {name}"
+                 for module, line, name in _unreached(_trees(), ROOTS | ALLOWED.keys())]
+    assert unreached == []
 
 
 def test_allow_list_names_only_existing_uncalled_definitions():
     """A stale allow-list entry would hide a future dead definition."""
-    uncalled = {name for _, _, name in _uncalled(_trees())}
-    stale = sorted(name for name in ALLOWED
-                   if name not in rank3pls.__all__ and name not in uncalled)
-    assert stale == []
+    unreached = {name for _, _, name in _unreached(_trees(), ROOTS)}
+    assert sorted(name for name in ALLOWED if name not in unreached) == []
+
+
+def test_guard_follows_calls_out_of_dead_code():
+    """A name that only unreached code mentions is unreached too; a special
+    method's body is its class's, and a bare name reaches no method."""
+    source = '''
+def root():
+    return C(n)
+
+class C:
+    def __init__(self):
+        self.m()
+
+    def m(self):
+        pass
+
+    def n(self):
+        return a()
+
+def a():
+    return b()
+
+def b():
+    pass
+'''
+    flagged = _unreached({"mod.py": ast.parse(source)}, {"root"})
+    assert [name for _, _, name in flagged] == ["n", "a", "b"]

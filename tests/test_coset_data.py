@@ -2,23 +2,12 @@
 searches, the regeneration tool reproduces the files, and a bad file fails
 with a message naming the builtin."""
 
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 from rank3pls import catalog
 from rank3pls.cli import main
 from rank3pls.permcore import PermGroup, sigma_partition, write_group_file
-
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "gen_sporadic_data.py"
-
-
-def _tool():
-    spec = importlib.util.spec_from_file_location("gen_sporadic_data", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from tests_sporadic_tool import tool
 
 
 @pytest.mark.parametrize("filename", [
@@ -33,7 +22,7 @@ def _tool():
     pytest.param("PGammaL3_8_deg2044.sub.grp", marks=pytest.mark.slow),
 ])
 def test_tool_regenerates_bundled_subgroup(filename, tmp_path):
-    _tool().write(filename, tmp_path)
+    tool.write(filename, tmp_path)
     assert (tmp_path / filename).read_bytes() == \
         catalog._DATA.joinpath(filename).read_bytes()
 
@@ -54,8 +43,7 @@ def test_no_default_build_searches(monkeypatch, fresh_caches):
     def refuse(*args, **kwargs):
         raise AssertionError("a catalogue build searched")
 
-    for name in ("subgroup_of_index", "normal_subgroup_of_index",
-                 "normal_closure", "random_element"):
+    for name in ("subgroup_of_index", "random_element"):
         monkeypatch.setattr(PermGroup, name, refuse)
     names = [nm for nm, meta in catalog.ALL_BUILTINS.items()
              if meta.route == "coset" and meta.degree <= 300]

@@ -8,9 +8,10 @@ import pytest
 
 from rank3pls import families as fam, pipeline
 from rank3pls.incidence import (IncidenceStructure, components, fingerprint,
-                                is_proper, relabel, validate_pls)
+                                is_proper, validate_pls)
 from rank3pls.omega import build_omega
 from rank3pls.permcore import PermGroup
+from tests_geometry_oracle import line_set, relabel
 
 # every Table 2 family instance, AG*(3,9), and the non-PLS DLSub(9,3,2,2)
 INSTANCES = [(fam, args) for _, (fam, args), _, _ in pipeline.TABLE2_ROWS] + [
@@ -33,7 +34,7 @@ def test_alpha_predicates_match_the_full_array(kind, args):
     assert at_alpha == _predicates(R)
     assert D.has_lines(R.lines).all()
     rng = np.random.default_rng(3)
-    known = R.line_set()
+    known = line_set(R)
     for _ in range(200):
         row = tuple(sorted(rng.choice(D.num_points, D.line_size, replace=False).tolist()))
         assert D.has_lines([row])[0] == (row in known)
@@ -46,8 +47,8 @@ def test_dlsub_disjoint_union_param(j):
     D = fam.dlsub(9, 3, 2, j)
     L = fam.lsub(2, 9, 3, 2)
     image = relabel(L, fam.diagonal_map(build_omega("linear", 2, 9, 2), j))
-    assert D.params["disjoint_union"] == L.line_set().isdisjoint(image.line_set())
-    assert D.line_set() == L.line_set() | image.line_set()
+    assert D.params["disjoint_union"] == line_set(L).isdisjoint(line_set(image))
+    assert line_set(D) == line_set(L) | line_set(image)
 
 
 @pytest.mark.parametrize("base, sizes", [([0, 1], [3, 3]), ([0, 1, 3], [6])])
@@ -67,7 +68,7 @@ def test_two_bases_in_one_orbit_give_that_orbit():
     (base,) = D.bases
     U = fam.OrbitStructure(D.group, [base, D.group.gens[0][base]], {})
     assert len(U.bases) == 1 and U.num_lines == D.num_lines
-    assert U.line_set() == D.line_set()
+    assert line_set(U) == line_set(D)
 
 
 def test_rows_with_points_off_the_space_are_rejected():

@@ -1,10 +1,11 @@
-"""Field arithmetic, trace, primitive prime divisors, coset indices."""
+"""Field arithmetic, trace, primitive prime divisors, corrupted moduli."""
 
 import pytest
 
-from rank3pls.gfield import (SubfieldView, coset_index, field_make, is_prime,
+from rank3pls.gfield import (Field, SubfieldView, field_make, is_prime,
                              is_primitive_prime_divisor, multiplicative_order,
-                             trace_to_subfield, _CONWAY)
+                             _CONWAY)
+from tests_geometry_oracle import contains, project, trace_to_subfield
 
 
 def test_field_make_examples():
@@ -38,6 +39,21 @@ def test_every_table_entry_constructs():
     for p, a in _CONWAY:
         F = field_make(p, a)
         assert F.q == p**a
+
+
+@pytest.mark.parametrize("p, a, modulus", [
+    pytest.param(2, 4, (1, 1, 1, 1, 1), id="GF2:x4+x3+x2+x+1"),  # x of order 5
+    pytest.param(2, 4, (1, 0, 0, 0, 1), id="GF2:x4+1"),  # (x+1)^4
+    pytest.param(3, 2, (1, 0, 1), id="GF3:x2+1"),  # x of order 4
+    pytest.param(5, 1, (1, 1), id="GF5:x+1"),  # omega = -1, of order 2
+    pytest.param(2, 2, (0, 1, 1), id="GF2:x2+x"),  # zero constant term
+])
+def test_corrupted_modulus_fails_construction(p, a, modulus, monkeypatch):
+    """A table entry that is not a primitive polynomial fails loudly: the
+    powers of omega are then not the q - 1 nonzero elements, each once."""
+    monkeypatch.setitem(_CONWAY, (p, a), modulus)
+    with pytest.raises(ArithmeticError):
+        Field(p, a)
 
 
 @pytest.mark.parametrize("p,a", [(2, 4), (3, 2), (5, 2), (3, 4), (2, 8)])
@@ -113,33 +129,6 @@ def test_ppd_agrees_with_bruteforce():
             assert is_primitive_prime_divisor(r, p, r - 1) == (order == r - 1)
 
 
-def test_coset_index_examples():
-    F16 = field_make(2, 4)
-    assert coset_index(F16, 5, 1) == 0
-    assert coset_index(F16, 5, F16.pow(F16.omega, 7)) == 2
-    F9 = field_make(3, 2)
-    assert coset_index(F9, 2, F9.pow(F9.omega, 3)) == 1
-    with pytest.raises(ValueError):
-        coset_index(F16, 5, 0)
-    with pytest.raises(ValueError):
-        coset_index(F16, 7, 1)
-
-
-@pytest.mark.parametrize("p,a,r", [(2, 4, 5), (3, 2, 2), (5, 2, 3), (3, 4, 5)])
-def test_coset_index_constant_on_cosets_injective_across(p, a, r):
-    F = field_make(p, a)
-    from collections import defaultdict
-    cosets = defaultdict(set)
-    for x in range(1, F.q):
-        cosets[coset_index(F, r, x)].add(x)
-    assert len(cosets) == r
-    wr = F.pow(F.omega, r)
-    for i, xs in cosets.items():
-        for x in xs:
-            assert coset_index(F, r, F.mul(x, wr)) == i
-    assert sum(len(v) for v in cosets.values()) == F.q - 1
-
-
 def test_subfield_view_embedding():
     F = field_make(2, 8)
     v = SubfieldView(F, 4)
@@ -149,5 +138,5 @@ def test_subfield_view_embedding():
         for y in range(0, 16, 5):
             assert v.embed(sub.mul(x, y)) == F.mul(v.embed(x), v.embed(y))
             assert v.embed(sub.add(x, y)) == F.add(v.embed(x), v.embed(y))
-    assert all(v.contains(v.embed(x)) for x in range(16))
-    assert all(v.project(v.embed(x)) == x for x in range(16))
+    assert all(contains(v, v.embed(x)) for x in range(16))
+    assert all(project(v, v.embed(x)) == x for x in range(16))

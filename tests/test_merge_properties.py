@@ -4,7 +4,8 @@ Orbits, minimal blocks, components and the flag test read their classes
 from permcore.merge, and block lattices close over suborbits.  Each is
 compared here with an oracle that does neither: networkx connected
 components, the exhaustive block search of tests_block_oracle and the
-backtracking setwise stabilizer.  The runs are derandomized, so every run
+backtracking setwise stabilizer of tools/gen_sporadic_data.py.  The runs are
+derandomized, so every run
 draws the same examples.
 """
 
@@ -14,6 +15,7 @@ import pytest
 from rank3pls.incidence import IncidenceStructure, components
 from rank3pls.permcore import PermGroup, flag_transitive_on_line, identity, merge
 from tests_block_oracle import _minimal, exhaustive_blocks
+from tests_sporadic_tool import setwise_stabilizer
 
 pytest.importorskip("hypothesis")
 nx = pytest.importorskip("networkx")
@@ -107,6 +109,6 @@ def test_components_match_networkx(data):
 @given(groups(max_degree=9), st.data())
 def test_flag_test_matches_setwise_stabilizer(G, data):
     line = sorted(data.draw(st.sets(st.integers(0, G.degree - 1), min_size=2, max_size=4)))
-    stab = G.setwise_stabilizer(line)
+    stab = setwise_stabilizer(G, line)
     reach = nx.node_connected_component(_orbit_graph(G.degree, stab.gens), line[0])
     assert flag_transitive_on_line(G, line) == (set(line) <= reach)

@@ -12,6 +12,7 @@ from rank3pls.matsemi import phi
 from rank3pls.omega import induce_action
 from rank3pls.permcore import compose, perm_from_images
 from rank3pls.pipeline import expected_blocks_linear, expected_blocks_unitary
+from tests_sporadic_tool import setwise_stabilizer
 
 
 def test_frobenius_permutes_b9_blocks():
@@ -41,7 +42,7 @@ def test_base_line_stabilizer_two_transitive(build, group):
     D = build()
     G = get_builtin(group).group
     line = D.lines[0]
-    stab = G.setwise_stabilizer(line)
+    stab = setwise_stabilizer(G, line)
     pairs = set()
     # closure over the (small) stabilizer, collecting ordered pair images
     from rank3pls.permcore import identity

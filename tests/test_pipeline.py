@@ -19,6 +19,7 @@ from rank3pls.pipeline import (FLAG_TRANSITIVE_EXPECT, classify_blocks,
                                expected_blocks_unitary, negative_controls,
                                report_json, reproduce_table, run_pipeline,
                                sigma_partition)
+from tests_geometry_oracle import line_set
 from tests_pipeline_oracle import sigma_blocks
 
 
@@ -67,17 +68,17 @@ def test_gammal2_4_pipeline_matches_families():
     res = run_pipeline("GammaL2_4")
     conn = res.structures(connected=True)
     assert len(conn) == 2
-    sets = {d.line_set() for d in conn}
-    assert fam.ag_star(2, 4).line_set() in sets
-    assert fam.delta(2, 4).line_set() in sets
+    sets = {line_set(d) for d in conn}
+    assert line_set(fam.ag_star(2, 4)) in sets
+    assert line_set(fam.delta(2, 4)) in sets
     assert res.line_signature() == ((15, 4), (30, 3))
 
 
 def test_gammau3_4_pipeline_matches_families():
     res = run_pipeline("GammaU3_4")
-    sets = {d.line_set() for d in res.structures(connected=True)}
-    assert fam.usub(4, 2, 3).line_set() in sets
-    assert fam.agu_star(4).line_set() in sets
+    sets = {line_set(d) for d in res.structures(connected=True)}
+    assert line_set(fam.usub(4, 2, 3)) in sets
+    assert line_set(fam.agu_star(4)) in sets
 
 
 def test_flag_transitive_blocks_match_classification():

@@ -9,6 +9,7 @@ from rank3pls import catalog, permcore
 from rank3pls.catalog import get_builtin
 from rank3pls.permcore import PermGroup, compose, inverse
 from tests_block_oracle import exhaustive_blocks
+from tests_sporadic_tool import normal_subgroup_of_index
 
 
 def _fifo_coset_action(G, sub):
@@ -46,12 +47,12 @@ def _psl32_index2():
     F = field_make(2, 1)
     G = induced_group(projective_points(F, 3, vectors=True), gens_sl(3, F))
     assert G.order == 168
-    return G, G.stabilizer(0).normal_subgroup_of_index(2)
+    return G, normal_subgroup_of_index(G.stabilizer(0), 2)
 
 
 def _m11_index2():
     G = catalog._plinth("M11_deg22")
-    return G, G.stabilizer(0).normal_subgroup_of_index(2)
+    return G, normal_subgroup_of_index(G.stabilizer(0), 2)
 
 
 @pytest.mark.parametrize("pair", [_s4_on_g0, _psl32_index2, _m11_index2])

@@ -17,6 +17,7 @@ from rank3pls.gfield import Field, SubfieldView, field_make
 from rank3pls.matsemi import (GroupSpec, Mat, SemilinearElem, linear, matrix_field,
                               scalar, sl_order, su3_order)
 from rank3pls.omega import OmegaSpace, induce_action
+from tests_geometry_oracle import project
 
 
 def group_matrix_order(spec: GroupSpec) -> int:
@@ -128,7 +129,7 @@ def singer_cycle(n: int, F: Field) -> SemilinearElem:
             nxt[i + 1] = big.add(nxt[i + 1], c)
             nxt[i] = big.add(nxt[i], big.mul(big.neg(r), c))
         poly = nxt
-    coeffs = [view.project(c) for c in poly[:-1]]  # x^n = -(c0 + c1 x + ...)
+    coeffs = [project(view, c) for c in poly[:-1]]  # x^n = -(c0 + c1 x + ...)
     rows = []
     for i in range(n - 1):
         rows.append([1 if j == i + 1 else 0 for j in range(n)])

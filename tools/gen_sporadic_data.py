@@ -22,7 +22,7 @@ base row's file)
     The index-r subgroup R of the point stabilizer G_0 of the row's plinth G
     (`catalog._plinth`); the row's action is G on the cosets of R.
     PSL3_2_deg14 and M11_deg22: R is the normal subgroup of index 2 of G_0,
-    built by `PermGroup.normal_subgroup_of_index` as a normal closure.  The
+    built by `normal_subgroup_of_index` below as a normal closure.  The
     other five rows: R is the first subgroup that the seeded random search
     `PermGroup.subgroup_of_index` finds, under the row's seed in
     SEARCH_SEEDS, that passes the check the catalogue runs at load
@@ -30,6 +30,10 @@ base row's file)
 
 Every output is verified before writing: the covers by order, transitivity,
 rank 3 and cell structure, each R by the catalogue's load check.
+
+The subgroup searches that only this tool runs live here as functions of a
+group: the normal closure, the normal subgroup of a given index and the
+backtracking setwise stabilizer.  The tests call them as references too.
 
 The searches draw random elements from stabilizer chains, and a chain
 depends on how it was built.  The catalogue builds a matrix plinth from
@@ -49,6 +53,8 @@ import sys
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from rank3pls import catalog
@@ -56,8 +62,104 @@ from rank3pls.gfield import field_make
 from rank3pls.matsemi import Mat, SemilinearElem, gens_sl, linear
 from rank3pls.omega import build_omega, induce_action
 from rank3pls.permcore import (DEFAULT_SEED, PermGroup, compose, identity,
-                               is_identity, perm_from_images,
+                               inverse, is_identity, perm_from_images,
                                write_group_file)
+
+
+# ---- subgroup searches ------------------------------------------------------
+
+
+def perm_power(g: np.ndarray, e: int) -> np.ndarray:
+    out = identity(len(g))
+    base = g
+    while e:
+        if e & 1:
+            out = compose(out, base)
+        base = compose(base, base)
+        e >>= 1
+    return out
+
+
+def normal_closure(G: PermGroup, seeds) -> PermGroup:
+    """The normal closure of seeds in G."""
+    gens: list[np.ndarray] = []
+    K = PermGroup(G.degree, [])
+    queue = [s for s in seeds if not is_identity(s)]
+    while queue:
+        x = queue.pop()
+        if K.contains(x):
+            continue
+        gens.append(x)
+        K = PermGroup(G.degree, gens)
+        for h in G.gens:
+            queue.append(compose(compose(inverse(h), x), h))
+    return K
+
+
+def normal_subgroup_of_index(G: PermGroup, r: int) -> PermGroup:
+    """A verified normal subgroup of index r of G.
+
+    Built as the normal closure of commutators of generator pairs and r-th
+    powers of a growing sample of elements; works whenever the quotient
+    witnessing the index is abelian of exponent r.
+    """
+    rng = random.Random(DEFAULT_SEED ^ 0xC0117)
+    seeds = []
+    for a in G.gens:
+        for b in G.gens:
+            seeds.append(compose(compose(a, b), inverse(compose(b, a))))
+    for g in G.gens:
+        seeds.append(perm_power(g, r))
+    N = normal_closure(G, seeds)
+    tries = 0
+    while G.order // N.order > r and tries < 48:
+        g = G.random_element(rng)
+        N = normal_closure(G, N.gens + [perm_power(g, r)])
+        tries += 1
+    if G.order // N.order != r:
+        raise RuntimeError(
+            f"no normal subgroup of index {r} found (index reached "
+            f"{G.order // N.order})")
+    for g in N.gens:
+        for h in G.gens:
+            if not N.contains(compose(compose(inverse(h), g), h)):
+                raise AssertionError("normality verification failed")
+    return N
+
+
+def setwise_stabilizer(G: PermGroup, points) -> PermGroup:
+    """Backtracking setwise stabilizer; meant for degree <= a few hundred."""
+    S = frozenset(int(p) for p in points)
+    rebased = PermGroup(G.degree, G.gens, base_hint=sorted(S),
+                        name=f"{G.name}|setstab")
+    rebased.order
+    chain = rebased._levels
+    found: list[np.ndarray] = []
+    stab = PermGroup(G.degree, [])
+    counter = [0]
+
+    def search(level: int, h_inv: np.ndarray):
+        # h, the reps chosen so far with the deepest applied first, as
+        # its inverse: h[x] lies in S iff x lies in h_inv[S]
+        nonlocal stab
+        counter[0] += 1
+        if counter[0] > 2_000_000:
+            raise RuntimeError("setwise stabilizer search exceeded cap")
+        back = set(h_inv[list(S)].tolist())
+        if level == len(chain):
+            if back == S and not is_identity(h_inv) \
+                    and not stab.contains(h := inverse(h_inv)):
+                found.append(h)
+                stab = PermGroup(G.degree, list(found))
+            return
+        lv = chain[level]
+        want = lv.point in S
+        xs = np.array([x for x in lv.orbit if (x in back) == want], dtype=np.intp)
+        for row in lv.to_root(h_inv[None], xs):
+            search(level + 1, row)
+
+    search(0, identity(G.degree))
+    return PermGroup(G.degree, list(found), name=f"{G.name}_setstab")
 
 
 def reduced_gens(G: PermGroup, rng: random.Random | None = None, tries: int = 30):
@@ -99,7 +201,7 @@ def gen_3s6():
                             SemilinearElem(1, Mat.identity(F, 3))]
     big = PermGroup(63, induce_action(space, gens), name="GammaL3(4)@63")
     assert big.order == 60480 * 3 * 2, big.order
-    stab = big.setwise_stabilizer(sorted(target))
+    stab = setwise_stabilizer(big, sorted(target))
     assert stab.order == 2160, stab.order
     # restrict to the 18 moved points, relabelled in increasing order
     pts = sorted(target)
@@ -300,7 +402,7 @@ def _coset_row(name):
 def gen_normal_sub(name):
     """R = the normal subgroup of index 2 of G_0."""
     meta, G, H = _coset_row(name)
-    R = H.normal_subgroup_of_index(meta.r)
+    R = normal_subgroup_of_index(H, meta.r)
     catalog._verified_coset_action(G, H, R, meta)
     return R.degree, R.gens
 
