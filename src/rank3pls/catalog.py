@@ -43,7 +43,6 @@ class BuiltinMeta:
     name: str
     degree: int
     order: int
-    sigma_count: int          # |Sigma|
     r: int
     gtype: str                # expected qp / it / sp
     route: str                # omega | coset | file
@@ -64,7 +63,7 @@ def _omega_builtin(name, spec, order, gtype, slow=False) -> "BuiltinMeta":
         sigma = (q**spec.n - 1) // (q - 1)
     else:
         sigma = q**3 + 1
-    return BuiltinMeta(name, sigma * r, order, sigma, r, gtype, "omega", spec, slow)
+    return BuiltinMeta(name, sigma * r, order, r, gtype, "omega", spec, slow)
 
 
 # each row's order is the published order of the group its spec induces on
@@ -114,18 +113,18 @@ NEGATIVE_CONTROLS = [
 
 
 SPORADIC_METAS = {
-    "PSL3_2_deg14": BuiltinMeta("PSL3_2_deg14", 14, 168, 7, 2, "qp", "coset"),
-    "C2xPSL3_2_deg14": BuiltinMeta("C2xPSL3_2_deg14", 14, 336, 7, 2, "it", "coset"),
-    "M11_deg22": BuiltinMeta("M11_deg22", 22, 7920, 11, 2, "qp", "coset"),
-    "C2xM11_deg22": BuiltinMeta("C2xM11_deg22", 22, 15840, 11, 2, "it", "coset"),
-    "PSL3_3_deg39": BuiltinMeta("PSL3_3_deg39", 39, 5616, 13, 3, "qp", "coset"),
-    "PSL3_5_deg155": BuiltinMeta("PSL3_5_deg155", 155, 372000, 31, 5, "qp", "coset"),
-    "PSL5_2_deg248": BuiltinMeta("PSL5_2_deg248", 248, 9999360, 31, 8, "qp", "coset"),
-    "PGL3_4_deg126": BuiltinMeta("PGL3_4_deg126", 126, 60480, 21, 6, "qp", "coset"),
-    "PGammaL3_8_deg2044": BuiltinMeta("PGammaL3_8_deg2044", 2044, 49448448, 73,
-                                      28, "qp", "coset", slow=True),
-    "3S6_deg18": BuiltinMeta("3S6_deg18", 18, 2160, 6, 3, "sp", "file"),
-    "2M12_deg24": BuiltinMeta("2M12_deg24", 24, 190080, 12, 2, "sp", "file"),
+    "PSL3_2_deg14": BuiltinMeta("PSL3_2_deg14", 14, 168, 2, "qp", "coset"),
+    "C2xPSL3_2_deg14": BuiltinMeta("C2xPSL3_2_deg14", 14, 336, 2, "it", "coset"),
+    "M11_deg22": BuiltinMeta("M11_deg22", 22, 7920, 2, "qp", "coset"),
+    "C2xM11_deg22": BuiltinMeta("C2xM11_deg22", 22, 15840, 2, "it", "coset"),
+    "PSL3_3_deg39": BuiltinMeta("PSL3_3_deg39", 39, 5616, 3, "qp", "coset"),
+    "PSL3_5_deg155": BuiltinMeta("PSL3_5_deg155", 155, 372000, 5, "qp", "coset"),
+    "PSL5_2_deg248": BuiltinMeta("PSL5_2_deg248", 248, 9999360, 8, "qp", "coset"),
+    "PGL3_4_deg126": BuiltinMeta("PGL3_4_deg126", 126, 60480, 6, "qp", "coset"),
+    "PGammaL3_8_deg2044": BuiltinMeta("PGammaL3_8_deg2044", 2044, 49448448, 28,
+                                      "qp", "coset", slow=True),
+    "3S6_deg18": BuiltinMeta("3S6_deg18", 18, 2160, 3, "sp", "file"),
+    "2M12_deg24": BuiltinMeta("2M12_deg24", 24, 190080, 2, "sp", "file"),
 }
 
 ALL_BUILTINS = {**OMEGA_BUILTINS, **SPORADIC_METAS}
@@ -191,7 +190,7 @@ def _verified_coset_action(G, H, R, base: BuiltinMeta) -> PermGroup:
         raise AssertionError("a generator lies outside G_0")
     if R.order * base.r != H.order:
         raise AssertionError(f"index {H.order // R.order} in G_0, expected {base.r}")
-    image = G.coset_action(R, faithful=True)
+    image = G.coset_action(R)
     size = sigma_partition(image).shape[1]
     if size != base.r:
         raise AssertionError(f"the coset action has Sigma-cells of size {size}")
@@ -274,6 +273,6 @@ def load_group_argument(arg: str) -> Builtin:
         path = arg.split(":", 1)[1]
         degree, gens = read_group_file(path)
         G = PermGroup(degree, gens, name=path)
-        meta = BuiltinMeta(path, degree, G.order, 0, 0, "?", "file")
+        meta = BuiltinMeta(path, degree, G.order, 0, "?", "file")
         return Builtin(meta, G)
     raise ValueError("--group must be builtin:<name> or file:<path>")

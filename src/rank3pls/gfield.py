@@ -131,29 +131,20 @@ class Field:
 
     def _build_tables(self):
         p, a, q = self.p, self.a, self.q
-        if a == 1:
-            # modulus x - r packed as (p - r, 1); omega is the root r
-            self.omega = (-self.modulus[0]) % p
-            exp = [0] * (q - 1)
-            t = 1
-            for i in range(q - 1):
-                exp[i] = t
-                t = (t * self.omega) % p
-        else:
-            self.omega = p  # the class of x
-            # x^a = -(c0 + c1 x + ...), packed
-            top = 0
-            for i in range(a):
-                top += ((-self.modulus[i]) % p) * self._pow_p[i]
-            exp = [0] * (q - 1)
-            t = 1
-            for i in range(q - 1):
-                exp[i] = t
-                # multiply t by x: shift digits, reduce the overflow digit
-                carry = t // self._pow_p[a - 1]
-                t = (t % self._pow_p[a - 1]) * p
-                if carry:
-                    t = self._add_raw(t, self._scale_raw(top, carry))
+        # x^a = -(c0 + c1 x + ...), packed; for a = 1 that is the root of x - r
+        top = 0
+        for i in range(a):
+            top += ((-self.modulus[i]) % p) * self._pow_p[i]
+        exp = [0] * (q - 1)
+        t = 1
+        for i in range(q - 1):
+            exp[i] = t
+            # multiply t by x: shift digits, reduce the overflow digit
+            carry = t // self._pow_p[a - 1]
+            t = (t % self._pow_p[a - 1]) * p
+            if carry:
+                t = self.add(t, self._scale_raw(top, carry))
+        self.omega = exp[1 % (q - 1)]    # the class of x, or the root r
         self.exp = exp
         log = [-1] * q
         for i, v in enumerate(exp):
@@ -163,15 +154,6 @@ class Field:
         self.log = log
         if log[0] != -1 or any(v == -1 for v in log[1:]):
             raise ArithmeticError(f"GF({p}^{a}): exp table is not a bijection")
-
-    def _add_raw(self, x: int, y: int) -> int:
-        p = self.p
-        if p == 2:
-            return x ^ y
-        out = 0
-        for pw in self._pow_p:
-            out += (((x // pw) + (y // pw)) % p) * pw
-        return out
 
     def _scale_raw(self, x: int, c: int) -> int:
         p = self.p
@@ -183,9 +165,13 @@ class Field:
     # -- packed-int arithmetic ----------------------------------------------
 
     def add(self, x: int, y: int) -> int:
-        if self.p == 2:
+        p = self.p
+        if p == 2:
             return x ^ y
-        return self._add_raw(x, y)
+        out = 0
+        for pw in self._pow_p:
+            out += (((x // pw) + (y // pw)) % p) * pw
+        return out
 
     def neg(self, x: int) -> int:
         if self.p == 2:
@@ -211,10 +197,6 @@ class Field:
                 raise ZeroDivisionError("0 to a negative power")
             return 0 if e else 1
         return self.exp[(self.log[x] * e) % (self.q - 1)]
-
-    def frob(self, x: int) -> int:
-        """x -> x^p, the generating field automorphism of Eq-style phi."""
-        return self.pow(x, self.p)
 
     def frob_iter(self, x: int, k: int) -> int:
         return self.pow(x, self.p ** (k % self.a))

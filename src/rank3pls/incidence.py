@@ -263,19 +263,16 @@ def validate_pls(D: IncidenceStructure) -> PLSReport:
                      deg_const, D.line_size, pairs.collinear_pairs)
 
 
-def is_proper(D: IncidenceStructure, rep: PLSReport | None = None) -> bool:
+def is_proper(D: IncidenceStructure) -> bool:
     """Neither a linear space nor a graph: line size >= 3 and some point
-    pair lies on no line.  `rep`, when given, must be validate_pls(D); it
-    is used instead of validating D again.  Either way D's pair summary is
-    built at most once, so passing `rep` saves only the report."""
-    if rep is None:
-        rep = validate_pls(D)
-    if not rep.is_pls:
+    pair lies on no line.  Read off D's pair summary, built at most once per
+    structure; ValueError when D is not a partial linear space."""
+    pairs = D._pair_summary
+    if pairs.multiplicity > 1:
         raise ValueError("properness is defined for partial linear spaces")
     if (D.line_size or 0) < 3:
         return False
-    all_pairs = D.num_points * (D.num_points - 1) // 2
-    return rep.collinear_pairs < all_pairs
+    return pairs.collinear_pairs < D.num_points * (D.num_points - 1) // 2
 
 
 def components(D: IncidenceStructure) -> list[list[int]]:

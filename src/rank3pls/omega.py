@@ -6,7 +6,8 @@ nonzero coordinate is w^i with 0 <= i < r.  The points w^i u of a 1-space
 <u> form one cell of Sigma.  Point indices sort the points by one log-
 coordinate key, last coordinate most significant, zeros first; this places
 alpha = <w^r> e_1 (linear) and alpha = <w^r> e (unitary) at index 0 and the
-whole cell of alpha at indices [0, r).
+whole cell of alpha at indices [0, r).  omega_space builds each space once
+per (kind, n, q, r), and build_omega checks the parameters first.
 
 Points are held as one (N, n) int64 array of packed field elements, and a
 semilinear element acts on arrays of them at once (semilinear_image): the
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -174,27 +175,14 @@ class CanonicalPoints:
 
 class OmegaSpace(CanonicalPoints):
     """Indexed point set of Construction-style <w^r>-cosets with partition
-    Sigma.
-
-    The space is held as arrays: `vectors` (row i is point i), `reps`,
-    `pos` and `cells` (Sigma; see CanonicalPoints).  `points`
-    (the vectors as tuples) and `sigma` (the cells as lists) are built from
-    them the first time they are read and kept; the library itself reads
-    only the arrays."""
+    Sigma, held as arrays: `vectors` (row i is point i), `reps`, `pos` and
+    `cells` (Sigma; see CanonicalPoints)."""
 
     def __init__(self, kind: str, n: int, q: int, r: int, field: Field,
                  reps: np.ndarray, keys: np.ndarray, form: UnitaryForm | None = None):
         # field is the matrix field: GF(q) linear, GF(q^2) unitary
         super().__init__(field, r, reps, keys)
         self.kind, self.n, self.q, self.form = kind, n, q, form
-
-    @cached_property
-    def points(self) -> list[tuple]:
-        return list(map(tuple, self.vectors.tolist()))
-
-    @cached_property
-    def sigma(self) -> list[list[int]]:
-        return self.cells.tolist()
 
     def points_of(self, vectors) -> tuple[int, ...]:
         """The sorted distinct points of the given vectors (a sequence of
@@ -252,12 +240,8 @@ def omega_space(kind: str, n: int, q: int, r: int) -> OmegaSpace:
     """The construction behind build_omega, without its range checks; cached
     per (kind, n, q, r)."""
     key = (kind, n, q, r)
-    if key not in _SPACE_CACHE:
-        _SPACE_CACHE[key] = _build_omega_uncached(kind, n, q, r)
-    return _SPACE_CACHE[key]
-
-
-def _build_omega_uncached(kind: str, n: int, q: int, r: int) -> OmegaSpace:
+    if key in _SPACE_CACHE:
+        return _SPACE_CACHE[key]
     (p, a), = factorize(q).items()
     if kind == "linear":
         F = field_make(p, a)
@@ -274,6 +258,7 @@ def _build_omega_uncached(kind: str, n: int, q: int, r: int) -> OmegaSpace:
     expected = r * ((q**n - 1) // (q - 1)) if kind == "linear" else r * (q**3 + 1)
     if len(space) != expected:
         raise AssertionError(f"|Omega| = {len(space)}, expected {expected}")
+    _SPACE_CACHE[key] = space
     return space
 
 
@@ -375,17 +360,17 @@ def omega_group(space: OmegaSpace, shape) -> PermGroup:
 
 
 def classify_action(n: int, q: int, r: int, G: PermGroup, spec: GroupSpec,
-                    space: OmegaSpace | None = None) -> dict:
-    """Arithmetic classification flags for an induced catalogue action.
+                    space: OmegaSpace) -> dict:
+    """Arithmetic classification flags for the action G induces on space.
 
     semiprimitive is identically true for these constructions; innate
     transitivity and the rank-3 flag are pure arithmetic; quasiprimitivity
-    additionally sifts scalar permutations into G.  The rank-3 flag is
-    always compared against the computed rank, and a mismatch raises (an
-    oracle, not a fallback).
+    additionally sifts the scalar permutations of space into G.  The rank-3
+    flag is always compared against the computed rank, and a mismatch
+    raises (an oracle, not a fallback).
     """
-    fac = factorize(q)
-    (p, a), = fac.items()
+    (p, _), = factorize(q).items()
+    F = space.field
     flags = {"semiprimitive": True}
     if spec.kind == "linear":
         flags["innately_transitive"] = ((q - 1) // math.gcd(n, q - 1)) % r == 0
@@ -403,7 +388,6 @@ def classify_action(n: int, q: int, r: int, G: PermGroup, spec: GroupSpec,
             # rank 3 iff G is not inside Z SigmaL_2(q): some generator's
             # matrix part must have a non-square determinant (w I only
             # swaps the two points of a cell, so Z SL_2(q) has rank 4)
-            F = space.field if space is not None else field_make(p, a)
             dets = [g.mat.det() for g in gens_group(spec)]
             stride = math.gcd(2, q - 1)  # the squares are <w^stride>
             arith = any(F.log[d] % stride for d in dets)
@@ -417,8 +401,7 @@ def classify_action(n: int, q: int, r: int, G: PermGroup, spec: GroupSpec,
     flags["rank3"] = arith
     # quasiprimitive: innately transitive and G meets Z/Y trivially
     qp = flags["innately_transitive"]
-    if qp and space is not None:
-        F = space.field
+    if qp:
         for s in sorted(set(factorize(r))):
             # generator of the order-s subgroup of Z/Y is the image of w^{r/s} I
             perm = induce_action(space, [scalar(F, F.exp[(space.r // s) % (F.q - 1)],
@@ -426,8 +409,6 @@ def classify_action(n: int, q: int, r: int, G: PermGroup, spec: GroupSpec,
             if G.contains(perm):
                 qp = False
                 break
-    elif qp and space is None:
-        raise ValueError("quasiprimitivity test needs the OmegaSpace")
     flags["quasiprimitive"] = qp
     flags["type"] = ("qp" if flags["quasiprimitive"]
                      else "it" if flags["innately_transitive"] else "sp")

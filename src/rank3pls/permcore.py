@@ -13,10 +13,10 @@ Algorithms, 4.1-4.2); a chain's order never exceeds the true order:
     matrices proves one from its generators (omega.induced_group, through
     matsemi.induced_order_bound: the matrix plinths, and the omega builtins
     and family groups, one per space and shape by omega.omega_group), and
-    so do a stabilizer's rebase (the generators of a certified G), a
-    faithful coset action (its image has at most |G| elements) and the
-    catalogue's C2x doubles (G x <z> once z is checked to centralize G and
-    to lie outside it).
+    so do a stabilizer's rebase (the generators of a certified G), a coset
+    action (its image has at most |G| elements, so one that is not faithful
+    raises) and the catalogue's C2x doubles (G x <z> once z is checked to
+    centralize G and to lie outside it).
   * deterministic (no bound): full Schreier-generator processing, whose
     chain is complete whatever it started from, up to DETERMINISTIC_DEGREE.
     A larger group needs a proven bound.
@@ -116,10 +116,10 @@ def is_identity(g: np.ndarray) -> bool:
 
 
 def perm_from_images(images) -> np.ndarray:
-    g = np.asarray(images, dtype=np.int32)
-    if sorted(g.tolist()) != list(range(len(g))):
+    images = list(images)
+    if sorted(images) != list(range(len(images))):
         raise ValueError("not a permutation")
-    return g
+    return np.array(images, dtype=np.int32)
 
 
 def merge(parent: np.ndarray, a, b) -> np.ndarray:
@@ -666,10 +666,12 @@ class PermGroup:
         """The smallest block containing beta and all of points: the orbit
         of beta under <G_beta, u_p for each p>, with beta^(u_p) = p.  Any
         two choices of u_p differ by G_beta on either side, so one p per
-        G_beta-orbit serves.  Raises ValueError for a point outside the
-        orbit of beta."""
+        G_beta-orbit serves.  points is an int array, read whole, or any
+        iterable of ints.  Raises ValueError for a point outside the orbit
+        of beta."""
         tree = self.schreier_tree(beta)
-        pts = np.fromiter(points, dtype=np.int32)
+        pts = (np.asarray(points, dtype=np.int32) if isinstance(points, np.ndarray)
+               else np.fromiter(points, dtype=np.int32))
         off = pts[tree.sv[pts] == -1]
         if off.size:
             raise ValueError(f"point {int(off[0])} is not in the orbit of {beta}")
@@ -779,7 +781,7 @@ class PermGroup:
 
     # -- coset action ------------------------------------------------------------
 
-    def coset_action(self, sub: "PermGroup", faithful: bool = False):
+    def coset_action(self, sub: "PermGroup"):
         """The right-multiplication action on the right cosets of sub, on
         [0, |G:sub|): the _row_orbit of the identity, cosets numbered in FIFO
         order (by layer, then source coset, then generator) and each one held
@@ -789,13 +791,11 @@ class PermGroup:
         image under h; a base leaves no freedom, so this greedy minimum of the
         base images is one element of the coset, whatever the reps.
 
-        Of the two ways to build a chain (module docstring), the image takes
-        the proven bound when faithful is set: it has at most |G| elements,
-        so its chain is complete once it reaches |G|, with no deterministic
-        pass, and an action that is not faithful raises AssertionError
-        ("below") once CERTIFICATE_SIFTS random elements in a row sift
-        through its chain.  Without it the image's chain is built by the
-        deterministic pass."""
+        The image has at most |G| elements, so it takes |G| as its proven
+        bound (module docstring): its chain is complete once it reaches |G|,
+        and reading the order of an action that is not faithful raises
+        AssertionError ("below") once CERTIFICATE_SIFTS random elements in
+        a row sift through its chain."""
         for g in sub.gens:
             if not self.contains(g):
                 raise ValueError("not a subgroup: generator fails membership sift")
@@ -820,7 +820,7 @@ class PermGroup:
         if len(cosets) != index:
             raise AssertionError(
                 f"coset enumeration found {len(cosets)} cosets, index is {index}")
-        return PermGroup(index, new_gens, order_bound=self.order if faithful else None,
+        return PermGroup(index, new_gens, order_bound=self.order,
                          name=f"{self.name}/cosets")
 
     # -- subgroup search -----------------------------------------------------------
@@ -1171,19 +1171,29 @@ def write_group_file(path, degree: int, gens):
 
 
 def read_group_file(path):
-    with open(path) as fh:
-        raw = [ln.strip() for ln in fh if ln.strip()]
+    """(degree, generators) of a group file: the degree on its first line,
+    then one generator per line, its images of 0, ..., degree - 1; blank
+    lines are skipped.  Every ValueError names the file and the line."""
+    try:
+        with open(path) as fh:
+            raw = [(at, ln.split()) for at, ln in enumerate(fh, 1) if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not a text file ({exc.reason})") from None
     if not raw:
         raise ValueError(f"{path}: empty group file")
-    if not raw[0].isdigit():
-        raise ValueError(f"{path}: the first line must be the degree, got {raw[0]!r}")
-    degree = int(raw[0])
+    at, words = raw[0]
+    if len(words) != 1 or not words[0].isdecimal():
+        raise ValueError(f"{path}:{at}: the first line must be the degree, "
+                         f"got {' '.join(words)!r}")
+    degree = int(words[0])
     if degree < 1:
-        raise ValueError(f"{path}: the degree must be at least 1, got {degree}")
+        raise ValueError(f"{path}:{at}: the degree must be at least 1, got {degree}")
     gens = []
-    for ln in raw[1:]:
-        imgs = [int(t) for t in ln.split()]
-        if len(imgs) != degree:
-            raise ValueError("generator length does not match degree")
-        gens.append(perm_from_images(imgs))
+    for at, words in raw[1:]:
+        try:
+            if len(words) != degree:
+                raise ValueError(f"{len(words)} images, the degree is {degree}")
+            gens.append(perm_from_images(map(int, words)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{at}: {exc}") from None
     return degree, gens

@@ -184,7 +184,7 @@ def devillers_enumerate(G: PermGroup, name: str = "",
                 raise RuntimeError(f"line orbit of {D.num_lines} lines exceeded "
                                    f"max_lines {MAX_LINE_ORBIT}")
             rep = validate_pls(D)
-            if not rep.is_pls or not is_proper(D, rep):
+            if not rep.is_pls or not is_proper(D):
                 raise AssertionError(
                     f"{result.name}: emitted structure fails PLS/properness")
             entry.structure = D
@@ -293,7 +293,6 @@ FLAG_TRANSITIVE_EXPECT = {
 @dataclass
 class BlockReport:
     name: str
-    params: tuple
     expected: dict
     computed: list
     matched: dict
@@ -326,8 +325,7 @@ def classify_blocks(builtin_name: str) -> BlockReport:
             matched[nm] = blk
     ok = (set(matched) == set(expected_nontrivial)
           and len(computed) == len(expected_nontrivial))
-    return BlockReport(builtin_name, (space.kind, space.n, space.q, space.r),
-                       expected_nontrivial, computed, matched, ok)
+    return BlockReport(builtin_name, expected_nontrivial, computed, matched, ok)
 
 
 # -- table reproduction -----------------------------------------------------------

@@ -12,6 +12,11 @@ Special methods (`__init__`, `__eq__`, ...) are called by the language, so
 their bodies count as their class's.  A definition that no root reaches is
 flagged, and so is everything only it mentions: it gets a live caller, goes,
 or joins the allow-list with a reason.
+
+Two inventories ride along.  Every parameter with a default is listed in
+DEFAULTS with a file that calls the function with another value; a default
+no caller overrides is a constant.  Every module-level name that no code in
+the library reads is listed in MODULE_DATA with a reason.
 """
 
 import ast
@@ -29,6 +34,52 @@ ALLOWED = {
     "subgroup_of_index": "wrapped by perfbench/tracer.py",
 }
 ROOTS = {"main", *rank3pls.__all__}
+
+# module.[class.]function.parameter -> a file that passes another value
+DEFAULTS = {
+    "catalog._omega_builtin.slow": "src/rank3pls/catalog.py",
+    "catalog.get_builtin.seed": "perfbench/workloads.py",
+    "cli.main.argv": "tests/test_cli.py",
+    "families.expected_counts.n": "src/rank3pls/families.py",
+    "families.expected_counts.q": "src/rank3pls/families.py",
+    "families.expected_counts.q0": "src/rank3pls/families.py",
+    "families.expected_counts.r": "src/rank3pls/families.py",
+    "families.expected_counts.j": "src/rank3pls/cli.py",
+    "families.usub.r": "src/rank3pls/pipeline.py",
+    "families.usub.seed": "perfbench/workloads.py",
+    "incidence.IncidenceStructure.__init__.params": "src/rank3pls/incidence.py",
+    "matsemi.induced_order_bound.form": "src/rank3pls/omega.py",
+    "omega.OmegaSpace.__init__.form": "src/rank3pls/omega.py",
+    "omega.projective_points.vectors": "src/rank3pls/catalog.py",
+    "omega.induced_group.name": "src/rank3pls/omega.py",
+    "omega.induced_group.base_hint": "src/rank3pls/catalog.py",
+    "permcore._Level.extend_orbit.first_gen": "src/rank3pls/permcore.py",
+    "permcore.PermGroup.__init__.order_bound": "src/rank3pls/omega.py",
+    "permcore.PermGroup.__init__.base_hint": "src/rank3pls/omega.py",
+    "permcore.PermGroup.__init__.name": "src/rank3pls/omega.py",
+    "permcore.PermGroup._sift.start": "tests/tests_schreier_oracle.py",
+    "permcore.PermGroup.subgroup_of_index.rng": "tools/gen_sporadic_data.py",
+    "permcore.PermGroup.subgroup_of_index.accept": "tools/gen_sporadic_data.py",
+    "permcore._row_orbit.with_maps": "src/rank3pls/permcore.py",
+    "permcore.line_orbit.with_maps": "src/rank3pls/permcore.py",
+    "pipeline.PipelineResult.structures.connected": "src/rank3pls/pipeline.py",
+    "pipeline.PipelineResult.distinct_structures.connected": "src/rank3pls/pipeline.py",
+    "pipeline.PipelineResult.line_signature.connected": "src/rank3pls/cli.py",
+    "pipeline.devillers_enumerate.name": "src/rank3pls/cli.py",
+    "pipeline.devillers_enumerate.slow": "src/rank3pls/cli.py",
+    "pipeline.run_pipeline.slow": "src/rank3pls/pipeline.py",
+    "pipeline.reproduce_table.max_degree": "src/rank3pls/cli.py",
+    "pipeline.reproduce_table.slow": "src/rank3pls/cli.py",
+}
+
+# module-level names that no library code reads
+MODULE_DATA = {
+    "NEGATIVE_CONTROLS": "the specs whose rank-3 flag must come out false, "
+                         "run by tests/test_omega.py and tests/test_acceptance.py",
+    "FLAG_TRANSITIVE_EXPECT": "the classification's flag-transitive blocks per "
+                              "space, read by tests/test_pipeline.py and "
+                              "tests/test_acceptance.py",
+}
 
 
 def _trees():
@@ -128,3 +179,57 @@ def b():
 '''
     flagged = _unreached({"mod.py": ast.parse(source)}, {"root"})
     assert [name for _, _, name in flagged] == ["n", "a", "b"]
+
+
+def _defaults(trees):
+    """module.[class.]function.parameter of every parameter with a default."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                with_default = positional[len(positional) - len(args.defaults):]
+                with_default += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                                 if d is not None]
+                out.extend(f"{prefix}{child.name}.{a.arg}" for a in with_default)
+                visit(child, f"{prefix}{child.name}.")
+
+    for module, tree in trees.items():
+        visit(tree, f"{module.removesuffix('.py')}.")
+    return out
+
+
+def test_every_default_has_a_caller_that_overrides_it():
+    """A default joins DEFAULTS with a file that calls its function, and an
+    entry whose parameter is gone leaves."""
+    found = _defaults(_trees())
+    assert sorted(found) == sorted(DEFAULTS)
+    root = SRC.parents[1]
+    for key, path in DEFAULTS.items():
+        parts = key.split(".")
+        name = parts[-3] if parts[-2] == "__init__" else parts[-2]
+        assert f"{name}(" in (root / path).read_text(), key
+
+
+def test_every_module_level_name_is_read():
+    """A module-level assignment that no library code reads, dunders aside,
+    is dead unless MODULE_DATA gives its reason."""
+    trees = _trees()
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assigned = {target.id for tree in trees.values() for stmt in tree.body
+                if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                for node in (stmt.targets if isinstance(stmt, ast.Assign)
+                             else [stmt.target])
+                for target in ast.walk(node) if isinstance(target, ast.Name)}
+    unread = {name for name in assigned - read if not name.startswith("__")}
+    assert sorted(unread) == sorted(MODULE_DATA)

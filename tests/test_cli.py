@@ -149,19 +149,26 @@ def test_tables_command(capsys):
     assert "negative | M11_deg22: PASS" in out
 
 
-@pytest.mark.parametrize("text", [
-    "",                                # empty file
-    "4\n1 2 3 0\n1 0\n",              # short generator line
-    "4\n1 1 2 3\n",                   # not a permutation
-    "four\n1 2 3 0\n",                # degree line is not an integer
-    "0\n",                            # degree 0: no points to act on
+@pytest.mark.parametrize("text, line", [
+    ("", None),                             # empty file
+    (b"4\n\xff 2\n", None),                 # not UTF-8 text
+    ("4\n1 2 3 0\n1 0\n", 3),               # short generator line
+    ("4\n1 2 3 0\n\n1 2 3 0 1\n", 4),       # long line; blank lines count
+    ("4\n1 1 2 3\n", 2),                    # not a permutation
+    ("4\n1 2 3 99999999999\n", 2),          # an image past int32
+    ("4\n1 x 3 0\n", 2),                    # an image is not an integer
+    ("four\n1 2 3 0\n", 1),                 # degree line is not an integer
+    ("0\n", 1),                             # degree 0: no points to act on
 ])
-def test_bad_group_file_is_one_line_error(tmp_path, capsys, text):
+def test_bad_group_file_is_one_line_error(tmp_path, capsys, text, line):
+    """Each fault is one line naming the file and, in a nonempty text
+    file, the line."""
     path = tmp_path / "bad.grp"
-    path.write_text(text)
-    assert main(["pipeline", "run", "--group", f"file:{path}"]) != 0
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    assert main(["pipeline", "run", "--group", f"file:{path}"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    where = f"{path}:{line}: " if line else f"{path}: "
+    assert err.startswith(f"error: {where}") and err.count("\n") == 1
 
 
 def test_degree_cap_needs_a_proven_bound(tmp_path, capsys):

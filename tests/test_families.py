@@ -118,7 +118,7 @@ def test_usub_lines_independent_isotropic():
     sp = build_omega("unitary", 3, 4, 3)
     F = sp.field
     for line in D.lines[:500]:
-        vecs = [sp.points[p] for p in line]
+        vecs = [tuple(sp.vectors[p].tolist()) for p in line]
         for v in vecs:
             assert is_isotropic(sp.form, v)
         for i in range(len(vecs)):

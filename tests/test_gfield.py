@@ -64,7 +64,7 @@ def test_multiplicative_and_frobenius_orbits(p, a):
     for x in range(F.q):
         y = x
         for _ in range(a):
-            y = F.frob(y)
+            y = F.pow(y, F.p)
         assert y == x
 
 

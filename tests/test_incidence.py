@@ -175,7 +175,7 @@ def test_serialization_roundtrip(tmp_path):
     assert csv.count("\n") == D.num_lines + 1
 
 
-def test_is_proper_takes_the_report():
+def test_is_proper_reads_the_kept_pair_summary():
     # every family instance is proper; the graph K7 and the Fano plane are
     # the improper partial linear spaces
     k7 = IncidenceStructure(7, [(i, j) for i in range(7) for j in range(i + 1, 7)])
@@ -183,10 +183,12 @@ def test_is_proper_takes_the_report():
                                   (1, 4, 6), (2, 3, 6), (2, 4, 5)])
     for D, proper in ((fam.ag_star(2, 4), True), (fam.lsub(2, 9, 3, 2), True),
                       (k7, False), (fano, False)):
-        assert is_proper(D, validate_pls(D)) == is_proper(D) == proper
-    bad = fam.dlsub(9, 3, 2, 2)
+        assert is_proper(D) == proper
+        summary = vars(D)["_pair_summary"]
+        assert validate_pls(D).collinear_pairs == summary.collinear_pairs
+        assert vars(D)["_pair_summary"] is summary and is_proper(D) == proper
     with pytest.raises(ValueError):
-        is_proper(bad, validate_pls(bad))
+        is_proper(fam.dlsub(9, 3, 2, 2))
 
 
 def _random_line_sets(seed):

@@ -37,21 +37,21 @@ def test_build_omega_rejects():
 
 def test_alpha_and_cell_indexing():
     sp = build_omega("linear", 2, 16, 5)
-    assert sp.points[0] == (1, 0)
-    assert sp.sigma[0] == list(range(5))
+    assert sp.vectors[0].tolist() == [1, 0]
+    assert sp.cells[0].tolist() == list(range(5))
     spu = build_omega("unitary", 3, 4, 3)
-    assert spu.points[0] == (1, 0, 0)
-    assert spu.sigma[0] == [0, 1, 2]
+    assert spu.vectors[0].tolist() == [1, 0, 0]
+    assert spu.cells[0].tolist() == [0, 1, 2]
     assert spu.index_of((0, 0, 1)) == 3  # f right after the alpha cell
 
 
 def test_canonical_form_unique():
     sp = build_omega("linear", 2, 9, 2)
     F = sp.field
-    for v in sp.points:
+    for v in sp.vectors.tolist():
         for i in range(sp.r):
             scaled = tuple(F.mul(F.exp[(2 * i) % (F.q - 1)], x) for x in v)
-            assert sp.points[sp.index_of(scaled)] == v
+            assert sp.vectors[sp.index_of(scaled)].tolist() == v
 
 
 def test_kernel_facts():
@@ -69,7 +69,7 @@ def test_scalar_action_shape():
     assert perm_order(perm) == 3
     assert not (perm == np.arange(len(sp))).any()  # fixed-point-free
     # permutes each cell cyclically
-    for cell in sp.sigma:
+    for cell in sp.cells.tolist():
         assert sorted(int(perm[x]) for x in cell) == cell
 
 
@@ -112,7 +112,7 @@ def test_induce_action_rejects_sigma_breaking(monkeypatch):
     image that swaps two points of different cells."""
     sp = build_omega("linear", 2, 4, 3)
     swap = np.arange(len(sp), dtype=np.int32)
-    a, b = sp.sigma[0][0], sp.sigma[1][0]
+    a, b = sp.cells[0, 0], sp.cells[1, 0]
     swap[[a, b]] = b, a
     monkeypatch.setattr(sp, "image", lambda g: swap)
     with pytest.raises(ValueError, match="Sigma"):
@@ -128,9 +128,10 @@ def _scalar_canonical(F, r, v):
 
 
 def _scalar_induce(sp, g):
-    index = {v: i for i, v in enumerate(sp.points)}
+    points = list(map(tuple, sp.vectors.tolist()))
+    index = {v: i for i, v in enumerate(points)}
     return np.array([index[_scalar_canonical(sp.field, sp.r, apply(g, v))]
-                     for v in sp.points], dtype=np.int32)
+                     for v in points], dtype=np.int32)
 
 
 @pytest.mark.parametrize("name", [
@@ -273,9 +274,9 @@ def test_points_of_matches_a_dict_lookup(args):
     a dict from canonical vector (the all-points reference's) to point."""
     sp = build_omega(*args)
     F = sp.field
-    index = {v: i for i, v in enumerate(sp.points)}
+    index = {tuple(v): i for i, v in enumerate(sp.vectors.tolist())}
     rng = random.Random(7)
-    vecs = [tuple(F.mul(s, x) for x in sp.points[rng.randrange(len(sp))])
+    vecs = [tuple(F.mul(s, x) for x in sp.vectors[rng.randrange(len(sp))].tolist())
             for s in (rng.randrange(1, F.q) for _ in range(40))]
     canonical = _AllPoints(sp).canonical(np.array(vecs))
     assert sp.points_of(vecs) == tuple(sorted({index[tuple(v)]

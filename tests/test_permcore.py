@@ -1,5 +1,6 @@
 """Permutation kernel: BSGS, orbits, blocks, cosets, flags, files."""
 
+import functools
 import itertools
 import math
 import os
@@ -266,6 +267,16 @@ def test_block_join_rejects_points_off_the_orbit():
         G.minimal_block(0, 4)
     assert G.block_join(0, [1]) == frozenset({0, 1, 2})
     assert G.block_join(3, []) == frozenset({3})
+
+
+def test_block_join_reads_an_array_a_list_and_a_set_alike():
+    """An int array is read whole, any other iterable point by point."""
+    G = PermGroup(12, [list(range(1, 12)) + [0]])     # C_12
+    int32 = functools.partial(np.array, dtype=np.int32)
+    for pts, block in (([4], range(0, 12, 4)), ([4, 6], range(0, 12, 2)),
+                       ([3, 8], range(12))):
+        got = {G.block_join(0, wrap(pts)) for wrap in (np.array, int32, list, frozenset)}
+        assert got == {frozenset(block)}
 
 
 def _walk_apart(code: str) -> list[str]:

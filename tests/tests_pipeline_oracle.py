@@ -57,7 +57,7 @@ def reference_enumerate(G: PermGroup, name: str = "") -> list[ReferenceEntry]:
             D = IncidenceStructure(G.degree, lines,
                                    {"group": name or G.name, "block_size": len(block)})
             ref.report = validate_pls(D)
-            assert ref.report.is_pls and is_proper(D, ref.report)
+            assert ref.report.is_pls and is_proper(D)
             ref.components = components(D)
             ref.fingerprint = fingerprint(D)
             entry.structure = D
